@@ -10,10 +10,7 @@ from .distribution import (
     dist_from_json,
     half_min_mass,
     load_distribution,
-    mean,
     new_distribution,
-    sample,
-    survival,
     thresholds,
 )
 from .dp import DPTable, accept_cut, accept_threshold, full_value_check, optimal_value, solve
@@ -55,18 +52,12 @@ from .offline import (
 from .policies import (
     AdaptiveIndexPolicy,
     BudgetRatioPolicy,
-    Decision,
     DpPolicy,
     NonAdaptiveMatrix,
     NonAdaptivePolicy,
-    PolicyContext,
-    ai_decide,
     ai_ratio_increment_mean,
-    br_decide,
-    dp_decide,
     index_matrix,
     make_policy,
-    nonadaptive_decide,
     take_top_matrix,
 )
 from .simulate import (

@@ -11,7 +11,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,8 +23,8 @@ from .distribution import (
     thresholds,
 )
 from .errors import BadEpsilon, ModelError
-from .evaluate import CSV_HEADER, exact_regret, format_record, mc_regret
-from .policies import make_policy
+from .evaluate import sweep, write_records
+from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
     episode_stream,
@@ -54,6 +53,11 @@ def _parse_policies(text: str) -> list[str]:
     names = [p.strip() for p in text.split(",") if p.strip()]
     if not names:
         raise ModelError("at least one policy name is required")
+    for name in names:
+        if name not in POLICY_NAMES and not name.startswith("matrix:"):
+            raise ModelError(
+                f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)} or matrix:<file>"
+            )
     return names
 
 
@@ -61,18 +65,25 @@ def _parse_range(text: str) -> list[int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ModelError(f"expected A:B:STEP, got {text!r}")
-    a, b, step = (int(p) for p in parts)
+    try:
+        a, b, step = (int(p) for p in parts)
+    except ValueError:
+        raise ModelError(f"expected integers A:B:STEP, got {text!r}") from None
     if step <= 0 or b < a:
         raise ModelError(f"range {text!r} must have A <= B and STEP > 0")
     return list(range(a, b + 1, step))
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(p) for p in text.split(",") if p.strip()]
+def _parse_list(text: str, cast) -> list:
+    try:
+        return [cast(p) for p in text.split(",") if p.strip()]
+    except ValueError:
+        raise ModelError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(p) for p in text.split(",") if p.strip()]
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ModelError(f"reps must be >= 1, got {reps}")
 
 
 def _write_manifest(out: str, command: str, dist: AbilityDistribution | None,
@@ -91,43 +102,17 @@ def _write_manifest(out: str, command: str, dist: AbilityDistribution | None,
         fh.write("\n")
 
 
-def _eval_cells(d, names, grid, mode, reps, seed, threads):
-    """Evaluate cells independently; collect records and per-cell failures."""
-    cells = sorted((name, n, k) for name in names for (n, k) in grid)
-    results: list = [None] * len(cells)
-    failures: list = []
-
-    def run(i):
-        name, n, k = cells[i]
-        try:
-            policy = make_policy(name, d, n, k)
-            if mode == "mc":
-                results[i] = mc_regret(d, policy, n, k, reps, seed)
-            else:
-                results[i] = exact_regret(d, policy, n, k)
-        except Exception as exc:  # enumerate failing cells, keep going
-            failures.append((cells[i], exc))
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(cells))))
-    else:
-        for i in range(len(cells)):
-            run(i)
-    return [r for r in results if r is not None], failures
-
-
-def _write_record_csv(out, records):
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
-
-
 def _report_failures(failures) -> int:
     for (name, n, k), exc in failures:
         print(f"cell policy={name} n={n} k={k} failed: {exc}", file=sys.stderr)
     return 1 if failures else 0
+
+
+def _sweep_mode(args) -> str:
+    if args.mc:
+        _check_reps(args.reps)
+        return "mc"
+    return "exact"
 
 
 def cmd_sweep_k(args) -> int:
@@ -136,9 +121,9 @@ def cmd_sweep_k(args) -> int:
     ks = _parse_range(args.k_range)
     names = _parse_policies(args.policies)
     grid = [(args.n, k) for k in ks]
-    mode = "mc" if args.mc else "exact"
-    records, failures = _eval_cells(d, names, grid, mode, args.reps, args.seed, args.threads)
-    _write_record_csv(args.out, records)
+    mode = _sweep_mode(args)
+    records, failures = sweep(d, names, grid, mode, args.reps, args.seed)
+    write_records(records, args.out)
     _write_manifest(args.out, "sweep-k", d, args.seed,
                     {"n": args.n, "k_range": args.k_range, "policies": names, "mode": mode},
                     started)
@@ -148,12 +133,12 @@ def cmd_sweep_k(args) -> int:
 def cmd_sweep_n(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
-    ns = _parse_int_list(args.n_list)
+    ns = _parse_list(args.n_list, int)
     names = _parse_policies(args.policies)
     grid = [(n, round_half_up(args.ratio * n)) for n in ns]
-    mode = "mc" if args.mc else "exact"
-    records, failures = _eval_cells(d, names, grid, mode, args.reps, args.seed, args.threads)
-    _write_record_csv(args.out, records)
+    mode = _sweep_mode(args)
+    records, failures = sweep(d, names, grid, mode, args.reps, args.seed)
+    write_records(records, args.out)
     _write_manifest(args.out, "sweep-n", d, args.seed,
                     {"n_list": ns, "ratio": args.ratio, "k_list": [k for _, k in grid],
                      "policies": names, "mode": mode},
@@ -163,7 +148,7 @@ def cmd_sweep_n(args) -> int:
 
 def cmd_kleinberg(args) -> int:
     started = time.perf_counter()
-    epsilons = _parse_float_list(args.epsilons)
+    epsilons = _parse_list(args.epsilons, float)
     names = _parse_policies(args.policies)
     records = []
     failures = []
@@ -173,12 +158,10 @@ def cmd_kleinberg(args) -> int:
         n = math.ceil(1.0 / eps**2)
         k = math.ceil(n / 2)
         grid_note.append({"epsilon": eps, "n": n, "k": k})
-        for name in sorted(names):
-            try:
-                records.append(exact_regret(d, make_policy(name, d, n, k), n, k))
-            except Exception as exc:
-                failures.append(((name, n, k), exc))
-    _write_record_csv(args.out, records)
+        got, failed = sweep(d, names, [(n, k)])
+        records += got
+        failures += failed
+    write_records(records, args.out)
     _write_manifest(args.out, "kleinberg", None, args.seed, grid_note, started)
     return _report_failures(failures)
 
@@ -187,7 +170,7 @@ def cmd_paths(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
-    seeds = _parse_int_list(args.seeds)
+    seeds = _parse_list(args.seeds, int)
     base = str(args.out)
     stem, dot, suffix = base.rpartition(".")
     if not dot:
@@ -214,8 +197,7 @@ def cmd_ratio_mean(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
-    if args.reps < 1:
-        raise ModelError(f"reps must be >= 1, got {args.reps}")
+    _check_reps(args.reps)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("policy,t,mean_ratio,mean_budget\n")
         for name in sorted(names):
@@ -233,8 +215,7 @@ def cmd_ratio_mean(args) -> int:
 def cmd_diagnostics(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
-    if args.reps < 1:
-        raise ModelError(f"reps must be >= 1, got {args.reps}")
+    _check_reps(args.reps)
     policy = make_policy(args.policy, d, args.n, args.k)
     sample = orbit_stats(
         d, policy, thresholds(d), args.n, args.k, args.delta, args.reps, args.seed
@@ -309,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True, help="comma-separated policy names")
     p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep_k)
 
     p = sub.add_parser("sweep-n", help="regret versus horizon at a fixed budget ratio")
@@ -319,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policies", required=True)
     p.add_argument("--mc", action="store_true")
     p.add_argument("--reps", type=int, default=10_000)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=cmd_sweep_n)
 
     p = sub.add_parser("kleinberg", help="regret on the shrinking-mass three-point family")

@@ -155,10 +155,6 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
     return AbilityDistribution(support=a, pmf=f, survival_values=sv)
 
 
-def survival(d: AbilityDistribution, j: int) -> float:
-    return d.survival(j)
-
-
 def thresholds(d: AbilityDistribution) -> ThresholdSet:
     """Midpoint thresholds T_j = (F̄(a_j) + F̄(a_{j+1})) / 2 for j in 2..m."""
     m = d.m
@@ -189,14 +185,6 @@ def action_index_j0(d: AbilityDistribution, n: int, k: int) -> int:
     if not 0 <= k <= n:
         raise InfeasiblePair(f"budget {k} outside [0, {n}]")
     return thresholds(d).bucket(k / n)
-
-
-def mean(d: AbilityDistribution) -> float:
-    return d.mean()
-
-
-def sample(d: AbilityDistribution, u: float) -> int:
-    return d.sample(u)
 
 
 def dist_from_dict(obj: dict) -> AbilityDistribution:

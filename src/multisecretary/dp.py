@@ -21,10 +21,6 @@ from .errors import IndexOutOfRange, InfeasiblePair, InstanceTooLarge, TableMism
 # Ties a_j == h_l(kappa) select; the relative slack absorbs float noise in h.
 TIE_TOL_SCALE = 1e-12
 
-# "auto" keeps the full float table up to this many cells, else only the
-# int16 acceptance cuts (the k*n float table is ~400 MB at n=1e4, k=5e3).
-FULL_TABLE_CELL_LIMIT = 2_500_000
-
 
 @dataclass(frozen=True, eq=False)
 class DPTable:
@@ -48,17 +44,15 @@ class DPTable:
         return float(self.g_final[self.k])
 
 
-def solve(d: AbilityDistribution, n: int, k: int, mode: str = "auto") -> DPTable:
+def solve(d: AbilityDistribution, n: int, k: int, mode: str = "policy") -> DPTable:
     """Fill the g recursion bottom-up.
 
     mode: "value" keeps only the final row, "policy" additionally keeps the
-    acceptance cuts, "full" keeps the whole float table, "auto" picks
-    "full" for small instances and "policy" otherwise.
+    acceptance cuts, "full" also keeps the whole float table (k*n floats,
+    ~400 MB at n=1e4, k=5e3).
     """
     if n < 0 or not 0 <= k <= n:
         raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
-    if mode == "auto":
-        mode = "full" if (n + 1) * (k + 1) <= FULL_TABLE_CELL_LIMIT else "policy"
     if mode not in ("value", "policy", "full"):
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -10,7 +10,6 @@ payoff with the posterior sort on the same realization.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -133,8 +132,6 @@ def mc_regret(
     Pathwise dominance of the posterior sort makes every summand
     non-negative, so the estimate is too.
     """
-    if reps < 1:
-        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
     online, offline = paired_payoffs(d, policy, n, k, reps, seed)
     diff = offline - online
     sd = float(np.std(diff, ddof=1)) if reps > 1 else 0.0
@@ -159,24 +156,30 @@ def sweep(
     reps: int = 10_000,
     seed: int = 0,
     tail_tol: float = 1e-12,
-    threads: int = 1,
-) -> list[RegretRecord]:
-    """Evaluate every (policy, n, k) cell; output sorted by (policy, n, k)."""
-    cells = sorted((name, n, k) for name in policy_names for (n, k) in grid)
+) -> tuple[list[RegretRecord], list]:
+    """Evaluate every (policy, n, k) cell in (policy, n, k) order.
 
-    def run(cell):
-        name, n, k = cell
+    A cell that raises is skipped and the sweep goes on; returns the records
+    and the failures as ``((policy, n, k), exception)`` pairs.
+    """
+    if mode not in ("exact", "mc"):
+        raise ValueError(f"unknown mode {mode!r}")
+
+    # A policy lives only inside its cell, so a DP cut table is freed before
+    # the next cell builds its own.
+    def run(name, n, k):
         policy = make_policy(name, d, n, k)
         if mode == "exact":
             return exact_regret(d, policy, n, k, tail_tol)
-        if mode == "mc":
-            return mc_regret(d, policy, n, k, reps, seed)
-        raise ValueError(f"unknown mode {mode!r}")
+        return mc_regret(d, policy, n, k, reps, seed)
 
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, cells))
-    return [run(cell) for cell in cells]
+    records, failures = [], []
+    for cell in sorted((name, n, k) for name in policy_names for (n, k) in grid):
+        try:
+            records.append(run(*cell))
+        except Exception as exc:  # enumerate failing cells, keep going
+            failures.append((cell, exc))
+    return records, failures
 
 
 def format_record(rec: RegretRecord) -> str:

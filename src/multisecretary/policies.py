@@ -1,10 +1,10 @@
-"""Selection policies over a shared decision contract.
+"""Selection policies as state-Markov rules on (time, residual budget, rank).
 
-Every policy is a pure function of its static precomputation and a
-:class:`PolicyContext`; randomization enters only through the context's
-uniform draw.  Each policy also exposes vectorized hooks used by the exact
-evaluator (``rates``) and the batch simulator (``decide_batch``), so common
-random numbers and closed-form u-integration need no per-policy casework.
+Every policy is a pure function of its static precomputation and the state;
+randomization enters only through one uniform draw per decision.  Each
+policy exposes two vectorized hooks: ``rates`` for the exact evaluator and
+``decide_batch`` for the sample-path engine, so common random numbers and
+closed-form u-integration need no per-policy casework.
 """
 
 from __future__ import annotations
@@ -15,34 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dp as dp_mod
-from .distribution import (
-    RATIO_TIE_TOL,
-    AbilityDistribution,
-    ThresholdSet,
-    thresholds,
-)
+from .distribution import RATIO_TIE_TOL, AbilityDistribution, thresholds
 from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch
-
-
-@dataclass(frozen=True)
-class PolicyContext:
-    """State visible to a policy at one decision epoch.
-
-    ``t_next`` is the 1-based decision time, ``residual_budget`` the budget
-    left before this decision, ``ability_index`` the 1-based rank of the
-    observed value, and ``u`` a uniform draw in [0, 1) for randomized rules.
-    """
-
-    t_next: int
-    n: int
-    residual_budget: int
-    ability_index: int
-    u: float = 0.0
-
-
-@dataclass(frozen=True)
-class Decision:
-    select: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,55 +34,6 @@ class NonAdaptiveMatrix:
             raise ModelError("matrix entries must be probabilities in [0, 1]")
         arr.flags.writeable = False
         return cls(p=arr)
-
-
-def br_decide(d: AbilityDistribution, thr: ThresholdSet, ctx: PolicyContext) -> Decision:
-    """Budget-Ratio rule: find j with T_j <= K/(n-t) < T_{j+1}, select the
-    observed value iff budget remains and its rank is at most j."""
-    if ctx.residual_budget <= 0:
-        return Decision(select=False)
-    ratio = ctx.residual_budget / (ctx.n - (ctx.t_next - 1))
-    return Decision(select=ctx.ability_index <= thr.bucket(ratio))
-
-
-def dp_decide(table: dp_mod.DPTable, ctx: PolicyContext) -> Decision:
-    """Optimal rule: select iff the observed ability reaches h_l(kappa)."""
-    if ctx.n != table.n or ctx.residual_budget > table.k:
-        raise TableMismatch(
-            f"table solved for (n={table.n}, k={table.k}) cannot decide at "
-            f"(n={ctx.n}, budget={ctx.residual_budget})"
-        )
-    if ctx.residual_budget <= 0:
-        return Decision(select=False)
-    ell = ctx.n - ctx.t_next + 1
-    return Decision(select=ctx.ability_index <= dp_mod.accept_cut(table, ell, ctx.residual_budget))
-
-
-def ai_decide(d: AbilityDistribution, ctx: PolicyContext) -> Decision:
-    """Adaptive-index rule: follow the re-solved deterministic relaxation.
-
-    With r = K/(n-t), an ability-j arrival is taken with probability
-    clamp((r - F̄(a_j)) / f_j, 0, 1); once r >= 1 everything is taken.
-    """
-    if ctx.residual_budget <= 0:
-        return Decision(select=False)
-    ratio = ctx.residual_budget / (ctx.n - (ctx.t_next - 1))
-    if ratio >= 1.0:
-        return Decision(select=True)
-    j = ctx.ability_index
-    p = (ratio - d.survival_values[j - 1]) / d.pmf[j - 1]
-    return Decision(select=ctx.u < min(max(p, 0.0), 1.0))
-
-
-def nonadaptive_decide(mat: NonAdaptiveMatrix, ctx: PolicyContext) -> Decision:
-    m, n = mat.p.shape
-    if not (1 <= ctx.ability_index <= m and 1 <= ctx.t_next <= n):
-        raise DimensionMismatch(
-            f"context (t={ctx.t_next}, j={ctx.ability_index}) outside {m}x{n} matrix"
-        )
-    if ctx.residual_budget <= 0:
-        return Decision(select=False)
-    return Decision(select=ctx.u < mat.p[ctx.ability_index - 1, ctx.t_next - 1])
 
 
 def index_matrix(d: AbilityDistribution, n: int, k: int) -> NonAdaptiveMatrix:
@@ -175,10 +100,9 @@ class BudgetRatioPolicy:
         self.thresholds = thresholds(d)
         self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
 
-    def decide(self, ctx: PolicyContext) -> Decision:
-        return br_decide(self.dist, self.thresholds, ctx)
-
     def decide_batch(self, t_next, n, budgets, abilities, u):
+        """Find j with T_j <= K/(n-t) < T_{j+1}; select the observed value
+        iff budget remains and its rank is at most j."""
         ratio = budgets / (n - t_next + 1)
         bucket = self.thresholds.bucket(ratio)
         return (budgets > 0) & (abilities <= bucket)
@@ -203,7 +127,7 @@ class DpPolicy:
         if table is None:
             if n is None or k is None:
                 raise ValueError("DpPolicy needs a table or an (n, k) pair to solve")
-            table = dp_mod.solve(d, n, k, mode="auto")
+            table = dp_mod.solve(d, n, k)
         if table.cuts is None:
             raise TableMismatch("policy use needs a table solved with mode='policy' or 'full'")
         if table.dist_hash != d.content_hash():
@@ -212,16 +136,18 @@ class DpPolicy:
         self.table = table
         self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
 
-    def decide(self, ctx: PolicyContext) -> Decision:
-        return dp_decide(self.table, ctx)
-
     def _cut_row(self, t_next, n, budgets):
         if n != self.table.n:
             raise TableMismatch(f"table solved for n={self.table.n}, episode has n={n}")
-        ell = n - t_next + 1
-        return self.table.cuts[ell, budgets]
+        try:
+            return self.table.cuts[n - t_next + 1, budgets]
+        except IndexError:
+            raise TableMismatch(
+                f"table solved for k={self.table.k} cannot decide at budget {int(np.max(budgets))}"
+            ) from None
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
+        """Select iff budget remains and the observed ability reaches h_l(kappa)."""
         cut = self._cut_row(t_next, n, budgets)
         return (budgets > 0) & (abilities <= cut)
 
@@ -240,10 +166,9 @@ class AdaptiveIndexPolicy:
         self.dist = d
         self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
 
-    def decide(self, ctx: PolicyContext) -> Decision:
-        return ai_decide(self.dist, ctx)
-
     def decide_batch(self, t_next, n, budgets, abilities, u):
+        """With r = K/(n-t), take an ability-j arrival with probability
+        clamp((r - F̄(a_j)) / f_j, 0, 1); once r >= 1 take everything."""
         d = self.dist
         ratio = budgets / (n - t_next + 1)
         p = (ratio - d.survival_values[abilities - 1]) / d.pmf[abilities - 1]
@@ -281,9 +206,6 @@ class NonAdaptivePolicy:
             raise DimensionMismatch(
                 f"matrix covers {self.matrix.p.shape[1]} periods, asked for t={t_next} of n={n}"
             )
-
-    def decide(self, ctx: PolicyContext) -> Decision:
-        return nonadaptive_decide(self.matrix, ctx)
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         self._check_horizon(t_next, n)

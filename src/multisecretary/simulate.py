@@ -16,7 +16,6 @@ import numpy as np
 from .distribution import AbilityDistribution, ThresholdSet, half_min_mass
 from .errors import BadDelta, InfeasiblePair
 from .offline import offline_sort_batch
-from .policies import PolicyContext
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
@@ -76,35 +75,17 @@ def run_episode(
     if n < 1 or not 0 <= k <= n:
         raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
     u = stream.random(2 * n)
-    abilities = d.sample_many(u[0::2])
-    decisions = np.zeros(n, dtype=bool)
-    budget_path = np.empty(n + 1, dtype=np.int64)
-    budget_path[0] = k
-    payoff = 0.0
-    budget = k
-    for t_next in range(1, n + 1):
-        j = int(abilities[t_next - 1])
-        ctx = PolicyContext(
-            t_next=t_next,
-            n=n,
-            residual_budget=budget,
-            ability_index=j,
-            u=float(u[2 * t_next - 1]),
-        )
-        if policy.decide(ctx).select:
-            payoff += float(d.support[j - 1])
-            budget -= 1
-            decisions[t_next - 1] = True
-        budget_path[t_next] = budget
+    payoff, _, paths = _simulate_chunk(d, policy, n, k, u[None, :], want_paths=True)
+    budget_path = paths[0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
         n=n,
         k=k,
         seed_ref=seed_ref,
-        abilities=abilities,
-        decisions=decisions,
-        payoff=payoff,
+        abilities=d.sample_many(u[0::2]),
+        decisions=budget_path[1:] < budget_path[:-1],
+        payoff=float(payoff[0]),
         budget_path=budget_path,
         ratio_path=ratio_path,
     )
@@ -120,8 +101,7 @@ def _uniform_block(seed: int, reps: range, n: int) -> np.ndarray:
 def _simulate_chunk(d, policy, n, k, u, want_paths=False):
     """Vectorized episodes for one block of pre-drawn uniforms.
 
-    Returns (payoffs, counts, budget paths or None).  Must stay step-for-step
-    identical to :func:`run_episode`.
+    Returns (payoffs, counts, budget paths or None).
     """
     reps = u.shape[0]
     abilities = d.sample_many(u[:, 0::2])
@@ -145,20 +125,35 @@ def _simulate_chunk(d, policy, n, k, u, want_paths=False):
     return payoff, counts, paths
 
 
+def _chunks(d, policy, n, k, reps, seed, chunk, want_paths=False):
+    """Episodes 0..reps-1 in blocks of ``chunk``.
+
+    Checks ``reps`` at once, then returns an iterator that runs one block per
+    step and yields ``(rows, payoffs, counts, paths)``, ``rows`` being the
+    block's slice of 0..reps-1.
+    """
+    if reps < 1:
+        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+
+    def blocks():
+        for start in range(0, reps, chunk):
+            rows = slice(start, min(start + chunk, reps))
+            u = _uniform_block(seed, range(rows.start, rows.stop), n)
+            yield (rows, *_simulate_chunk(d, policy, n, k, u, want_paths))
+
+    return blocks()
+
+
 def simulate_paths(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
+    blocks = _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True)
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for start in range(0, reps, chunk):
-        block = range(start, min(start + chunk, reps))
-        u = _uniform_block(seed, block, n)
-        pay, cnt, pth = _simulate_chunk(d, policy, n, k, u, want_paths=True)
-        payoffs[block.start : block.stop] = pay
-        counts[block.start : block.stop] = cnt
-        paths[block.start : block.stop] = pth
+    for rows, pay, cnt, pth in blocks:
+        payoffs[rows], counts[rows], paths[rows] = pay, cnt, pth
     return payoffs, counts, paths
 
 
@@ -166,14 +161,12 @@ def paired_payoffs(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-episode online payoff and posterior-sort payoff on the same draws."""
+    blocks = _chunks(d, policy, n, k, reps, seed, chunk)
     online = np.empty(reps)
     offline = np.empty(reps)
-    for start in range(0, reps, chunk):
-        block = range(start, min(start + chunk, reps))
-        u = _uniform_block(seed, block, n)
-        pay, counts, _ = _simulate_chunk(d, policy, n, k, u)
-        online[block.start : block.stop] = pay
-        offline[block.start : block.stop] = offline_sort_batch(d, counts, k)
+    for rows, pay, counts, _ in blocks:
+        online[rows] = pay
+        offline[rows] = offline_sort_batch(d, counts, k)
     return online, offline
 
 
@@ -181,13 +174,8 @@ def ratio_mean_curve(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
-    if reps < 1:
-        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
     budget_sum = np.zeros(n)
-    for start in range(0, reps, chunk):
-        block = range(start, min(start + chunk, reps))
-        u = _uniform_block(seed, block, n)
-        _, _, paths = _simulate_chunk(d, policy, n, k, u, want_paths=True)
+    for _, _, _, paths in _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True):
         budget_sum += paths[:, :n].sum(axis=0)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
@@ -263,19 +251,12 @@ def orbit_stats(
 ) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
     _check_delta(delta, half_min_mass(d))
-    if reps < 1:
-        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+    blocks = _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True)
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for start in range(0, reps, chunk):
-        block = range(start, min(start + chunk, reps))
-        u = _uniform_block(seed, block, n)
-        _, _, paths = _simulate_chunk(d, policy, n, k, u, want_paths=True)
-        t0, j0, t1 = _orbit_scan(paths, thr, delta, n)
-        tau0[block.start : block.stop] = t0
-        j_tau0[block.start : block.stop] = j0
-        tau[block.start : block.stop] = t1
+    for rows, _, _, paths in blocks:
+        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(paths, thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)
 
 

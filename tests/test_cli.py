@@ -18,6 +18,12 @@ def dist_file(tmp_path):
     return str(path)
 
 
+def assert_one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
@@ -84,14 +90,6 @@ class TestSweepK:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_match_sequential(self, dist_file, tmp_path):
-        seq, par = tmp_path / "s.csv", tmp_path / "p.csv"
-        base = ["sweep-k", "--dist", dist_file, "--n", "50", "--k-range", "0:50:10",
-                "--policies", "br,dp,ai"]
-        assert main(base + ["--out", str(seq)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(par)]) == 0
-        assert seq.read_bytes() == par.read_bytes()
-
     def test_step_larger_than_range_single_point(self, dist_file, tmp_path):
         out = tmp_path / "one.csv"
         assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range",
@@ -121,6 +119,22 @@ class TestSweepK:
         _, rows = read_rows(out)
         assert len(rows) == 1 and rows[0][0] == "br"
 
+    def test_non_integer_range_exits_2(self, dist_file, tmp_path, capsys):
+        assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range", "1:x:2",
+                     "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
+        assert_one_error_line(capsys)
+
+    def test_unknown_policy_exits_2_once(self, dist_file, tmp_path, capsys):
+        assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range", "0:30:10",
+                     "--policies", "br,greedy", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "greedy" in assert_one_error_line(capsys)
+
+    def test_mc_zero_reps_exits_2_once(self, dist_file, tmp_path, capsys):
+        assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range", "0:30:10",
+                     "--policies", "br,ai", "--mc", "--reps", "0",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "reps" in assert_one_error_line(capsys)
+
 
 class TestSweepN:
     def test_single_n_one_record_per_policy(self, dist_file, tmp_path):
@@ -137,6 +151,11 @@ class TestSweepN:
                      "0", "--policies", "br", "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert all(abs(float(r[6])) <= 1e-9 for r in rows)
+
+    def test_bad_n_list_exits_2(self, dist_file, tmp_path, capsys):
+        assert main(["sweep-n", "--dist", dist_file, "--n-list", "100,x", "--ratio",
+                     "0.3", "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "100,x" in assert_one_error_line(capsys)
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3
@@ -162,6 +181,11 @@ class TestKleinberg:
 
     def test_bad_epsilon_exits_2(self, tmp_path):
         assert main(["kleinberg", "--epsilons", "0.2", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_unparsable_epsilon_exits_2(self, tmp_path, capsys):
+        assert main(["kleinberg", "--epsilons", "0.05,abc",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestPaths:

@@ -12,10 +12,7 @@ from multisecretary import (
     action_index_j0,
     dist_from_json,
     half_min_mass,
-    mean,
     new_distribution,
-    sample,
-    survival,
     thresholds,
 )
 from multisecretary.cli import kleinberg_distribution
@@ -71,21 +68,21 @@ class TestConstruction:
 
 class TestSurvival:
     def test_third_point(self, uniform5):
-        assert survival(uniform5, 3) == pytest.approx(0.4, abs=1e-15)
+        assert uniform5.survival(3) == pytest.approx(0.4, abs=1e-15)
 
     def test_endpoints(self, uniform5, uniform3):
         for d in (uniform5, uniform3):
-            assert survival(d, 1) == 0.0
-            assert survival(d, d.m + 1) == 1.0
+            assert d.survival(1) == 0.0
+            assert d.survival(d.m + 1) == 1.0
 
     def test_strictly_increasing(self, masspoint5):
         assert np.all(np.diff(masspoint5.survival_values) > 0)
 
     def test_out_of_range(self, uniform5):
         with pytest.raises(IndexOutOfRange):
-            survival(uniform5, 0)
+            uniform5.survival(0)
         with pytest.raises(IndexOutOfRange):
-            survival(uniform5, 7)
+            uniform5.survival(7)
 
 
 class TestThresholds:
@@ -164,12 +161,12 @@ class TestActionIndex:
 
 class TestMeanAndSampling:
     def test_mean(self, uniform5):
-        assert mean(uniform5) == pytest.approx(1.10, abs=1e-12)
+        assert uniform5.mean() == pytest.approx(1.10, abs=1e-12)
 
     def test_sample_examples(self, uniform5):
-        assert sample(uniform5, 0.0) == 1
-        assert sample(uniform5, 0.41) == 3
-        assert sample(uniform5, 0.999999) == 5
+        assert uniform5.sample(0.0) == 1
+        assert uniform5.sample(0.41) == 3
+        assert uniform5.sample(0.999999) == 5
 
     def test_sample_equispaced_frequencies(self, masspoint5):
         u = (np.arange(1_000_000) + 0.5) / 1_000_000

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from multisecretary import (
+    DimensionMismatch,
     InfeasiblePair,
+    ModelError,
     NonMarkovPolicy,
-    clear_caches,
     exact_policy_value,
     exact_regret,
     make_policy,
@@ -74,9 +75,6 @@ class TestExactPolicyValue:
     def test_non_markov_rejected(self, uniform5):
         class Opaque:
             name = "opaque"
-
-            def decide(self, ctx):
-                raise NotImplementedError
 
         with pytest.raises(NonMarkovPolicy):
             exact_policy_value(uniform5, Opaque(), 5, 2)
@@ -155,29 +153,39 @@ class TestPathwiseDominance:
 class TestSweep:
     def test_cardinality_and_order(self, uniform5):
         grid = [(100, k) for k in range(0, 101, 5)]
-        records = sweep(uniform5, ["dp", "br"], grid)
-        assert len(records) == 42
+        records, failures = sweep(uniform5, ["dp", "br"], grid)
+        assert len(records) == 42 and failures == []
         keys = [(r.policy, r.n, r.k) for r in records]
         assert keys == sorted(keys)
 
     def test_empty_grid(self, uniform5):
-        assert sweep(uniform5, ["br"], []) == []
+        assert sweep(uniform5, ["br"], []) == ([], [])
 
-    def test_threads_do_not_change_output(self, uniform5):
-        grid = [(60, k) for k in (10, 20, 30)]
-        sequential = sweep(uniform5, ["br", "ai"], grid, threads=1)
-        clear_caches()
-        threaded = sweep(uniform5, ["br", "ai"], grid, threads=4)
-        assert sequential == threaded
+    def test_failing_cells_are_collected(self, uniform3, tmp_path):
+        # the matrix covers 10 periods, so its n=30 cell fails, as does every
+        # cell of the unknown policy; the other cells still evaluate
+        mat = tmp_path / "mat.csv"
+        np.savetxt(mat, np.ones((3, 10)), delimiter=",")
+        names = ["br", f"matrix:{mat}", "greedy"]
+        records, failures = sweep(uniform3, names, [(10, 4), (30, 5)])
+        assert [(r.policy, r.n) for r in records] == [("br", 10), ("br", 30), ("matrix", 10)]
+        assert [cell for cell, _ in failures] == [("greedy", 10, 4), ("greedy", 30, 5),
+                                                  (f"matrix:{mat}", 30, 5)]
+        assert isinstance(failures[0][1], ModelError)
+        assert isinstance(failures[2][1], DimensionMismatch)
+
+    def test_unknown_mode(self, uniform3):
+        with pytest.raises(ValueError):
+            sweep(uniform3, ["br"], [(30, 10)], mode="bogus")
 
     def test_mc_mode(self, uniform3):
-        records = sweep(uniform3, ["br"], [(30, 10)], mode="mc", reps=200, seed=5)
+        records, _ = sweep(uniform3, ["br"], [(30, 10)], mode="mc", reps=200, seed=5)
         assert records[0].method == "mc" and records[0].ci_halfwidth > 0.0
 
 
 class TestCsv:
     def test_format_and_write(self, uniform5, tmp_path):
-        records = sweep(uniform5, ["br"], [(40, 10), (40, 20)])
+        records, _ = sweep(uniform5, ["br"], [(40, 10), (40, 20)])
         path = tmp_path / "out.csv"
         write_records(records, path)
         lines = path.read_text().splitlines()

@@ -3,20 +3,19 @@ import pytest
 
 from multisecretary import (
     DimensionMismatch,
+    DpPolicy,
     InfeasiblePair,
     ModelError,
     NonAdaptiveMatrix,
-    PolicyContext,
+    NonAdaptivePolicy,
     TableMismatch,
-    ai_decide,
     ai_ratio_increment_mean,
-    br_decide,
-    dp_decide,
+    clear_caches,
     episode_stream,
+    exact_policy_value,
     index_matrix,
     make_policy,
     new_distribution,
-    nonadaptive_decide,
     run_episode,
     solve,
     take_top_matrix,
@@ -24,24 +23,28 @@ from multisecretary import (
 )
 
 
-def ctx(t_next, n, budget, ability, u=0.0):
-    return PolicyContext(t_next=t_next, n=n, residual_budget=budget, ability_index=ability, u=u)
+def decide(policy, t_next, n, budget, ability, u=0.0):
+    """One decision of ``policy`` in a single state, through ``decide_batch``."""
+    sel = policy.decide_batch(
+        t_next, n, np.array([budget]), np.array([ability], dtype=np.int16), np.array([u])
+    )
+    return bool(sel[0])
 
 
 class TestBudgetRatio:
     def test_bucket_two_at_threshold(self, uniform5):
-        thr = thresholds(uniform5)
+        br = make_policy("br", uniform5, 1000, 300)
         # K/(n-t) = 3/10 = 0.30 sits exactly on T_2: select rank 2, skip rank 3
-        assert br_decide(uniform5, thr, ctx(991, 1000, 3, 2)).select
-        assert not br_decide(uniform5, thr, ctx(991, 1000, 3, 3)).select
+        assert decide(br, 991, 1000, 3, 2)
+        assert not decide(br, 991, 1000, 3, 3)
 
     def test_no_budget_rejects(self, uniform5):
-        thr = thresholds(uniform5)
-        assert not br_decide(uniform5, thr, ctx(1, 1000, 0, 1)).select
+        br = make_policy("br", uniform5, 1000, 300)
+        assert not decide(br, 1, 1000, 0, 1)
 
     def test_budget_covers_remaining_selects_all(self, uniform5):
-        thr = thresholds(uniform5)
-        assert br_decide(uniform5, thr, ctx(501, 1000, 500, uniform5.m)).select
+        br = make_policy("br", uniform5, 1000, 300)
+        assert decide(br, 501, 1000, 500, uniform5.m)
 
     def test_selection_probability_is_survival(self, masspoint5):
         # P(select | bucket j) = F̄(a_{j+1}) through the rates hook
@@ -57,49 +60,53 @@ class TestBudgetRatio:
 
 class TestDpDecide:
     def test_mean_rule_two_to_go(self, uniform5):
-        tab = solve(uniform5, 1000, 500, mode="policy")
+        dp = DpPolicy(uniform5, solve(uniform5, 1000, 500, mode="policy"))
         # h_2(1) = E[X] = 1.10: ranks up to the mean ability are taken
-        assert dp_decide(tab, ctx(999, 1000, 1, 3)).select
-        assert not dp_decide(tab, ctx(999, 1000, 1, 4)).select
+        assert decide(dp, 999, 1000, 1, 3)
+        assert not decide(dp, 999, 1000, 1, 4)
 
     def test_no_budget(self, uniform5):
-        tab = solve(uniform5, 10, 5, mode="policy")
-        assert not dp_decide(tab, ctx(3, 10, 0, 1)).select
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        assert not decide(dp, 3, 10, 0, 1)
 
     def test_last_period_takes_anything(self, uniform5):
-        tab = solve(uniform5, 10, 5, mode="policy")
-        assert dp_decide(tab, ctx(10, 10, 1, uniform5.m)).select
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        assert decide(dp, 10, 10, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
-        tab = solve(uniform5, 10, 5, mode="policy")
-        with pytest.raises(TableMismatch):
-            dp_decide(tab, ctx(3, 11, 1, 1))
-        with pytest.raises(TableMismatch):
-            dp_decide(tab, ctx(3, 10, 6, 1))
+        clear_caches()  # a cached value would skip the table lookup
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        for n, k in ((11, 5), (10, 6)):
+            with pytest.raises(TableMismatch):
+                run_episode(uniform5, dp, n, k, episode_stream(1, 0))
+            with pytest.raises(TableMismatch):
+                exact_policy_value(uniform5, dp, n, k)
 
     def test_disagrees_with_br_near_horizon_end(self):
         # two to go, one budget unit: the optimal rule keeps only values at or
         # above the mean, while the ratio rule still takes the middle rank
         d = new_distribution([10.0, 1.5, 1.0], [0.2, 0.4, 0.4])
-        tab = solve(d, 100, 60, mode="policy")
-        thr = thresholds(d)
-        state = ctx(99, 100, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
-        assert br_decide(d, thr, state).select
-        assert not dp_decide(tab, state).select
+        dp = DpPolicy(d, solve(d, 100, 60, mode="policy"))
+        br = make_policy("br", d, 100, 60)
+        state = (99, 100, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
+        assert decide(br, *state)
+        assert not decide(dp, *state)
 
 
 class TestAdaptiveIndex:
     def test_fractional_branch(self, uniform3):
         # ratio 1/2, middle rank: select probability (1/2 - 1/3)/(1/3) = 1/2
-        state = lambda u: ctx(501, 1000, 250, 2, u)  # noqa: E731
-        assert ai_decide(uniform3, state(0.49)).select
-        assert not ai_decide(uniform3, state(0.51)).select
+        ai = make_policy("ai", uniform3, 1000, 500)
+        assert decide(ai, 501, 1000, 250, 2, u=0.49)
+        assert not decide(ai, 501, 1000, 250, 2, u=0.51)
 
     def test_saturated_ratio_takes_everything(self, uniform3):
-        assert ai_decide(uniform3, ctx(901, 1000, 100, 3, u=0.999999)).select
+        ai = make_policy("ai", uniform3, 1000, 500)
+        assert decide(ai, 901, 1000, 100, 3, u=0.999999)
 
     def test_no_budget(self, uniform3):
-        assert not ai_decide(uniform3, ctx(1, 1000, 0, 1)).select
+        ai = make_policy("ai", uniform3, 1000, 500)
+        assert not decide(ai, 1, 1000, 0, 1)
 
     def test_stopped_ratio_increment_is_zero(self, masspoint5):
         rng = np.random.default_rng(11)
@@ -134,8 +141,6 @@ class TestIndexMatrix:
 
 class TestNonAdaptive:
     def test_all_ones_selects_first_k(self, uniform3):
-        from multisecretary.policies import NonAdaptivePolicy
-
         mat = NonAdaptiveMatrix.of(np.ones((3, 12)))
         policy = NonAdaptivePolicy(uniform3, mat, "matrix")
         rec = run_episode(uniform3, policy, 12, 4, episode_stream(3, 0))
@@ -147,15 +152,17 @@ class TestNonAdaptive:
         assert np.all(rec.abilities[rec.decisions] == 1)
 
     def test_all_zero_never_selects(self, uniform3):
-        mat = NonAdaptiveMatrix.of(np.zeros((3, 12)))
-        assert not nonadaptive_decide(mat, ctx(5, 12, 4, 1, u=0.0)).select
+        policy = NonAdaptivePolicy(uniform3, NonAdaptiveMatrix.of(np.zeros((3, 12))), "matrix")
+        assert not decide(policy, 5, 12, 4, 1, u=0.0)
 
-    def test_dimension_mismatch(self, uniform3):
-        mat = take_top_matrix(uniform3, 10)
+    def test_dimension_mismatch(self, uniform3, uniform5):
+        policy = NonAdaptivePolicy(uniform3, take_top_matrix(uniform3, 10), "take-top")
         with pytest.raises(DimensionMismatch):
-            nonadaptive_decide(mat, ctx(11, 12, 4, 1))
+            decide(policy, 11, 12, 4, 1)
+        # a rank beyond the matrix rows cannot reach decide_batch: the
+        # matrix must have one row per ability of the distribution
         with pytest.raises(DimensionMismatch):
-            nonadaptive_decide(mat, ctx(5, 10, 4, 4))
+            NonAdaptivePolicy(uniform5, take_top_matrix(uniform3, 10), "take-top")
 
     def test_entry_validation(self):
         with pytest.raises(ModelError):

@@ -3,6 +3,7 @@ import pytest
 
 from multisecretary import (
     BadDelta,
+    accept_threshold,
     cutoff_time,
     drift_at_state,
     episode_stream,
@@ -14,8 +15,13 @@ from multisecretary import (
     ratio_mean_curve,
     run_episode,
     simulate_paths,
+    solve,
     thresholds,
 )
+from multisecretary.dp import TIE_TOL_SCALE
+from oracles import ai_prob_table, br_prob_table, index_prob_table
+
+ORACLE_TABLES = {"br": br_prob_table, "ai": ai_prob_table, "index": index_prob_table}
 
 
 class TestEpisodes:
@@ -52,16 +58,35 @@ class TestEpisodes:
 
 class TestBatchConsistency:
     @pytest.mark.parametrize("name", ["br", "dp", "ai", "index"])
-    def test_batch_equals_single_episodes(self, masspoint5, name):
-        n, k, reps, seed = 70, 25, 5, 99
-        policy = make_policy(name, masspoint5, n, k)
-        payoffs, counts, paths = simulate_paths(masspoint5, policy, n, k, reps, seed)
+    def test_engine_replays_oracle_decisions(self, masspoint5, name):
+        # every decision of the batch engine must follow the policy's
+        # defining rule, recomputed outside the library from the same draws
+        d = masspoint5
+        n, k, reps, seed = 70, 25, 20, 99
+        payoffs, counts, paths = simulate_paths(d, make_policy(name, d, n, k), n, k, reps, seed)
+        if name == "dp":
+            full = solve(d, n, k, mode="full")
+            tie_tol = TIE_TOL_SCALE * float(d.support[0])
+        else:
+            table = ORACLE_TABLES[name](d, n, k)
         for rep in range(reps):
-            rec = run_episode(masspoint5, policy, n, k, episode_stream(seed, rep))
-            assert payoffs[rep] == pytest.approx(rec.payoff, abs=1e-9)
-            np.testing.assert_array_equal(paths[rep], rec.budget_path)
-            want_counts = np.bincount(rec.abilities, minlength=masspoint5.m + 1)[1:]
-            np.testing.assert_array_equal(counts[rep], want_counts)
+            u = episode_stream(seed, rep).random(2 * n)
+            abilities = d.sample_many(u[0::2])
+            decisions = paths[rep, 1:] < paths[rep, :-1]
+            for t_next in range(1, n + 1):
+                j, kappa = int(abilities[t_next - 1]), int(paths[rep, t_next - 1])
+                if kappa == 0:
+                    want = False
+                elif name == "dp":
+                    h = accept_threshold(full, n - t_next + 1, kappa)
+                    want = d.support[j - 1] >= h - tie_tol
+                else:
+                    want = u[2 * t_next - 1] < table(t_next)[j - 1, kappa]
+                assert decisions[t_next - 1] == want, (rep, t_next)
+            assert payoffs[rep] == pytest.approx(
+                float(np.sum(d.support[abilities[decisions] - 1])), abs=1e-9
+            )
+            np.testing.assert_array_equal(counts[rep], np.bincount(abilities, minlength=d.m + 1)[1:])
 
     def test_ratio_mean_single_rep_is_the_path(self, uniform5):
         n, k, seed = 60, 18, 12
