@@ -13,7 +13,7 @@ from .distribution import (
     new_distribution,
     thresholds,
 )
-from .dp import DPTable, accept_cut, accept_threshold, full_value_check, optimal_value, solve
+from .dp import DPTable, accept_threshold, full_value_check, optimal_value, solve
 from .errors import (
     BadDelta,
     BadEpsilon,
@@ -27,6 +27,7 @@ from .errors import (
     NonDecreasingSupport,
     NonMarkovPolicy,
     NonPositiveValue,
+    ProbabilityDrift,
     TableMismatch,
 )
 from .evaluate import (
@@ -42,8 +43,6 @@ from .offline import (
     OfflineResult,
     OfflineValue,
     RealizationCounts,
-    binomial_overshoot,
-    binomial_undershoot,
     dr_solution,
     offline_expectation,
     offline_expected_value,

@@ -19,11 +19,15 @@ from .errors import (
     BadPmf,
     IndexOutOfRange,
     InfeasiblePair,
+    ModelError,
     NonDecreasingSupport,
     NonPositiveValue,
 )
 
 PMF_SUM_TOL = 1e-12
+
+# Ranks, DP cuts and action indices are stored as int16.
+MAX_SUPPORT = int(np.iinfo(np.int16).max)
 
 # Slack used whenever a budget ratio is classified against a threshold or a
 # survival value.  A ratio k/n that equals a threshold in exact arithmetic can
@@ -129,11 +133,14 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
         NonPositiveValue: smallest support value is not > 0.
         BadPmf: masses negative or zero, lengths mismatched, or the total
             differs from 1 by more than ``PMF_SUM_TOL``.
+        ModelError: more than ``MAX_SUPPORT`` support points.
     """
     a = np.asarray(support, dtype=float)
     f = np.asarray(pmf, dtype=float)
     if a.ndim != 1 or f.ndim != 1 or a.size != f.size or a.size < 1:
         raise BadPmf("support and pmf must be 1-D sequences of equal positive length")
+    if a.size > MAX_SUPPORT:
+        raise ModelError(f"at most {MAX_SUPPORT} support points (ranks are int16), got {a.size}")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(f)):
         raise BadPmf("support and pmf must be finite")
     if np.any(np.diff(a) >= 0):

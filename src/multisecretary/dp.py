@@ -104,17 +104,6 @@ def accept_threshold(table: DPTable, ell: int, kappa: int) -> float:
     return float(table.g[ell - 1, kappa] - table.g[ell - 1, kappa - 1])
 
 
-def accept_cut(table: DPTable, ell: int, kappa: int) -> int:
-    """How many of the top abilities the optimal rule accepts in this state."""
-    if not (1 <= ell <= table.n and 0 <= kappa <= table.k):
-        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
-    if kappa == 0:
-        return 0
-    if table.cuts is not None:
-        return int(table.cuts[ell, kappa])
-    raise TableMismatch("cut queries need a table solved with mode='policy' or 'full'")
-
-
 def full_value_check(d: AbilityDistribution, n: int, k: int, w: float) -> float:
     """Direct recursion on (periods-to-go, accrued ability, budget).
 

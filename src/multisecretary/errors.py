@@ -41,6 +41,10 @@ class NonMarkovPolicy(ModelError):
     """The policy does not expose the state-Markov selection-rate hook."""
 
 
+class ProbabilityDrift(ModelError):
+    """Forward propagation lost probability mass or produced an invalid cell."""
+
+
 class DimensionMismatch(ModelError):
     """A probability matrix does not match the distribution or horizon."""
 

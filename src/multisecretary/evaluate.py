@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import InfeasiblePair, NonMarkovPolicy
+from .errors import InfeasiblePair, NonMarkovPolicy, ProbabilityDrift
 from .offline import OfflineValue, offline_expectation
 from .policies import make_policy
 from .simulate import paired_payoffs
@@ -45,7 +45,12 @@ def _cached_offline(d: AbilityDistribution, n: int, k: int, tail_tol: float) -> 
 
 @dataclass(frozen=True)
 class RegretRecord:
-    """One evaluated cell: policy value, offline benchmark, and their gap."""
+    """One evaluated cell: policy value, offline benchmark, and their gap.
+
+    For exact cells ``error_bound`` is the offline binomial-tail bound plus
+    the forward pass's window-truncation bound; for Monte Carlo cells it is 0
+    and ``ci_halfwidth`` carries the sampling error.
+    """
 
     policy: str
     n: int
@@ -58,9 +63,25 @@ class RegretRecord:
     error_bound: float = 0.0
 
 
-def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float]:
-    """Expected payoff of a state-Markov policy, plus the worst probability
-    drift observed while propagating (must stay below DRIFT_LIMIT)."""
+def _forward_value(
+    d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
+) -> tuple[float, float, float]:
+    """Expected payoff of a state-Markov policy, the worst probability drift
+    observed while propagating, and a bound on the payoff of trimmed mass.
+
+    Only the budget window ``[lo, hi]`` that carries mass is propagated.
+    Selection moves mass down one cell per step, so ``lo`` widens by one;
+    edge cells holding less than ``tail_tol / (n (k + 1))`` are then dropped,
+    each adding ``a_1 * mass * min(budget, periods left)`` (the most that mass
+    could still earn) to the truncation bound.  The returned value
+    underestimates the untruncated one by at most that bound; at
+    ``tail_tol=0`` nothing is dropped.
+
+    Raises:
+        ProbabilityDrift: at a check (every 512 steps and the last), the
+            window holds a negative or non-finite cell, or its mass plus the
+            dropped mass differs from 1 by more than ``DRIFT_LIMIT``.
+    """
     if not hasattr(policy, "rates"):
         raise NonMarkovPolicy(
             f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
@@ -70,47 +91,90 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     budgets = np.arange(k + 1)
     prob = np.zeros(k + 1)
     prob[k] = 1.0
+    lo = hi = k
+    trim_below = tail_tol / (n * (k + 1)) if n else 0.0
+    top = float(d.support[0])
+    dropped = 0.0  # probability mass trimmed off the window
+    truncation = 0.0
     value = 0.0
     comp = 0.0  # Kahan compensation for the payoff accumulator
     max_drift = 0.0
     for t_next in range(1, n + 1):
-        sel, gain = policy.rates(t_next, n, budgets)
-        if sel[0] != 0.0:
+        sel, gain = policy.rates(t_next, n, budgets[lo : hi + 1])
+        if lo == 0 and sel[0] != 0.0:
             raise NonMarkovPolicy(f"policy {policy.name!r} selects with zero budget")
-        term = float(prob @ gain) - comp
+        window = prob[lo : hi + 1]
+        term = float(window @ gain) - comp
         total = value + term
         comp = (total - value) - term
         value = total
-        move = prob * sel
-        prob -= move
-        prob[:-1] += move[1:]
+        move = window * sel
+        window -= move
+        if lo > 0:
+            lo -= 1
+            prob[lo:hi] += move
+        else:
+            prob[:hi] += move[1:]
+        left = n - t_next
+        while hi > lo and 0.0 <= prob[hi] < trim_below:
+            mass = float(prob[hi])
+            dropped += mass
+            truncation += top * mass * min(hi, left)
+            prob[hi] = 0.0
+            hi -= 1
+        while lo < hi and 0.0 <= prob[lo] < trim_below:
+            mass = float(prob[lo])
+            dropped += mass
+            truncation += top * mass * min(lo, left)
+            prob[lo] = 0.0
+            lo += 1
         if t_next % 512 == 0 or t_next == n:
-            drift = abs(float(prob.sum()) - 1.0)
+            window = prob[lo : hi + 1]
+            drift = abs(float(window.sum()) + dropped - 1.0)
+            if not drift <= DRIFT_LIMIT:
+                raise ProbabilityDrift(
+                    f"policy {policy.name!r} drifted {drift!r} from unit mass at t={t_next}"
+                )
+            if not np.all(np.isfinite(window)) or float(window.min()) < 0.0:
+                raise ProbabilityDrift(
+                    f"policy {policy.name!r} produced a negative or non-finite "
+                    f"probability at t={t_next}"
+                )
             max_drift = max(max_drift, drift)
-            if drift > DRIFT_LIMIT:
-                prob /= prob.sum()
-    return value, max_drift
+    return value, max_drift, truncation
 
 
-def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
-    """V_on of the policy, computed exactly (no sampling)."""
+def _cached_forward(
+    d: AbilityDistribution, policy, n: int, k: int, tail_tol: float
+) -> tuple[float, float]:
+    """``(value, truncation bound)`` of the forward pass, cached per policy."""
     cache_key = getattr(policy, "cache_key", None)
     if cache_key is not None:
-        key = (d.content_hash(), cache_key, n, k)
+        key = (d.content_hash(), cache_key, n, k, tail_tol)
         got = _value_cache.get(key)
         if got is not None:
             return got
-    value, _ = _forward_value(d, policy, n, k)
+    value, _, truncation = _forward_value(d, policy, n, k, tail_tol)
     if cache_key is not None:
-        _value_cache[key] = value
-    return value
+        _value_cache[key] = (value, truncation)
+    return value, truncation
+
+
+def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
+    """V_on of the policy, computed without sampling.
+
+    Uses the same window as ``exact_regret`` at its default ``tail_tol``, so
+    the value may sit below the untruncated one by about ``2 a_1 1e-12``;
+    ``exact_regret`` reports the exact bound.
+    """
+    return _cached_forward(d, policy, n, k, 1e-12)[0]
 
 
 def exact_regret(
     d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
 ) -> RegretRecord:
     off = _cached_offline(d, n, k, tail_tol)
-    v_on = exact_policy_value(d, policy, n, k)
+    v_on, truncation = _cached_forward(d, policy, n, k, tail_tol)
     return RegretRecord(
         policy=policy.name,
         n=n,
@@ -120,7 +184,7 @@ def exact_regret(
         v_off=off.value,
         regret=off.value - v_on,
         ci_halfwidth=0.0,
-        error_bound=off.error_bound,
+        error_bound=off.error_bound + truncation,
     )
 
 

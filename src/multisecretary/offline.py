@@ -193,19 +193,3 @@ def dr_solution(d: AbilityDistribution, n: int, k: int) -> tuple[np.ndarray, flo
         raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
     s = np.minimum(n * d.pmf, np.maximum(k - n * d.survival_values[: d.m], 0.0))
     return s, float(d.support @ s)
-
-
-def binomial_overshoot(n: int, p: float, k: float) -> float:
-    """Exact E[(B - k)_+] for B ~ Binomial(n, p), by direct pmf summation."""
-    if not 0.0 <= p <= 1.0 or k < 0:
-        raise InfeasiblePair(f"need 0 <= p <= 1 and k >= 0, got p={p}, k={k}")
-    b = np.arange(n + 1)
-    return float(np.sum(np.maximum(b - k, 0.0) * binom.pmf(b, n, p)))
-
-
-def binomial_undershoot(n: int, p: float, k: float) -> float:
-    """Exact E[(k - B)_+] for B ~ Binomial(n, p), by direct pmf summation."""
-    if not 0.0 <= p <= 1.0 or k < 0:
-        raise InfeasiblePair(f"need 0 <= p <= 1 and k >= 0, got p={p}, k={k}")
-    b = np.arange(n + 1)
-    return float(np.sum(np.maximum(k - b, 0.0) * binom.pmf(b, n, p)))

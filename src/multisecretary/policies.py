@@ -194,7 +194,9 @@ class NonAdaptivePolicy:
         self.dist = d
         self.matrix = matrix
         self.name = name
-        self._sel_by_t = d.pmf @ matrix.p
+        # a take-everything column sums the pmf to 1 + ulp; a selection rate
+        # above 1 would push the forward pass's budget cell below zero
+        self._sel_by_t = np.minimum(d.pmf @ matrix.p, 1.0)
         self._gain_by_t = (d.pmf * d.support) @ matrix.p
         if name in ("index", "take-top"):
             self.cache_key = name

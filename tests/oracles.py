@@ -13,6 +13,9 @@ from functools import lru_cache
 from itertools import product
 
 import numpy as np
+from scipy.stats import binom
+
+from multisecretary import IndexOutOfRange, InfeasiblePair, TableMismatch
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
 
@@ -167,3 +170,30 @@ def max_integer_selection(support, z, k: int) -> float:
         if sum(s) <= k:
             best = max(best, float(np.dot(support, s)))
     return best
+
+
+def accept_cut(table, ell: int, kappa: int) -> int:
+    """How many of the top abilities the optimal rule accepts in this state."""
+    if not (1 <= ell <= table.n and 0 <= kappa <= table.k):
+        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
+    if kappa == 0:
+        return 0
+    if table.cuts is not None:
+        return int(table.cuts[ell, kappa])
+    raise TableMismatch("cut queries need a table solved with mode='policy' or 'full'")
+
+
+def binomial_overshoot(n: int, p: float, k: float) -> float:
+    """Exact E[(B - k)_+] for B ~ Binomial(n, p), by direct pmf summation."""
+    if not 0.0 <= p <= 1.0 or k < 0:
+        raise InfeasiblePair(f"need 0 <= p <= 1 and k >= 0, got p={p}, k={k}")
+    b = np.arange(n + 1)
+    return float(np.sum(np.maximum(b - k, 0.0) * binom.pmf(b, n, p)))
+
+
+def binomial_undershoot(n: int, p: float, k: float) -> float:
+    """Exact E[(k - B)_+] for B ~ Binomial(n, p), by direct pmf summation."""
+    if not 0.0 <= p <= 1.0 or k < 0:
+        raise InfeasiblePair(f"need 0 <= p <= 1 and k >= 0, got p={p}, k={k}")
+    b = np.arange(n + 1)
+    return float(np.sum(np.maximum(k - b, 0.0) * binom.pmf(b, n, p)))

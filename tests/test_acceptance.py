@@ -10,8 +10,6 @@ import numpy as np
 
 from multisecretary import (
     accept_threshold,
-    binomial_overshoot,
-    binomial_undershoot,
     dr_solution,
     exact_policy_value,
     exact_regret,
@@ -32,6 +30,8 @@ from multisecretary.policies import ai_ratio_increment_mean
 from multisecretary.simulate import drift_at_state
 from oracles import (
     ai_prob_table,
+    binomial_overshoot,
+    binomial_undershoot,
     br_prob_table,
     enum_offline_value,
     enum_optimal_value,

@@ -8,14 +8,13 @@ from multisecretary import (
     InfeasiblePair,
     InstanceTooLarge,
     TableMismatch,
-    accept_cut,
     accept_threshold,
     full_value_check,
     new_distribution,
     optimal_value,
     solve,
 )
-from oracles import enum_optimal_value
+from oracles import accept_cut, enum_optimal_value
 
 
 class TestRecursion:

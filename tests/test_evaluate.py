@@ -6,10 +6,12 @@ from multisecretary import (
     InfeasiblePair,
     ModelError,
     NonMarkovPolicy,
+    ProbabilityDrift,
     exact_policy_value,
     exact_regret,
     make_policy,
     mc_regret,
+    offline_expectation,
     offline_sort,
     optimal_value,
     simulate_paths,
@@ -69,7 +71,7 @@ class TestExactPolicyValue:
 
     def test_probability_drift_stays_tiny(self, uniform5):
         policy = make_policy("br", uniform5, 2000, 600)
-        _, drift = _forward_value(uniform5, policy, 2000, 600)
+        _, drift, _ = _forward_value(uniform5, policy, 2000, 600)
         assert drift < 1e-9
 
     def test_non_markov_rejected(self, uniform5):
@@ -82,6 +84,59 @@ class TestExactPolicyValue:
     def test_infeasible(self, uniform5):
         with pytest.raises(InfeasiblePair):
             exact_policy_value(uniform5, make_policy("br", uniform5, 5, 2), 5, 6)
+
+
+class _BrokenRates:
+    """Budget-ratio stand-in whose live-cell selection rate is overridden."""
+
+    name = "broken"
+
+    def __init__(self, d, rate):
+        self.inner = make_policy("br", d, 1, 1)
+        self.rate = rate
+
+    def rates(self, t_next, n, budgets):
+        sel, gain = self.inner.rates(t_next, n, budgets)
+        return np.where(budgets > 0, self.rate, 0.0), gain
+
+
+class TestForwardWindow:
+    @pytest.mark.parametrize("name", ["br", "dp", "ai", "index"])
+    def test_window_matches_full_pass_within_bound(self, masspoint5, name):
+        n, k = 4004, 1573
+        policy = make_policy(name, masspoint5, n, k)
+        full, _, untrimmed = _forward_value(masspoint5, policy, n, k, tail_tol=0.0)
+        value, drift, bound = _forward_value(masspoint5, policy, n, k)
+        assert untrimmed == 0.0
+        assert 0.0 < bound < 2 * masspoint5.support[0] * 1e-12
+        assert abs(value - full) <= bound + 4 * np.spacing(full)
+        assert drift <= 1e-9
+        rec = exact_regret(masspoint5, policy, n, k)
+        assert rec.regret >= -rec.error_bound
+
+    def test_bound_reaches_error_bound(self, masspoint5):
+        n, k = 400, 157
+        policy = make_policy("br", masspoint5, n, k)
+        _, _, bound = _forward_value(masspoint5, policy, n, k)
+        rec = exact_regret(masspoint5, policy, n, k)
+        off = offline_expectation(masspoint5, n, k)
+        assert bound > 0.0
+        assert rec.error_bound == off.error_bound + bound
+
+    def test_value_cache_keyed_on_tail_tol(self, masspoint5):
+        n, k = 400, 157
+        policy = make_policy("ai", masspoint5, n, k)
+        trimmed = exact_regret(masspoint5, policy, n, k)
+        full = exact_regret(masspoint5, policy, n, k, tail_tol=0.0)
+        assert full.error_bound == 0.0 < trimmed.error_bound
+        assert full.v_on == _forward_value(masspoint5, policy, n, k, tail_tol=0.0)[0]
+
+    @pytest.mark.parametrize("rate", [np.nan, 1.5])
+    def test_invalid_rates_raise_probability_drift(self, uniform5, rate):
+        # NaN rates once returned value nan; rates above one kept the total
+        # mass at 1 through negative cells and returned a finite value
+        with pytest.raises(ProbabilityDrift):
+            _forward_value(uniform5, _BrokenRates(uniform5, rate), 40, 12)
 
 
 class TestExactRegret:

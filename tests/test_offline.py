@@ -5,8 +5,6 @@ from scipy.optimize import linprog
 from multisecretary import (
     CountMismatch,
     InfeasiblePair,
-    binomial_overshoot,
-    binomial_undershoot,
     dr_solution,
     half_min_mass,
     new_distribution,
@@ -14,7 +12,12 @@ from multisecretary import (
     offline_expected_value,
     offline_sort,
 )
-from oracles import enum_offline_value, max_integer_selection
+from oracles import (
+    binomial_overshoot,
+    binomial_undershoot,
+    enum_offline_value,
+    max_integer_selection,
+)
 
 
 class TestOfflineSort:
