@@ -13,7 +13,7 @@ from .distribution import (
     new_distribution,
     thresholds,
 )
-from .dp import DPTable, accept_threshold, full_value_check, optimal_value, solve
+from .dp import DPTable, optimal_value, solve
 from .errors import (
     BadDelta,
     BadEpsilon,

@@ -26,7 +26,7 @@ from .errors import (
 
 PMF_SUM_TOL = 1e-12
 
-# Ranks, DP cuts and action indices are stored as int16.
+# Ranks and action indices are stored as int16.
 MAX_SUPPORT = int(np.iinfo(np.int16).max)
 
 # Slack used whenever a budget ratio is classified against a threshold or a

@@ -6,7 +6,18 @@ recursion runs over (periods-to-go, residual budget) alone:
     g_l(kappa) = sum_j f_j * max(a_j + g_{l-1}(kappa - 1), g_{l-1}(kappa)),
 
 with g_0 = 0 and g_l(0) = 0.  The optimal rule selects ability a_j exactly
-when a_j >= h_l(kappa) = g_{l-1}(kappa) - g_{l-1}(kappa - 1).
+when a_j >= h_l(kappa) = g_{l-1}(kappa) - g_{l-1}(kappa - 1).  With
+phi(x) = E[max(A, x)] = x P(A <= x) + sum_{a_j > x} f_j a_j, the marginal
+value obeys a recursion of its own,
+
+    h_{l+1}(kappa) = h_l(kappa - 1) + phi(h_l(kappa)) - phi(h_l(kappa - 1)),
+    h_{l+1}(1) = phi(h_l(1)),    h_1 = 0,
+
+which is what ``solve`` runs: every h lies in [0, a_1] whatever n is, so its
+float error stays at the scale of a_1 rather than of g_n(k), and the value is
+g_n(k) = sum_{kappa <= k} h_{n+1}(kappa).  g is concave in kappa, so h_l is
+non-increasing in kappa (and 0 for kappa >= l): the rule at l periods to go is
+m budget breakpoints, a_j being selected iff kappa >= bp[l, j].
 """
 
 from __future__ import annotations
@@ -16,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import IndexOutOfRange, InfeasiblePair, InstanceTooLarge, TableMismatch
+from .errors import InfeasiblePair
 
 # Ties a_j == h_l(kappa) select; the relative slack absorbs float noise in h.
 TIE_TOL_SCALE = 1e-12
@@ -26,112 +37,66 @@ TIE_TOL_SCALE = 1e-12
 class DPTable:
     """Backward-induction output for one (distribution, n, k) instance.
 
-    ``g_final`` is always present (the row g_n, so ``value`` = g_n(k)).
-    ``g`` holds the full (n+1, k+1) value table in mode "full"; ``cuts``
-    holds, per (periods-to-go, budget), how many of the top abilities the
-    optimal rule accepts (modes "full" and "policy").
+    ``value`` is g_n(k), the sum of h_{n+1}(kappa) over kappa <= k, from the
+    h recursion in the module docstring.  ``breakpoints[l, j - 1]`` is the
+    smallest budget kappa >= 1 at which a_j >= h_l(kappa) - tie_tol, i.e.
+    from which the optimal rule with l periods to go selects ability j;
+    k + 1 means never within the table.  Each row is non-decreasing in j,
+    and row 0 (no period left) is k + 1 throughout.
     """
 
     dist_hash: str
     n: int
     k: int
-    g_final: np.ndarray
-    g: np.ndarray | None = None
-    cuts: np.ndarray | None = None
-
-    @property
-    def value(self) -> float:
-        return float(self.g_final[self.k])
+    value: float
+    breakpoints: np.ndarray
 
 
-def solve(d: AbilityDistribution, n: int, k: int, mode: str = "policy") -> DPTable:
-    """Fill the g recursion bottom-up.
-
-    mode: "value" keeps only the final row, "policy" additionally keeps the
-    acceptance cuts, "full" also keeps the whole float table (k*n floats,
-    ~400 MB at n=1e4, k=5e3).
-    """
+def solve(d: AbilityDistribution, n: int, k: int) -> DPTable:
+    """Run the h recursion for l = 1..n in O(k) working memory, keeping
+    only the (n+1, m) breakpoints."""
     if n < 0 or not 0 <= k <= n:
         raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
-    if mode not in ("value", "policy", "full"):
-        raise ValueError(f"unknown mode {mode!r}")
 
     m = d.m
     a = d.support
-    f = d.pmf
-    ascending = a[::-1]
     tie_tol = TIE_TOL_SCALE * float(a[0])
+    # The row is held negated, u = -h, so that it ascends for searchsorted.
+    # Where exactly a_1..a_s exceed h, phi(h) = h (1 - S_s) + G_s with the
+    # partial sums S_s = f_1 + .. + f_s and G_s = f_1 a_1 + .. + f_s a_s, so
+    # -phi(-u) = u (1 - S_s) - G_s on that segment.
+    slope = (1.0 - np.concatenate(([0.0], np.cumsum(d.pmf)))).tolist()
+    offset = np.concatenate(([0.0], np.cumsum(d.pmf * a))).tolist()
+    # First m keys: where each a_j starts to be selected; last m: phi's kinks.
+    keys = np.concatenate((-a - tie_tol, -a))
 
-    g_table = np.zeros((n + 1, k + 1)) if mode == "full" else None
-    cuts = np.zeros((n + 1, k + 1), dtype=np.int16) if mode in ("policy", "full") else None
-
-    g_prev = np.zeros(k + 1)
-    g_new = np.zeros(k + 1)
-    tmp = np.empty(max(k, 1))
+    breakpoints = np.empty((n + 1, m), dtype=np.int64)
+    breakpoints[0] = k
+    u, u_next, phi = np.zeros(k), np.zeros(k), np.empty(k)
     for ell in range(1, n + 1):
-        if k >= 1:
-            if cuts is not None:
-                h = g_prev[1:] - g_prev[:-1]
-                cuts[ell, 1:] = m - np.searchsorted(ascending, h - tie_tol, side="left")
-            acc = g_new[1:]
-            acc[:] = 0.0
-            for j in range(m):
-                np.add(g_prev[:-1], a[j], out=tmp[:k])
-                np.maximum(tmp[:k], g_prev[1:], out=tmp[:k])
-                acc += f[j] * tmp[:k]
-        g_new[0] = 0.0
-        if g_table is not None:
-            g_table[ell] = g_new
-        g_prev, g_new = g_new, g_prev
-    g_final = g_prev.copy()
-    g_final.flags.writeable = False
+        # h_ell(kappa) = 0 for kappa >= ell: cells past `width` stay zero.
+        width = min(ell, k)
+        row = u[:width]
+        at = row.searchsorted(keys)
+        breakpoints[ell] = at[:m]
+        lo = 0
+        for s, hi in enumerate(at[m:].tolist() + [width]):
+            if hi > lo:
+                np.multiply(row[lo:hi], slope[s], out=phi[lo:hi])
+                phi[lo:hi] -= offset[s]
+            lo = hi
+        if width:
+            u_next[0] = phi[0]
+            np.subtract(phi[1:width], phi[: width - 1], out=u_next[1:width])
+            u_next[1:width] += row[: width - 1]
+        u, u_next = u_next, u
+    breakpoints += 1  # cell index -> budget
+    breakpoints.flags.writeable = False
     return DPTable(
-        dist_hash=d.content_hash(), n=n, k=k, g_final=g_final, g=g_table, cuts=cuts
+        dist_hash=d.content_hash(), n=n, k=k, value=float(np.sum(-u)), breakpoints=breakpoints
     )
 
 
 def optimal_value(d: AbilityDistribution, n: int, k: int) -> float:
-    """g_n(k) with O(k) memory."""
-    return solve(d, n, k, mode="value").value
-
-
-def accept_threshold(table: DPTable, ell: int, kappa: int) -> float:
-    """Marginal value h_l(kappa) = g_{l-1}(kappa) - g_{l-1}(kappa - 1)."""
-    if table.g is None:
-        raise TableMismatch("threshold queries need a table solved with mode='full'")
-    if not (1 <= ell <= table.n and 1 <= kappa <= table.k):
-        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
-    return float(table.g[ell - 1, kappa] - table.g[ell - 1, kappa - 1])
-
-
-def full_value_check(d: AbilityDistribution, n: int, k: int, w: float) -> float:
-    """Direct recursion on (periods-to-go, accrued ability, budget).
-
-    Test oracle for the additive decomposition; the returned v_n(w, k) must
-    equal w + g_n(k).  Guarded to small n because the w-state space grows
-    combinatorially.
-    """
-    if n > 12:
-        raise InstanceTooLarge(f"full recursion is guarded to n <= 12, got {n}")
-    if n < 0 or not 0 <= k <= n:
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
-    a = d.support
-    f = d.pmf
-    memo: dict[tuple[int, int, float], float] = {}
-
-    def v(ell: int, kappa: int, w_now: float) -> float:
-        if ell == 0 or kappa == 0:
-            return w_now
-        key = (ell, kappa, w_now)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = 0.0
-        for j in range(d.m):
-            take = v(ell - 1, kappa - 1, w_now + a[j])
-            skip = v(ell - 1, kappa, w_now)
-            total += f[j] * max(take, skip)
-        memo[key] = total
-        return total
-
-    return v(n, k, float(w))
+    """g_n(k)."""
+    return solve(d, n, k).value

@@ -117,7 +117,7 @@ class BudgetRatioPolicy:
 
 
 class DpPolicy:
-    """Optimal policy read off a solved acceptance-cut table."""
+    """Optimal policy read off the solved per-period budget breakpoints."""
 
     name = "dp"
     cache_key = "dp"
@@ -128,31 +128,28 @@ class DpPolicy:
             if n is None or k is None:
                 raise ValueError("DpPolicy needs a table or an (n, k) pair to solve")
             table = dp_mod.solve(d, n, k)
-        if table.cuts is None:
-            raise TableMismatch("policy use needs a table solved with mode='policy' or 'full'")
         if table.dist_hash != d.content_hash():
             raise TableMismatch("table was solved for a different distribution")
         self.dist = d
         self.table = table
         self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
 
-    def _cut_row(self, t_next, n, budgets):
+    def _breakpoints(self, t_next, n, budgets):
         if n != self.table.n:
             raise TableMismatch(f"table solved for n={self.table.n}, episode has n={n}")
-        try:
-            return self.table.cuts[n - t_next + 1, budgets]
-        except IndexError:
+        if budgets.max() > self.table.k:
             raise TableMismatch(
-                f"table solved for k={self.table.k} cannot decide at budget {int(np.max(budgets))}"
-            ) from None
+                f"table solved for k={self.table.k} cannot decide at budget {int(budgets.max())}"
+            )
+        return self.table.breakpoints[n - t_next + 1]
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
-        """Select iff budget remains and the observed ability reaches h_l(kappa)."""
-        cut = self._cut_row(t_next, n, budgets)
-        return (budgets > 0) & (abilities <= cut)
+        """Select iff the budget has reached the observed ability's breakpoint,
+        i.e. a_j >= h_l(kappa); breakpoints are >= 1, so a zero budget selects nothing."""
+        return budgets >= self._breakpoints(t_next, n, budgets)[abilities - 1]
 
     def rates(self, t_next, n, budgets):
-        cut = self._cut_row(t_next, n, budgets)
+        cut = self._breakpoints(t_next, n, budgets).searchsorted(budgets, side="right")
         return self.dist.survival_values[cut], self._gain[cut]
 
 

@@ -2,20 +2,24 @@
 
 Nothing here reuses the library's evaluators: expectations are taken by
 explicit enumeration of ability sequences, the optimum by recursion over
-full histories (no budget-state reduction), and policy selection
-probabilities are recomputed from their defining formulas.
+full histories (no budget-state reduction) or by the g recursion on the
+whole value table, in floats or exact rationals (the library recurses on
+the marginal value instead), and policy selection probabilities are
+recomputed from their defining formulas.
 """
 
 from __future__ import annotations
 
 import sys
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
 import numpy as np
 from scipy.stats import binom
 
-from multisecretary import IndexOutOfRange, InfeasiblePair, TableMismatch
+from multisecretary import IndexOutOfRange, InfeasiblePair, InstanceTooLarge, TableMismatch
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
 
@@ -172,15 +176,93 @@ def max_integer_selection(support, z, k: int) -> float:
     return best
 
 
+@dataclass(frozen=True, eq=False)
+class ReferenceTable:
+    """The whole float value table: ``g[l, kappa]`` = g_l(kappa)."""
+
+    n: int
+    k: int
+    g: np.ndarray
+
+
+def reference_table(d, n: int, k: int) -> ReferenceTable:
+    """The g recursion itself, in floats, every (periods-to-go, budget) row kept."""
+    a, f = d.support, d.pmf
+    g = np.zeros((n + 1, k + 1))
+    for ell in range(1, n + 1):
+        prev = g[ell - 1]
+        for j in range(d.m):
+            g[ell, 1:] += f[j] * np.maximum(prev[:-1] + a[j], prev[1:])
+    return ReferenceTable(n=n, k=k, g=g)
+
+
+def exact_value_table(support, pmf, n: int, k: int) -> list:
+    """The g recursion in exact rationals; ``g[l][kappa]`` = g_l(kappa).
+
+    Each support point and mass is taken as ``Fraction(x)``: floats give the
+    instance the library computes on, decimal strings the one they round.
+    """
+    a = [Fraction(x) for x in support]
+    f = [Fraction(x) for x in pmf]
+    g = [[Fraction(0)] * (k + 1)]
+    for _ in range(n):
+        prev = g[-1]
+        g.append([Fraction(0)] + [
+            sum(fj * max(aj + prev[kappa - 1], prev[kappa]) for aj, fj in zip(a, f))
+            for kappa in range(1, k + 1)
+        ])
+    return g
+
+
+def accept_threshold(table, ell: int, kappa: int) -> float:
+    """Marginal value h_l(kappa) = g_{l-1}(kappa) - g_{l-1}(kappa - 1)."""
+    if not isinstance(table, ReferenceTable):
+        raise TableMismatch(
+            "threshold queries need a reference g table; a solved DPTable keeps breakpoints only"
+        )
+    if not (1 <= ell <= table.n and 1 <= kappa <= table.k):
+        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
+    return float(table.g[ell - 1, kappa] - table.g[ell - 1, kappa - 1])
+
+
 def accept_cut(table, ell: int, kappa: int) -> int:
-    """How many of the top abilities the optimal rule accepts in this state."""
+    """How many of the top abilities a solved DPTable accepts in this state."""
     if not (1 <= ell <= table.n and 0 <= kappa <= table.k):
         raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
-    if kappa == 0:
-        return 0
-    if table.cuts is not None:
-        return int(table.cuts[ell, kappa])
-    raise TableMismatch("cut queries need a table solved with mode='policy' or 'full'")
+    return int(np.searchsorted(table.breakpoints[ell], kappa, side="right"))
+
+
+def full_value_check(d, n: int, k: int, w: float) -> float:
+    """Direct recursion on (periods-to-go, accrued ability, budget).
+
+    The returned v_n(w, k) must equal w + g_n(k), which checks the additive
+    decomposition.  Guarded to small n because the w-state space grows
+    combinatorially.
+    """
+    if n > 12:
+        raise InstanceTooLarge(f"full recursion is guarded to n <= 12, got {n}")
+    if n < 0 or not 0 <= k <= n:
+        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    a = d.support
+    f = d.pmf
+    memo: dict[tuple[int, int, float], float] = {}
+
+    def v(ell: int, kappa: int, w_now: float) -> float:
+        if ell == 0 or kappa == 0:
+            return w_now
+        key = (ell, kappa, w_now)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        total = 0.0
+        for j in range(d.m):
+            take = v(ell - 1, kappa - 1, w_now + a[j])
+            skip = v(ell - 1, kappa, w_now)
+            total += f[j] * max(take, skip)
+        memo[key] = total
+        return total
+
+    return v(n, k, float(w))
 
 
 def binomial_overshoot(n: int, p: float, k: float) -> float:

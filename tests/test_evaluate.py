@@ -29,11 +29,15 @@ class TestExactPolicyValue:
             got = exact_policy_value(masspoint5, policy, 1, 1)
             assert got == pytest.approx(masspoint5.mean(), abs=1e-12)
 
-    @pytest.mark.parametrize("n,k", [(6, 3), (30, 11), (200, 57), (500, 150)])
-    def test_dp_forward_matches_backward(self, uniform5, n, k):
-        policy = make_policy("dp", uniform5, n, k)
-        forward = exact_policy_value(uniform5, policy, n, k)
-        assert forward == pytest.approx(optimal_value(uniform5, n, k), abs=1e-10)
+    @pytest.mark.parametrize("dist,n,k", [
+        pytest.param("uniform5", *nk, id=f"{nk[0]}-{nk[1]}")
+        for nk in ((6, 3), (30, 11), (200, 57), (500, 150))
+    ] + [pytest.param("masspoint5", 16016, 6292, id="masspoint5-16016-6292")])
+    def test_dp_forward_matches_backward(self, request, dist, n, k):
+        d = request.getfixturevalue(dist)
+        policy = make_policy("dp", d, n, k)
+        forward = exact_policy_value(d, policy, n, k)
+        assert forward == pytest.approx(optimal_value(d, n, k), abs=1e-10)
 
     def test_br_matches_path_enumeration(self, uniform3):
         policy = make_policy("br", uniform3, 6, 3)

@@ -60,22 +60,22 @@ class TestBudgetRatio:
 
 class TestDpDecide:
     def test_mean_rule_two_to_go(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 1000, 500, mode="policy"))
+        dp = DpPolicy(uniform5, solve(uniform5, 1000, 500))
         # h_2(1) = E[X] = 1.10: ranks up to the mean ability are taken
         assert decide(dp, 999, 1000, 1, 3)
         assert not decide(dp, 999, 1000, 1, 4)
 
     def test_no_budget(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
         assert not decide(dp, 3, 10, 0, 1)
 
     def test_last_period_takes_anything(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
         assert decide(dp, 10, 10, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
         clear_caches()  # a cached value would skip the table lookup
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5, mode="policy"))
+        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
                 run_episode(uniform5, dp, n, k, episode_stream(1, 0))
@@ -86,7 +86,7 @@ class TestDpDecide:
         # two to go, one budget unit: the optimal rule keeps only values at or
         # above the mean, while the ratio rule still takes the middle rank
         d = new_distribution([10.0, 1.5, 1.0], [0.2, 0.4, 0.4])
-        dp = DpPolicy(d, solve(d, 100, 60, mode="policy"))
+        dp = DpPolicy(d, solve(d, 100, 60))
         br = make_policy("br", d, 100, 60)
         state = (99, 100, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
         assert decide(br, *state)

@@ -1,9 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from multisecretary import (
     BadDelta,
-    accept_threshold,
     cutoff_time,
     drift_at_state,
     episode_stream,
@@ -15,11 +16,10 @@ from multisecretary import (
     ratio_mean_curve,
     run_episode,
     simulate_paths,
-    solve,
     thresholds,
 )
 from multisecretary.dp import TIE_TOL_SCALE
-from oracles import ai_prob_table, br_prob_table, index_prob_table
+from oracles import ai_prob_table, br_prob_table, exact_value_table, index_prob_table
 
 ORACLE_TABLES = {"br": br_prob_table, "ai": ai_prob_table, "index": index_prob_table}
 
@@ -65,8 +65,8 @@ class TestBatchConsistency:
         n, k, reps, seed = 70, 25, 20, 99
         payoffs, counts, paths = simulate_paths(d, make_policy(name, d, n, k), n, k, reps, seed)
         if name == "dp":
-            full = solve(d, n, k, mode="full")
-            tie_tol = TIE_TOL_SCALE * float(d.support[0])
+            g = exact_value_table(d.support, d.pmf, n, k)
+            tie_tol = Fraction(TIE_TOL_SCALE * float(d.support[0]))
         else:
             table = ORACLE_TABLES[name](d, n, k)
         for rep in range(reps):
@@ -78,8 +78,9 @@ class TestBatchConsistency:
                 if kappa == 0:
                     want = False
                 elif name == "dp":
-                    h = accept_threshold(full, n - t_next + 1, kappa)
-                    want = d.support[j - 1] >= h - tie_tol
+                    ell = n - t_next + 1
+                    h = g[ell - 1][kappa] - g[ell - 1][kappa - 1]
+                    want = Fraction(float(d.support[j - 1])) >= h - tie_tol
                 else:
                     want = u[2 * t_next - 1] < table(t_next)[j - 1, kappa]
                 assert decisions[t_next - 1] == want, (rep, t_next)
