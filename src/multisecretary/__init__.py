@@ -42,7 +42,6 @@ from .evaluate import (
 from .offline import (
     OfflineResult,
     OfflineValue,
-    RealizationCounts,
     dr_solution,
     offline_expectation,
     offline_expected_value,

@@ -65,20 +65,12 @@ class AbilityDistribution:
     def mean(self) -> float:
         return float(self.support @ self.pmf)
 
-    def ability(self, j: int) -> float:
-        if not 1 <= j <= self.m:
-            raise IndexOutOfRange(f"ability index {j} outside [1, {self.m}]")
-        return float(self.support[j - 1])
-
-    def sample(self, u: float) -> int:
-        """Inverse-CDF draw: the 1-based index j whose cumulative cell holds u.
+    def sample_many(self, u: np.ndarray) -> np.ndarray:
+        """Inverse-CDF draws: for each u in [0, 1), the 1-based int16 index j
+        whose cumulative cell holds it.
 
         Cells follow support order: [0, f_1), [f_1, f_1 + f_2), ...
         """
-        return int(np.searchsorted(self.survival_values[1:], u, side="right")) + 1
-
-    def sample_many(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`sample`; returns int16 indices, 1-based."""
         idx = np.searchsorted(self.survival_values[1:], u, side="right") + 1
         return idx.astype(np.int16)
 
@@ -173,6 +165,12 @@ def thresholds(d: AbilityDistribution) -> ThresholdSet:
         values[1:m] = 0.5 * (sv[1:m] + sv[2 : m + 1])
     values.flags.writeable = False
     return ThresholdSet(values=values)
+
+
+def partial_means(d: AbilityDistribution) -> np.ndarray:
+    """``G[s] = f_1 a_1 + ... + f_s a_s`` for s in 0..m, with G[0] = 0: the
+    mean gain per period of a rule that selects exactly the top s abilities."""
+    return np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
 
 
 def half_min_mass(d: AbilityDistribution) -> float:

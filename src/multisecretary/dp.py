@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import AbilityDistribution
+from .distribution import AbilityDistribution, partial_means
 from .errors import InfeasiblePair
 
 # Ties a_j == h_l(kappa) select; the relative slack absorbs float noise in h.
@@ -66,7 +66,7 @@ def solve(d: AbilityDistribution, n: int, k: int) -> DPTable:
     # partial sums S_s = f_1 + .. + f_s and G_s = f_1 a_1 + .. + f_s a_s, so
     # -phi(-u) = u (1 - S_s) - G_s on that segment.
     slope = (1.0 - np.concatenate(([0.0], np.cumsum(d.pmf)))).tolist()
-    offset = np.concatenate(([0.0], np.cumsum(d.pmf * a))).tolist()
+    offset = partial_means(d).tolist()
     # First m keys: where each a_j starts to be selected; last m: phi's kinks.
     keys = np.concatenate((-a - tie_tol, -a))
 

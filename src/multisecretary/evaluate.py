@@ -26,12 +26,10 @@ DRIFT_LIMIT = 1e-9
 CSV_HEADER = "policy,n,k,method,v_on,v_off,regret,ci_halfwidth,error_bound"
 
 _offline_cache: dict = {}
-_value_cache: dict = {}
 
 
 def clear_caches() -> None:
     _offline_cache.clear()
-    _value_cache.clear()
 
 
 def _cached_offline(d: AbilityDistribution, n: int, k: int, tail_tol: float) -> OfflineValue:
@@ -144,22 +142,6 @@ def _forward_value(
     return value, max_drift, truncation
 
 
-def _cached_forward(
-    d: AbilityDistribution, policy, n: int, k: int, tail_tol: float
-) -> tuple[float, float]:
-    """``(value, truncation bound)`` of the forward pass, cached per policy."""
-    cache_key = getattr(policy, "cache_key", None)
-    if cache_key is not None:
-        key = (d.content_hash(), cache_key, n, k, tail_tol)
-        got = _value_cache.get(key)
-        if got is not None:
-            return got
-    value, _, truncation = _forward_value(d, policy, n, k, tail_tol)
-    if cache_key is not None:
-        _value_cache[key] = (value, truncation)
-    return value, truncation
-
-
 def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
     """V_on of the policy, computed without sampling.
 
@@ -167,14 +149,14 @@ def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
     the value may sit below the untruncated one by about ``2 a_1 1e-12``;
     ``exact_regret`` reports the exact bound.
     """
-    return _cached_forward(d, policy, n, k, 1e-12)[0]
+    return _forward_value(d, policy, n, k)[0]
 
 
 def exact_regret(
     d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
 ) -> RegretRecord:
     off = _cached_offline(d, n, k, tail_tol)
-    v_on, truncation = _cached_forward(d, policy, n, k, tail_tol)
+    v_on, _, truncation = _forward_value(d, policy, n, k, tail_tol)
     return RegretRecord(
         policy=policy.name,
         n=n,

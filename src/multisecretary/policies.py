@@ -9,13 +9,12 @@ closed-form u-integration need no per-policy casework.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp as dp_mod
-from .distribution import RATIO_TIE_TOL, AbilityDistribution, thresholds
+from .distribution import RATIO_TIE_TOL, AbilityDistribution, partial_means, thresholds
 from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch
 
 
@@ -93,12 +92,11 @@ class BudgetRatioPolicy:
     """Multi-threshold policy on the budget ratio; deterministic."""
 
     name = "br"
-    cache_key = "br"
 
     def __init__(self, d: AbilityDistribution):
         self.dist = d
         self.thresholds = thresholds(d)
-        self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
+        self._gain = partial_means(d)
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """Find j with T_j <= K/(n-t) < T_{j+1}; select the observed value
@@ -120,7 +118,6 @@ class DpPolicy:
     """Optimal policy read off the solved per-period budget breakpoints."""
 
     name = "dp"
-    cache_key = "dp"
 
     def __init__(self, d: AbilityDistribution, table: dp_mod.DPTable | None = None,
                  n: int | None = None, k: int | None = None):
@@ -132,7 +129,7 @@ class DpPolicy:
             raise TableMismatch("table was solved for a different distribution")
         self.dist = d
         self.table = table
-        self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
+        self._gain = partial_means(d)
 
     def _breakpoints(self, t_next, n, budgets):
         if n != self.table.n:
@@ -157,11 +154,10 @@ class AdaptiveIndexPolicy:
     """Re-solves the deterministic relaxation each period; randomized."""
 
     name = "ai"
-    cache_key = "ai"
 
     def __init__(self, d: AbilityDistribution):
         self.dist = d
-        self._gain = np.concatenate(([0.0], np.cumsum(d.support * d.pmf)))
+        self._gain = partial_means(d)
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """With r = K/(n-t), take an ability-j arrival with probability
@@ -195,10 +191,6 @@ class NonAdaptivePolicy:
         # above 1 would push the forward pass's budget cell below zero
         self._sel_by_t = np.minimum(d.pmf @ matrix.p, 1.0)
         self._gain_by_t = (d.pmf * d.support) @ matrix.p
-        if name in ("index", "take-top"):
-            self.cache_key = name
-        else:
-            self.cache_key = "matrix:" + hashlib.sha256(matrix.p.tobytes()).hexdigest()[:16]
 
     def _check_horizon(self, t_next, n):
         if n != self.matrix.p.shape[1] or not 1 <= t_next <= n:

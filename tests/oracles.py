@@ -10,6 +10,7 @@ recomputed from their defining formulas.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -50,6 +51,37 @@ def enum_offline_value(d, n: int, k: int) -> float:
     """E[offline value] by full m^n sequence enumeration."""
     seqs = all_sequences(d.m, n)
     return float(sequence_probs(d, seqs) @ greedy_payoffs(d, seqs, k))
+
+
+def exact_offline_value(support, pmf, n: int, k: int) -> Fraction:
+    """E[offline value] in exact rationals, by conditioning each rank j on
+    the number b of better arrivals.
+
+    B ~ Binomial(n, F̄(a_j)) and, given B = b, the own count is
+    Binomial(n - b, f_j / (1 - F̄(a_j))), of which the sort keeps at most
+    (k - b)_+.  The two binomials multiply into one trinomial weight, and
+    every (b, own count) term is summed: nothing is truncated.  Each value is
+    taken as ``Fraction(x)``, and the masses must sum to exactly 1 (dyadic
+    masses do).
+    """
+    a = [Fraction(x) for x in support]
+    f = [Fraction(x) for x in pmf]
+    if sum(f) != 1:
+        raise InfeasiblePair("masses must sum to exactly 1 as rationals")
+    denom = math.lcm(*(x.denominator for x in f))
+    w = [int(x * denom) for x in f]
+    total = Fraction(0)
+    above = 0  # denom * F̄(a_j)
+    for aj, wj in zip(a, w):
+        rest = denom - above - wj
+        kept = 0  # denom**n * E[s_j]
+        for b in range(min(n, k - 1) + 1):
+            for y in range(1, n - b + 1):
+                weight = math.comb(n, b) * math.comb(n - b, y)
+                kept += weight * above**b * wj**y * rest ** (n - b - y) * min(y, k - b)
+        total += aj * Fraction(kept, denom**n)
+        above += wj
+    return total
 
 
 def enum_optimal_value(d, n: int, k: int) -> float:

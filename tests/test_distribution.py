@@ -173,9 +173,9 @@ class TestMeanAndSampling:
         assert uniform5.mean() == pytest.approx(1.10, abs=1e-12)
 
     def test_sample_examples(self, uniform5):
-        assert uniform5.sample(0.0) == 1
-        assert uniform5.sample(0.41) == 3
-        assert uniform5.sample(0.999999) == 5
+        idx = uniform5.sample_many(np.array([0.0, 0.41, 0.999999]))
+        np.testing.assert_array_equal(idx, [1, 3, 5])
+        assert idx.dtype == np.int16
 
     def test_sample_equispaced_frequencies(self, masspoint5):
         u = (np.arange(1_000_000) + 0.5) / 1_000_000

@@ -5,6 +5,7 @@ from multisecretary import (
     DimensionMismatch,
     InfeasiblePair,
     ModelError,
+    NonAdaptivePolicy,
     NonMarkovPolicy,
     ProbabilityDrift,
     exact_policy_value,
@@ -16,6 +17,7 @@ from multisecretary import (
     optimal_value,
     simulate_paths,
     sweep,
+    take_top_matrix,
     write_records,
 )
 from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
@@ -134,6 +136,16 @@ class TestForwardWindow:
         full = exact_regret(masspoint5, policy, n, k, tail_tol=0.0)
         assert full.error_bound == 0.0 < trimmed.error_bound
         assert full.v_on == _forward_value(masspoint5, policy, n, k, tail_tol=0.0)[0]
+
+    def test_policies_sharing_a_name_are_evaluated_apart(self, uniform5):
+        # a take-top matrix named "index" once reused the index policy's value
+        n, k = 200, 60
+        index = make_policy("index", uniform5, n, k)
+        take_top = NonAdaptivePolicy(uniform5, take_top_matrix(uniform5, n), "index")
+        first = exact_policy_value(uniform5, index, n, k)
+        second = exact_policy_value(uniform5, take_top, n, k)
+        assert second == _forward_value(uniform5, take_top, n, k)[0]
+        assert second < first - 1.0
 
     @pytest.mark.parametrize("rate", [np.nan, 1.5])
     def test_invalid_rates_raise_probability_drift(self, uniform5, rate):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from multisecretary import (
@@ -16,6 +18,7 @@ from oracles import (
     binomial_overshoot,
     binomial_undershoot,
     enum_offline_value,
+    exact_offline_value,
     max_integer_selection,
 )
 
@@ -117,6 +120,41 @@ class TestOfflineExpectation:
             below = float(np.sum(got.per_ability[j0 + 1 :]))
             assert above <= 1 / (4 * eps) + 1e-9
             assert below <= 1 / (4 * eps) + 1e-9
+
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5", "uniform10"])
+    @pytest.mark.parametrize("n", [1000, 16016])
+    def test_error_bound_within_a1_n_tail_tol(self, request, dist, n):
+        d = request.getfixturevalue(dist)
+        tail_tol = 1e-12
+        ratios = np.concatenate((np.linspace(0.05, 0.95, 19), d.survival_values[1:-1]))
+        for k in sorted({int(round(r * n)) for r in ratios}):
+            got = offline_expectation(d, n, k, tail_tol)
+            assert 0.0 <= got.error_bound <= d.support[0] * n * tail_tol, k
+
+
+@st.composite
+def dyadic_instances(draw):
+    """Support points in eighths and masses in 32nds, so that the float
+    instance is the rational one and its masses sum to exactly 1."""
+    m = draw(st.integers(1, 4))
+    support = sorted(draw(st.lists(st.integers(1, 40), min_size=m, max_size=m, unique=True)),
+                     reverse=True)
+    cuts = sorted(draw(st.lists(st.integers(1, 31), min_size=m - 1, max_size=m - 1, unique=True)))
+    d = new_distribution([a / 8 for a in support], np.diff([0, *cuts, 32]) / 32)
+    n = draw(st.integers(0, 60))
+    return d, n, draw(st.integers(0, n))
+
+
+@settings(max_examples=100, deadline=None)
+@given(dyadic_instances())
+def test_matches_exact_conditional_sum(inst):
+    d, n, k = inst
+    want = float(exact_offline_value(d.support, d.pmf, n, k))
+    for tail_tol in (0.0, 1e-12):
+        got = offline_expectation(d, n, k, tail_tol)
+        assert abs(got.value - want) <= got.error_bound + 8 * np.spacing(want), tail_tol
+        if tail_tol == 0.0:
+            assert got.error_bound == 0.0
 
 
 class TestDeterministicRelaxation:

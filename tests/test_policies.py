@@ -10,7 +10,6 @@ from multisecretary import (
     NonAdaptivePolicy,
     TableMismatch,
     ai_ratio_increment_mean,
-    clear_caches,
     episode_stream,
     exact_policy_value,
     index_matrix,
@@ -74,7 +73,6 @@ class TestDpDecide:
         assert decide(dp, 10, 10, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
-        clear_caches()  # a cached value would skip the table lookup
         dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
