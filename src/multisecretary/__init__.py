@@ -49,8 +49,7 @@ from .offline import (
 )
 from .policies import (
     AdaptiveIndexPolicy,
-    BudgetRatioPolicy,
-    DpPolicy,
+    BreakpointPolicy,
     NonAdaptiveMatrix,
     NonAdaptivePolicy,
     ai_ratio_increment_mean,

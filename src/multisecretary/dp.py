@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution, partial_means
-from .errors import InfeasiblePair
+from .errors import check_pair
 
 # Ties a_j == h_l(kappa) select; the relative slack absorbs float noise in h.
 TIE_TOL_SCALE = 1e-12
@@ -38,11 +38,12 @@ class DPTable:
     """Backward-induction output for one (distribution, n, k) instance.
 
     ``value`` is g_n(k), the sum of h_{n+1}(kappa) over kappa <= k, from the
-    h recursion in the module docstring.  ``breakpoints[l, j - 1]`` is the
-    smallest budget kappa >= 1 at which a_j >= h_l(kappa) - tie_tol, i.e.
-    from which the optimal rule with l periods to go selects ability j;
-    k + 1 means never within the table.  Each row is non-decreasing in j,
-    and row 0 (no period left) is k + 1 throughout.
+    h recursion in the module docstring; NaN for tables not produced by
+    ``solve``.  ``breakpoints[l, j - 1]`` is the smallest budget kappa >= 1
+    at which a_j >= h_l(kappa) - tie_tol, i.e. from which the optimal rule
+    with l periods to go selects ability j; k + 1 means never within the
+    table.  Each row is non-decreasing in j, and row 0 (no period left) is
+    k + 1 throughout.  The budget-ratio rule's table has the same form.
     """
 
     dist_hash: str
@@ -55,8 +56,7 @@ class DPTable:
 def solve(d: AbilityDistribution, n: int, k: int) -> DPTable:
     """Run the h recursion for l = 1..n in O(k) working memory, keeping
     only the (n+1, m) breakpoints."""
-    if n < 0 or not 0 <= k <= n:
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k)
 
     m = d.m
     a = d.support

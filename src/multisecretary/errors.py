@@ -1,4 +1,4 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the (n, k) feasibility check."""
 
 
 class ModelError(ValueError):
@@ -23,6 +23,12 @@ class IndexOutOfRange(ModelError):
 
 class InfeasiblePair(ModelError):
     """A (horizon, budget) pair violates 0 <= k <= n."""
+
+
+def check_pair(n: int, k: int, min_n: int = 0) -> None:
+    """Raise :class:`InfeasiblePair` unless n >= ``min_n`` and 0 <= k <= n."""
+    if n < min_n or not 0 <= k <= n:
+        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
 
 
 class CountMismatch(ModelError):

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import InfeasiblePair, NonMarkovPolicy, ProbabilityDrift
+from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import OfflineValue, offline_expectation
 from .policies import make_policy
 from .simulate import paired_payoffs
@@ -84,8 +84,7 @@ def _forward_value(
         raise NonMarkovPolicy(
             f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
         )
-    if n < 0 or not 0 <= k <= n:
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k)
     budgets = np.arange(k + 1)
     prob = np.zeros(k + 1)
     prob[k] = 1.0

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.stats import binom
 
 from .distribution import AbilityDistribution
-from .errors import CountMismatch, InfeasiblePair
+from .errors import CountMismatch, InfeasiblePair, check_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +113,7 @@ def offline_expectation(
     is one capped binomial mean whose tails omit at most ``tail_tol`` of
     probability, so ``error_bound`` <= a_1 n ``tail_tol``.
     """
-    if n < 0 or not 0 <= k <= max(n, 0):
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k)
     if not 0.0 <= tail_tol <= 1e-9:
         raise InfeasiblePair(f"tail_tol must lie in [0, 1e-9], got {tail_tol}")
     if k == 0:
@@ -147,7 +146,6 @@ def dr_solution(d: AbilityDistribution, n: int, k: int) -> tuple[np.ndarray, flo
     s*_j = min(n f_j, (k - n F̄(a_j))_+); the value upper-bounds the exact
     offline expectation.
     """
-    if n < 0 or not 0 <= k <= max(n, 0):
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k)
     s = np.minimum(n * d.pmf, np.maximum(k - n * d.survival_values[: d.m], 0.0))
     return s, float(d.support @ s)

@@ -5,17 +5,22 @@ randomization enters only through one uniform draw per decision.  Each
 policy exposes two vectorized hooks: ``rates`` for the exact evaluator and
 ``decide_batch`` for the sample-path engine, so common random numbers and
 closed-form u-integration need no per-policy casework.
+
+The deterministic rules br (budget ratio) and dp (optimal) are both a
+:class:`BreakpointPolicy` on a per-period budget-breakpoint table; each table
+is built for one (n, k) and raises ``TableMismatch`` at any other n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dp as dp_mod
 from .distribution import RATIO_TIE_TOL, AbilityDistribution, partial_means, thresholds
-from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch
+from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch, check_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +47,7 @@ def index_matrix(d: AbilityDistribution, n: int, k: int) -> NonAdaptiveMatrix:
     fractional probability (k/n - F̄)/f, lower ranks never.  Fractions within
     the ratio tie tolerance of 0 or 1 snap to the exact endpoint.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k, min_n=1)
     ratio = k / n
     sv = d.survival_values
     pivot = int(np.searchsorted(sv[: d.m], ratio + RATIO_TIE_TOL, side="right"))
@@ -88,61 +92,48 @@ def ai_ratio_increment_mean(d: AbilityDistribution, n: int, t: int, budget: int)
     return (budget - select_mean) / (remaining - 1) - ratio
 
 
-class BudgetRatioPolicy:
-    """Multi-threshold policy on the budget ratio; deterministic."""
-
-    name = "br"
-
-    def __init__(self, d: AbilityDistribution):
-        self.dist = d
-        self.thresholds = thresholds(d)
-        self._gain = partial_means(d)
-
-    def decide_batch(self, t_next, n, budgets, abilities, u):
-        """Find j with T_j <= K/(n-t) < T_{j+1}; select the observed value
-        iff budget remains and its rank is at most j."""
-        ratio = budgets / (n - t_next + 1)
-        bucket = self.thresholds.bucket(ratio)
-        return (budgets > 0) & (abilities <= bucket)
-
-    def rates(self, t_next, n, budgets):
-        ratio = budgets / (n - t_next + 1)
-        bucket = self.thresholds.bucket(ratio)
-        live = budgets > 0
-        sel = np.where(live, self.dist.survival_values[bucket], 0.0)
-        gain = np.where(live, self._gain[bucket], 0.0)
-        return sel, gain
+def _ratio_breakpoints(values: np.ndarray, n: int) -> np.ndarray:
+    """br's table for thresholds ``values`` = T_1..T_m: entry [l, j - 1] is the
+    smallest kappa >= 1 with kappa/l + ``RATIO_TIE_TOL`` >= T_j in floats (row 0
+    is n + 1).  ceil((T_j - tol) l) is off by a cell where the float test
+    rounds across it, so one step up or down re-evaluates the test itself.
+    """
+    ell = np.arange(1, n + 1, dtype=float)[:, None]
+    cut = np.ceil((values - RATIO_TIE_TOL) * ell)
+    cut += cut / ell + RATIO_TIE_TOL < values
+    cut -= (cut - 1.0) / ell + RATIO_TIE_TOL >= values
+    bp = np.empty((n + 1, values.size), dtype=np.int64)
+    bp[0] = n + 1
+    np.maximum(cut, 1.0, out=bp[1:], casting="unsafe")
+    bp.flags.writeable = False
+    return bp
 
 
-class DpPolicy:
-    """Optimal policy read off the solved per-period budget breakpoints."""
+class BreakpointPolicy:
+    """Deterministic rule: with l periods to go, rank j is selected iff the
+    budget has reached ``table.breakpoints[l, j - 1]``.  dp's table comes
+    from ``dp.solve``; br's covers every budget up to n (k = n)."""
 
-    name = "dp"
-
-    def __init__(self, d: AbilityDistribution, table: dp_mod.DPTable | None = None,
-                 n: int | None = None, k: int | None = None):
-        if table is None:
-            if n is None or k is None:
-                raise ValueError("DpPolicy needs a table or an (n, k) pair to solve")
-            table = dp_mod.solve(d, n, k)
+    def __init__(self, d: AbilityDistribution, table: dp_mod.DPTable, name: str):
         if table.dist_hash != d.content_hash():
             raise TableMismatch("table was solved for a different distribution")
         self.dist = d
         self.table = table
+        self.name = name
         self._gain = partial_means(d)
 
     def _breakpoints(self, t_next, n, budgets):
         if n != self.table.n:
-            raise TableMismatch(f"table solved for n={self.table.n}, episode has n={n}")
+            raise TableMismatch(f"table built for n={self.table.n}, episode has n={n}")
         if budgets.max() > self.table.k:
             raise TableMismatch(
-                f"table solved for k={self.table.k} cannot decide at budget {int(budgets.max())}"
+                f"table built for k={self.table.k} cannot decide at budget {int(budgets.max())}"
             )
         return self.table.breakpoints[n - t_next + 1]
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
-        """Select iff the budget has reached the observed ability's breakpoint,
-        i.e. a_j >= h_l(kappa); breakpoints are >= 1, so a zero budget selects nothing."""
+        """Select iff the budget has reached the observed rank's breakpoint;
+        breakpoints are >= 1, so a zero budget selects nothing."""
         return budgets >= self._breakpoints(t_next, n, budgets)[abilities - 1]
 
     def rates(self, t_next, n, budgets):
@@ -221,9 +212,11 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
     matrix file holds m rows of n comma-separated probabilities.
     """
     if name == "br":
-        return BudgetRatioPolicy(d)
+        check_pair(n, k)
+        bp = _ratio_breakpoints(thresholds(d).values[: d.m], n)
+        return BreakpointPolicy(d, dp_mod.DPTable(d.content_hash(), n, n, math.nan, bp), "br")
     if name == "dp":
-        return DpPolicy(d, n=n, k=k)
+        return BreakpointPolicy(d, dp_mod.solve(d, n, k), "dp")
     if name == "ai":
         return AdaptiveIndexPolicy(d)
     if name == "index":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution, ThresholdSet, half_min_mass
-from .errors import BadDelta, InfeasiblePair
+from .errors import BadDelta, InfeasiblePair, check_pair
 from .offline import offline_sort_batch
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
@@ -72,8 +72,7 @@ def run_episode(
     seed_ref: tuple[int, int] | None = None,
 ) -> EpisodeRecord:
     """Play one episode, consuming 2n uniforms from ``stream``."""
-    if n < 1 or not 0 <= k <= n:
-        raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
+    check_pair(n, k, min_n=1)
     u = stream.random(2 * n)
     payoff, _, paths = _simulate_chunk(d, policy, n, k, u[None, :], want_paths=True)
     budget_path = paths[0].astype(np.int64)
@@ -128,10 +127,12 @@ def _simulate_chunk(d, policy, n, k, u, want_paths=False):
 def _chunks(d, policy, n, k, reps, seed, chunk, want_paths=False):
     """Episodes 0..reps-1 in blocks of ``chunk``.
 
-    Checks ``reps`` at once, then returns an iterator that runs one block per
-    step and yields ``(rows, payoffs, counts, paths)``, ``rows`` being the
-    block's slice of 0..reps-1.
+    Checks (n, k) by ``run_episode``'s rule and ``reps`` at once, then
+    returns an iterator that runs one block per step and yields
+    ``(rows, payoffs, counts, paths)``, ``rows`` being the block's slice of
+    0..reps-1.
     """
+    check_pair(n, k, min_n=1)
     if reps < 1:
         raise InfeasiblePair(f"reps must be >= 1, got {reps}")
 

@@ -135,6 +135,17 @@ class TestSweepK:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "reps" in assert_one_error_line(capsys)
 
+    def test_mc_fails_infeasible_cells(self, dist_file, tmp_path, capsys):
+        # the sample-path engine once wrote rows at k > n
+        out = tmp_path / "x.csv"
+        rc = main(["sweep-k", "--dist", dist_file, "--n", "5", "--k-range", "4:6:1",
+                   "--policies", "br,ai", "--mc", "--reps", "10", "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err.count("not a feasible pair") == 2
+        _, rows = read_rows(out)
+        cells = sorted((r[0], r[2]) for r in rows)
+        assert cells == [("ai", "4"), ("ai", "5"), ("br", "4"), ("br", "5")]
+
 
 class TestSweepN:
     def test_single_n_one_record_per_policy(self, dist_file, tmp_path):
@@ -230,6 +241,16 @@ class TestRatioMeanAndDiagnostics:
         assert header == "rep,tau0,j_tau0,tau,n_minus_tau"
         assert len(rows) == 40
         assert all(int(r[3]) + int(r[4]) == 300 for r in rows)
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnostics", "--n", "0", "--k", "0", "--delta", "0.05", "--reps", "10"],
+        ["diagnostics", "--n", "10", "--k", "20", "--delta", "0.05", "--reps", "10"],
+        ["ratio-mean", "--n", "10", "--k", "-3", "--policies", "br,ai", "--reps", "10"],
+    ])
+    def test_infeasible_pair_exits_2_once(self, dist_file, tmp_path, capsys, argv):
+        # these once ended in an argmax traceback or wrote a CSV
+        assert main(argv + ["--dist", dist_file, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "not a feasible pair" in assert_one_error_line(capsys)
 
     def test_delta_at_least_epsilon_exits_2(self, dist_file, tmp_path):
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",

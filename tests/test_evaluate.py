@@ -98,7 +98,7 @@ class _BrokenRates:
     name = "broken"
 
     def __init__(self, d, rate):
-        self.inner = make_policy("br", d, 1, 1)
+        self.inner = make_policy("br", d, 40, 12)
         self.rate = rate
 
     def rates(self, t_next, n, budgets):
@@ -129,7 +129,7 @@ class TestForwardWindow:
         assert bound > 0.0
         assert rec.error_bound == off.error_bound + bound
 
-    def test_value_cache_keyed_on_tail_tol(self, masspoint5):
+    def test_zero_tail_tol_trims_nothing_and_matches_forward_value(self, masspoint5):
         n, k = 400, 157
         policy = make_policy("ai", masspoint5, n, k)
         trimmed = exact_regret(masspoint5, policy, n, k)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multisecretary import (
+    BreakpointPolicy,
     DimensionMismatch,
-    DpPolicy,
     InfeasiblePair,
     ModelError,
     NonAdaptiveMatrix,
@@ -20,6 +22,8 @@ from multisecretary import (
     take_top_matrix,
     thresholds,
 )
+from multisecretary.distribution import RATIO_TIE_TOL, partial_means
+from multisecretary.policies import _ratio_breakpoints
 
 
 def decide(policy, t_next, n, budget, ability, u=0.0):
@@ -57,34 +61,118 @@ class TestBudgetRatio:
         assert sel[0] == 0.0
 
 
+def assert_table_is_ratio_rule(values, n):
+    """``kappa >= bp[l, j - 1]`` iff kappa >= 1 and kappa/l + tol >= T_j, at
+    every l in 1..n and kappa in 0..n."""
+    bp = _ratio_breakpoints(np.asarray(values, dtype=float), n)
+    assert bp.shape == (n + 1, len(values)) and np.all(bp[0] == n + 1)
+    kappa = np.arange(n + 1)[:, None]
+    for ell in range(1, n + 1):
+        want = (kappa >= 1) & (kappa / ell + RATIO_TIE_TOL >= np.asarray(values))
+        np.testing.assert_array_equal(kappa >= bp[ell], want, err_msg=f"l={ell}")
+
+
+@st.composite
+def near_ties(draw):
+    """n and thresholds: up to 3 drawn at random and 40 within 8 ulps of a
+    ratio kappa/l + tol, where ceil alone misses the float test in about 1 %."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ties = rng.integers(0, n + 1, 40) / rng.integers(1, n + 1, 40) + RATIO_TIE_TOL
+    near = (ties.view(np.int64) + rng.integers(-8, 9, 40)).view(np.float64)
+    return n, draw(st.lists(st.floats(0.0, 1.0), max_size=3)) + near.tolist()
+
+
+@st.composite
+def ratio_instances(draw):
+    m = draw(st.integers(1, 6))
+    weights = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))
+    d = new_distribution(np.arange(m, 0, -1.0), [w / sum(weights) for w in weights])
+    return d, draw(st.integers(1, 300))
+
+
+def assert_br_is_bucket_rule(d, n):
+    """br's decide_batch and rates equal the threshold-bucket rule in every
+    (l, kappa, rank) cell, budgets 0..n."""
+    br = make_policy("br", d, n, n // 2)
+    thr = thresholds(d)
+    gain = partial_means(d)
+    kappa = np.repeat(np.arange(n + 1), d.m)
+    ranks = np.tile(np.arange(1, d.m + 1, dtype=np.int16), n + 1)
+    live = kappa > 0
+    budgets = np.arange(n + 1)
+    for t_next in range(1, n + 1):
+        bucket = thr.bucket(budgets / (n - t_next + 1))
+        got = br.decide_batch(t_next, n, kappa, ranks, None)
+        np.testing.assert_array_equal(got, live & (ranks <= np.repeat(bucket, d.m)))
+        sel, g = br.rates(t_next, n, budgets)
+        np.testing.assert_array_equal(sel, np.where(budgets > 0, d.survival_values[bucket], 0.0))
+        np.testing.assert_array_equal(g, np.where(budgets > 0, gain[bucket], 0.0))
+
+
+class TestRatioBreakpoints:
+    @settings(max_examples=150, deadline=None)
+    @given(near_ties())
+    def test_table_is_the_float_ratio_test(self, inst):
+        assert_table_is_ratio_rule(inst[1], inst[0])
+
+    @pytest.mark.parametrize("ell,t,want", [
+        (7, 0.4285714285724286, 4),  # ceil((T - tol) l) alone gives 3
+        (85063, 0.6369631919881155, 54182),  # and 54183 here
+    ])
+    def test_ceiling_rounds_across_the_test(self, ell, t, want):
+        bp = _ratio_breakpoints(np.array([0.0, t]), ell)
+        assert bp[ell, 1] == want
+        assert want / ell + RATIO_TIE_TOL >= t > (want - 1) / ell + RATIO_TIE_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(ratio_instances())
+    def test_br_matches_bucket_rule(self, inst):
+        assert_br_is_bucket_rule(*inst)
+
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5", "uniform10"])
+    @pytest.mark.parametrize("n", [1000, 1120])
+    def test_br_matches_bucket_rule_named(self, request, dist, n):
+        assert_br_is_bucket_rule(request.getfixturevalue(dist), n)
+
+    def test_other_horizon_raises(self, uniform5):
+        br = make_policy("br", uniform5, 100, 30)
+        with pytest.raises(TableMismatch):
+            exact_policy_value(uniform5, br, 101, 30)
+
+
 class TestDpDecide:
     def test_mean_rule_two_to_go(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 1000, 500))
+        dp = BreakpointPolicy(uniform5, solve(uniform5, 1000, 500), "dp")
         # h_2(1) = E[X] = 1.10: ranks up to the mean ability are taken
         assert decide(dp, 999, 1000, 1, 3)
         assert not decide(dp, 999, 1000, 1, 4)
 
     def test_no_budget(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
+        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
         assert not decide(dp, 3, 10, 0, 1)
 
     def test_last_period_takes_anything(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
+        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
         assert decide(dp, 10, 10, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
-        dp = DpPolicy(uniform5, solve(uniform5, 10, 5))
+        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
                 run_episode(uniform5, dp, n, k, episode_stream(1, 0))
             with pytest.raises(TableMismatch):
                 exact_policy_value(uniform5, dp, n, k)
 
+    def test_table_for_another_distribution_raises(self, uniform5, masspoint5):
+        with pytest.raises(TableMismatch, match="different distribution"):
+            BreakpointPolicy(masspoint5, solve(uniform5, 10, 5), "dp")
+
     def test_disagrees_with_br_near_horizon_end(self):
         # two to go, one budget unit: the optimal rule keeps only values at or
         # above the mean, while the ratio rule still takes the middle rank
         d = new_distribution([10.0, 1.5, 1.0], [0.2, 0.4, 0.4])
-        dp = DpPolicy(d, solve(d, 100, 60))
+        dp = BreakpointPolicy(d, solve(d, 100, 60), "dp")
         br = make_policy("br", d, 100, 60)
         state = (99, 100, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
         assert decide(br, *state)
@@ -181,6 +269,12 @@ class TestFeasibility:
                 float(np.sum(masspoint5.support[rec.abilities[rec.decisions] - 1])),
                 abs=1e-9,
             )
+
+    @pytest.mark.parametrize("name", ["br", "dp", "index"])
+    @pytest.mark.parametrize("n,k", [(-1, 0), (5, 6)])
+    def test_table_policies_reject_infeasible_pairs(self, masspoint5, name, n, k):
+        with pytest.raises(InfeasiblePair):
+            make_policy(name, masspoint5, n, k)
 
 
 class TestFactory:

@@ -5,6 +5,7 @@ import pytest
 
 from multisecretary import (
     BadDelta,
+    InfeasiblePair,
     cutoff_time,
     drift_at_state,
     episode_stream,
@@ -103,6 +104,13 @@ class TestBatchConsistency:
         b = paired_payoffs(uniform5, policy, 50, 15, 64, seed=2)
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("n,k", [(10, 11), (10, -1), (0, 0)])
+    def test_infeasible_pair_raises(self, uniform5, n, k):
+        # the engine checked only reps and paired k > n with the offline sort
+        policy = make_policy("ai", uniform5, 10, 5)
+        with pytest.raises(InfeasiblePair):
+            paired_payoffs(uniform5, policy, n, k, 8, seed=1)
 
 
 class TestOrbit:
