@@ -198,13 +198,15 @@ def cmd_ratio_mean(args) -> int:
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
     _check_reps(args.reps)
+    curves = {
+        name: ratio_mean_curve(
+            d, make_policy(name, d, args.n, args.k), args.n, args.k, args.reps, args.seed
+        )
+        for name in sorted(names)
+    }
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("policy,t,mean_ratio,mean_budget\n")
-        for name in sorted(names):
-            policy = make_policy(name, d, args.n, args.k)
-            mean_ratio, mean_budget = ratio_mean_curve(
-                d, policy, args.n, args.k, args.reps, args.seed
-            )
+        for name, (mean_ratio, mean_budget) in curves.items():
             for t in range(args.n):
                 fh.write(f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}\n")
     _write_manifest(args.out, "ratio-mean", d, args.seed,

@@ -4,7 +4,8 @@ The exact route propagates the budget distribution forward in time
 (Chapman-Kolmogorov over the (t, budget) chain induced by any state-Markov
 policy), integrating the policy's randomization in closed form through its
 ``rates`` hook.  The Monte Carlo route pairs each sampled path's policy
-payoff with the posterior sort on the same realization.
+payoff with the posterior sort on the same realization; a sweep's Monte
+Carlo cells at one n share every block of draws.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .distribution import AbilityDistribution
 from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import OfflineValue, offline_expectation
 from .policies import make_policy
-from .simulate import paired_payoffs
+from .simulate import paired_payoffs, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
 
@@ -169,19 +170,12 @@ def exact_regret(
     )
 
 
-def mc_regret(
-    d: AbilityDistribution, policy, n: int, k: int, reps: int, seed: int
-) -> RegretRecord:
-    """Paired estimator: average of (offline - online) over shared paths.
-
-    Pathwise dominance of the posterior sort makes every summand
-    non-negative, so the estimate is too.
-    """
-    online, offline = paired_payoffs(d, policy, n, k, reps, seed)
+def _mc_record(name: str, n: int, k: int, online: np.ndarray, offline: np.ndarray) -> RegretRecord:
+    reps = online.size
     diff = offline - online
     sd = float(np.std(diff, ddof=1)) if reps > 1 else 0.0
     return RegretRecord(
-        policy=policy.name,
+        policy=name,
         n=n,
         k=k,
         method="mc",
@@ -193,6 +187,39 @@ def mc_regret(
     )
 
 
+def mc_regret(
+    d: AbilityDistribution, policy, n: int, k: int, reps: int, seed: int
+) -> RegretRecord:
+    """Paired estimator: average of (offline - online) over shared paths.
+
+    Pathwise dominance of the posterior sort makes every summand
+    non-negative, so the estimate is too.
+    """
+    return _mc_record(policy.name, n, k, *paired_payoffs(d, policy, n, k, reps, seed))
+
+
+def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> dict:
+    """Monte Carlo records of the (policy, n, k) cells at one ``n``, from one
+    pass whose blocks every cell shares; maps each cell to its record or
+    to the exception that stopped it."""
+    out, built = {}, []
+    for cell in cells:
+        try:
+            built.append((cell, make_policy(cell[0], d, n, cell[2])))
+        except Exception as exc:
+            out[cell] = exc
+    try:
+        got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
+    except Exception as exc:  # the pass itself failed: every cell it ran fails
+        got = [exc] * len(built)
+    for (cell, policy), result in zip(built, got):
+        out[cell] = (
+            result if isinstance(result, Exception)
+            else _mc_record(policy.name, n, cell[2], *result)
+        )
+    return out
+
+
 def sweep(
     d: AbilityDistribution,
     policy_names: Sequence[str],
@@ -202,28 +229,31 @@ def sweep(
     seed: int = 0,
     tail_tol: float = 1e-12,
 ) -> tuple[list[RegretRecord], list]:
-    """Evaluate every (policy, n, k) cell in (policy, n, k) order.
+    """Evaluate every (policy, n, k) cell; records and failures come in
+    (policy, n, k) order.
 
     A cell that raises is skipped and the sweep goes on; returns the records
-    and the failures as ``((policy, n, k), exception)`` pairs.
+    and the failures as ``((policy, n, k), exception)`` pairs.  Exact cells
+    run one at a time, so a DP table is freed before the next cell builds
+    its own.  Monte Carlo cells run one pass per n: every policy of that n
+    is built first and all of them step over each block of draws.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    # A policy lives only inside its cell, so a DP cut table is freed before
-    # the next cell builds its own.
-    def run(name, n, k):
-        policy = make_policy(name, d, n, k)
-        if mode == "exact":
-            return exact_regret(d, policy, n, k, tail_tol)
-        return mc_regret(d, policy, n, k, reps, seed)
-
-    records, failures = [], []
-    for cell in sorted((name, n, k) for name in policy_names for (n, k) in grid):
-        try:
-            records.append(run(*cell))
-        except Exception as exc:  # enumerate failing cells, keep going
-            failures.append((cell, exc))
+    cells = sorted((name, n, k) for name in policy_names for (n, k) in grid)
+    results = {}
+    if mode == "exact":
+        for cell in cells:
+            name, n, k = cell
+            try:
+                results[cell] = exact_regret(d, make_policy(name, d, n, k), n, k, tail_tol)
+            except Exception as exc:  # enumerate failing cells, keep going
+                results[cell] = exc
+    else:
+        for n in sorted({cell[1] for cell in cells}):
+            results.update(_mc_cells(d, n, [c for c in cells if c[1] == n], reps, seed))
+    records = [results[c] for c in cells if not isinstance(results[c], Exception)]
+    failures = [(c, results[c]) for c in cells if isinstance(results[c], Exception)]
     return records, failures
 
 

@@ -4,6 +4,18 @@ Every episode consumes exactly two uniforms per period (ability draw, then
 decision draw) from a counter-based Philox substream keyed by (seed, rep),
 so ability sequences are identical across policies and replication results
 do not depend on execution order.
+
+The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``chunk``.
+Each block is drawn once, a few dozen replications at a time through a
+rep-major scratch buffer, and stored time-major: (n, reps) int16 ranks,
+(n, reps) float64 decision uniforms and the per-rank counts of each
+replication.  Every (policy, k) cell at that n then steps over the same rows
+``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior sort runs
+once per k on the shared counts.  A cell that raises stops; the others go
+on.  The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
+``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass
+and re-raise the cell's exception.  Budget paths stay rep-major,
+(reps, n+1) int32, for the orbit scan.
 """
 
 from __future__ import annotations
@@ -20,6 +32,7 @@ from .offline import offline_sort_batch
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 DEFAULT_CHUNK = 1024
+SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
 
 
 def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
@@ -74,101 +87,212 @@ def run_episode(
     """Play one episode, consuming 2n uniforms from ``stream``."""
     check_pair(n, k, min_n=1)
     u = stream.random(2 * n)
-    payoff, _, paths = _simulate_chunk(d, policy, n, k, u[None, :], want_paths=True)
-    budget_path = paths[0].astype(np.int64)
+    abilities = d.sample_many(u[0::2])
+    cell = _Cell(policy, k)
+    cell.start(1, n, want_paths=True)
+    if not _step_block(d, n, [cell], abilities[:, None], u[1::2, None]):
+        raise cell.error
+    budget_path = cell.paths[0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
         n=n,
         k=k,
         seed_ref=seed_ref,
-        abilities=d.sample_many(u[0::2]),
+        abilities=abilities,
         decisions=budget_path[1:] < budget_path[:-1],
-        payoff=float(payoff[0]),
+        payoff=float(cell.payoff[0]),
         budget_path=budget_path,
         ratio_path=ratio_path,
     )
 
 
-def _uniform_block(seed: int, reps: range, n: int) -> np.ndarray:
-    out = np.empty((len(reps), 2 * n))
-    for i, rep in enumerate(reps):
-        out[i] = episode_stream(seed, rep).random(2 * n)
-    return out
+class _Cell:
+    """One (policy, k) of a pass at a fixed n: the state of its episodes in
+    the current block, and the exception that stopped it, if any."""
 
+    def __init__(self, policy, k: int):
+        self.policy = policy
+        self.k = k
+        self.error: Exception | None = None
+        self.budgets = self.payoff = self.paths = None
 
-def _simulate_chunk(d, policy, n, k, u, want_paths=False):
-    """Vectorized episodes for one block of pre-drawn uniforms.
-
-    Returns (payoffs, counts, budget paths or None).
-    """
-    reps = u.shape[0]
-    abilities = d.sample_many(u[:, 0::2])
-    decision_u = u[:, 1::2]
-    budgets = np.full(reps, k, dtype=np.int64)
-    payoff = np.zeros(reps)
-    paths = None
-    if want_paths:
-        paths = np.empty((reps, n + 1), dtype=np.int32)
-        paths[:, 0] = k
-    for t_next in range(1, n + 1):
-        j = abilities[:, t_next - 1]
-        sel = policy.decide_batch(t_next, n, budgets, j, decision_u[:, t_next - 1])
-        payoff += d.support[j - 1] * sel
-        budgets -= sel
+    def start(self, reps: int, n: int, want_paths: bool) -> None:
+        self.budgets = np.full(reps, self.k, dtype=np.int64)
+        self.payoff = np.zeros(reps)
         if want_paths:
-            paths[:, t_next] = budgets
-    counts = np.empty((reps, d.m), dtype=np.int64)
-    for j in range(1, d.m + 1):
-        counts[:, j - 1] = (abilities == j).sum(axis=1)
-    return payoff, counts, paths
+            self.paths = np.empty((reps, n + 1), dtype=np.int32)
+            self.paths[:, 0] = self.k
 
 
-def _chunks(d, policy, n, k, reps, seed, chunk, want_paths=False):
-    """Episodes 0..reps-1 in blocks of ``chunk``.
+def _uniform_block(seed: int, reps: range, out: np.ndarray) -> np.ndarray:
+    """The uniforms of each replication in ``reps``, one row each, drawn
+    into the leading rows of ``out``."""
+    block = out[: len(reps)]
+    for row, rep in zip(block, reps):
+        episode_stream(seed, rep).random(out=row)
+    return block
 
-    Checks (n, k) by ``run_episode``'s rule and ``reps`` at once, then
-    returns an iterator that runs one block per step and yields
-    ``(rows, payoffs, counts, paths)``, ``rows`` being the block's slice of
-    0..reps-1.
+
+def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
+    """(reps, m) int64 count of each rank 1..m in every row of a (reps, n)
+    rank matrix, by one bincount over rep-offset ranks."""
+    reps = ranks.shape[0]
+    offset = ranks + (np.arange(reps, dtype=np.int64) * m - 1)[:, None]
+    return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
+
+
+def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray):
+    """Replications ``reps`` stored time-major: (n, reps) int16 ranks,
+    (n, reps) decision uniforms, and (reps, m) int64 rank counts.  They are
+    read-only, so no cell can change what the others read.
+
+    Each replication's 2n uniforms pass through the rep-major ``scratch``,
+    ``len(scratch)`` replications at a time, so no (reps, 2n) block is built.
     """
-    check_pair(n, k, min_n=1)
-    if reps < 1:
-        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+    size = len(reps)
+    ranks = np.empty((n, size), dtype=np.int16)
+    u = np.empty((n, size))
+    counts = np.empty((size, d.m), dtype=np.int64)
+    for lo in range(0, size, len(scratch)):
+        buf = _uniform_block(seed, reps[lo : lo + len(scratch)], scratch)
+        cols = slice(lo, lo + len(buf))
+        block_ranks = d.sample_many(buf[:, 0::2])
+        ranks[:, cols] = block_ranks.T
+        u[:, cols] = buf[:, 1::2].T
+        counts[cols] = _rank_counts(block_ranks, d.m)
+    for arr in (ranks, u, counts):
+        arr.flags.writeable = False
+    return ranks, u, counts
+
+
+def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> list:
+    """Play every cell over one time-major block, period by period: all cells
+    read the same rows ``ranks[t-1]`` and ``u[t-1]``.
+
+    A cell that raises keeps the exception in ``error`` and stops; returns
+    the cells that did not.
+    """
+    live = list(cells)
+    for t_next in range(1, n + 1):
+        j = ranks[t_next - 1]
+        du = u[t_next - 1]
+        value = d.support[j - 1]
+        for cell in tuple(live):
+            try:
+                sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
+                cell.payoff += value * sel
+                cell.budgets -= sel
+            except Exception as exc:  # this cell stops, the others go on
+                cell.error = exc
+                live.remove(cell)
+                continue
+            if cell.paths is not None:
+                cell.paths[:, t_next] = cell.budgets
+    return live
+
+
+def _shared_blocks(d, n: int, cells, reps: int, seed: int, chunk: int, want_paths=False):
+    """Play ``cells``, all at horizon ``n``, over episodes 0..reps-1 in
+    shared blocks of ``chunk``.
+
+    Checks each cell by ``run_episode``'s rule, and ``reps`` too, at once:
+    a cell that fails gets its ``error`` and never runs.  Then returns an
+    iterator that plays one block per step and yields ``(rows, counts,
+    live)`` once every live cell has stepped through it: ``rows`` is the
+    block's slice of 0..reps-1, ``counts`` its (rows, m) rank counts, and
+    each cell in ``live`` holds the block's payoffs (and paths).  It stops
+    when no cell is left.
+    """
+    for cell in cells:
+        try:
+            check_pair(n, cell.k, min_n=1)
+            if reps < 1:
+                raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+        except InfeasiblePair as exc:
+            cell.error = exc
 
     def blocks():
+        live = [cell for cell in cells if cell.error is None]
+        if not live:
+            return
+        scratch = np.empty((min(SCRATCH_REPS, chunk, reps), 2 * n))
         for start in range(0, reps, chunk):
             rows = slice(start, min(start + chunk, reps))
-            u = _uniform_block(seed, range(rows.start, rows.stop), n)
-            yield (rows, *_simulate_chunk(d, policy, n, k, u, want_paths))
+            ranks, u, counts = _draw_block(d, seed, range(rows.start, rows.stop), n, scratch)
+            for cell in live:
+                cell.start(rows.stop - rows.start, n, want_paths)
+            live = _step_block(d, n, live, ranks, u)
+            if not live:
+                return
+            yield rows, counts, live
 
     return blocks()
+
+
+def _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=False):
+    """The one-cell pass: raises the cell's exception as soon as it stops,
+    and otherwise yields ``(rows, cell, counts)`` per block."""
+    cell = _Cell(policy, k)
+    blocks = _shared_blocks(d, n, [cell], reps, seed, chunk, want_paths)
+    if cell.error is not None:
+        raise cell.error
+
+    def run():
+        for rows, counts, _ in blocks:
+            yield rows, cell, counts
+        if cell.error is not None:
+            raise cell.error
+
+    return run()
 
 
 def simulate_paths(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
-    blocks = _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True)
+    blocks = _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True)
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, pay, cnt, pth in blocks:
-        payoffs[rows], counts[rows], paths[rows] = pay, cnt, pth
+    for rows, cell, cnt in blocks:
+        payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths
     return payoffs, counts, paths
+
+
+def paired_payoffs_cells(
+    d, n: int, cells, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
+) -> list:
+    """Per-episode online and posterior-sort payoffs of several (policy, k)
+    cells at horizon ``n``, on blocks drawn once and shared by all of them;
+    the sort runs once per distinct k.
+
+    Returns one entry per cell, in order: its ``(online, offline)`` arrays,
+    or the exception that stopped it.
+    """
+    state = [_Cell(policy, k) for policy, k in cells]
+    blocks = _shared_blocks(d, n, state, reps, seed, chunk)
+    got = {cell: (np.empty(reps), np.empty(reps)) for cell in state if cell.error is None}
+    for rows, counts, live in blocks:
+        sorts = {}
+        for cell in live:
+            if cell.k not in sorts:
+                sorts[cell.k] = offline_sort_batch(d, counts, cell.k)
+            online, offline = got[cell]
+            online[rows] = cell.payoff
+            offline[rows] = sorts[cell.k]
+    return [got[cell] if cell.error is None else cell.error for cell in state]
 
 
 def paired_payoffs(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-episode online payoff and posterior-sort payoff on the same draws."""
-    blocks = _chunks(d, policy, n, k, reps, seed, chunk)
-    online = np.empty(reps)
-    offline = np.empty(reps)
-    for rows, pay, counts, _ in blocks:
-        online[rows] = pay
-        offline[rows] = offline_sort_batch(d, counts, k)
-    return online, offline
+    """Per-episode online payoff and posterior-sort payoff on the same draws:
+    the one-cell case of ``paired_payoffs_cells``."""
+    (got,) = paired_payoffs_cells(d, n, [(policy, k)], reps, seed, chunk)
+    if isinstance(got, Exception):
+        raise got
+    return got
 
 
 def ratio_mean_curve(
@@ -176,8 +300,8 @@ def ratio_mean_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
     budget_sum = np.zeros(n)
-    for _, _, _, paths in _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True):
-        budget_sum += paths[:, :n].sum(axis=0)
+    for _, cell, _ in _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True):
+        budget_sum += cell.paths[:, :n].sum(axis=0)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
     return mean_ratio, mean_budget
@@ -252,12 +376,12 @@ def orbit_stats(
 ) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
     _check_delta(delta, half_min_mass(d))
-    blocks = _chunks(d, policy, n, k, reps, seed, chunk, want_paths=True)
+    blocks = _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True)
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _, _, paths in blocks:
-        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(paths, thr, delta, n)
+    for rows, cell, _ in blocks:
+        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths, thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)
 
 

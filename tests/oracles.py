@@ -199,6 +199,15 @@ def enum_policy_value(d, n: int, k: int, prob_table) -> float:
     return float(sequence_probs(d, seqs) @ value_to_go[:, k])
 
 
+def rank_counts_loop(ranks: np.ndarray, m: int) -> np.ndarray:
+    """(reps, m) count of each rank 1..m per row of a (reps, n) rank matrix,
+    one comparison pass per rank."""
+    counts = np.empty((ranks.shape[0], m), dtype=np.int64)
+    for j in range(1, m + 1):
+        counts[:, j - 1] = (ranks == j).sum(axis=1)
+    return counts
+
+
 def max_integer_selection(support, z, k: int) -> float:
     """Brute-force maximum of sum(a_j s_j) over feasible integer selections."""
     best = 0.0

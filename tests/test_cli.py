@@ -252,6 +252,14 @@ class TestRatioMeanAndDiagnostics:
         assert main(argv + ["--dist", dist_file, "--out", str(tmp_path / "x.csv")]) == 2
         assert "not a feasible pair" in assert_one_error_line(capsys)
 
+    def test_failed_ratio_mean_writes_no_csv(self, dist_file, tmp_path, capsys):
+        # the header used to be written before the pair check ran
+        out = tmp_path / "rm.csv"
+        assert main(["ratio-mean", "--dist", dist_file, "--n", "10", "--k", "-3",
+                     "--policies", "ai", "--reps", "10", "--out", str(out)]) == 2
+        assert "not a feasible pair" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_delta_at_least_epsilon_exits_2(self, dist_file, tmp_path):
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",
                      "--delta", "0.1", "--reps", "10",

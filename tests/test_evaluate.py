@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from multisecretary import (
+    AdaptiveIndexPolicy,
     DimensionMismatch,
     InfeasiblePair,
     ModelError,
@@ -20,7 +21,9 @@ from multisecretary import (
     take_top_matrix,
     write_records,
 )
+from multisecretary import evaluate
 from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
+from multisecretary.simulate import DEFAULT_CHUNK
 from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
 
 
@@ -252,6 +255,59 @@ class TestSweep:
     def test_mc_mode(self, uniform3):
         records, _ = sweep(uniform3, ["br"], [(30, 10)], mode="mc", reps=200, seed=5)
         assert records[0].method == "mc" and records[0].ci_halfwidth > 0.0
+
+
+class SecondBlockFails(AdaptiveIndexPolicy):
+    """ai until period 7 of its second block, where it raises."""
+
+    name = "stub"
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.blocks = 0
+
+    def decide_batch(self, t_next, n, budgets, abilities, u):
+        self.blocks += t_next == 1
+        if self.blocks == 2 and t_next == 7:
+            raise RuntimeError("stub failed in its second block")
+        return super().decide_batch(t_next, n, budgets, abilities, u)
+
+
+class TestSharedMonteCarlo:
+    # sweep(mode="mc") draws each block once per n and steps every
+    # (policy, k) cell over it; each record must equal its one-cell pass
+    N, KS, REPS, SEED = 40, (8, 15, 30), 2 * DEFAULT_CHUNK + 52, 6
+
+    def separate(self, d, names, ks):
+        n, reps, seed = self.N, self.REPS, self.SEED
+        return [mc_regret(d, make_policy(name, d, n, k), n, k, reps, seed)
+                for name in names for k in ks]
+
+    def test_shared_pass_equals_separate_cells(self, uniform5):
+        grid = [(self.N, k) for k in self.KS]
+        records, failures = sweep(uniform5, ["br", "dp", "ai"], grid, mode="mc",
+                                  reps=self.REPS, seed=self.SEED)
+        assert failures == []
+        assert records == self.separate(uniform5, ["ai", "br", "dp"], self.KS)
+
+    def test_failing_cells_leave_the_others_unchanged(self, uniform5, monkeypatch):
+        build = evaluate.make_policy
+        monkeypatch.setattr(evaluate, "make_policy", lambda name, d, n, k: (
+            SecondBlockFails(d) if name == "stub" else build(name, d, n, k)))
+        n, ks = self.N, self.KS[:2]
+        grid = [(n, k) for k in ks] + [(n, n + 1)]
+        records, failures = sweep(uniform5, ["br", "dp", "ai", "stub"], grid, mode="mc",
+                                  reps=self.REPS, seed=self.SEED)
+        assert records == self.separate(uniform5, ["ai", "br", "dp"], ks)
+        assert [cell for cell, _ in failures] == [
+            ("ai", n, n + 1), ("br", n, n + 1), ("dp", n, n + 1),
+            ("stub", n, ks[0]), ("stub", n, ks[1]), ("stub", n, n + 1),
+        ]
+        for (name, _, k), exc in failures:
+            if k > n:
+                assert isinstance(exc, InfeasiblePair)
+            else:
+                assert str(exc) == "stub failed in its second block"
 
 
 class TestCsv:

@@ -11,6 +11,7 @@ from multisecretary import (
     episode_stream,
     half_min_mass,
     make_policy,
+    new_distribution,
     orbit_diagnostics,
     orbit_stats,
     paired_payoffs,
@@ -20,7 +21,14 @@ from multisecretary import (
     thresholds,
 )
 from multisecretary.dp import TIE_TOL_SCALE
-from oracles import ai_prob_table, br_prob_table, exact_value_table, index_prob_table
+from multisecretary.simulate import SCRATCH_REPS, _rank_counts
+from oracles import (
+    ai_prob_table,
+    br_prob_table,
+    exact_value_table,
+    index_prob_table,
+    rank_counts_loop,
+)
 
 ORACLE_TABLES = {"br": br_prob_table, "ai": ai_prob_table, "index": index_prob_table}
 
@@ -111,6 +119,25 @@ class TestBatchConsistency:
         policy = make_policy("ai", uniform5, 10, 5)
         with pytest.raises(InfeasiblePair):
             paired_payoffs(uniform5, policy, n, k, 8, seed=1)
+
+
+class TestRankCounts:
+    def test_bincount_matches_loop_at_m200(self):
+        d = new_distribution(np.linspace(2.0, 0.2, 200), [1 / 200] * 200)
+        ranks = d.sample_many(np.random.default_rng(3).random((150, 300)))
+        got = _rank_counts(ranks, d.m)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, rank_counts_loop(ranks, d.m))
+
+    def test_engine_counts_match_loop_at_m200(self):
+        # 150 reps in blocks of 128 take three scratch fills, the last partial
+        d = new_distribution(np.linspace(2.0, 0.2, 200), [1 / 200] * 200)
+        n, k, reps, seed = 300, 90, 150, 8
+        assert SCRATCH_REPS < reps < 3 * SCRATCH_REPS
+        _, counts, _ = simulate_paths(d, make_policy("ai", d, n, k), n, k, reps, seed, chunk=128)
+        ranks = np.stack([d.sample_many(episode_stream(seed, rep).random(2 * n)[0::2])
+                          for rep in range(reps)])
+        np.testing.assert_array_equal(counts, rank_counts_loop(ranks, d.m))
 
 
 class TestOrbit:
