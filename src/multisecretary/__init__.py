@@ -22,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     IndexOutOfRange,
     InfeasiblePair,
-    InstanceTooLarge,
     ModelError,
     NonDecreasingSupport,
     NonMarkovPolicy,

@@ -81,6 +81,12 @@ def _parse_list(text: str, cast) -> list:
         raise ModelError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
 
 
+def _check_seeds(seeds: list) -> list:
+    if min(seeds, default=0) < 0:
+        raise ModelError(f"seeds must be >= 0, got {min(seeds)}")
+    return seeds
+
+
 def _check_reps(reps: int) -> None:
     if reps < 1:
         raise ModelError(f"reps must be >= 1, got {reps}")
@@ -135,6 +141,8 @@ def cmd_sweep_n(args) -> int:
     d = load_distribution(args.dist)
     ns = _parse_list(args.n_list, int)
     names = _parse_policies(args.policies)
+    if not math.isfinite(args.ratio):
+        raise ModelError(f"ratio must be finite, got {args.ratio}")
     grid = [(n, round_half_up(args.ratio * n)) for n in ns]
     mode = _sweep_mode(args)
     records, failures = sweep(d, names, grid, mode, args.reps, args.seed)
@@ -170,7 +178,7 @@ def cmd_paths(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
-    seeds = _parse_list(args.seeds, int)
+    seeds = _check_seeds(_parse_list(args.seeds, int))
     base = str(args.out)
     stem, dot, suffix = base.rpartition(".")
     if not dot:
@@ -346,6 +354,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if "seed" in args:
+            _check_seeds([args.seed])
         return args.func(args)
     except (ModelError, json.JSONDecodeError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

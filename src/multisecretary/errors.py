@@ -35,10 +35,6 @@ class CountMismatch(ModelError):
     """Realization counts do not line up with the distribution support."""
 
 
-class InstanceTooLarge(ModelError):
-    """A brute-force check was requested for an instance beyond its size guard."""
-
-
 class TableMismatch(ModelError):
     """A value table does not cover the requested state or query."""
 

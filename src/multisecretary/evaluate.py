@@ -20,7 +20,7 @@ from .distribution import AbilityDistribution
 from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import OfflineValue, offline_expectation
 from .policies import make_policy
-from .simulate import paired_payoffs, paired_payoffs_cells
+from .simulate import check_cell, paired_payoffs, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
 
@@ -201,22 +201,22 @@ def mc_regret(
 def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> dict:
     """Monte Carlo records of the (policy, n, k) cells at one ``n``, from one
     pass whose blocks every cell shares; maps each cell to its record or
-    to the exception that stopped it."""
+    exception.  Build and ``check_cell`` failures are reported before the
+    pass; an exception inside it fails every cell it ran."""
     out, built = {}, []
     for cell in cells:
         try:
-            built.append((cell, make_policy(cell[0], d, n, cell[2])))
+            policy = make_policy(cell[0], d, n, cell[2])
+            check_cell(n, cell[2], reps)
+            built.append((cell, policy))
         except Exception as exc:
             out[cell] = exc
     try:
         got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
+        for (cell, policy), pair in zip(built, got):
+            out[cell] = _mc_record(policy.name, n, cell[2], *pair)
     except Exception as exc:  # the pass itself failed: every cell it ran fails
-        got = [exc] * len(built)
-    for (cell, policy), result in zip(built, got):
-        out[cell] = (
-            result if isinstance(result, Exception)
-            else _mc_record(policy.name, n, cell[2], *result)
-        )
+        out.update((cell, exc) for cell, _ in built)
     return out
 
 
@@ -236,7 +236,8 @@ def sweep(
     and the failures as ``((policy, n, k), exception)`` pairs.  Exact cells
     run one at a time, so a DP table is freed before the next cell builds
     its own.  Monte Carlo cells run one pass per n: every policy of that n
-    is built first and all of them step over each block of draws.
+    is built and checked first, and all of them step over each block of
+    draws; an exception inside a pass fails every cell of that n.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")

@@ -225,7 +225,10 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
         return NonAdaptivePolicy(d, take_top_matrix(d, n), "take-top")
     if name.startswith("matrix:"):
         path = name.split(":", 1)[1]
-        p = np.loadtxt(path, delimiter=",", ndmin=2)
+        try:
+            p = np.loadtxt(path, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ModelError(f"matrix file {path!r} is not a numeric CSV: {exc}") from None
         if p.shape != (d.m, n):
             raise DimensionMismatch(
                 f"matrix file is {p.shape[0]}x{p.shape[1]}, need {d.m}x{n}"

@@ -11,11 +11,11 @@ rep-major scratch buffer, and stored time-major: (n, reps) int16 ranks,
 (n, reps) float64 decision uniforms and the per-rank counts of each
 replication.  Every (policy, k) cell at that n then steps over the same rows
 ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior sort runs
-once per k on the shared counts.  A cell that raises stops; the others go
-on.  The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
-``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass
-and re-raise the cell's exception.  Budget paths stay rep-major,
-(reps, n+1) int32, for the orbit scan.
+once per k on the shared counts.  Every entry point checks its (n, k) and
+reps before it draws; an exception inside the pass stops every cell of it.
+The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
+``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass.
+Budget paths stay rep-major, (reps, n+1) int32, for the orbit scan.
 """
 
 from __future__ import annotations
@@ -90,8 +90,7 @@ def run_episode(
     abilities = d.sample_many(u[0::2])
     cell = _Cell(policy, k)
     cell.start(1, n, want_paths=True)
-    if not _step_block(d, n, [cell], abilities[:, None], u[1::2, None]):
-        raise cell.error
+    _step_block(d, n, [cell], abilities[:, None], u[1::2, None])
     budget_path = cell.paths[0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
@@ -107,14 +106,20 @@ def run_episode(
     )
 
 
+def check_cell(n: int, k: int, reps: int) -> None:
+    """Raise :class:`InfeasiblePair` unless n >= 1, 0 <= k <= n and reps >= 1."""
+    check_pair(n, k, min_n=1)
+    if reps < 1:
+        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+
+
 class _Cell:
     """One (policy, k) of a pass at a fixed n: the state of its episodes in
-    the current block, and the exception that stopped it, if any."""
+    the current block."""
 
     def __init__(self, policy, k: int):
         self.policy = policy
         self.k = k
-        self.error: Exception | None = None
         self.budgets = self.payoff = self.paths = None
 
     def start(self, reps: int, n: int, want_paths: bool) -> None:
@@ -166,96 +171,51 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray):
     return ranks, u, counts
 
 
-def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> list:
+def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
     """Play every cell over one time-major block, period by period: all cells
-    read the same rows ``ranks[t-1]`` and ``u[t-1]``.
-
-    A cell that raises keeps the exception in ``error`` and stops; returns
-    the cells that did not.
-    """
-    live = list(cells)
+    read the same rows ``ranks[t-1]`` and ``u[t-1]``."""
     for t_next in range(1, n + 1):
         j = ranks[t_next - 1]
         du = u[t_next - 1]
         value = d.support[j - 1]
-        for cell in tuple(live):
-            try:
-                sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
-                cell.payoff += value * sel
-                cell.budgets -= sel
-            except Exception as exc:  # this cell stops, the others go on
-                cell.error = exc
-                live.remove(cell)
-                continue
+        for cell in cells:
+            sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
+            cell.payoff += value * sel
+            cell.budgets -= sel
             if cell.paths is not None:
                 cell.paths[:, t_next] = cell.budgets
-    return live
 
 
-def _shared_blocks(d, n: int, cells, reps: int, seed: int, chunk: int, want_paths=False):
-    """Play ``cells``, all at horizon ``n``, over episodes 0..reps-1 in
-    shared blocks of ``chunk``.
+def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int, want_paths=False):
+    """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
+    over episodes 0..reps-1 in shared blocks of ``chunk``.
 
-    Checks each cell by ``run_episode``'s rule, and ``reps`` too, at once:
-    a cell that fails gets its ``error`` and never runs.  Then returns an
-    iterator that plays one block per step and yields ``(rows, counts,
-    live)`` once every live cell has stepped through it: ``rows`` is the
-    block's slice of 0..reps-1, ``counts`` its (rows, m) rank counts, and
-    each cell in ``live`` holds the block's payoffs (and paths).  It stops
-    when no cell is left.
+    Yields ``(rows, counts)`` once every cell has stepped through a block:
+    ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
+    rank counts; each cell holds the block's payoffs (and paths).
     """
-    for cell in cells:
-        try:
-            check_pair(n, cell.k, min_n=1)
-            if reps < 1:
-                raise InfeasiblePair(f"reps must be >= 1, got {reps}")
-        except InfeasiblePair as exc:
-            cell.error = exc
-
-    def blocks():
-        live = [cell for cell in cells if cell.error is None]
-        if not live:
-            return
-        scratch = np.empty((min(SCRATCH_REPS, chunk, reps), 2 * n))
-        for start in range(0, reps, chunk):
-            rows = slice(start, min(start + chunk, reps))
-            ranks, u, counts = _draw_block(d, seed, range(rows.start, rows.stop), n, scratch)
-            for cell in live:
-                cell.start(rows.stop - rows.start, n, want_paths)
-            live = _step_block(d, n, live, ranks, u)
-            if not live:
-                return
-            yield rows, counts, live
-
-    return blocks()
-
-
-def _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=False):
-    """The one-cell pass: raises the cell's exception as soon as it stops,
-    and otherwise yields ``(rows, cell, counts)`` per block."""
-    cell = _Cell(policy, k)
-    blocks = _shared_blocks(d, n, [cell], reps, seed, chunk, want_paths)
-    if cell.error is not None:
-        raise cell.error
-
-    def run():
-        for rows, counts, _ in blocks:
-            yield rows, cell, counts
-        if cell.error is not None:
-            raise cell.error
-
-    return run()
+    if not cells:
+        return
+    scratch = np.empty((min(SCRATCH_REPS, chunk, reps), 2 * n))
+    for start in range(0, reps, chunk):
+        rows = slice(start, min(start + chunk, reps))
+        ranks, u, counts = _draw_block(d, seed, range(rows.start, rows.stop), n, scratch)
+        for cell in cells:
+            cell.start(rows.stop - rows.start, n, want_paths)
+        _step_block(d, n, cells, ranks, u)
+        yield rows, counts
 
 
 def simulate_paths(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
-    blocks = _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True)
+    check_cell(n, k, reps)
+    cell = _Cell(policy, k)
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, cell, cnt in blocks:
+    for rows, cnt in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
         payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths
     return payoffs, counts, paths
 
@@ -267,21 +227,21 @@ def paired_payoffs_cells(
     cells at horizon ``n``, on blocks drawn once and shared by all of them;
     the sort runs once per distinct k.
 
-    Returns one entry per cell, in order: its ``(online, offline)`` arrays,
-    or the exception that stopped it.
+    Returns each cell's ``(online, offline)`` arrays, in order.  Every cell
+    is checked by ``check_cell`` before the first block is drawn.
     """
+    for _, k in cells:
+        check_cell(n, k, reps)
     state = [_Cell(policy, k) for policy, k in cells]
-    blocks = _shared_blocks(d, n, state, reps, seed, chunk)
-    got = {cell: (np.empty(reps), np.empty(reps)) for cell in state if cell.error is None}
-    for rows, counts, live in blocks:
+    got = [(np.empty(reps), np.empty(reps)) for _ in state]
+    for rows, counts in _blocks(d, n, state, reps, seed, chunk):
         sorts = {}
-        for cell in live:
+        for cell, (online, offline) in zip(state, got):
             if cell.k not in sorts:
                 sorts[cell.k] = offline_sort_batch(d, counts, cell.k)
-            online, offline = got[cell]
             online[rows] = cell.payoff
             offline[rows] = sorts[cell.k]
-    return [got[cell] if cell.error is None else cell.error for cell in state]
+    return got
 
 
 def paired_payoffs(
@@ -289,18 +249,17 @@ def paired_payoffs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-episode online payoff and posterior-sort payoff on the same draws:
     the one-cell case of ``paired_payoffs_cells``."""
-    (got,) = paired_payoffs_cells(d, n, [(policy, k)], reps, seed, chunk)
-    if isinstance(got, Exception):
-        raise got
-    return got
+    return paired_payoffs_cells(d, n, [(policy, k)], reps, seed, chunk)[0]
 
 
 def ratio_mean_curve(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
+    check_cell(n, k, reps)
+    cell = _Cell(policy, k)
     budget_sum = np.zeros(n)
-    for _, cell, _ in _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True):
+    for _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
         budget_sum += cell.paths[:, :n].sum(axis=0)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
@@ -376,11 +335,12 @@ def orbit_stats(
 ) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
     _check_delta(delta, half_min_mass(d))
-    blocks = _one_cell(d, policy, n, k, reps, seed, chunk, want_paths=True)
+    check_cell(n, k, reps)
+    cell = _Cell(policy, k)
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, cell, _ in blocks:
+    for rows, _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths, thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)
 

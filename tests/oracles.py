@@ -20,9 +20,13 @@ from itertools import product
 import numpy as np
 from scipy.stats import binom
 
-from multisecretary import IndexOutOfRange, InfeasiblePair, InstanceTooLarge, TableMismatch
+from multisecretary import IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
+
+
+class InstanceTooLarge(ModelError):
+    """A brute-force check was requested for an instance beyond its size guard."""
 
 
 def all_sequences(m: int, n: int) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.errors import BadEpsilon
+from multisecretary.evaluate import CSV_HEADER
 
 
 @pytest.fixture()
@@ -135,6 +136,17 @@ class TestSweepK:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "reps" in assert_one_error_line(capsys)
 
+    def test_unreadable_matrix_file_fails_its_cell(self, dist_file, tmp_path, capsys):
+        mat = tmp_path / "bad.csv"
+        mat.write_text("1,0,x\n")
+        out = tmp_path / "x.csv"
+        assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range", "5:5:1",
+                     "--policies", f"br,matrix:{mat}", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "bad.csv" in err and "not a numeric CSV" in err
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["br"]
+
     def test_mc_fails_infeasible_cells(self, dist_file, tmp_path, capsys):
         # the sample-path engine once wrote rows at k > n
         out = tmp_path / "x.csv"
@@ -167,6 +179,20 @@ class TestSweepN:
         assert main(["sweep-n", "--dist", dist_file, "--n-list", "100,x", "--ratio",
                      "0.3", "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
         assert "100,x" in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    def test_non_finite_ratio_exits_2(self, dist_file, tmp_path, capsys, ratio):
+        # these once ended in a traceback from round_half_up
+        assert main(["sweep-n", "--dist", dist_file, "--n-list", "100", "--ratio", ratio,
+                     "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
+        assert "ratio" in assert_one_error_line(capsys)
+
+    def test_ratio_above_one_fails_its_cells(self, dist_file, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep-n", "--dist", dist_file, "--n-list", "10", "--ratio", "1.5",
+                     "--policies", "br,ai", "--mc", "--reps", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("not a feasible pair") == 2
+        assert read_rows(out) == (CSV_HEADER, [])
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3
@@ -260,10 +286,43 @@ class TestRatioMeanAndDiagnostics:
         assert "not a feasible pair" in assert_one_error_line(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["diagnostics", "--policy", "matrix:{mat}", "--n", "3", "--k", "1", "--delta", "0.05",
+         "--reps", "10"],
+        ["ratio-mean", "--policies", "br,matrix:{mat}", "--n", "3", "--k", "1", "--reps", "10"],
+    ])
+    def test_unreadable_matrix_file_exits_2_once(self, dist_file, tmp_path, capsys, argv):
+        # np.loadtxt's ValueError once ended in a traceback
+        mat = tmp_path / "bad.csv"
+        mat.write_text("1,0,x\n")
+        out = tmp_path / "x.csv"
+        argv = [a.format(mat=mat) for a in argv]
+        assert main(argv + ["--dist", dist_file, "--out", str(out)]) == 2
+        assert "bad.csv" in assert_one_error_line(capsys)
+        assert not out.exists()
+
     def test_delta_at_least_epsilon_exits_2(self, dist_file, tmp_path):
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",
                      "--delta", "0.1", "--reps", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--n", "10", "--k", "3", "--policies", "br", "--seeds", "1,-1"],
+        ["ratio-mean", "--n", "10", "--k", "3", "--policies", "br", "--reps", "5",
+         "--seed", "-1"],
+        ["diagnostics", "--n", "100", "--k", "30", "--delta", "0.05", "--reps", "5",
+         "--seed", "-2"],
+        ["sweep-k", "--n", "10", "--k-range", "1:5:2", "--policies", "br,ai", "--mc",
+         "--reps", "5", "--seed", "-1"],
+    ])
+    def test_negative_seed_exits_2_before_writing(self, dist_file, tmp_path, capsys, argv):
+        # numpy once raised "expected non-negative integer": a traceback, or
+        # every sweep cell failed with it and the command exited 1
+        assert main(argv + ["--dist", dist_file, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "seeds must be >= 0" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
 
 class TestEntryPoint:

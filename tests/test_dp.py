@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from multisecretary import (
     IndexOutOfRange,
     InfeasiblePair,
-    InstanceTooLarge,
     TableMismatch,
     new_distribution,
     optimal_value,
@@ -16,6 +15,7 @@ from multisecretary import (
 )
 from multisecretary.dp import TIE_TOL_SCALE
 from oracles import (
+    InstanceTooLarge,
     accept_cut,
     accept_threshold,
     enum_optimal_value,

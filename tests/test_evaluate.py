@@ -290,24 +290,49 @@ class TestSharedMonteCarlo:
         assert failures == []
         assert records == self.separate(uniform5, ["ai", "br", "dp"], self.KS)
 
-    def test_failing_cells_leave_the_others_unchanged(self, uniform5, monkeypatch):
+    def test_build_and_check_failures_are_reported_alone(self, uniform5, monkeypatch):
+        # a k = n+1 column and a policy that fails to build are reported
+        # before the pass and leave every other cell as it was
         build = evaluate.make_policy
-        monkeypatch.setattr(evaluate, "make_policy", lambda name, d, n, k: (
-            SecondBlockFails(d) if name == "stub" else build(name, d, n, k)))
+
+        def make(name, d, n, k):
+            if name == "stub":
+                raise ModelError("stub failed to build")
+            return build(name, d, n, k)
+
+        monkeypatch.setattr(evaluate, "make_policy", make)
         n, ks = self.N, self.KS[:2]
         grid = [(n, k) for k in ks] + [(n, n + 1)]
         records, failures = sweep(uniform5, ["br", "dp", "ai", "stub"], grid, mode="mc",
                                   reps=self.REPS, seed=self.SEED)
         assert records == self.separate(uniform5, ["ai", "br", "dp"], ks)
-        assert [cell for cell, _ in failures] == [
-            ("ai", n, n + 1), ("br", n, n + 1), ("dp", n, n + 1),
-            ("stub", n, ks[0]), ("stub", n, ks[1]), ("stub", n, n + 1),
+        infeasible = f"(n={n}, k={n + 1}) is not a feasible pair"
+        assert [(cell, str(exc)) for cell, exc in failures] == [
+            (("ai", n, n + 1), infeasible),
+            (("br", n, n + 1), infeasible),
+            (("dp", n, n + 1), infeasible),
+            (("stub", n, ks[0]), "stub failed to build"),
+            (("stub", n, ks[1]), "stub failed to build"),
+            (("stub", n, n + 1), "stub failed to build"),
         ]
-        for (name, _, k), exc in failures:
-            if k > n:
-                assert isinstance(exc, InfeasiblePair)
-            else:
-                assert str(exc) == "stub failed in its second block"
+
+    def test_a_failing_pass_fails_every_cell_of_its_n(self, uniform5, monkeypatch):
+        # ai raises in the second block at n=30 only: every cell of that
+        # pass fails with its exception, and the pass at n=40 is unchanged
+        build = evaluate.make_policy
+        fail_n, ks = 30, self.KS[:2]
+        monkeypatch.setattr(evaluate, "make_policy", lambda name, d, n, k: (
+            SecondBlockFails(d) if (name, n) == ("ai", fail_n) else build(name, d, n, k)))
+        grid = [(n, k) for n in (fail_n, self.N) for k in ks]
+        records, failures = sweep(uniform5, ["br", "dp", "ai"], grid, mode="mc",
+                                  reps=self.REPS, seed=self.SEED)
+        assert records == self.separate(uniform5, ["ai", "br", "dp"], ks)
+        assert [cell for cell, _ in failures] == [
+            (name, fail_n, k) for name in ("ai", "br", "dp") for k in ks
+        ]
+        for _, exc in failures:
+            assert isinstance(exc, RuntimeError)
+            assert str(exc) == "stub failed in its second block"
 
 
 class TestCsv:

@@ -20,6 +20,7 @@ from multisecretary import (
     simulate_paths,
     thresholds,
 )
+from multisecretary import simulate
 from multisecretary.dp import TIE_TOL_SCALE
 from multisecretary.simulate import SCRATCH_REPS, _rank_counts
 from oracles import (
@@ -119,6 +120,26 @@ class TestBatchConsistency:
         policy = make_policy("ai", uniform5, 10, 5)
         with pytest.raises(InfeasiblePair):
             paired_payoffs(uniform5, policy, n, k, 8, seed=1)
+
+    @pytest.mark.parametrize("n,k,reps", [(10, 11, 8), (10, -1, 8), (0, 0, 8), (10, 5, 0)])
+    def test_every_entry_point_checks_before_drawing(self, uniform5, monkeypatch, n, k, reps):
+        def draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(simulate, "_draw_block", draw)
+        policy = make_policy("ai", uniform5, 10, 5)
+        thr = thresholds(uniform5)
+        calls = [
+            lambda: paired_payoffs(uniform5, policy, n, k, reps, seed=1),
+            lambda: simulate.paired_payoffs_cells(
+                uniform5, n, [(policy, 5), (policy, k)], reps, seed=1),
+            lambda: simulate_paths(uniform5, policy, n, k, reps, seed=1),
+            lambda: ratio_mean_curve(uniform5, policy, n, k, reps, seed=1),
+            lambda: orbit_stats(uniform5, policy, thr, n, k, 0.05, reps, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(InfeasiblePair):
+                call()
 
 
 class TestRankCounts:
