@@ -76,13 +76,16 @@ def _parse_range(text: str) -> list[int]:
 
 def _parse_list(text: str, cast) -> list:
     try:
-        return [cast(p) for p in text.split(",") if p.strip()]
+        values = [cast(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise ModelError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
+    if not values:
+        raise ModelError(f"expected at least one {cast.__name__} value, got {text!r}")
+    return values
 
 
 def _check_seeds(seeds: list) -> list:
-    if min(seeds, default=0) < 0:
+    if min(seeds) < 0:
         raise ModelError(f"seeds must be >= 0, got {min(seeds)}")
     return seeds
 
@@ -141,8 +144,8 @@ def cmd_sweep_n(args) -> int:
     d = load_distribution(args.dist)
     ns = _parse_list(args.n_list, int)
     names = _parse_policies(args.policies)
-    if not math.isfinite(args.ratio):
-        raise ModelError(f"ratio must be finite, got {args.ratio}")
+    if not all(math.isfinite(args.ratio * n) for n in ns):
+        raise ModelError(f"ratio * n must be finite, got ratio {args.ratio}")
     grid = [(n, round_half_up(args.ratio * n)) for n in ns]
     mode = _sweep_mode(args)
     records, failures = sweep(d, names, grid, mode, args.reps, args.seed)

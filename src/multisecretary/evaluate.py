@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
-from .offline import OfflineValue, offline_expectation
+from .errors import InfeasiblePair, NonMarkovPolicy, ProbabilityDrift, check_pair
+from .offline import offline_expectation
 from .policies import make_policy
 from .simulate import check_cell, paired_payoffs, paired_payoffs_cells
 
@@ -26,28 +26,18 @@ DRIFT_LIMIT = 1e-9
 
 CSV_HEADER = "policy,n,k,method,v_on,v_off,regret,ci_halfwidth,error_bound"
 
-_offline_cache: dict = {}
-
 
 def clear_caches() -> None:
-    _offline_cache.clear()
-
-
-def _cached_offline(d: AbilityDistribution, n: int, k: int, tail_tol: float) -> OfflineValue:
-    key = (d.content_hash(), n, k, tail_tol)
-    got = _offline_cache.get(key)
-    if got is None:
-        got = offline_expectation(d, n, k, tail_tol)
-        _offline_cache[key] = got
-    return got
+    """Does nothing: the package keeps no cache.  Kept for callers that reset
+    state between repetitions."""
 
 
 @dataclass(frozen=True)
 class RegretRecord:
     """One evaluated cell: policy value, offline benchmark, and their gap.
 
-    For exact cells ``error_bound`` is the offline binomial-tail bound plus
-    the forward pass's window-truncation bound; for Monte Carlo cells it is 0
+    For exact cells ``error_bound`` is the forward pass's window-truncation
+    bound (the offline value omits nothing); for Monte Carlo cells it is 0
     and ``ci_halfwidth`` carries the sampling error.
     """
 
@@ -77,6 +67,7 @@ def _forward_value(
     ``tail_tol=0`` nothing is dropped.
 
     Raises:
+        InfeasiblePair: ``tail_tol`` lies outside [0, 1e-9].
         ProbabilityDrift: at a check (every 512 steps and the last), the
             window holds a negative or non-finite cell, or its mass plus the
             dropped mass differs from 1 by more than ``DRIFT_LIMIT``.
@@ -86,6 +77,8 @@ def _forward_value(
             f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
         )
     check_pair(n, k)
+    if not 0.0 <= tail_tol <= 1e-9:
+        raise InfeasiblePair(f"tail_tol must lie in [0, 1e-9], got {tail_tol}")
     budgets = np.arange(k + 1)
     prob = np.zeros(k + 1)
     prob[k] = 1.0
@@ -155,7 +148,7 @@ def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
 def exact_regret(
     d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
 ) -> RegretRecord:
-    off = _cached_offline(d, n, k, tail_tol)
+    off = offline_expectation(d, n, k)
     v_on, _, truncation = _forward_value(d, policy, n, k, tail_tol)
     return RegretRecord(
         policy=policy.name,
@@ -166,7 +159,7 @@ def exact_regret(
         v_off=off.value,
         regret=off.value - v_on,
         ci_halfwidth=0.0,
-        error_bound=off.error_bound + truncation,
+        error_bound=truncation,
     )
 
 

@@ -5,8 +5,8 @@ largest values.  If Z_j counts the arrivals of rank <= j, the sort keeps
 s_1 + ... + s_j = min(Z_j, k) of them, and Z_j ~ Binomial(n, F̄(a_{j+1})).
 Summing by parts, the value is sum_j (a_j - a_{j+1}) min(Z_j, k) with
 a_{m+1} = 0, so its expectation needs one capped binomial mean per ability
-level.  Each mean's binomial tail is truncated at a caller-controlled
-tolerance and the omitted part is carried in an error bound.
+level, and each has a closed form in two binomial distribution functions.
+Nothing is truncated.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import binom
 
 from .distribution import AbilityDistribution
 from .errors import CountMismatch, InfeasiblePair, check_pair
@@ -32,9 +31,7 @@ class OfflineResult:
 class OfflineValue:
     """Exact expected offline value with per-ability expected selections.
 
-    ``error_bound`` caps the bias of binomial tail truncation: the omitted
-    part of each capped mean E[min(Z_j, k)], weighted by a_j - a_{j+1}.  It
-    is at most ``a_1 * n * tail_tol`` and is 0 at ``tail_tol=0``.
+    ``error_bound`` is always 0.0: the closed form omits no probability mass.
     """
 
     value: float
@@ -70,74 +67,35 @@ def offline_sort_batch(d: AbilityDistribution, counts: np.ndarray, k: int) -> np
     return payoff
 
 
-def _lower_quantile(n: int, p: float, tol: float) -> int:
-    if tol <= 0.0:
-        return 0
-    return max(int(binom.ppf(tol, n, p)) - 1, 0)
-
-
-def _upper_quantile(n: int, p: float, tol: float) -> int:
-    if tol <= 0.0:
-        return n
-    return min(int(binom.isf(tol, n, p)) + 1, n)
-
-
-def _capped_mean(N: int, q: float, c: int, tol: float) -> tuple[float, float]:
-    """E[min(Z, c)] for Z ~ Binomial(N, q) and an integer 1 <= c < N.
-
-    Returns (value, omitted-tail error bound).  The short side of the cap is
-    summed explicitly so the work stays proportional to the binomial's
-    plausible window rather than to N.
-    """
-    mu = N * q
-    if c <= mu:
-        zlo = _lower_quantile(N, q, tol)
-        zs = np.arange(zlo, c)
-        shortfall = float(np.sum((c - zs) * binom.pmf(zs, N, q))) if zs.size else 0.0
-        err = c * tol if zlo > 0 else 0.0
-        return c - shortfall, err
-    zhi = _upper_quantile(N, q, tol)
-    zs = np.arange(c + 1, zhi + 1)
-    overshoot = float(np.sum((zs - c) * binom.pmf(zs, N, q))) if zs.size else 0.0
-    err = (N - c) * tol if zhi < N else 0.0
-    return mu - overshoot, err
-
-
-def offline_expectation(
-    d: AbilityDistribution, n: int, k: int, tail_tol: float = 1e-12
-) -> OfflineValue:
+def offline_expectation(d: AbilityDistribution, n: int, k: int) -> OfflineValue:
     """Exact E[offline value] = sum_j (a_j - a_{j+1}) E[min(Z_j, k)].
 
-    Z_j ~ Binomial(n, F̄(a_{j+1})) counts the arrivals of rank <= j, and
-    a_{m+1} = 0.  Z_m = n, so E[min(Z_m, k)] = k exactly; each other level
-    is one capped binomial mean whose tails omit at most ``tail_tol`` of
-    probability, so ``error_bound`` <= a_1 n ``tail_tol``.
+    Z_j ~ Binomial(n, q_j) with q_j = F̄(a_{j+1}) counts the arrivals of rank
+    <= j, and a_{m+1} = 0.  Z_m = n, so E[min(Z_m, k)] = k; for j < m,
+    z C(n, z) = n C(n-1, z-1) gives the closed form
+    E[min(Z_j, k)] = n q_j P(Binomial(n-1, q_j) <= k-1) + k P(Z_j > k).
     """
     check_pair(n, k)
-    if not 0.0 <= tail_tol <= 1e-9:
-        raise InfeasiblePair(f"tail_tol must lie in [0, 1e-9], got {tail_tol}")
     if k == 0:
         return OfflineValue(value=0.0, per_ability=np.zeros(d.m), error_bound=0.0)
     if k == n:
         per = n * d.pmf
         return OfflineValue(value=float(d.support @ per), per_ability=per, error_bound=0.0)
 
-    capped = np.full(d.m, float(k))  # capped[j-1] = E[min(Z_j, k)]
-    err = np.zeros(d.m)
-    for j in range(1, d.m):
-        capped[j - 1], err[j - 1] = _capped_mean(n, float(d.survival_values[j]), k, tail_tol)
+    from scipy.stats import binom  # imported here: scipy.stats costs about a second to load
+
+    q = d.survival_values[1 : d.m]
+    capped = np.append(n * q * binom.cdf(k - 1, n - 1, q) + k * binom.sf(k, n, q), float(k))
     gaps = d.support - np.append(d.support[1:], 0.0)
     return OfflineValue(
         value=float(gaps @ capped),
         per_ability=np.diff(capped, prepend=0.0),
-        error_bound=float(gaps @ err),
+        error_bound=0.0,
     )
 
 
-def offline_expected_value(
-    d: AbilityDistribution, n: int, k: int, tail_tol: float = 1e-12
-) -> float:
-    return offline_expectation(d, n, k, tail_tol).value
+def offline_expected_value(d: AbilityDistribution, n: int, k: int) -> float:
+    return offline_expectation(d, n, k).value
 
 
 def dr_solution(d: AbilityDistribution, n: int, k: int) -> tuple[np.ndarray, float]:

@@ -180,12 +180,14 @@ class TestSweepN:
                      "0.3", "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
         assert "100,x" in assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("ratio", ["nan", "inf"])
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "1e308", "-1e308"])
     def test_non_finite_ratio_exits_2(self, dist_file, tmp_path, capsys, ratio):
-        # these once ended in a traceback from round_half_up
-        assert main(["sweep-n", "--dist", dist_file, "--n-list", "100", "--ratio", ratio,
+        # these once ended in a traceback from round_half_up, the last two
+        # because ratio * n overflows to infinity
+        assert main(["sweep-n", "--dist", dist_file, "--n-list", "100", f"--ratio={ratio}",
                      "--policies", "br", "--out", str(tmp_path / "x.csv")]) == 2
         assert "ratio" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
     def test_ratio_above_one_fails_its_cells(self, dist_file, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -325,6 +327,21 @@ class TestSeeds:
         assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
 
+class TestEmptyLists:
+    @pytest.mark.parametrize("argv", [
+        ["paths", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br",
+         "--seeds", ","],
+        ["sweep-n", "--dist", "{dist}", "--n-list", ",", "--ratio", "0.3", "--policies", "br"],
+        ["kleinberg", "--epsilons", ","],
+    ], ids=["paths", "sweep-n", "kleinberg"])
+    def test_empty_list_exits_2_before_writing(self, dist_file, tmp_path, capsys, argv):
+        # these once wrote a manifest or a header-only CSV and exited 0
+        argv = [dist_file if a == "{dist}" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
+        assert "','" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
+
 class TestEntryPoint:
     def test_module_invocation(self, dist_file):
         proc = subprocess.run(
@@ -333,3 +350,10 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "epsilon" in proc.stdout
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        # only the offline expectation needs scipy.stats, which is slow to load
+        code = "import sys, multisecretary.cli; print('scipy.stats' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

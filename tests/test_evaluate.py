@@ -176,6 +176,12 @@ class TestExactRegret:
             assert dp.regret >= -slack
             assert dp.regret <= br.regret + slack
 
+    @pytest.mark.parametrize("tail_tol", [1e-3, -1e-12])
+    def test_tail_tol_outside_limit_raises(self, uniform5, tail_tol):
+        policy = make_policy("br", uniform5, 5, 2)
+        with pytest.raises(InfeasiblePair, match="tail_tol"):
+            exact_regret(uniform5, policy, 5, 2, tail_tol=tail_tol)
+
     def test_record_fields(self, uniform5):
         rec = exact_regret(uniform5, make_policy("br", uniform5, 50, 20), 50, 20)
         assert rec.method == "exact"

@@ -83,7 +83,7 @@ class TestOfflineExpectation:
             assert got == pytest.approx(want, abs=1e-9)
 
     def test_zero_tail_tol_is_exact(self, uniform3):
-        got = offline_expectation(uniform3, 6, 3, tail_tol=0.0)
+        got = offline_expectation(uniform3, 6, 3)
         want = enum_offline_value(uniform3, 6, 3)
         assert got.value == pytest.approx(want, abs=1e-12)
         assert got.error_bound == 0.0
@@ -101,8 +101,6 @@ class TestOfflineExpectation:
     def test_infeasible(self, uniform3):
         with pytest.raises(InfeasiblePair):
             offline_expected_value(uniform3, 5, 6)
-        with pytest.raises(InfeasiblePair):
-            offline_expectation(uniform3, 5, 2, tail_tol=1e-3)
 
     def test_decomposition_bounds(self, masspoint5):
         # within each action-index cell, almost all activity is at two levels
@@ -123,13 +121,16 @@ class TestOfflineExpectation:
 
     @pytest.mark.parametrize("dist", ["uniform5", "masspoint5", "uniform10"])
     @pytest.mark.parametrize("n", [1000, 16016])
-    def test_error_bound_within_a1_n_tail_tol(self, request, dist, n):
+    def test_capped_means_match_undershoot_oracle(self, request, dist, n):
+        # E[min(Z_j, k)] = k - E[(k - Z_j)_+], the oracle summing every pmf term
         d = request.getfixturevalue(dist)
-        tail_tol = 1e-12
         ratios = np.concatenate((np.linspace(0.05, 0.95, 19), d.survival_values[1:-1]))
         for k in sorted({int(round(r * n)) for r in ratios}):
-            got = offline_expectation(d, n, k, tail_tol)
-            assert 0.0 <= got.error_bound <= d.support[0] * n * tail_tol, k
+            got = offline_expectation(d, n, k)
+            capped = np.cumsum(got.per_ability)
+            want = [k - binomial_undershoot(n, q, k) for q in d.survival_values[1:]]
+            np.testing.assert_allclose(capped, want, rtol=1e-12, atol=0, err_msg=str(k))
+            assert got.error_bound == 0.0
 
 
 @st.composite
@@ -150,11 +151,9 @@ def dyadic_instances(draw):
 def test_matches_exact_conditional_sum(inst):
     d, n, k = inst
     want = float(exact_offline_value(d.support, d.pmf, n, k))
-    for tail_tol in (0.0, 1e-12):
-        got = offline_expectation(d, n, k, tail_tol)
-        assert abs(got.value - want) <= got.error_bound + 8 * np.spacing(want), tail_tol
-        if tail_tol == 0.0:
-            assert got.error_bound == 0.0
+    got = offline_expectation(d, n, k)
+    assert abs(got.value - want) <= 8 * np.spacing(want)
+    assert got.error_bound == 0.0
 
 
 class TestDeterministicRelaxation:
