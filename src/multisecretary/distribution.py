@@ -18,10 +18,10 @@ import numpy as np
 from .errors import (
     BadPmf,
     IndexOutOfRange,
-    InfeasiblePair,
     ModelError,
     NonDecreasingSupport,
     NonPositiveValue,
+    check_pair,
 )
 
 PMF_SUM_TOL = 1e-12
@@ -117,18 +117,24 @@ class ThresholdSet:
         return idx
 
 
+def _floats(values, field: str) -> np.ndarray:
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise BadPmf(f"{field} must be a list of numbers") from None
+
+
 def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityDistribution:
     """Validate and build an :class:`AbilityDistribution`.
 
     Raises:
         NonDecreasingSupport: support not strictly decreasing.
         NonPositiveValue: smallest support value is not > 0.
-        BadPmf: masses negative or zero, lengths mismatched, or the total
-            differs from 1 by more than ``PMF_SUM_TOL``.
+        BadPmf: an entry is not a number, masses negative or zero, lengths
+            mismatched, or the total differs from 1 by more than ``PMF_SUM_TOL``.
         ModelError: more than ``MAX_SUPPORT`` support points.
     """
-    a = np.asarray(support, dtype=float)
-    f = np.asarray(pmf, dtype=float)
+    a, f = _floats(support, "support"), _floats(pmf, "pmf")
     if a.ndim != 1 or f.ndim != 1 or a.size != f.size or a.size < 1:
         raise BadPmf("support and pmf must be 1-D sequences of equal positive length")
     if a.size > MAX_SUPPORT:
@@ -185,10 +191,7 @@ def action_index_j0(d: AbilityDistribution, n: int, k: int) -> int:
     in between it is the j whose threshold interval [T_j, T_{j+1}) contains
     k/n.  The interval form is used directly since the two coincide.
     """
-    if n < 1:
-        raise InfeasiblePair(f"horizon must be >= 1, got {n}")
-    if not 0 <= k <= n:
-        raise InfeasiblePair(f"budget {k} outside [0, {n}]")
+    check_pair(n, k, min_n=1)
     return thresholds(d).bucket(k / n)
 
 

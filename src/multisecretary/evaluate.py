@@ -77,6 +77,7 @@ def _forward_value(
             f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
         )
     check_pair(n, k)
+    policy.check(n, k)
     if not 0.0 <= tail_tol <= 1e-9:
         raise InfeasiblePair(f"tail_tol must lie in [0, 1e-9], got {tail_tol}")
     budgets = np.arange(k + 1)
@@ -200,7 +201,7 @@ def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> di
     for cell in cells:
         try:
             policy = make_policy(cell[0], d, n, cell[2])
-            check_cell(n, cell[2], reps)
+            check_cell(policy, n, cell[2], reps)
             built.append((cell, policy))
         except Exception as exc:
             out[cell] = exc
@@ -220,7 +221,6 @@ def sweep(
     mode: str = "exact",
     reps: int = 10_000,
     seed: int = 0,
-    tail_tol: float = 1e-12,
 ) -> tuple[list[RegretRecord], list]:
     """Evaluate every (policy, n, k) cell; records and failures come in
     (policy, n, k) order.
@@ -240,7 +240,7 @@ def sweep(
         for cell in cells:
             name, n, k = cell
             try:
-                results[cell] = exact_regret(d, make_policy(name, d, n, k), n, k, tail_tol)
+                results[cell] = exact_regret(d, make_policy(name, d, n, k), n, k)
             except Exception as exc:  # enumerate failing cells, keep going
                 results[cell] = exc
     else:

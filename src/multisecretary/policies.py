@@ -2,13 +2,14 @@
 
 Every policy is a pure function of its static precomputation and the state;
 randomization enters only through one uniform draw per decision.  Each
-policy exposes two vectorized hooks: ``rates`` for the exact evaluator and
-``decide_batch`` for the sample-path engine, so common random numbers and
-closed-form u-integration need no per-policy casework.
+policy exposes ``check(n, k)``, which every engine entry calls once per cell
+before any work, and two vectorized hooks that only index: ``rates`` for the
+exact evaluator and ``decide_batch`` for the sample-path engine, so common
+random numbers and closed-form u-integration need no per-policy casework.
 
 The deterministic rules br (budget ratio) and dp (optimal) are both a
-:class:`BreakpointPolicy` on a per-period budget-breakpoint table; each table
-is built for one (n, k) and raises ``TableMismatch`` at any other n.
+:class:`BreakpointPolicy` on a per-period budget-breakpoint table built for
+one (n, k); its ``check`` raises ``TableMismatch`` at any other n or larger k.
 """
 
 from __future__ import annotations
@@ -122,22 +123,20 @@ class BreakpointPolicy:
         self.name = name
         self._gain = partial_means(d)
 
-    def _breakpoints(self, t_next, n, budgets):
+    def check(self, n, k):
+        """Budgets only fall from k, so a table for horizon n and budget >= k covers the cell."""
         if n != self.table.n:
             raise TableMismatch(f"table built for n={self.table.n}, episode has n={n}")
-        if budgets.max() > self.table.k:
-            raise TableMismatch(
-                f"table built for k={self.table.k} cannot decide at budget {int(budgets.max())}"
-            )
-        return self.table.breakpoints[n - t_next + 1]
+        if k > self.table.k:
+            raise TableMismatch(f"table built for k={self.table.k} cannot decide at budget {k}")
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """Select iff the budget has reached the observed rank's breakpoint;
         breakpoints are >= 1, so a zero budget selects nothing."""
-        return budgets >= self._breakpoints(t_next, n, budgets)[abilities - 1]
+        return budgets >= self.table.breakpoints[n - t_next + 1][abilities - 1]
 
     def rates(self, t_next, n, budgets):
-        cut = self._breakpoints(t_next, n, budgets).searchsorted(budgets, side="right")
+        cut = self.table.breakpoints[n - t_next + 1].searchsorted(budgets, side="right")
         return self.dist.survival_values[cut], self._gain[cut]
 
 
@@ -149,6 +148,9 @@ class AdaptiveIndexPolicy:
     def __init__(self, d: AbilityDistribution):
         self.dist = d
         self._gain = partial_means(d)
+
+    def check(self, n, k):
+        """The rule needs no table, so it plays every (n, k)."""
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """With r = K/(n-t), take an ability-j arrival with probability
@@ -183,19 +185,15 @@ class NonAdaptivePolicy:
         self._sel_by_t = np.minimum(d.pmf @ matrix.p, 1.0)
         self._gain_by_t = (d.pmf * d.support) @ matrix.p
 
-    def _check_horizon(self, t_next, n):
-        if n != self.matrix.p.shape[1] or not 1 <= t_next <= n:
-            raise DimensionMismatch(
-                f"matrix covers {self.matrix.p.shape[1]} periods, asked for t={t_next} of n={n}"
-            )
+    def check(self, n, k):
+        if n != self.matrix.p.shape[1]:
+            raise DimensionMismatch(f"matrix covers {self.matrix.p.shape[1]} periods, not n={n}")
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
-        self._check_horizon(t_next, n)
         p = self.matrix.p[abilities - 1, t_next - 1]
         return (budgets > 0) & (u < p)
 
     def rates(self, t_next, n, budgets):
-        self._check_horizon(t_next, n)
         live = budgets > 0
         sel = np.where(live, self._sel_by_t[t_next - 1], 0.0)
         gain = np.where(live, self._gain_by_t[t_next - 1], 0.0)

@@ -11,9 +11,9 @@ rep-major scratch buffer, and stored time-major: (n, reps) int16 ranks,
 (n, reps) float64 decision uniforms and the per-rank counts of each
 replication.  Every (policy, k) cell at that n then steps over the same rows
 ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior sort runs
-once per k on the shared counts.  Every entry point checks its (n, k) and
-reps before it draws; an exception inside the pass stops every cell of it.
-The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
+once per k on the shared counts.  Every entry point checks (n, k), reps and
+``policy.check`` before it draws; an exception inside the pass stops every
+cell of it.  The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
 ``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass.
 Budget paths stay rep-major, (reps, n+1) int32, for the orbit scan.
 """
@@ -85,7 +85,7 @@ def run_episode(
     seed_ref: tuple[int, int] | None = None,
 ) -> EpisodeRecord:
     """Play one episode, consuming 2n uniforms from ``stream``."""
-    check_pair(n, k, min_n=1)
+    check_cell(policy, n, k, 1)
     u = stream.random(2 * n)
     abilities = d.sample_many(u[0::2])
     cell = _Cell(policy, k)
@@ -106,11 +106,12 @@ def run_episode(
     )
 
 
-def check_cell(n: int, k: int, reps: int) -> None:
-    """Raise :class:`InfeasiblePair` unless n >= 1, 0 <= k <= n and reps >= 1."""
+def check_cell(policy, n: int, k: int, reps: int) -> None:
+    """Raise unless n >= 1, 0 <= k <= n, reps >= 1 and ``policy.check(n, k)`` passes."""
     check_pair(n, k, min_n=1)
     if reps < 1:
         raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+    policy.check(n, k)
 
 
 class _Cell:
@@ -210,7 +211,7 @@ def simulate_paths(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
-    check_cell(n, k, reps)
+    check_cell(policy, n, k, reps)
     cell = _Cell(policy, k)
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
@@ -230,8 +231,8 @@ def paired_payoffs_cells(
     Returns each cell's ``(online, offline)`` arrays, in order.  Every cell
     is checked by ``check_cell`` before the first block is drawn.
     """
-    for _, k in cells:
-        check_cell(n, k, reps)
+    for policy, k in cells:
+        check_cell(policy, n, k, reps)
     state = [_Cell(policy, k) for policy, k in cells]
     got = [(np.empty(reps), np.empty(reps)) for _ in state]
     for rows, counts in _blocks(d, n, state, reps, seed, chunk):
@@ -256,7 +257,7 @@ def ratio_mean_curve(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
-    check_cell(n, k, reps)
+    check_cell(policy, n, k, reps)
     cell = _Cell(policy, k)
     budget_sum = np.zeros(n)
     for _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
@@ -270,11 +271,6 @@ def cutoff_time(n: int, delta: float) -> int:
     """Horizon guard n - ceil(2/delta) - 1 (clamped at 0) past which orbit
     tracking stops; jumps of the ratio stay below delta/2 up to it."""
     return max(n - math.ceil(2.0 / delta) - 1, 0)
-
-
-def _check_delta(delta: float, epsilon: float) -> None:
-    if not 0.0 < delta < epsilon:
-        raise BadDelta(f"delta must satisfy 0 < delta < {epsilon} (half the minimal mass), got {delta}")
 
 
 def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
@@ -334,8 +330,10 @@ def orbit_stats(
     reps: int, seed: int, chunk: int = DEFAULT_CHUNK,
 ) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
-    _check_delta(delta, half_min_mass(d))
-    check_cell(n, k, reps)
+    epsilon = half_min_mass(d)
+    if not 0.0 < delta < epsilon:
+        raise BadDelta(f"delta must satisfy 0 < delta < {epsilon} (half the minimal mass), got {delta}")
+    check_cell(policy, n, k, reps)
     cell = _Cell(policy, k)
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)

@@ -55,6 +55,20 @@ class TestValidate:
         bad.write_text('{"support": [1.0, 2.0], "pmf": [0.5, 0.5]}')
         assert main(["validate", "--dist", str(bad)]) == 2
 
+    @pytest.mark.parametrize("field,text", [
+        ("support", '{"support": ["x", 1], "pmf": [0.5, 0.5]}'),
+        ("pmf", '{"support": [2, 1], "pmf": [0.5, {}]}'),
+    ])
+    def test_non_numeric_entry_exits_2_once(self, tmp_path, capsys, field, text):
+        # a non-numeric entry once ended in a ValueError traceback, exit 1
+        bad = tmp_path / "word.json"
+        bad.write_text(text)
+        assert main(["validate", "--dist", str(bad)]) == 2
+        assert field in assert_one_error_line(capsys)
+        assert main(["sweep-k", "--dist", str(bad), "--n", "10", "--k-range", "2:4:2",
+                     "--policies", "br", "--out", str(tmp_path / "s.csv")]) == 2
+        assert field in assert_one_error_line(capsys)
+
 
 class TestSweepK:
     def test_exact_sweep_and_manifest(self, dist_file, tmp_path):

@@ -104,6 +104,9 @@ class _BrokenRates:
         self.inner = make_policy("br", d, 40, 12)
         self.rate = rate
 
+    def check(self, n, k):
+        self.inner.check(n, k)
+
     def rates(self, t_next, n, budgets):
         sel, gain = self.inner.rates(t_next, n, budgets)
         return np.where(budgets > 0, self.rate, 0.0), gain

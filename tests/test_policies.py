@@ -244,7 +244,9 @@ class TestNonAdaptive:
     def test_dimension_mismatch(self, uniform3, uniform5):
         policy = NonAdaptivePolicy(uniform3, take_top_matrix(uniform3, 10), "take-top")
         with pytest.raises(DimensionMismatch):
-            decide(policy, 11, 12, 4, 1)
+            run_episode(uniform3, policy, 12, 4, episode_stream(1, 0))
+        with pytest.raises(DimensionMismatch):
+            exact_policy_value(uniform3, policy, 12, 4)
         # a rank beyond the matrix rows cannot reach decide_batch: the
         # matrix must have one row per ability of the distribution
         with pytest.raises(DimensionMismatch):

@@ -5,7 +5,11 @@ import pytest
 
 from multisecretary import (
     BadDelta,
+    DimensionMismatch,
     InfeasiblePair,
+    NonAdaptiveMatrix,
+    NonAdaptivePolicy,
+    TableMismatch,
     cutoff_time,
     drift_at_state,
     episode_stream,
@@ -22,6 +26,7 @@ from multisecretary import (
 )
 from multisecretary import simulate
 from multisecretary.dp import TIE_TOL_SCALE
+from multisecretary.evaluate import _forward_value
 from multisecretary.simulate import SCRATCH_REPS, _rank_counts
 from oracles import (
     ai_prob_table,
@@ -140,6 +145,39 @@ class TestBatchConsistency:
         for call in calls:
             with pytest.raises(InfeasiblePair):
                 call()
+
+    @pytest.mark.parametrize("name,n,k,error", [
+        ("dp", 11, 5, TableMismatch),
+        ("dp", 10, 6, TableMismatch),
+        ("matrix", 12, 5, DimensionMismatch),
+    ])
+    def test_policy_for_another_cell_raises_before_work(
+        self, uniform5, monkeypatch, name, n, k, error
+    ):
+        # the hooks once raised these, after one block or forward step was done
+        if name == "dp":
+            policy = make_policy("dp", uniform5, 10, 5)
+        else:
+            policy = NonAdaptivePolicy(uniform5, NonAdaptiveMatrix.of(np.full((5, 10), 0.5)), name)
+        work = []
+        draw, rates = simulate._draw_block, policy.rates
+        monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
+        monkeypatch.setattr(policy, "rates", lambda *a: work.append("rates") or rates(*a))
+        thr = thresholds(uniform5)
+        stream = episode_stream(1, 0)
+        calls = [
+            lambda: paired_payoffs(uniform5, policy, n, k, 8, seed=1),
+            lambda: simulate_paths(uniform5, policy, n, k, 8, seed=1),
+            lambda: ratio_mean_curve(uniform5, policy, n, k, 8, seed=1),
+            lambda: orbit_stats(uniform5, policy, thr, n, k, 0.05, 8, seed=1),
+            lambda: run_episode(uniform5, policy, n, k, stream),
+            lambda: _forward_value(uniform5, policy, n, k),
+        ]
+        for call in calls:
+            with pytest.raises(error):
+                call()
+            assert work == []
+        assert stream.random() == episode_stream(1, 0).random()
 
 
 class TestRankCounts:
