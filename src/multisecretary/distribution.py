@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -46,11 +46,16 @@ class AbilityDistribution:
         survival_values: ``survival_values[i] = F̄(a_{i+1})`` for i in 0..m,
             i.e. the cumulative mass strictly above each support point, with
             the final cell pinned to exactly 1.0.
+        guide: the guide table of ``sample_many``: the rank of the left edge
+            b/G of each of its G buckets [b/G, (b+1)/G), G a power of two.
+        guide_steps: the most cell edges any one bucket holds.
     """
 
     support: np.ndarray
     pmf: np.ndarray
     survival_values: np.ndarray
+    guide: np.ndarray = field(repr=False)
+    guide_steps: int = field(repr=False)
 
     @property
     def m(self) -> int:
@@ -69,10 +74,18 @@ class AbilityDistribution:
         """Inverse-CDF draws: for each u in [0, 1), the 1-based int16 index j
         whose cumulative cell holds it.
 
-        Cells follow support order: [0, f_1), [f_1, f_1 + f_2), ...
+        Cells follow support order: [0, f_1), [f_1, f_1 + f_2), ...  By the
+        guide-table method (Chen & Asau, 1974): u starts at the rank of its
+        bucket's left edge, then steps up while u >= F̄(a_{j+1}), the upper
+        edge of its cell.  G is a power of two, so u·G is exact and the
+        bucket holds u; ``guide_steps`` steps reach the last cell of any bucket.
         """
-        idx = np.searchsorted(self.survival_values[1:], u, side="right") + 1
-        return idx.astype(np.int16)
+        u = np.asarray(u)
+        sv = self.survival_values
+        j = self.guide[(u * self.guide.size).astype(np.intp)]
+        for _ in range(self.guide_steps):
+            j += u >= sv[j]
+        return j
 
     def content_hash(self) -> str:
         digest = hashlib.sha256(self.support.tobytes() + self.pmf.tobytes())
@@ -117,11 +130,39 @@ class ThresholdSet:
         return idx
 
 
-def _floats(values, field: str) -> np.ndarray:
+def _is_real(x) -> bool:
+    """A Python or numpy int or float; booleans are not numbers here."""
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+def _floats(values, name: str) -> np.ndarray:
+    """``values`` as a float array, if every entry is a real number (a
+    numeric numpy array counts as one list of them); else ``BadPmf``."""
     try:
-        return np.asarray(values, dtype=float)
-    except (TypeError, ValueError):
-        raise BadPmf(f"{field} must be a list of numbers") from None
+        if isinstance(values, np.ndarray):
+            ok = values.dtype.kind in "iuf"
+        else:
+            values = list(values)
+            ok = all(_is_real(x) for x in values)
+        if ok:
+            return np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise BadPmf(f"{name} must be a list of numbers")
+
+
+def _guide_table(sv: np.ndarray) -> tuple[np.ndarray, int]:
+    """The guide table over [0, 1) of the survival values ``sv``: G >= 2m
+    buckets, the rank of each bucket's left edge, and the most cell edges
+    that one bucket holds (its last rank minus its first)."""
+    m = sv.size - 1
+    size = 1 << (2 * m - 1).bit_length()
+    left = np.arange(size + 1) / size
+    first = np.searchsorted(sv[1:], left[:-1], side="right") + 1
+    last = np.searchsorted(sv[1:], np.nextafter(left[1:], 0.0), side="right") + 1
+    guide = first.astype(np.int16)
+    guide.flags.writeable = False
+    return guide, int((last - first).max())
 
 
 def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityDistribution:
@@ -130,7 +171,8 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
     Raises:
         NonDecreasingSupport: support not strictly decreasing.
         NonPositiveValue: smallest support value is not > 0.
-        BadPmf: an entry is not a number, masses negative or zero, lengths
+        BadPmf: an entry is not a Python or numpy int or float (strings and
+            booleans are not), masses negative or zero, lengths
             mismatched, or the total differs from 1 by more than ``PMF_SUM_TOL``.
         ModelError: more than ``MAX_SUPPORT`` support points.
     """
@@ -157,7 +199,9 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
     sv[-1] = 1.0  # pin so sampling covers u in [0, 1) and F̄(a_{m+1}) = 1
     for arr in (a, f, sv):
         arr.flags.writeable = False
-    return AbilityDistribution(support=a, pmf=f, survival_values=sv)
+    guide, guide_steps = _guide_table(sv)
+    return AbilityDistribution(support=a, pmf=f, survival_values=sv,
+                               guide=guide, guide_steps=guide_steps)
 
 
 def thresholds(d: AbilityDistribution) -> ThresholdSet:

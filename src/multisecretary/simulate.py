@@ -6,16 +6,19 @@ so ability sequences are identical across policies and replication results
 do not depend on execution order.
 
 The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``chunk``.
-Each block is drawn once, a few dozen replications at a time through a
-rep-major scratch buffer, and stored time-major: (n, reps) int16 ranks,
-(n, reps) float64 decision uniforms and the per-rank counts of each
-replication.  Every (policy, k) cell at that n then steps over the same rows
-``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior sort runs
-once per k on the shared counts.  Every entry point checks (n, k), reps and
-``policy.check`` before it draws; an exception inside the pass stops every
-cell of it.  The one-cell entry points (``paired_payoffs``, ``simulate_paths``,
+The Philox keys of a block's replications are derived once, as arrays, and
+one Philox restarts under each key in turn (``block_keys``).  Each block is
+drawn once, a few dozen replications at a time through a rep-major scratch
+buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
+decision uniforms and, for the passes that read them, the per-rank counts
+of each replication.  Every (policy, k) cell at that n then steps over the
+same rows ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior
+sort runs once per k on the shared counts.  Budget paths are time-major too,
+(n+1, reps) int32, one row written per period; ``simulate_paths`` returns
+them rep-major.  Every entry point checks (n, k), reps and ``policy.check``
+before it draws; an exception inside the pass stops every cell of it.  The
+one-cell entry points (``paired_payoffs``, ``simulate_paths``,
 ``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass.
-Budget paths stay rep-major, (reps, n+1) int32, for the orbit scan.
 """
 
 from __future__ import annotations
@@ -33,11 +36,57 @@ RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 DEFAULT_CHUNK = 1024
 SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
+MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4  # SeedSequence's default pool size, in 32-bit words
+_M32 = 2**32
 
 
 def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
     """Independent substream for one replication, reproducible by (seed, rep)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+
+
+def block_keys(seed: int, reps: range) -> np.ndarray:
+    """(len(reps), 2) uint64 Philox keys: row i is the key of
+    ``episode_stream(seed, reps[i])``, i.e.
+    ``SeedSequence(seed, spawn_key=(reps[i],)).generate_state(2, np.uint64)``.
+
+    SeedSequence hashes the seed's 32-bit words into a pool of four, then
+    mixes the spawn word into every pool word and hashes the pool out.  The
+    first part is shared by every rep: it is ``SeedSequence(seed).pool``
+    (padding a short seed with zero words hashes the same as not padding).
+    Only the mix-in and the output hash run per rep, as uint32 arithmetic
+    over the array of reps, each below 2**32.  A negative seed raises
+    ``ValueError``, as ``SeedSequence`` does.
+    """
+    pool = np.random.SeedSequence(seed).pool
+    words = max(-(-int(seed).bit_length() // 32), 1)
+    # the hash constant has advanced once per hashmix of the seed: 4 to fill
+    # the pool, 12 to cross-mix it, 4 for each seed word past the fourth
+    calls = _POOL * _POOL + _POOL * max(words - _POOL, 0)
+    hash_a = _INIT_A * pow(_MULT_A, calls, _M32) % _M32
+    hash_b = _INIT_B
+    spawn = np.arange(reps.start, reps.stop, reps.step, dtype=np.int64).astype(np.uint32)
+    state = np.empty((_POOL, spawn.size), dtype=np.uint64)
+    for i in range(_POOL):
+        x = spawn ^ np.uint32(hash_a)  # hashmix(spawn word)
+        hash_a = hash_a * _MULT_A % _M32
+        x *= np.uint32(hash_a)
+        x ^= x >> np.uint32(16)
+        x = np.uint32(_MIX_L * int(pool[i]) % _M32) - np.uint32(_MIX_R) * x  # mix into pool[i]
+        x ^= x >> np.uint32(16)
+        x ^= np.uint32(hash_b)  # generate_state's output hash of pool[i]
+        hash_b = hash_b * _MULT_B % _M32
+        x *= np.uint32(hash_b)
+        x ^= x >> np.uint32(16)
+        state[i] = x
+    return np.stack([state[0] | state[1] << np.uint64(32),
+                     state[2] | state[3] << np.uint64(32)], axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,7 +140,7 @@ def run_episode(
     cell = _Cell(policy, k)
     cell.start(1, n, want_paths=True)
     _step_block(d, n, [cell], abilities[:, None], u[1::2, None])
-    budget_path = cell.paths[0].astype(np.int64)
+    budget_path = cell.paths[:, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
@@ -107,10 +156,11 @@ def run_episode(
 
 
 def check_cell(policy, n: int, k: int, reps: int) -> None:
-    """Raise unless n >= 1, 0 <= k <= n, reps >= 1 and ``policy.check(n, k)`` passes."""
+    """Raise unless n >= 1, 0 <= k <= n, 1 <= reps <= ``MAX_REPS`` and
+    ``policy.check(n, k)`` passes."""
     check_pair(n, k, min_n=1)
-    if reps < 1:
-        raise InfeasiblePair(f"reps must be >= 1, got {reps}")
+    if not 1 <= reps <= MAX_REPS:
+        raise InfeasiblePair(f"reps must be in [1, 2**32], got {reps}")
     policy.check(n, k)
 
 
@@ -127,16 +177,22 @@ class _Cell:
         self.budgets = np.full(reps, self.k, dtype=np.int64)
         self.payoff = np.zeros(reps)
         if want_paths:
-            self.paths = np.empty((reps, n + 1), dtype=np.int32)
-            self.paths[:, 0] = self.k
+            self.paths = np.empty((n + 1, reps), dtype=np.int32)
+            self.paths[0] = self.k
 
 
-def _uniform_block(seed: int, reps: range, out: np.ndarray) -> np.ndarray:
-    """The uniforms of each replication in ``reps``, one row each, drawn
-    into the leading rows of ``out``."""
-    block = out[: len(reps)]
-    for row, rep in zip(block, reps):
-        episode_stream(seed, rep).random(out=row)
+def _uniform_block(gen: np.random.Generator, restart: dict, keys: np.ndarray,
+                   out: np.ndarray) -> np.ndarray:
+    """The uniforms of the replications keyed by ``keys``, one row each,
+    drawn into the leading rows of ``out``.  ``gen``'s Philox restarts from
+    ``restart``, its state when new, under each row's key: the stream of
+    ``episode_stream`` for that replication."""
+    block = out[: len(keys)]
+    bitgen = gen.bit_generator
+    for row, key in zip(block, keys):
+        restart["state"]["key"] = key
+        bitgen.state = restart
+        gen.random(out=row)
     return block
 
 
@@ -148,27 +204,34 @@ def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
 
 
-def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray):
+def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_counts: bool):
     """Replications ``reps`` stored time-major: (n, reps) int16 ranks,
-    (n, reps) decision uniforms, and (reps, m) int64 rank counts.  They are
-    read-only, so no cell can change what the others read.
+    (n, reps) decision uniforms, and (reps, m) int64 rank counts, or None
+    unless ``want_counts``.  They are read-only, so no cell can change what
+    the others read.
 
+    The block's keys are derived at once and one Philox draws every row.
     Each replication's 2n uniforms pass through the rep-major ``scratch``,
     ``len(scratch)`` replications at a time, so no (reps, 2n) block is built.
     """
     size = len(reps)
     ranks = np.empty((n, size), dtype=np.int16)
     u = np.empty((n, size))
-    counts = np.empty((size, d.m), dtype=np.int64)
+    counts = np.empty((size, d.m), dtype=np.int64) if want_counts else None
+    keys = block_keys(seed, reps)
+    philox = np.random.Philox(key=0)
+    restart, gen = philox.state, np.random.Generator(philox)
     for lo in range(0, size, len(scratch)):
-        buf = _uniform_block(seed, reps[lo : lo + len(scratch)], scratch)
+        buf = _uniform_block(gen, restart, keys[lo : lo + len(scratch)], scratch)
         cols = slice(lo, lo + len(buf))
         block_ranks = d.sample_many(buf[:, 0::2])
         ranks[:, cols] = block_ranks.T
         u[:, cols] = buf[:, 1::2].T
-        counts[cols] = _rank_counts(block_ranks, d.m)
+        if want_counts:
+            counts[cols] = _rank_counts(block_ranks, d.m)
     for arr in (ranks, u, counts):
-        arr.flags.writeable = False
+        if arr is not None:
+            arr.flags.writeable = False
     return ranks, u, counts
 
 
@@ -184,23 +247,26 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
             cell.payoff += value * sel
             cell.budgets -= sel
             if cell.paths is not None:
-                cell.paths[:, t_next] = cell.budgets
+                cell.paths[t_next] = cell.budgets
 
 
-def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int, want_paths=False):
+def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int,
+            want_paths=False, want_counts=False):
     """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
     over episodes 0..reps-1 in shared blocks of ``chunk``.
 
     Yields ``(rows, counts)`` once every cell has stepped through a block:
     ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
-    rank counts; each cell holds the block's payoffs (and paths).
+    rank counts, or None unless ``want_counts``; each cell holds the block's
+    payoffs (and time-major paths).
     """
     if not cells:
         return
     scratch = np.empty((min(SCRATCH_REPS, chunk, reps), 2 * n))
     for start in range(0, reps, chunk):
         rows = slice(start, min(start + chunk, reps))
-        ranks, u, counts = _draw_block(d, seed, range(rows.start, rows.stop), n, scratch)
+        ranks, u, counts = _draw_block(
+            d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
         for cell in cells:
             cell.start(rows.stop - rows.start, n, want_paths)
         _step_block(d, n, cells, ranks, u)
@@ -216,8 +282,8 @@ def simulate_paths(
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, cnt in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
-        payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths
+    for rows, cnt in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True, want_counts=True):
+        payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths.T
     return payoffs, counts, paths
 
 
@@ -235,7 +301,7 @@ def paired_payoffs_cells(
         check_cell(policy, n, k, reps)
     state = [_Cell(policy, k) for policy, k in cells]
     got = [(np.empty(reps), np.empty(reps)) for _ in state]
-    for rows, counts in _blocks(d, n, state, reps, seed, chunk):
+    for rows, counts in _blocks(d, n, state, reps, seed, chunk, want_counts=True):
         sorts = {}
         for cell, (online, offline) in zip(state, got):
             if cell.k not in sorts:
@@ -261,7 +327,7 @@ def ratio_mean_curve(
     cell = _Cell(policy, k)
     budget_sum = np.zeros(n)
     for _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
-        budget_sum += cell.paths[:, :n].sum(axis=0)
+        budget_sum += cell.paths[:n].sum(axis=1)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
     return mean_ratio, mean_budget
@@ -273,32 +339,42 @@ def cutoff_time(n: int, delta: float) -> int:
     return max(n - math.ceil(2.0 / delta) - 1, 0)
 
 
-def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
-    """Vectorized tau0/j/tau for a (reps, n+1) matrix of budget paths."""
-    m = thr.m
-    t_cut = min(cutoff_time(n, delta), n - 1)
-    ratio = paths[:, :n] / (n - np.arange(n))
-    best = np.full(ratio.shape, np.inf)
-    best_j = np.zeros(ratio.shape, dtype=np.int16)
-    for j in range(1, m + 1):
-        dist = np.abs(ratio - thr.values[j - 1])
-        closer = dist < best
-        best[closer] = dist[closer]
-        best_j[closer] = j
-    hit = best <= delta / 2.0
-    hit[:, t_cut:] = True
-    tau0 = np.argmax(hit, axis=1)
-    rows = np.arange(paths.shape[0])
-    j_tau0 = np.where(tau0 == t_cut, m + 1, best_j[rows, tau0]).astype(np.int16)
+def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
+    """The first row index of each column of ``mask`` that holds True, or
+    ``none`` where the column holds none."""
+    first = np.argmax(mask, axis=0)
+    return np.where(mask[first, np.arange(mask.shape[1])], first, none)
 
-    anchor = np.where(j_tau0 <= m, thr.values[np.minimum(j_tau0, m) - 1], np.inf)
-    out = np.abs(ratio - anchor[:, None]) > delta
-    cols = np.arange(n)
-    out |= cols >= t_cut
-    out &= cols > tau0[:, None]
-    tau = np.argmax(out, axis=1)
-    tau = np.where(j_tau0 == m + 1, tau0, tau)  # cutoff branch: tau = tau0
-    return tau0, j_tau0, tau
+
+def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
+    """tau0/j/tau of each column of an (n+1, reps) matrix of budget paths.
+
+    The ratio R_t enters the orbit of T_j at the first t below the cutoff
+    with |R_t - T_j| <= delta/2, and leaves it at the first later t with
+    |R_t - T_j| > delta.  Only the threshold nearest R_t (one searchsorted
+    into the midpoints between thresholds) is tested: since delta is below
+    the smallest gap between thresholds, no other can be within delta/2.
+    """
+    m = thr.m
+    reps = paths.shape[1]
+    t_cut = min(cutoff_time(n, delta), n - 1)
+    if t_cut == 0:
+        cut = np.zeros(reps, dtype=np.int64)
+        return cut, np.full(reps, m + 1, dtype=np.int16), cut
+    ratio = paths[:t_cut] / (n - np.arange(t_cut))[:, None]
+    mids = 0.5 * (thr.values[: m - 1] + thr.values[1:m])
+    nearest = np.searchsorted(mids, ratio)  # 0-based j of the nearest T_j
+    dev = ratio - thr.values[nearest]
+    np.abs(dev, out=dev)
+    tau0 = _first_true(dev <= delta / 2.0, t_cut)
+    cols = np.arange(reps)
+    entered = tau0 < t_cut
+    j_tau0 = np.where(entered, nearest[np.minimum(tau0, t_cut - 1), cols] + 1, m + 1)
+    np.subtract(ratio, thr.values[j_tau0 - 1], out=dev)  # T_{m+1} = inf on the cutoff branch
+    np.abs(dev, out=dev)
+    out = dev > delta
+    out &= np.arange(t_cut)[:, None] > tau0  # cutoff branch: tau = tau0 = t_cut
+    return tau0, j_tau0.astype(np.int16), _first_true(out, t_cut)
 
 
 def orbit_diagnostics(record: EpisodeRecord, thr: ThresholdSet, delta: float) -> OrbitDiagnostics:
@@ -314,7 +390,7 @@ def orbit_diagnostics(record: EpisodeRecord, thr: ThresholdSet, delta: float) ->
     if not 0.0 < delta < max_delta:
         raise BadDelta(f"delta must satisfy 0 < delta < {max_delta}, got {delta}")
     n = record.n
-    tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[None, :], thr, delta, n)
+    tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
     tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
     if j_tau0 == thr.m + 1:
         y_path = np.empty(0)

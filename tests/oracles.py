@@ -20,7 +20,7 @@ from itertools import product
 import numpy as np
 from scipy.stats import binom
 
-from multisecretary import IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch
+from multisecretary import IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch, cutoff_time
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
 
@@ -210,6 +210,42 @@ def rank_counts_loop(ranks: np.ndarray, m: int) -> np.ndarray:
     for j in range(1, m + 1):
         counts[:, j - 1] = (ranks == j).sum(axis=1)
     return counts
+
+
+def sample_searchsorted(d, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF ranks by binary search: 1 + the number of cumulative
+    masses F̄(a_2), ..., F̄(a_{m+1}) at or below each u."""
+    return (np.searchsorted(d.survival_values[1:], u, side="right") + 1).astype(np.int16)
+
+
+def orbit_scan_passes(paths: np.ndarray, thr, delta: float, n: int):
+    """tau0/j/tau of each row of a (reps, n+1) matrix of budget paths, with
+    one full-array pass per threshold: the nearest T_j of every ratio by
+    distance (ties to the smaller j), then the entry test on that distance."""
+    m = thr.m
+    t_cut = min(cutoff_time(n, delta), n - 1)
+    ratio = paths[:, :n] / (n - np.arange(n))
+    best = np.full(ratio.shape, np.inf)
+    best_j = np.zeros(ratio.shape, dtype=np.int16)
+    for j in range(1, m + 1):
+        dist = np.abs(ratio - thr.values[j - 1])
+        closer = dist < best
+        best[closer] = dist[closer]
+        best_j[closer] = j
+    hit = best <= delta / 2.0
+    hit[:, t_cut:] = True
+    tau0 = np.argmax(hit, axis=1)
+    rows = np.arange(paths.shape[0])
+    j_tau0 = np.where(tau0 == t_cut, m + 1, best_j[rows, tau0]).astype(np.int16)
+
+    anchor = np.where(j_tau0 <= m, thr.values[np.minimum(j_tau0, m) - 1], np.inf)
+    out = np.abs(ratio - anchor[:, None]) > delta
+    cols = np.arange(n)
+    out |= cols >= t_cut
+    out &= cols > tau0[:, None]
+    tau = np.argmax(out, axis=1)
+    tau = np.where(j_tau0 == m + 1, tau0, tau)  # cutoff branch: tau = tau0
+    return tau0, j_tau0, tau
 
 
 def max_integer_selection(support, z, k: int) -> float:

@@ -69,6 +69,13 @@ class TestValidate:
                      "--policies", "br", "--out", str(tmp_path / "s.csv")]) == 2
         assert field in assert_one_error_line(capsys)
 
+    def test_strings_and_booleans_exit_2_once(self, tmp_path, capsys):
+        # "2" and true once passed as numbers: exit 0 with m = 2
+        bad = tmp_path / "strings.json"
+        bad.write_text('{"support": ["2", true], "pmf": ["0.5", 0.5]}')
+        assert main(["validate", "--dist", str(bad)]) == 2
+        assert "support must be a list of numbers" in assert_one_error_line(capsys)
+
 
 class TestSweepK:
     def test_exact_sweep_and_manifest(self, dist_file, tmp_path):

@@ -17,6 +17,22 @@ from multisecretary import (
     thresholds,
 )
 from multisecretary.cli import kleinberg_distribution
+from oracles import sample_searchsorted
+
+
+def _tiny_mass_dists():
+    # f_min = 1e-9: one tiny cell at m=5, a run of three at m=200, so that
+    # one guide bucket holds several cell edges
+    f200 = np.full(200, 1.0 / 197)
+    f200[[0, 1, 2, 3, 4, 5, 6]] = [1 / 197 - 3e-9, 1e-9, 1e-9, 1e-9, 1 / 197, 1 / 197, 1 / 197]
+    return [
+        new_distribution([5.0, 4.0, 3.0, 2.0, 1.0], [0.25, 1e-9, 0.25, 0.25, 0.25 - 1e-9]),
+        new_distribution(np.linspace(2.0, 0.2, 200), f200 / f200.sum()),
+    ]
+
+
+GUIDE_DISTS = [new_distribution(np.linspace(2.0, 0.2, m), [1.0 / m] * m) for m in (1, 5, 50, 200)]
+GUIDE_DISTS += _tiny_mass_dists()
 
 
 class TestConstruction:
@@ -182,6 +198,51 @@ class TestMeanAndSampling:
         idx = masspoint5.sample_many(u)
         freq = np.bincount(idx, minlength=masspoint5.m + 1)[1:] / u.size
         np.testing.assert_allclose(freq, masspoint5.pmf, atol=1e-5)
+
+
+class TestGuideTable:
+    @pytest.mark.parametrize("d", GUIDE_DISTS, ids=["m1", "m5", "m50", "m200", "tiny5", "tiny200"])
+    def test_ranks_equal_binary_search(self, d):
+        # every cell edge, every guide bucket edge, one ulp either side of
+        # each, and the largest double below 1
+        edges = np.concatenate([d.survival_values, np.arange(d.guide.size) / d.guide.size])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0),
+                            np.random.default_rng(d.m).random(20_000)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        assert np.nextafter(1.0, 0.0) in u
+        got = d.sample_many(u)
+        assert got.dtype == np.int16
+        np.testing.assert_array_equal(got, sample_searchsorted(d, u))
+        block = np.random.default_rng(1).random((64, 200))[:, 0::2]  # the engine's strided view
+        np.testing.assert_array_equal(d.sample_many(block), sample_searchsorted(d, block))
+
+    def test_a_run_of_tiny_masses_takes_several_steps(self):
+        assert _tiny_mass_dists()[1].guide_steps > 1
+
+
+class TestStrictNumbers:
+    @pytest.mark.parametrize("support,pmf", [
+        (["2", True], ["0.5", 0.5]),
+        ([2.0, True], [0.5, 0.5]),
+        ([2.0, 1.0], [0.5, np.bool_(True)]),
+        ([2.0, "1"], [0.5, 0.5]),
+        ([2.0, 1.0], [0.5, None]),
+        ([2.0, 10**400], [0.5, 0.5]),
+        (np.array([True, False]), [0.5, 0.5]),
+    ])
+    def test_non_numbers_rejected(self, support, pmf):
+        # strings and booleans once converted silently: ["2", true] gave m = 2
+        with pytest.raises(BadPmf, match="must be a list of numbers"):
+            new_distribution(support, pmf)
+
+    def test_real_numbers_accepted(self):
+        for support, pmf in [
+            (np.array([2.0, 1.0]), np.array([0.5, 0.5])),
+            (np.array([2, 1]), [np.float64(0.5), np.float32(0.5)]),
+            ([np.int64(2), 1], (0.5, 0.5)),
+        ]:
+            d = new_distribution(support, pmf)
+            assert d.support.tolist() == [2.0, 1.0] and d.pmf.tolist() == [0.5, 0.5]
 
 
 class TestJsonInterface:

@@ -27,16 +27,79 @@ from multisecretary import (
 from multisecretary import simulate
 from multisecretary.dp import TIE_TOL_SCALE
 from multisecretary.evaluate import _forward_value
-from multisecretary.simulate import SCRATCH_REPS, _rank_counts
+from multisecretary.simulate import (
+    MAX_REPS,
+    SCRATCH_REPS,
+    _orbit_scan,
+    _rank_counts,
+    block_keys,
+    check_cell,
+)
 from oracles import (
     ai_prob_table,
     br_prob_table,
     exact_value_table,
     index_prob_table,
+    orbit_scan_passes,
     rank_counts_loop,
+    sample_searchsorted,
 )
 
 ORACLE_TABLES = {"br": br_prob_table, "ai": ai_prob_table, "index": index_prob_table}
+
+
+def m_grid(m: int):
+    """The uniform m-point grid on [2, 0.2]."""
+    return new_distribution(np.linspace(2.0, 0.2, m), [1.0 / m] * m)
+
+
+def seedsequence_keys(seed: int, reps) -> np.ndarray:
+    return np.array([np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+                     for rep in reps])
+
+
+class TestBlockKeys:
+    # one to seven 32-bit seed words; SeedSequence pads fewer than four
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**200]
+
+    def test_every_rep_to_1e5_at_the_reference_seed(self):
+        reps = range(100_001)
+        np.testing.assert_array_equal(block_keys(1, reps), seedsequence_keys(1, reps))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_equal_seedsequence_spawn_keys(self, seed):
+        for reps in (range(0, 100_001, 10), range(2**31 - 2, 2**31 + 2), range(MAX_REPS - 3, MAX_REPS)):
+            np.testing.assert_array_equal(block_keys(seed, reps), seedsequence_keys(seed, reps))
+
+    @pytest.mark.parametrize("seed", [1, 2**200])
+    def test_block_rows_replay_episode_stream(self, masspoint5, seed):
+        # 70 reps take two scratch fills of one Philox, restarted per row
+        d, n, reps = masspoint5, 40, range(5, 75)
+        ranks, u, counts = simulate._draw_block(
+            d, seed, reps, n, np.empty((SCRATCH_REPS, 2 * n)), True)
+        for col, rep in enumerate(reps):
+            want = episode_stream(seed, rep).random(2 * n)
+            np.testing.assert_array_equal(u[:, col], want[1::2])
+            np.testing.assert_array_equal(ranks[:, col], sample_searchsorted(d, want[0::2]))
+        np.testing.assert_array_equal(counts, rank_counts_loop(ranks.T, d.m))
+
+    def test_negative_seed_raises_before_any_row(self, uniform5, monkeypatch):
+        def draw(*args):
+            raise AssertionError("a row was drawn")
+
+        monkeypatch.setattr(simulate, "_uniform_block", draw)
+        with pytest.raises(ValueError):
+            block_keys(-1, range(3))
+        with pytest.raises(ValueError):
+            simulate_paths(uniform5, make_policy("br", uniform5, 10, 3), 10, 3, 4, seed=-1)
+
+    def test_reps_beyond_one_spawn_word_rejected(self, uniform5):
+        policy = make_policy("br", uniform5, 10, 3)
+        check_cell(policy, 10, 3, MAX_REPS)
+        with pytest.raises(InfeasiblePair):
+            check_cell(policy, 10, 3, MAX_REPS + 1)
+        with pytest.raises(InfeasiblePair):
+            orbit_stats(uniform5, policy, thresholds(uniform5), 10, 3, 0.05, MAX_REPS + 1, seed=1)
 
 
 class TestEpisodes:
@@ -255,6 +318,68 @@ class TestOrbit:
             assert sample.tau0[rep] == diag.tau0
             assert sample.j_tau0[rep] == diag.j_tau0
             assert sample.tau[rep] == diag.tau
+
+
+class TestOrbitScanOracle:
+    @pytest.mark.parametrize("m", [5, 50, 200])
+    @pytest.mark.parametrize("name", ["br", "ai"])
+    def test_simulated_paths(self, m, name):
+        d = m_grid(m)
+        thr = thresholds(d)
+        delta = 0.9 * half_min_mass(d)
+        n, k, reps = 1200, 360, 48
+        _, _, paths = simulate_paths(d, make_policy(name, d, n, k), n, k, reps, seed=m)
+        got = _orbit_scan(np.ascontiguousarray(paths.T), thr, delta, n)
+        want = orbit_scan_passes(paths, thr, delta, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert np.any(got[1] <= m) and np.any(got[2] > got[0])
+
+    @pytest.mark.parametrize("m,half", [(5, 2.0**-5), (50, 2.0**-8), (200, 2.0**-10)])
+    def test_hand_built_boundaries(self, m, half):
+        # at t with n - t a power of two the ratio of budget r * (n - t) is r
+        # exactly, so a path can put it on T_j +- delta/2 (entry) or T_j +- delta
+        # (exit), and one ulp either side
+        d = m_grid(m)
+        thr = thresholds(d)
+        delta = 2.0 * half
+        assert delta < half_min_mass(d)
+        n = 8192
+        t_in, t_out = n - 4096, n - 2048
+        t_cut = cutoff_time(n, delta)
+        assert t_out < t_cut
+        far = 0.5 * (thr.values[0] + thr.values[1])  # more than delta from every T_j
+        left = n - np.arange(n + 1.0)
+
+        def path(marks):
+            ratio = np.full(n + 1, far)
+            for t, r in marks:
+                ratio[t] = r
+            return ratio * left
+
+        def around(x):
+            return [r for r in (np.nextafter(x, -1.0), x, np.nextafter(x, 2.0)) if r >= 0.0]
+
+        columns, exact = [], 0
+        for j in sorted({1, 2, m // 2, m}):
+            anchor = thr.values[j - 1]
+            for r in around(anchor + half) + around(anchor - half):
+                columns.append(path([(t_in, r)]))
+                exact += abs(r - anchor) == half
+            for r in around(anchor + delta) + around(anchor - delta):
+                columns.append(path([(slice(t_in, t_out), anchor), (t_out, r)]))
+        # cut off first: a hit at t_cut, or an entry just before it
+        anchor = thr.values[1]
+        columns += [path([]), path([(t_cut, anchor)]), path([(slice(t_cut - 1, None), anchor)])]
+        paths = np.stack(columns, axis=1)
+        got = _orbit_scan(paths, thr, delta, n)
+        want = orbit_scan_passes(paths.T, thr, delta, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        assert exact > 0  # the entry test's boundary is probed exactly
+        tau0, j_tau0, tau = got
+        assert set(tau0.tolist()) >= {t_in, t_cut} and np.all(j_tau0[-3:-1] == m + 1)
+        assert set(tau.tolist()) >= {t_in + 1, t_out, t_out + 1}
 
 
 class TestDrift:
