@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .distribution import (
     AbilityDistribution,
     ThresholdSet,
-    action_index_j0,
     dist_from_dict,
     dist_from_json,
     half_min_mass,
@@ -32,9 +31,7 @@ from .errors import (
 from .evaluate import (
     RegretRecord,
     clear_caches,
-    exact_policy_value,
     exact_regret,
-    mc_regret,
     sweep,
     write_records,
 )
@@ -51,7 +48,6 @@ from .policies import (
     BreakpointPolicy,
     NonAdaptiveMatrix,
     NonAdaptivePolicy,
-    ai_ratio_increment_mean,
     index_matrix,
     make_policy,
     take_top_matrix,
@@ -61,11 +57,9 @@ from .simulate import (
     OrbitDiagnostics,
     OrbitSample,
     cutoff_time,
-    drift_at_state,
     episode_stream,
     orbit_diagnostics,
     orbit_stats,
-    paired_payoffs,
     ratio_mean_curve,
     run_episode,
     simulate_paths,

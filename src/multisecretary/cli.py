@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 
@@ -27,7 +28,6 @@ from .evaluate import sweep, write_records
 from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
-    episode_stream,
     orbit_stats,
     ratio_mean_curve,
     run_episode,
@@ -166,7 +166,10 @@ def cmd_kleinberg(args) -> int:
     grid_note = []
     for eps in epsilons:
         d = kleinberg_distribution(eps)
-        n = math.ceil(1.0 / eps**2)
+        try:
+            n = math.ceil(1.0 / eps**2)
+        except (ZeroDivisionError, OverflowError):  # eps**2 underflows to 0, or 1/eps**2 to inf
+            raise BadEpsilon(f"epsilon {eps!r} is too small: 1/epsilon^2 is not finite") from None
         k = math.ceil(n / 2)
         grid_note.append({"epsilon": eps, "n": n, "k": k})
         got, failed = sweep(d, names, [(n, k)])
@@ -183,14 +186,13 @@ def cmd_paths(args) -> int:
     names = _parse_policies(args.policies)
     seeds = _check_seeds(_parse_list(args.seeds, int))
     base = str(args.out)
-    stem, dot, suffix = base.rpartition(".")
-    if not dot:
-        stem, suffix = base, "csv"
+    stem, suffix = os.path.splitext(base)
+    suffix = suffix or ".csv"
     for name in names:
         policy = make_policy(name, d, args.n, args.k)
         for seed in seeds:
-            record = run_episode(d, policy, args.n, args.k, episode_stream(seed, 0), (seed, 0))
-            path = f"{stem}_{name}_seed{seed}.{suffix}"
+            record = run_episode(d, policy, args.n, args.k, seed)
+            path = f"{stem}_{name}_seed{seed}{suffix}"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("t,ability_index,decision,K_t,R_t\n")
                 for t in range(1, args.n + 1):
@@ -230,9 +232,7 @@ def cmd_diagnostics(args) -> int:
     d = load_distribution(args.dist)
     _check_reps(args.reps)
     policy = make_policy(args.policy, d, args.n, args.k)
-    sample = orbit_stats(
-        d, policy, thresholds(d), args.n, args.k, args.delta, args.reps, args.seed
-    )
+    sample = orbit_stats(d, policy, args.n, args.k, args.delta, args.reps, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rep,tau0,j_tau0,tau,n_minus_tau\n")
         for rep in range(args.reps):

@@ -21,7 +21,6 @@ from .errors import (
     ModelError,
     NonDecreasingSupport,
     NonPositiveValue,
-    check_pair,
 )
 
 PMF_SUM_TOL = 1e-12
@@ -116,18 +115,6 @@ class ThresholdSet:
         if not 1 <= j <= self.m + 1:
             raise IndexOutOfRange(f"threshold index {j} outside [1, {self.m + 1}]")
         return float(self.values[j - 1])
-
-    def bucket(self, ratio):
-        """The unique j with T_j <= ratio < T_{j+1} (closed-left intervals).
-
-        Accepts a scalar or an array; ratios within ``RATIO_TIE_TOL`` of a
-        threshold count as having reached it.
-        """
-        interior = self.values[1:-1]
-        idx = np.searchsorted(interior, np.asarray(ratio) + RATIO_TIE_TOL, side="right") + 1
-        if np.isscalar(ratio):
-            return int(idx)
-        return idx
 
 
 def _is_real(x) -> bool:
@@ -226,17 +213,6 @@ def partial_means(d: AbilityDistribution) -> np.ndarray:
 def half_min_mass(d: AbilityDistribution) -> float:
     """Half the smallest mass; the stability margin the regret bounds use."""
     return 0.5 * float(d.pmf.min())
-
-
-def action_index_j0(d: AbilityDistribution, n: int, k: int) -> int:
-    """The ability level where the offline solution's marginal activity sits.
-
-    Piecewise in k/n: below f_1 + f_2/2 it is 1, above 1 - f_m/2 it is m, and
-    in between it is the j whose threshold interval [T_j, T_{j+1}) contains
-    k/n.  The interval form is used directly since the two coincide.
-    """
-    check_pair(n, k, min_n=1)
-    return thresholds(d).bucket(k / n)
 
 
 def dist_from_dict(obj: dict) -> AbilityDistribution:

@@ -20,7 +20,7 @@ from .distribution import AbilityDistribution
 from .errors import InfeasiblePair, NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import offline_expectation
 from .policies import make_policy
-from .simulate import check_cell, paired_payoffs, paired_payoffs_cells
+from .simulate import check_cell, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
 
@@ -136,16 +136,6 @@ def _forward_value(
     return value, max_drift, truncation
 
 
-def exact_policy_value(d: AbilityDistribution, policy, n: int, k: int) -> float:
-    """V_on of the policy, computed without sampling.
-
-    Uses the same window as ``exact_regret`` at its default ``tail_tol``, so
-    the value may sit below the untruncated one by about ``2 a_1 1e-12``;
-    ``exact_regret`` reports the exact bound.
-    """
-    return _forward_value(d, policy, n, k)[0]
-
-
 def exact_regret(
     d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
 ) -> RegretRecord:
@@ -179,17 +169,6 @@ def _mc_record(name: str, n: int, k: int, online: np.ndarray, offline: np.ndarra
         ci_halfwidth=1.96 * sd / math.sqrt(reps),
         error_bound=0.0,
     )
-
-
-def mc_regret(
-    d: AbilityDistribution, policy, n: int, k: int, reps: int, seed: int
-) -> RegretRecord:
-    """Paired estimator: average of (offline - online) over shared paths.
-
-    Pathwise dominance of the posterior sort makes every summand
-    non-negative, so the estimate is too.
-    """
-    return _mc_record(policy.name, n, k, *paired_payoffs(d, policy, n, k, reps, seed))
 
 
 def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> dict:

@@ -73,26 +73,6 @@ def take_top_matrix(d: AbilityDistribution, n: int) -> NonAdaptiveMatrix:
     return NonAdaptiveMatrix.of(p)
 
 
-def ai_ratio_increment_mean(d: AbilityDistribution, n: int, t: int, budget: int) -> float:
-    """Closed-form one-step conditional mean of the ratio increment under
-    the adaptive-index rule, summed over the m possible arrivals.
-
-    Zero whenever budget/(n-t) <= 1 and at least two periods remain.
-    """
-    remaining = n - t
-    if remaining < 2:
-        raise InfeasiblePair("the increment needs at least two remaining periods")
-    ratio = budget / remaining
-    if budget <= 0:
-        probs = np.zeros(d.m)
-    elif ratio >= 1.0:
-        probs = np.ones(d.m)
-    else:
-        probs = np.clip((ratio - d.survival_values[: d.m]) / d.pmf, 0.0, 1.0)
-    select_mean = float(d.pmf @ probs)
-    return (budget - select_mean) / (remaining - 1) - ratio
-
-
 def _ratio_breakpoints(values: np.ndarray, n: int) -> np.ndarray:
     """br's table for thresholds ``values`` = T_1..T_m: entry [l, j - 1] is the
     smallest kappa >= 1 with kappa/l + ``RATIO_TIE_TOL`` >= T_j in floats (row 0

@@ -17,8 +17,9 @@ sort runs once per k on the shared counts.  Budget paths are time-major too,
 (n+1, reps) int32, one row written per period; ``simulate_paths`` returns
 them rep-major.  Every entry point checks (n, k), reps and ``policy.check``
 before it draws; an exception inside the pass stops every cell of it.  The
-one-cell entry points (``paired_payoffs``, ``simulate_paths``,
-``ratio_mean_curve``, ``orbit_stats``, ``run_episode``) are this same pass.
+one-cell entry points (``simulate_paths``, ``ratio_mean_curve``,
+``orbit_stats``) are this same pass, and ``run_episode`` draws and steps its
+one replication with the same ``_draw_block`` and ``_step_block``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import AbilityDistribution, ThresholdSet, half_min_mass
+from .distribution import AbilityDistribution, ThresholdSet, half_min_mass, thresholds
 from .errors import BadDelta, InfeasiblePair, check_pair
 from .offline import offline_sort_batch
 
@@ -96,7 +97,7 @@ class EpisodeRecord:
     policy: str
     n: int
     k: int
-    seed_ref: tuple[int, int] | None
+    seed_ref: tuple[int, int]  # (seed, rep)
     abilities: np.ndarray   # 1-based ranks, length n
     decisions: np.ndarray   # bool, length n
     payoff: float
@@ -126,28 +127,25 @@ class OrbitSample:
 
 
 def run_episode(
-    d: AbilityDistribution,
-    policy,
-    n: int,
-    k: int,
-    stream: np.random.Generator,
-    seed_ref: tuple[int, int] | None = None,
+    d: AbilityDistribution, policy, n: int, k: int, seed: int, rep: int = 0
 ) -> EpisodeRecord:
-    """Play one episode, consuming 2n uniforms from ``stream``."""
+    """Play replication ``rep`` of ``seed``: the 2n uniforms of
+    ``episode_stream(seed, rep)``, drawn like every other pass."""
     check_cell(policy, n, k, 1)
-    u = stream.random(2 * n)
-    abilities = d.sample_many(u[0::2])
+    if not 0 <= rep < MAX_REPS:
+        raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
+    ranks, u, _ = _draw_block(d, seed, range(rep, rep + 1), n, np.empty((1, 2 * n)), False)
     cell = _Cell(policy, k)
     cell.start(1, n, want_paths=True)
-    _step_block(d, n, [cell], abilities[:, None], u[1::2, None])
+    _step_block(d, n, [cell], ranks, u)
     budget_path = cell.paths[:, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
         n=n,
         k=k,
-        seed_ref=seed_ref,
-        abilities=abilities,
+        seed_ref=(seed, rep),
+        abilities=ranks[:, 0].copy(),
         decisions=budget_path[1:] < budget_path[:-1],
         payoff=float(cell.payoff[0]),
         budget_path=budget_path,
@@ -311,14 +309,6 @@ def paired_payoffs_cells(
     return got
 
 
-def paired_payoffs(
-    d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-episode online payoff and posterior-sort payoff on the same draws:
-    the one-cell case of ``paired_payoffs_cells``."""
-    return paired_payoffs_cells(d, n, [(policy, k)], reps, seed, chunk)[0]
-
-
 def ratio_mean_curve(
     d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -377,18 +367,20 @@ def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
     return tau0, j_tau0.astype(np.int16), _first_true(out, t_cut)
 
 
-def orbit_diagnostics(record: EpisodeRecord, thr: ThresholdSet, delta: float) -> OrbitDiagnostics:
-    """Entry time tau0 into a threshold orbit, the matched threshold, the
-    exit time tau, and the deviation path Y from tau0 onward.
+def _orbit_thresholds(d, delta: float) -> ThresholdSet:
+    """The thresholds of ``d``, once ``delta`` lies in (0, half the minimal
+    mass): then it is below half of every gap between thresholds, so the
+    matched threshold is unique."""
+    epsilon = half_min_mass(d)
+    if not 0.0 < delta < epsilon:
+        raise BadDelta(f"delta must satisfy 0 < delta < {epsilon} (half the minimal mass), got {delta}")
+    return thresholds(d)
 
-    ``delta`` must be positive and below the smallest threshold gap so the
-    matched threshold is unique; callers holding the distribution should
-    additionally keep delta below half the minimal mass.
-    """
-    gaps = np.diff(thr.values[: thr.m])
-    max_delta = float(gaps.min()) if gaps.size else 1.0
-    if not 0.0 < delta < max_delta:
-        raise BadDelta(f"delta must satisfy 0 < delta < {max_delta}, got {delta}")
+
+def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostics:
+    """Entry time tau0 into a threshold orbit, the matched threshold, the
+    exit time tau, and the deviation path Y from tau0 onward."""
+    thr = _orbit_thresholds(d, delta)
     n = record.n
     tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
     tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
@@ -402,13 +394,10 @@ def orbit_diagnostics(record: EpisodeRecord, thr: ThresholdSet, delta: float) ->
 
 
 def orbit_stats(
-    d, policy, thr: ThresholdSet, n: int, k: int, delta: float,
-    reps: int, seed: int, chunk: int = DEFAULT_CHUNK,
+    d, policy, n: int, k: int, delta: float, reps: int, seed: int, chunk: int = DEFAULT_CHUNK,
 ) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
-    epsilon = half_min_mass(d)
-    if not 0.0 < delta < epsilon:
-        raise BadDelta(f"delta must satisfy 0 < delta < {epsilon} (half the minimal mass), got {delta}")
+    thr = _orbit_thresholds(d, delta)
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, k)
     tau0 = np.empty(reps, dtype=np.int64)
@@ -417,27 +406,3 @@ def orbit_stats(
     for rows, _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths, thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)
-
-
-def drift_at_state(
-    d: AbilityDistribution, thr: ThresholdSet, n: int, t: int, budget: int, j_anchor: int
-) -> float:
-    """Analytic one-step mean increment of the deviation Y under the
-    budget-ratio rule: T_anchor - F̄(a_{b+1}) with b the active bucket.
-
-    Inside the anchor's orbit the difference telescopes, so those branches
-    return exactly -f/2 (ratio at or above the anchor) or +f/2 (below);
-    with no budget left nothing is selected and the drift is T_anchor.
-    """
-    if t >= n or budget < 0:
-        raise InfeasiblePair(f"need t < n and budget >= 0, got t={t}, budget={budget}")
-    if not 1 <= j_anchor <= thr.m + 1:
-        raise InfeasiblePair(f"anchor index {j_anchor} outside [1, {thr.m + 1}]")
-    if budget == 0:
-        return thr.t(j_anchor)
-    bucket = thr.bucket(budget / (n - t))
-    if bucket == j_anchor:
-        return -0.5 * float(d.pmf[j_anchor - 1])
-    if bucket == j_anchor - 1:
-        return 0.5 * float(d.pmf[j_anchor - 1])
-    return thr.t(j_anchor) - d.survival(bucket + 1)

@@ -20,7 +20,10 @@ from itertools import product
 import numpy as np
 from scipy.stats import binom
 
-from multisecretary import IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch, cutoff_time
+from multisecretary import (
+    IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds,
+)
+from multisecretary.errors import check_pair
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
 
@@ -185,6 +188,72 @@ def index_prob_table(d, n: int, k: int):
         return p
 
     return table
+
+
+def threshold_bucket(thr, ratio):
+    """The unique j with T_j <= ratio < T_{j+1} (closed-left intervals).
+
+    Accepts a scalar or an array; ratios within ``BOUNDARY_TOL`` of a
+    threshold count as having reached it.
+    """
+    interior = thr.values[1:-1]
+    idx = np.searchsorted(interior, np.asarray(ratio) + BOUNDARY_TOL, side="right") + 1
+    if np.isscalar(ratio):
+        return int(idx)
+    return idx
+
+
+def action_index_j0(d, n: int, k: int) -> int:
+    """The ability level where the offline solution's marginal activity sits.
+
+    Piecewise in k/n: below f_1 + f_2/2 it is 1, above 1 - f_m/2 it is m, and
+    in between it is the j whose threshold interval [T_j, T_{j+1}) contains
+    k/n.  The interval form is used directly since the two coincide.
+    """
+    check_pair(n, k, min_n=1)
+    return threshold_bucket(thresholds(d), k / n)
+
+
+def drift_at_state(d, thr, n: int, t: int, budget: int, j_anchor: int) -> float:
+    """Analytic one-step mean increment of the deviation Y under the
+    budget-ratio rule: T_anchor - F̄(a_{b+1}) with b the active bucket.
+
+    Inside the anchor's orbit the difference telescopes, so those branches
+    return exactly -f/2 (ratio at or above the anchor) or +f/2 (below);
+    with no budget left nothing is selected and the drift is T_anchor.
+    """
+    if t >= n or budget < 0:
+        raise InfeasiblePair(f"need t < n and budget >= 0, got t={t}, budget={budget}")
+    if not 1 <= j_anchor <= thr.m + 1:
+        raise InfeasiblePair(f"anchor index {j_anchor} outside [1, {thr.m + 1}]")
+    if budget == 0:
+        return thr.t(j_anchor)
+    bucket = threshold_bucket(thr, budget / (n - t))
+    if bucket == j_anchor:
+        return -0.5 * float(d.pmf[j_anchor - 1])
+    if bucket == j_anchor - 1:
+        return 0.5 * float(d.pmf[j_anchor - 1])
+    return thr.t(j_anchor) - d.survival(bucket + 1)
+
+
+def ai_ratio_increment_mean(d, n: int, t: int, budget: int) -> float:
+    """Closed-form one-step conditional mean of the ratio increment under
+    the adaptive-index rule, summed over the m possible arrivals.
+
+    Zero whenever budget/(n-t) <= 1 and at least two periods remain.
+    """
+    remaining = n - t
+    if remaining < 2:
+        raise InfeasiblePair("the increment needs at least two remaining periods")
+    ratio = budget / remaining
+    if budget <= 0:
+        probs = np.zeros(d.m)
+    elif ratio >= 1.0:
+        probs = np.ones(d.m)
+    else:
+        probs = np.clip((ratio - d.survival_values[: d.m]) / d.pmf, 0.0, 1.0)
+    select_mean = float(d.pmf @ probs)
+    return (budget - select_mean) / (remaining - 1) - ratio
 
 
 def enum_policy_value(d, n: int, k: int, prob_table) -> float:

@@ -10,7 +10,6 @@ import numpy as np
 
 from multisecretary import (
     dr_solution,
-    exact_policy_value,
     exact_regret,
     half_min_mass,
     make_policy,
@@ -22,19 +21,21 @@ from multisecretary import (
     thresholds,
 )
 from multisecretary.cli import kleinberg_distribution
+from multisecretary.evaluate import _forward_value
 from multisecretary.offline import offline_sort_batch
-from multisecretary.policies import ai_ratio_increment_mean
-from multisecretary.simulate import drift_at_state
 from oracles import (
     ai_prob_table,
+    ai_ratio_increment_mean,
     binomial_overshoot,
     binomial_undershoot,
     br_prob_table,
+    drift_at_state,
     enum_offline_value,
     enum_optimal_value,
     enum_policy_value,
     full_value_check,
     index_prob_table,
+    threshold_bucket,
 )
 
 
@@ -65,7 +66,7 @@ def test_criterion_1_brute_force_equivalence(small_family):
                     worst["dp"], abs(optimal_value(d, n, k) - enum_optimal_value(d, n, k))
                 )
                 for name, table in tables.items():
-                    got = exact_policy_value(d, make_policy(name, d, n, k), n, k)
+                    got = _forward_value(d, make_policy(name, d, n, k), n, k)[0]
                     want = enum_policy_value(d, n, k, table(d, n, k))
                     worst[name] = max(worst[name], abs(got - want))
     elapsed = time.perf_counter() - started
@@ -164,19 +165,29 @@ def test_criterion_6_kleinberg_example():
 
 
 def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, uniform3):
+    # both one-step means come from the rates hook of the policy the engine
+    # plays: ai's ratio increment (kappa - sel)/(l - 1) - kappa/l and br's
+    # deviation drift T_j - sel; each must equal its closed form
+    dists = (uniform5, masspoint5, uniform3)
+    ai = [make_policy("ai", d, 1, 1) for d in dists]
     rng = np.random.default_rng(2024)
-    worst_inc = 0.0
+    worst_inc = worst_gap = 0.0
     for _ in range(10_000):
-        d = (uniform5, masspoint5, uniform3)[rng.integers(3)]
+        i = rng.integers(3)
+        d = dists[i]
         n = int(rng.integers(10, 5000))
         t = int(rng.integers(0, n - 1))
         budget = int(rng.integers(0, n - t + 1))  # ratio <= 1
-        worst_inc = max(worst_inc, abs(ai_ratio_increment_mean(d, n, t, budget)))
+        sel = ai[i].rates(t + 1, n, np.array([budget]))[0][0]
+        want = ai_ratio_increment_mean(d, n, t, budget)
+        worst_inc = max(worst_inc, abs(want))
+        worst_gap = max(worst_gap, abs((budget - sel) / (n - t - 1) - budget / (n - t) - want))
 
     drift_exact = True
     checked = 0
-    for d in (uniform5, masspoint5, uniform3):
+    for d in dists:
         thr = thresholds(d)
+        br = {n: make_policy("br", d, n, n) for n in (1000, 4000)}
         for j in range(2, d.m + 1):
             anchor = thr.t(j)
             for n, t in ((1000, 250), (4000, 1777)):
@@ -188,7 +199,9 @@ def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, unifo
                     if abs(r - anchor) > half_min_mass(d) / 2:
                         continue
                     got = drift_at_state(d, thr, n, t, budget, j)
-                    bucket = thr.bucket(r)
+                    sel = br[n].rates(t + 1, n, np.array([budget]))[0][0]
+                    worst_gap = max(worst_gap, abs(anchor - sel - got))
+                    bucket = threshold_bucket(thr, r)
                     if bucket == j:
                         drift_exact &= got == -0.5 * d.pmf[j - 1]
                     elif bucket == j - 1:
@@ -196,9 +209,10 @@ def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, unifo
                     else:
                         continue
                     checked += 1
-    ok = worst_inc <= 1e-12 and drift_exact and checked > 50
+    ok = worst_inc <= 1e-12 and worst_gap <= 1e-15 and drift_exact and checked > 50
     gate(7, ok, f"max |ratio increment| = {worst_inc:.2e} over 1e4 states; "
-                f"drift exact on {checked} in-orbit states: {drift_exact}")
+                f"drift exact on {checked} in-orbit states: {drift_exact}; "
+                f"max |rates - closed form| = {worst_gap:.2e}")
 
 
 def test_criterion_8_pathwise_dominance_and_feasibility(uniform5, uniform3, masspoint5):
@@ -275,8 +289,7 @@ def test_criterion_11_stopping_time_boundedness(uniform5):
     for n in (1000, 2000):
         k = int(round(0.30 * n))
         policy = make_policy("br", uniform5, n, k)
-        sample = orbit_stats(uniform5, policy, thresholds(uniform5), n, k, delta,
-                             reps=10_000, seed=1111)
+        sample = orbit_stats(uniform5, policy, n, k, delta, reps=10_000, seed=1111)
         means[n] = float(np.mean(n - sample.tau))
     rel_change = abs(means[2000] - means[1000]) / means[1000]
     cap = 4.0 / delta

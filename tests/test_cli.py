@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -247,6 +248,15 @@ class TestKleinberg:
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("eps", ["1e-170", "1e-160"])
+    def test_epsilon_without_finite_horizon_exits_2(self, tmp_path, capsys, eps):
+        # eps**2 underflows to 0 (ZeroDivisionError) or 1/eps**2 overflows to
+        # inf (OverflowError): both once ended in a traceback
+        assert main(["kleinberg", "--epsilons", f"0.05,{eps}",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "epsilon" in assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPaths:
     def test_shared_seed_aligns_abilities(self, dist_file, tmp_path):
@@ -257,6 +267,21 @@ class TestPaths:
         _, dp_rows = read_rows(tmp_path / "paths_dp_seed11.csv")
         assert [r[1] for r in br_rows] == [r[1] for r in dp_rows]
         assert br_rows[0][0] == "1" and len(br_rows) == 200
+
+    @pytest.mark.parametrize("out,written", [
+        ("./paths", "paths_br_seed3.csv"),
+        ("res.d/paths", "res.d/paths_br_seed3.csv"),
+        ("res.d/p.txt", "res.d/p_br_seed3.txt"),
+    ])
+    def test_out_suffix_is_the_file_names(self, dist_file, tmp_path, monkeypatch, out, written):
+        # a dot outside the file name was once taken for its suffix
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "res.d").mkdir()
+        assert main(["paths", "--dist", dist_file, "--n", "20", "--k", "6",
+                     "--policies", "br", "--seeds", "3", "--out", out]) == 0
+        header, rows = read_rows(tmp_path / written)
+        assert header == "t,ability_index,decision,K_t,R_t" and len(rows) == 20
+        assert (tmp_path / (out + ".manifest.json")).exists()
 
     def test_distinct_seeds_distinct_files(self, dist_file, tmp_path):
         out = tmp_path / "p.csv"
@@ -328,6 +353,36 @@ class TestRatioMeanAndDiagnostics:
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",
                      "--delta", "0.1", "--reps", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+
+class TestPinnedCsvs:
+    # sha256 of each CSV the sample-path commands write on u5 at n=300, k=90:
+    # a change to how replications are drawn or stepped changes them.  Every
+    # value is derived from integers, so the bytes do not depend on the platform
+    DIGESTS = {
+        "p_ai_seed1.csv": "a99a5e7fcade7907d14518e44909af179294c097eb9abd32594fd67f0c0eb435",
+        "p_ai_seed2.csv": "d83103f18f9c3f7f7ce392f29c9f1227aad9c8df77abf82b1359a37abb7199ca",
+        "p_br_seed1.csv": "6b5c6cb55f3ea0a24020f29d65686a7fe5c87dc3c93ea414b31cbe924ea2acbe",
+        "p_br_seed2.csv": "33b0d53d432d05ce7ad3097905908ca054d0d3c8a441e7ab12bdabc9e9ca8fa8",
+        "p_dp_seed1.csv": "cf695c68d00d2354f799eb2056f1d4f04393aca7dbf805c0215fce4bfa38d6f6",
+        "p_dp_seed2.csv": "022e203fc194c132c4ba09688801efd35f89931e64895ea39b0ad05da4723ecc",
+        "p_index_seed1.csv": "7ea6d1fb2d49b52c79e6e09d0f7e80a1ecf6efeb88f863902087b575d7b774fd",
+        "p_index_seed2.csv": "e8f7794cff522f2334710dbc019c71c62563f08dd19f9abc2ede36223361bdcf",
+        "rm.csv": "89f2d755d701a0ac077a48e1d4b24effddaff3250fd9e736d8bfccc5a4a6f7c5",
+        "diag.csv": "457ec8e5bb65afee70f63a97011dfde68148c4f9f2f382fb13b12efcc06a0b37",
+    }
+
+    def test_sample_path_csvs_match_digests(self, dist_file, tmp_path):
+        cell = ["--dist", dist_file, "--n", "300", "--k", "90"]
+        assert main(["paths", *cell, "--policies", "br,dp,ai,index", "--seeds", "1,2",
+                     "--out", str(tmp_path / "p.csv")]) == 0
+        assert main(["ratio-mean", *cell, "--policies", "br,dp,ai", "--reps", "1500",
+                     "--seed", "3", "--out", str(tmp_path / "rm.csv")]) == 0
+        assert main(["diagnostics", *cell, "--delta", "0.05", "--reps", "3000",
+                     "--seed", "4", "--out", str(tmp_path / "diag.csv")]) == 0
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in self.DIGESTS}
+        assert got == self.DIGESTS
 
 
 class TestSeeds:

@@ -10,14 +10,13 @@ from multisecretary import (
     ModelError,
     NonDecreasingSupport,
     NonPositiveValue,
-    action_index_j0,
     dist_from_json,
     half_min_mass,
     new_distribution,
     thresholds,
 )
 from multisecretary.cli import kleinberg_distribution
-from oracles import sample_searchsorted
+from oracles import action_index_j0, sample_searchsorted, threshold_bucket
 
 
 def _tiny_mass_dists():
@@ -142,7 +141,7 @@ class TestThresholds:
         thr = thresholds(masspoint5)
         rng = np.random.default_rng(5)
         for r in np.concatenate([rng.uniform(0, 1.5, 500), thr.values[:-1]]):
-            j = thr.bucket(r)
+            j = threshold_bucket(thr, r)
             assert 1 <= j <= masspoint5.m
             assert thr.values[j - 1] <= r + 1e-12
             assert r + 1e-12 < thr.values[j]
@@ -156,6 +155,7 @@ class TestHalfMinMass:
 
 
 class TestActionIndex:
+    # the reference j0 that the offline decomposition test classifies k/n by
     def test_paper_example(self, uniform5):
         assert action_index_j0(uniform5, 1000, 300) == 2
 

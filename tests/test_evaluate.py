@@ -9,10 +9,8 @@ from multisecretary import (
     NonAdaptivePolicy,
     NonMarkovPolicy,
     ProbabilityDrift,
-    exact_policy_value,
     exact_regret,
     make_policy,
-    mc_regret,
     offline_expectation,
     offline_sort,
     optimal_value,
@@ -27,11 +25,18 @@ from multisecretary.simulate import DEFAULT_CHUNK
 from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
 
 
+def mc_cell(d, name, n, k, reps, seed):
+    """The Monte Carlo record of one (policy, n, k) cell: a one-cell sweep."""
+    records, failures = sweep(d, [name], [(n, k)], mode="mc", reps=reps, seed=seed)
+    assert failures == []
+    return records[0]
+
+
 class TestExactPolicyValue:
     def test_single_period_accept_all(self, masspoint5):
         for name in ("br", "dp", "ai"):
             policy = make_policy(name, masspoint5, 1, 1)
-            got = exact_policy_value(masspoint5, policy, 1, 1)
+            got = _forward_value(masspoint5, policy, 1, 1)[0]
             assert got == pytest.approx(masspoint5.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("dist,n,k", [
@@ -41,24 +46,24 @@ class TestExactPolicyValue:
     def test_dp_forward_matches_backward(self, request, dist, n, k):
         d = request.getfixturevalue(dist)
         policy = make_policy("dp", d, n, k)
-        forward = exact_policy_value(d, policy, n, k)
+        forward = _forward_value(d, policy, n, k)[0]
         assert forward == pytest.approx(optimal_value(d, n, k), abs=1e-10)
 
     def test_br_matches_path_enumeration(self, uniform3):
         policy = make_policy("br", uniform3, 6, 3)
-        got = exact_policy_value(uniform3, policy, 6, 3)
+        got = _forward_value(uniform3, policy, 6, 3)[0]
         want = enum_policy_value(uniform3, 6, 3, br_prob_table(uniform3, 6, 3))
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_ai_matches_path_enumeration(self, uniform3):
         policy = make_policy("ai", uniform3, 6, 3)
-        got = exact_policy_value(uniform3, policy, 6, 3)
+        got = _forward_value(uniform3, policy, 6, 3)[0]
         want = enum_policy_value(uniform3, 6, 3, ai_prob_table(uniform3, 6, 3))
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_index_matches_path_enumeration(self, masspoint5):
         policy = make_policy("index", masspoint5, 5, 2)
-        got = exact_policy_value(masspoint5, policy, 5, 2)
+        got = _forward_value(masspoint5, policy, 5, 2)[0]
         want = enum_policy_value(masspoint5, 5, 2, index_prob_table(masspoint5, 5, 2))
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -67,13 +72,13 @@ class TestExactPolicyValue:
         best = optimal_value(masspoint5, n, k)
         for name in ("br", "ai", "index", "take-top"):
             policy = make_policy(name, masspoint5, n, k)
-            assert exact_policy_value(masspoint5, policy, n, k) <= best + 1e-10
+            assert _forward_value(masspoint5, policy, n, k)[0] <= best + 1e-10
 
     def test_monotone_in_budget(self, masspoint5):
         n = 80
         for name in ("br", "dp", "ai"):
             values = [
-                exact_policy_value(masspoint5, make_policy(name, masspoint5, n, k), n, k)
+                _forward_value(masspoint5, make_policy(name, masspoint5, n, k), n, k)[0]
                 for k in range(0, n + 1, 8)
             ]
             assert all(a <= b + 1e-10 for a, b in zip(values, values[1:]))
@@ -88,11 +93,11 @@ class TestExactPolicyValue:
             name = "opaque"
 
         with pytest.raises(NonMarkovPolicy):
-            exact_policy_value(uniform5, Opaque(), 5, 2)
+            _forward_value(uniform5, Opaque(), 5, 2)
 
     def test_infeasible(self, uniform5):
         with pytest.raises(InfeasiblePair):
-            exact_policy_value(uniform5, make_policy("br", uniform5, 5, 2), 5, 6)
+            _forward_value(uniform5, make_policy("br", uniform5, 5, 2), 5, 6)
 
 
 class _BrokenRates:
@@ -148,9 +153,8 @@ class TestForwardWindow:
         n, k = 200, 60
         index = make_policy("index", uniform5, n, k)
         take_top = NonAdaptivePolicy(uniform5, take_top_matrix(uniform5, n), "index")
-        first = exact_policy_value(uniform5, index, n, k)
-        second = exact_policy_value(uniform5, take_top, n, k)
-        assert second == _forward_value(uniform5, take_top, n, k)[0]
+        first = _forward_value(uniform5, index, n, k)[0]
+        second = _forward_value(uniform5, take_top, n, k)[0]
         assert second < first - 1.0
 
     @pytest.mark.parametrize("rate", [np.nan, 1.5])
@@ -196,28 +200,27 @@ class TestExactRegret:
 class TestMonteCarlo:
     def test_agrees_with_exact(self, uniform5):
         n, k, reps = 300, 90, 20_000
-        policy = make_policy("br", uniform5, n, k)
-        exact = exact_regret(uniform5, policy, n, k)
-        mc = mc_regret(uniform5, policy, n, k, reps, seed=42)
+        exact = exact_regret(uniform5, make_policy("br", uniform5, n, k), n, k)
+        mc = mc_cell(uniform5, "br", n, k, reps, seed=42)
         assert abs(mc.regret - exact.regret) <= 3 * mc.ci_halfwidth + 1e-6
 
     def test_full_budget_degenerates_to_zero(self, uniform3):
-        rec = mc_regret(uniform3, make_policy("dp", uniform3, 40, 40), 40, 40, 200, seed=1)
+        rec = mc_cell(uniform3, "dp", 40, 40, 200, seed=1)
         assert rec.regret == 0.0 and rec.ci_halfwidth == 0.0
 
     def test_same_seed_reproduces(self, uniform5):
-        policy = make_policy("ai", uniform5, 100, 30)
-        a = mc_regret(uniform5, policy, 100, 30, 500, seed=9)
-        b = mc_regret(uniform5, policy, 100, 30, 500, seed=9)
+        a = mc_cell(uniform5, "ai", 100, 30, 500, seed=9)
+        b = mc_cell(uniform5, "ai", 100, 30, 500, seed=9)
         assert a == b
 
     def test_estimator_is_nonnegative(self, masspoint5):
-        rec = mc_regret(masspoint5, make_policy("index", masspoint5, 80, 30), 80, 30, 2000, seed=3)
+        rec = mc_cell(masspoint5, "index", 80, 30, 2000, seed=3)
         assert rec.regret >= 0.0
 
     def test_reps_validation(self, uniform3):
-        with pytest.raises(InfeasiblePair):
-            mc_regret(uniform3, make_policy("br", uniform3, 10, 5), 10, 5, 0, seed=0)
+        records, failures = sweep(uniform3, ["br"], [(10, 5)], mode="mc", reps=0, seed=0)
+        assert records == [] and [cell for cell, _ in failures] == [("br", 10, 5)]
+        assert isinstance(failures[0][1], InfeasiblePair)
 
 
 class TestPathwiseDominance:
@@ -289,8 +292,7 @@ class TestSharedMonteCarlo:
 
     def separate(self, d, names, ks):
         n, reps, seed = self.N, self.REPS, self.SEED
-        return [mc_regret(d, make_policy(name, d, n, k), n, k, reps, seed)
-                for name in names for k in ks]
+        return [mc_cell(d, name, n, k, reps, seed) for name in names for k in ks]
 
     def test_shared_pass_equals_separate_cells(self, uniform5):
         grid = [(self.N, k) for k in self.KS]

@@ -15,6 +15,7 @@ from multisecretary import (
     offline_sort,
 )
 from oracles import (
+    action_index_j0,
     binomial_overshoot,
     binomial_undershoot,
     enum_offline_value,
@@ -104,8 +105,6 @@ class TestOfflineExpectation:
 
     def test_decomposition_bounds(self, masspoint5):
         # within each action-index cell, almost all activity is at two levels
-        from multisecretary import action_index_j0
-
         d = masspoint5
         eps = half_min_mass(d)
         n = 400

@@ -11,9 +11,6 @@ from multisecretary import (
     NonAdaptiveMatrix,
     NonAdaptivePolicy,
     TableMismatch,
-    ai_ratio_increment_mean,
-    episode_stream,
-    exact_policy_value,
     index_matrix,
     make_policy,
     new_distribution,
@@ -23,7 +20,9 @@ from multisecretary import (
     thresholds,
 )
 from multisecretary.distribution import RATIO_TIE_TOL, partial_means
+from multisecretary.evaluate import _forward_value
 from multisecretary.policies import _ratio_breakpoints
+from oracles import ai_ratio_increment_mean, threshold_bucket
 
 
 def decide(policy, t_next, n, budget, ability, u=0.0):
@@ -56,7 +55,7 @@ class TestBudgetRatio:
         budgets = np.arange(51)
         sel, _ = pol.rates(31, 100, budgets)
         for kappa in range(1, 51):
-            bucket = thr.bucket(kappa / 70)
+            bucket = threshold_bucket(thr, kappa / 70)
             assert sel[kappa] == masspoint5.survival_values[bucket]
         assert sel[0] == 0.0
 
@@ -102,7 +101,7 @@ def assert_br_is_bucket_rule(d, n):
     live = kappa > 0
     budgets = np.arange(n + 1)
     for t_next in range(1, n + 1):
-        bucket = thr.bucket(budgets / (n - t_next + 1))
+        bucket = threshold_bucket(thr, budgets / (n - t_next + 1))
         got = br.decide_batch(t_next, n, kappa, ranks, None)
         np.testing.assert_array_equal(got, live & (ranks <= np.repeat(bucket, d.m)))
         sel, g = br.rates(t_next, n, budgets)
@@ -138,7 +137,7 @@ class TestRatioBreakpoints:
     def test_other_horizon_raises(self, uniform5):
         br = make_policy("br", uniform5, 100, 30)
         with pytest.raises(TableMismatch):
-            exact_policy_value(uniform5, br, 101, 30)
+            _forward_value(uniform5, br, 101, 30)
 
 
 class TestDpDecide:
@@ -160,9 +159,9 @@ class TestDpDecide:
         dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
-                run_episode(uniform5, dp, n, k, episode_stream(1, 0))
+                run_episode(uniform5, dp, n, k, 1)
             with pytest.raises(TableMismatch):
-                exact_policy_value(uniform5, dp, n, k)
+                _forward_value(uniform5, dp, n, k)
 
     def test_table_for_another_distribution_raises(self, uniform5, masspoint5):
         with pytest.raises(TableMismatch, match="different distribution"):
@@ -195,15 +194,22 @@ class TestAdaptiveIndex:
         assert not decide(ai, 1, 1000, 0, 1)
 
     def test_stopped_ratio_increment_is_zero(self, masspoint5):
+        # E[R_{t+1} - R_t] = (kappa - sel)/(l - 1) - kappa/l from the rates
+        # hook the engine plays, against the closed form over every arrival
+        ai = make_policy("ai", masspoint5, 10, 5)
         rng = np.random.default_rng(11)
         for _ in range(500):
             n = int(rng.integers(10, 3000))
             t = int(rng.integers(0, n - 1))
             budget = int(rng.integers(0, n - t + 1))  # ratio <= 1
-            inc = ai_ratio_increment_mean(masspoint5, n, t, budget)
-            assert abs(inc) <= 1e-12
+            sel = ai.rates(t + 1, n, np.array([budget]))[0][0]
+            inc = (budget - sel) / (n - t - 1) - budget / (n - t)
+            want = ai_ratio_increment_mean(masspoint5, n, t, budget)
+            assert abs(inc - want) <= 1e-15
+            assert abs(want) <= 1e-12
 
     def test_increment_needs_two_periods(self, masspoint5):
+        # the closed form divides by the l - 1 periods left after this one
         with pytest.raises(InfeasiblePair):
             ai_ratio_increment_mean(masspoint5, 10, 9, 1)
 
@@ -229,12 +235,12 @@ class TestNonAdaptive:
     def test_all_ones_selects_first_k(self, uniform3):
         mat = NonAdaptiveMatrix.of(np.ones((3, 12)))
         policy = NonAdaptivePolicy(uniform3, mat, "matrix")
-        rec = run_episode(uniform3, policy, 12, 4, episode_stream(3, 0))
+        rec = run_episode(uniform3, policy, 12, 4, 3)
         assert rec.decisions[:4].all() and not rec.decisions[4:].any()
 
     def test_take_top_selects_only_top(self, uniform3):
         policy = make_policy("take-top", uniform3, 30, 10)
-        rec = run_episode(uniform3, policy, 30, 10, episode_stream(4, 0))
+        rec = run_episode(uniform3, policy, 30, 10, 4)
         assert np.all(rec.abilities[rec.decisions] == 1)
 
     def test_all_zero_never_selects(self, uniform3):
@@ -244,9 +250,9 @@ class TestNonAdaptive:
     def test_dimension_mismatch(self, uniform3, uniform5):
         policy = NonAdaptivePolicy(uniform3, take_top_matrix(uniform3, 10), "take-top")
         with pytest.raises(DimensionMismatch):
-            run_episode(uniform3, policy, 12, 4, episode_stream(1, 0))
+            run_episode(uniform3, policy, 12, 4, 1)
         with pytest.raises(DimensionMismatch):
-            exact_policy_value(uniform3, policy, 12, 4)
+            _forward_value(uniform3, policy, 12, 4)
         # a rank beyond the matrix rows cannot reach decide_batch: the
         # matrix must have one row per ability of the distribution
         with pytest.raises(DimensionMismatch):
@@ -263,7 +269,7 @@ class TestFeasibility:
         n, k = 60, 20
         policy = make_policy(name, masspoint5, n, k)
         for rep in range(20):
-            rec = run_episode(masspoint5, policy, n, k, episode_stream(17, rep))
+            rec = run_episode(masspoint5, policy, n, k, 17, rep)
             assert rec.decisions.sum() <= k
             assert np.all(rec.budget_path >= 0)
             assert np.all(np.diff(rec.budget_path) <= 0)

@@ -11,14 +11,12 @@ from multisecretary import (
     NonAdaptivePolicy,
     TableMismatch,
     cutoff_time,
-    drift_at_state,
     episode_stream,
     half_min_mass,
     make_policy,
     new_distribution,
     orbit_diagnostics,
     orbit_stats,
-    paired_payoffs,
     ratio_mean_curve,
     run_episode,
     simulate_paths,
@@ -34,15 +32,18 @@ from multisecretary.simulate import (
     _rank_counts,
     block_keys,
     check_cell,
+    paired_payoffs_cells,
 )
 from oracles import (
     ai_prob_table,
     br_prob_table,
+    drift_at_state,
     exact_value_table,
     index_prob_table,
     orbit_scan_passes,
     rank_counts_loop,
     sample_searchsorted,
+    threshold_bucket,
 )
 
 ORACLE_TABLES = {"br": br_prob_table, "ai": ai_prob_table, "index": index_prob_table}
@@ -99,18 +100,24 @@ class TestBlockKeys:
         with pytest.raises(InfeasiblePair):
             check_cell(policy, 10, 3, MAX_REPS + 1)
         with pytest.raises(InfeasiblePair):
-            orbit_stats(uniform5, policy, thresholds(uniform5), 10, 3, 0.05, MAX_REPS + 1, seed=1)
+            orbit_stats(uniform5, policy, 10, 3, 0.05, MAX_REPS + 1, seed=1)
+        # a rep past one spawn word would wrap in block_keys' uint32 cast
+        rec = run_episode(uniform5, policy, 10, 3, 1, rep=MAX_REPS - 1)
+        assert rec.seed_ref == (1, MAX_REPS - 1)
+        for rep in (-1, MAX_REPS):
+            with pytest.raises(InfeasiblePair):
+                run_episode(uniform5, policy, 10, 3, 1, rep=rep)
 
 
 class TestEpisodes:
     def test_zero_budget_never_selects(self, uniform5):
         policy = make_policy("br", uniform5, 50, 0)
-        rec = run_episode(uniform5, policy, 50, 0, episode_stream(1, 0))
+        rec = run_episode(uniform5, policy, 50, 0, 1)
         assert not rec.decisions.any() and rec.payoff == 0.0
 
     def test_full_budget_takes_everything(self, uniform5):
         policy = make_policy("dp", uniform5, 50, 50)
-        rec = run_episode(uniform5, policy, 50, 50, episode_stream(1, 0))
+        rec = run_episode(uniform5, policy, 50, 50, 1)
         assert rec.decisions.all()
         assert rec.payoff == pytest.approx(
             float(np.sum(uniform5.support[rec.abilities - 1])), abs=1e-9
@@ -119,7 +126,7 @@ class TestEpisodes:
     def test_common_random_numbers_across_policies(self, uniform5):
         n, k = 400, 120
         recs = [
-            run_episode(uniform5, make_policy(name, uniform5, n, k), n, k, episode_stream(77, 0))
+            run_episode(uniform5, make_policy(name, uniform5, n, k), n, k, 77)
             for name in ("br", "dp", "ai")
         ]
         np.testing.assert_array_equal(recs[0].abilities, recs[1].abilities)
@@ -127,7 +134,10 @@ class TestEpisodes:
 
     def test_budget_identities(self, masspoint5):
         policy = make_policy("ai", masspoint5, 80, 30)
-        rec = run_episode(masspoint5, policy, 80, 30, episode_stream(5, 3))
+        rec = run_episode(masspoint5, policy, 80, 30, 5, 3)
+        assert rec.seed_ref == (5, 3)
+        want = sample_searchsorted(masspoint5, episode_stream(5, 3).random(160)[0::2])
+        np.testing.assert_array_equal(rec.abilities, want)
         np.testing.assert_array_equal(
             np.diff(rec.budget_path), -rec.decisions.astype(np.int64)
         )
@@ -171,14 +181,14 @@ class TestBatchConsistency:
         n, k, seed = 60, 18, 12
         policy = make_policy("br", uniform5, n, k)
         mean_ratio, mean_budget = ratio_mean_curve(uniform5, policy, n, k, 1, seed)
-        rec = run_episode(uniform5, policy, n, k, episode_stream(seed, 0))
+        rec = run_episode(uniform5, policy, n, k, seed)
         np.testing.assert_allclose(mean_ratio, rec.ratio_path, atol=1e-12)
         np.testing.assert_allclose(mean_budget, rec.budget_path[:n], atol=1e-12)
 
     def test_paired_payoffs_reproducible(self, uniform5):
         policy = make_policy("br", uniform5, 50, 15)
-        a = paired_payoffs(uniform5, policy, 50, 15, 64, seed=2)
-        b = paired_payoffs(uniform5, policy, 50, 15, 64, seed=2)
+        a = paired_payoffs_cells(uniform5, 50, [(policy, 15)], 64, seed=2)[0]
+        b = paired_payoffs_cells(uniform5, 50, [(policy, 15)], 64, seed=2)[0]
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
@@ -187,7 +197,7 @@ class TestBatchConsistency:
         # the engine checked only reps and paired k > n with the offline sort
         policy = make_policy("ai", uniform5, 10, 5)
         with pytest.raises(InfeasiblePair):
-            paired_payoffs(uniform5, policy, n, k, 8, seed=1)
+            paired_payoffs_cells(uniform5, n, [(policy, k)], 8, seed=1)
 
     @pytest.mark.parametrize("n,k,reps", [(10, 11, 8), (10, -1, 8), (0, 0, 8), (10, 5, 0)])
     def test_every_entry_point_checks_before_drawing(self, uniform5, monkeypatch, n, k, reps):
@@ -196,14 +206,12 @@ class TestBatchConsistency:
 
         monkeypatch.setattr(simulate, "_draw_block", draw)
         policy = make_policy("ai", uniform5, 10, 5)
-        thr = thresholds(uniform5)
         calls = [
-            lambda: paired_payoffs(uniform5, policy, n, k, reps, seed=1),
-            lambda: simulate.paired_payoffs_cells(
-                uniform5, n, [(policy, 5), (policy, k)], reps, seed=1),
+            lambda: paired_payoffs_cells(uniform5, n, [(policy, 5), (policy, k)], reps, seed=1),
             lambda: simulate_paths(uniform5, policy, n, k, reps, seed=1),
             lambda: ratio_mean_curve(uniform5, policy, n, k, reps, seed=1),
-            lambda: orbit_stats(uniform5, policy, thr, n, k, 0.05, reps, seed=1),
+            lambda: orbit_stats(uniform5, policy, n, k, 0.05, reps, seed=1),
+            lambda: run_episode(uniform5, policy, n, k, 1, rep=reps - 1),
         ]
         for call in calls:
             with pytest.raises(InfeasiblePair):
@@ -226,21 +234,18 @@ class TestBatchConsistency:
         draw, rates = simulate._draw_block, policy.rates
         monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
         monkeypatch.setattr(policy, "rates", lambda *a: work.append("rates") or rates(*a))
-        thr = thresholds(uniform5)
-        stream = episode_stream(1, 0)
         calls = [
-            lambda: paired_payoffs(uniform5, policy, n, k, 8, seed=1),
+            lambda: paired_payoffs_cells(uniform5, n, [(policy, k)], 8, seed=1),
             lambda: simulate_paths(uniform5, policy, n, k, 8, seed=1),
             lambda: ratio_mean_curve(uniform5, policy, n, k, 8, seed=1),
-            lambda: orbit_stats(uniform5, policy, thr, n, k, 0.05, 8, seed=1),
-            lambda: run_episode(uniform5, policy, n, k, stream),
+            lambda: orbit_stats(uniform5, policy, n, k, 0.05, 8, seed=1),
+            lambda: run_episode(uniform5, policy, n, k, 1),
             lambda: _forward_value(uniform5, policy, n, k),
         ]
         for call in calls:
             with pytest.raises(error):
                 call()
             assert work == []
-        assert stream.random() == episode_stream(1, 0).random()
 
 
 class TestRankCounts:
@@ -266,26 +271,25 @@ class TestOrbit:
     def test_start_on_threshold_enters_immediately(self, uniform5):
         n, k = 1000, 300  # k/n = 0.30 = T_2
         policy = make_policy("br", uniform5, n, k)
-        rec = run_episode(uniform5, policy, n, k, episode_stream(8, 0))
-        diag = orbit_diagnostics(rec, thresholds(uniform5), delta=0.05)
+        rec = run_episode(uniform5, policy, n, k, 8)
+        diag = orbit_diagnostics(rec, uniform5, delta=0.05)
         assert diag.tau0 == 0 and diag.j_tau0 == 2
         assert diag.tau0 <= diag.tau <= n
 
     def test_initial_deviation_bound(self, uniform5):
         n, k, delta = 1000, 340, 0.05
         policy = make_policy("br", uniform5, n, k)
-        thr = thresholds(uniform5)
         for rep in range(10):
-            rec = run_episode(uniform5, policy, n, k, episode_stream(21, rep))
-            diag = orbit_diagnostics(rec, thr, delta)
+            rec = run_episode(uniform5, policy, n, k, 21, rep)
+            diag = orbit_diagnostics(rec, uniform5, delta)
             if diag.j_tau0 <= uniform5.m:
                 assert abs(diag.y_path[0]) <= delta / 2 * (n - diag.tau0) + 1e-9
 
     def test_cutoff_branch_on_short_horizon(self, uniform5):
         # with n - ceil(2/delta) - 1 <= 0 the sentinel fires at time zero
         policy = make_policy("br", uniform5, 30, 10)
-        rec = run_episode(uniform5, policy, 30, 10, episode_stream(2, 0))
-        diag = orbit_diagnostics(rec, thresholds(uniform5), delta=0.05)
+        rec = run_episode(uniform5, policy, 30, 10, 2)
+        diag = orbit_diagnostics(rec, uniform5, delta=0.05)
         assert diag.j_tau0 == uniform5.m + 1
         assert diag.tau == diag.tau0 == cutoff_time(30, 0.05) == 0
         assert diag.y_path.size == 0
@@ -295,26 +299,28 @@ class TestOrbit:
         policy = make_policy("br", uniform5, n, k)
         t_cut = cutoff_time(n, delta)
         for rep in range(5):
-            rec = run_episode(uniform5, policy, n, k, episode_stream(31, rep))
+            rec = run_episode(uniform5, policy, n, k, 31, rep)
             jumps = np.abs(np.diff(rec.ratio_path))
             assert np.all(jumps[: t_cut + 1] <= delta / 2 + 1e-12)
 
     def test_bad_delta(self, uniform5):
+        # one rule for both: 0 < delta < half the minimal mass (0.1 on u5);
+        # orbit_diagnostics once took delta up to the smallest threshold gap
         policy = make_policy("br", uniform5, 100, 30)
-        with pytest.raises(BadDelta):
-            orbit_stats(uniform5, policy, thresholds(uniform5), 100, 30,
-                        half_min_mass(uniform5), 10, seed=0)
-        with pytest.raises(BadDelta):
-            orbit_stats(uniform5, policy, thresholds(uniform5), 100, 30, 0.0, 10, seed=0)
+        rec = run_episode(uniform5, policy, 100, 30, 0)
+        for delta in (half_min_mass(uniform5), 0.15, 0.0):
+            with pytest.raises(BadDelta):
+                orbit_stats(uniform5, policy, 100, 30, delta, 10, seed=0)
+            with pytest.raises(BadDelta):
+                orbit_diagnostics(rec, uniform5, delta)
 
     def test_stats_batch_matches_single(self, uniform5):
         n, k, delta, reps, seed = 600, 180, 0.05, 8, 44
         policy = make_policy("br", uniform5, n, k)
-        thr = thresholds(uniform5)
-        sample = orbit_stats(uniform5, policy, thr, n, k, delta, reps, seed)
+        sample = orbit_stats(uniform5, policy, n, k, delta, reps, seed)
         for rep in range(reps):
-            rec = run_episode(uniform5, policy, n, k, episode_stream(seed, rep))
-            diag = orbit_diagnostics(rec, thr, delta)
+            rec = run_episode(uniform5, policy, n, k, seed, rep)
+            diag = orbit_diagnostics(rec, uniform5, delta)
             assert sample.tau0[rep] == diag.tau0
             assert sample.j_tau0[rep] == diag.j_tau0
             assert sample.tau[rep] == diag.tau
@@ -384,17 +390,27 @@ class TestOrbitScanOracle:
 
 class TestDrift:
     def test_analytic_values_in_orbit(self, masspoint5):
+        # br's drift T_j - sel from its rates hook is the closed form, which
+        # is exactly -f_j/2 at or above the anchor and +f_j/2 below it
         d = masspoint5
         thr = thresholds(d)
         n = 1000
+        br = make_policy("br", d, n, n)
+
+        def drift(t, budget, j):
+            sel = br.rates(t + 1, n, np.array([budget]))[0][0]
+            closed = drift_at_state(d, thr, n, t, budget, j)
+            assert abs(thr.t(j) - sel - closed) <= 1e-15
+            return closed
+
         for j in range(2, d.m + 1):
             t = 400
             anchor = thr.t(j)
             above = int(np.ceil(anchor * (n - t) + 1))
             below = int(np.floor(anchor * (n - t) - 1))
-            assert drift_at_state(d, thr, n, t, above, j) == -0.5 * d.pmf[j - 1]
-            assert drift_at_state(d, thr, n, t, below, j) == 0.5 * d.pmf[j - 1]
-        assert drift_at_state(d, thr, n, 100, 0, 3) == thr.t(3)
+            assert drift(t, above, j) == -0.5 * d.pmf[j - 1]
+            assert drift(t, below, j) == 0.5 * d.pmf[j - 1]
+        assert drift(100, 0, 3) == thr.t(3)
 
     def test_empirical_drift_matches_analytic(self, uniform5):
         # conditional means of Y increments inside the orbit, by sign of Y
@@ -410,7 +426,7 @@ class TestDrift:
         for row in paths:
             ratio = row[:n] / (n - times)
             y = row[:n] - anchor * (n - times)
-            bucket = thr.bucket(ratio)  # tie rule matches the policy's
+            bucket = threshold_bucket(thr, ratio)  # tie rule matches the policy's
             ok = (np.abs(ratio - anchor) <= delta) & (row[:n] > 0) & (times < t_cut)
             inc = (row[1 : n + 1] - anchor * (n - times - 1)) - y
             up.extend(inc[ok & (bucket == 2)])
