@@ -4,22 +4,19 @@ __version__ = "0.1.0"
 
 from .distribution import (
     AbilityDistribution,
-    ThresholdSet,
-    dist_from_dict,
     dist_from_json,
     half_min_mass,
     load_distribution,
     new_distribution,
     thresholds,
 )
-from .dp import DPTable, optimal_value, solve
+from .dp import DPTable, solve
 from .errors import (
     BadDelta,
     BadEpsilon,
     BadPmf,
     CountMismatch,
     DimensionMismatch,
-    IndexOutOfRange,
     InfeasiblePair,
     ModelError,
     NonDecreasingSupport,
@@ -40,7 +37,6 @@ from .offline import (
     OfflineValue,
     dr_solution,
     offline_expectation,
-    offline_expected_value,
     offline_sort,
 )
 from .policies import (

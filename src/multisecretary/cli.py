@@ -28,6 +28,7 @@ from .evaluate import sweep, write_records
 from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
+    check_reps,
     orbit_stats,
     ratio_mean_curve,
     run_episode,
@@ -90,11 +91,6 @@ def _check_seeds(seeds: list) -> list:
     return seeds
 
 
-def _check_reps(reps: int) -> None:
-    if reps < 1:
-        raise ModelError(f"reps must be >= 1, got {reps}")
-
-
 def _write_manifest(out: str, command: str, dist: AbilityDistribution | None,
                     seed, grid, started: float) -> None:
     manifest = {
@@ -119,7 +115,7 @@ def _report_failures(failures) -> int:
 
 def _sweep_mode(args) -> str:
     if args.mc:
-        _check_reps(args.reps)
+        check_reps(args.reps)
         return "mc"
     return "exact"
 
@@ -161,21 +157,21 @@ def cmd_kleinberg(args) -> int:
     started = time.perf_counter()
     epsilons = _parse_list(args.epsilons, float)
     names = _parse_policies(args.policies)
-    records = []
-    failures = []
-    grid_note = []
-    for eps in epsilons:
+    cells = []
+    for eps in epsilons:  # every epsilon is checked before the first sweep
         d = kleinberg_distribution(eps)
         try:
             n = math.ceil(1.0 / eps**2)
         except (ZeroDivisionError, OverflowError):  # eps**2 underflows to 0, or 1/eps**2 to inf
             raise BadEpsilon(f"epsilon {eps!r} is too small: 1/epsilon^2 is not finite") from None
-        k = math.ceil(n / 2)
-        grid_note.append({"epsilon": eps, "n": n, "k": k})
+        cells.append((eps, d, n, math.ceil(n / 2)))
+    records, failures = [], []
+    for _, d, n, k in cells:
         got, failed = sweep(d, names, [(n, k)])
         records += got
         failures += failed
     write_records(records, args.out)
+    grid_note = [{"epsilon": eps, "n": n, "k": k} for eps, _, n, k in cells]
     _write_manifest(args.out, "kleinberg", None, args.seed, grid_note, started)
     return _report_failures(failures)
 
@@ -210,7 +206,7 @@ def cmd_ratio_mean(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
-    _check_reps(args.reps)
+    check_reps(args.reps)
     curves = {
         name: ratio_mean_curve(
             d, make_policy(name, d, args.n, args.k), args.n, args.k, args.reps, args.seed
@@ -230,7 +226,7 @@ def cmd_ratio_mean(args) -> int:
 def cmd_diagnostics(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
-    _check_reps(args.reps)
+    check_reps(args.reps)
     policy = make_policy(args.policy, d, args.n, args.k)
     sample = orbit_stats(d, policy, args.n, args.k, args.delta, args.reps, args.seed)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -258,10 +254,10 @@ def cmd_validate(args) -> int:
         "survival": [float(s) for s in d.survival_values],
         "epsilon": half_min_mass(d),
         "mean": d.mean(),
-        "thresholds": [float(t) if np.isfinite(t) else None for t in thr.values],
+        "thresholds": [float(t) if np.isfinite(t) else None for t in thr],
         "j0_intervals": [
-            {"j": j, "from": float(thr.values[j - 1]),
-             "to": float(thr.values[j]) if np.isfinite(thr.values[j]) else None}
+            {"j": j, "from": float(thr[j - 1]),
+             "to": float(thr[j]) if np.isfinite(thr[j]) else None}
             for j in range(1, m + 1)
         ],
     }
@@ -273,13 +269,13 @@ def cmd_validate(args) -> int:
     for j in range(1, m + 1):
         print(
             f"{j:3d} {d.support[j - 1]:8.4g} {d.pmf[j - 1]:8.4g} "
-            f"{d.survival_values[j - 1]:8.4g} {thr.values[j - 1]:8.4g}"
+            f"{d.survival_values[j - 1]:8.4g} {thr[j - 1]:8.4g}"
         )
     print(f"    F̄(a_{m + 1}) = 1, T_{m + 1} = inf")
     print("j0 by budget ratio k/n:")
     for j in range(1, m + 1):
-        hi = f"{thr.values[j]:.6g}" if np.isfinite(thr.values[j]) else "inf"
-        print(f"  [{thr.values[j - 1]:.6g}, {hi}) -> j0 = {j}")
+        hi = f"{thr[j]:.6g}" if np.isfinite(thr[j]) else "inf"
+        print(f"  [{thr[j - 1]:.6g}, {hi}) -> j0 = {j}")
     return 0
 
 

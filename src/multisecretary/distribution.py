@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     BadPmf,
-    IndexOutOfRange,
     ModelError,
     NonDecreasingSupport,
     NonPositiveValue,
@@ -60,12 +59,6 @@ class AbilityDistribution:
     def m(self) -> int:
         return self.support.size
 
-    def survival(self, j: int) -> float:
-        """F̄(a_j) for a 1-based index j in [1, m+1]."""
-        if not 1 <= j <= self.m + 1:
-            raise IndexOutOfRange(f"survival index {j} outside [1, {self.m + 1}]")
-        return float(self.survival_values[j - 1])
-
     def mean(self) -> float:
         return float(self.support @ self.pmf)
 
@@ -93,28 +86,6 @@ class AbilityDistribution:
     def __repr__(self) -> str:  # compact, for logs and error messages
         sup = ", ".join(f"{a:g}" for a in self.support)
         return f"AbilityDistribution([{sup}], m={self.m})"
-
-
-@dataclass(frozen=True, eq=False)
-class ThresholdSet:
-    """Budget-ratio thresholds T_1 = 0 < T_2 < ... < T_m < T_{m+1} = +inf.
-
-    ``values[j - 1]`` holds T_j.  Interior thresholds are the midpoints of
-    consecutive survival values, so T_j sits exactly half the mass f_j above
-    F̄(a_j) and the same amount below F̄(a_{j+1}).
-    """
-
-    values: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.values.size - 1
-
-    def t(self, j: int) -> float:
-        """T_j for a 1-based index j in [1, m+1]."""
-        if not 1 <= j <= self.m + 1:
-            raise IndexOutOfRange(f"threshold index {j} outside [1, {self.m + 1}]")
-        return float(self.values[j - 1])
 
 
 def _is_real(x) -> bool:
@@ -191,8 +162,12 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
                                guide=guide, guide_steps=guide_steps)
 
 
-def thresholds(d: AbilityDistribution) -> ThresholdSet:
-    """Midpoint thresholds T_j = (F̄(a_j) + F̄(a_{j+1})) / 2 for j in 2..m."""
+def thresholds(d: AbilityDistribution) -> np.ndarray:
+    """Read-only (m+1,) budget-ratio thresholds T_1 = 0 < T_2 < ... < T_m <
+    T_{m+1} = +inf, ``[j - 1]`` holding T_j.  Interior thresholds are the
+    midpoints T_j = (F̄(a_j) + F̄(a_{j+1})) / 2 of consecutive survival
+    values, so T_j sits half the mass f_j above F̄(a_j) and below F̄(a_{j+1}).
+    """
     m = d.m
     values = np.empty(m + 1)
     values[0] = 0.0
@@ -201,7 +176,7 @@ def thresholds(d: AbilityDistribution) -> ThresholdSet:
         sv = d.survival_values
         values[1:m] = 0.5 * (sv[1:m] + sv[2 : m + 1])
     values.flags.writeable = False
-    return ThresholdSet(values=values)
+    return values
 
 
 def partial_means(d: AbilityDistribution) -> np.ndarray:
@@ -215,15 +190,12 @@ def half_min_mass(d: AbilityDistribution) -> float:
     return 0.5 * float(d.pmf.min())
 
 
-def dist_from_dict(obj: dict) -> AbilityDistribution:
+def dist_from_json(text: str) -> AbilityDistribution:
     """Build a distribution from the ``{"support": [...], "pmf": [...]}`` schema."""
+    obj = json.loads(text)
     if not isinstance(obj, dict) or "support" not in obj or "pmf" not in obj:
         raise BadPmf("distribution config must be an object with 'support' and 'pmf'")
     return new_distribution(obj["support"], obj["pmf"])
-
-
-def dist_from_json(text: str) -> AbilityDistribution:
-    return dist_from_dict(json.loads(text))
 
 
 def load_distribution(path) -> AbilityDistribution:

@@ -95,8 +95,3 @@ def solve(d: AbilityDistribution, n: int, k: int) -> DPTable:
     return DPTable(
         dist_hash=d.content_hash(), n=n, k=k, value=float(np.sum(-u)), breakpoints=breakpoints
     )
-
-
-def optimal_value(d: AbilityDistribution, n: int, k: int) -> float:
-    """g_n(k)."""
-    return solve(d, n, k).value

@@ -17,10 +17,6 @@ class BadPmf(ModelError):
     """Probability masses are malformed (negative, zero, or not summing to one)."""
 
 
-class IndexOutOfRange(ModelError):
-    """A 1-based ability or table index lies outside its valid range."""
-
-
 class InfeasiblePair(ModelError):
     """A (horizon, budget) pair violates 0 <= k <= n."""
 

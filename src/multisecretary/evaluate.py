@@ -3,9 +3,11 @@
 The exact route propagates the budget distribution forward in time
 (Chapman-Kolmogorov over the (t, budget) chain induced by any state-Markov
 policy), integrating the policy's randomization in closed form through its
-``rates`` hook.  The Monte Carlo route pairs each sampled path's policy
-payoff with the posterior sort on the same realization; a sweep's Monte
-Carlo cells at one n share every block of draws.
+``rates`` hook; edge budget cells below a fixed share of ``TAIL_TOL`` are
+trimmed, and what they could still earn is the record's ``error_bound``.
+The Monte Carlo route pairs each sampled path's policy payoff with the
+posterior sort on the same realization; a sweep's Monte Carlo cells at one
+n share every block of draws.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import InfeasiblePair, NonMarkovPolicy, ProbabilityDrift, check_pair
+from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import offline_expectation
 from .policies import make_policy
 from .simulate import check_cell, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
+TAIL_TOL = 1e-12  # the forward window's total trimmed-mass budget
 
 CSV_HEADER = "policy,n,k,method,v_on,v_off,regret,ci_halfwidth,error_bound"
 
@@ -52,22 +55,18 @@ class RegretRecord:
     error_bound: float = 0.0
 
 
-def _forward_value(
-    d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
-) -> tuple[float, float, float]:
+def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
     """Expected payoff of a state-Markov policy, the worst probability drift
     observed while propagating, and a bound on the payoff of trimmed mass.
 
     Only the budget window ``[lo, hi]`` that carries mass is propagated.
     Selection moves mass down one cell per step, so ``lo`` widens by one;
-    edge cells holding less than ``tail_tol / (n (k + 1))`` are then dropped,
+    edge cells holding less than ``TAIL_TOL / (n (k + 1))`` are then dropped,
     each adding ``a_1 * mass * min(budget, periods left)`` (the most that mass
     could still earn) to the truncation bound.  The returned value
-    underestimates the untruncated one by at most that bound; at
-    ``tail_tol=0`` nothing is dropped.
+    underestimates the untruncated one by at most that bound.
 
     Raises:
-        InfeasiblePair: ``tail_tol`` lies outside [0, 1e-9].
         ProbabilityDrift: at a check (every 512 steps and the last), the
             window holds a negative or non-finite cell, or its mass plus the
             dropped mass differs from 1 by more than ``DRIFT_LIMIT``.
@@ -78,13 +77,11 @@ def _forward_value(
         )
     check_pair(n, k)
     policy.check(n, k)
-    if not 0.0 <= tail_tol <= 1e-9:
-        raise InfeasiblePair(f"tail_tol must lie in [0, 1e-9], got {tail_tol}")
     budgets = np.arange(k + 1)
     prob = np.zeros(k + 1)
     prob[k] = 1.0
     lo = hi = k
-    trim_below = tail_tol / (n * (k + 1)) if n else 0.0
+    trim_below = TAIL_TOL / (n * (k + 1)) if n else 0.0
     top = float(d.support[0])
     dropped = 0.0  # probability mass trimmed off the window
     truncation = 0.0
@@ -136,11 +133,9 @@ def _forward_value(
     return value, max_drift, truncation
 
 
-def exact_regret(
-    d: AbilityDistribution, policy, n: int, k: int, tail_tol: float = 1e-12
-) -> RegretRecord:
+def exact_regret(d: AbilityDistribution, policy, n: int, k: int) -> RegretRecord:
     off = offline_expectation(d, n, k)
-    v_on, _, truncation = _forward_value(d, policy, n, k, tail_tol)
+    v_on, _, truncation = _forward_value(d, policy, n, k)
     return RegretRecord(
         policy=policy.name,
         n=n,

@@ -94,10 +94,6 @@ def offline_expectation(d: AbilityDistribution, n: int, k: int) -> OfflineValue:
     )
 
 
-def offline_expected_value(d: AbilityDistribution, n: int, k: int) -> float:
-    return offline_expectation(d, n, k).value
-
-
 def dr_solution(d: AbilityDistribution, n: int, k: int) -> tuple[np.ndarray, float]:
     """Deterministic relaxation: replace counts by their means and sort.
 

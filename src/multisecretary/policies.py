@@ -191,7 +191,7 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
     """
     if name == "br":
         check_pair(n, k)
-        bp = _ratio_breakpoints(thresholds(d).values[: d.m], n)
+        bp = _ratio_breakpoints(thresholds(d)[: d.m], n)
         return BreakpointPolicy(d, dp_mod.DPTable(d.content_hash(), n, n, math.nan, bp), "br")
     if name == "dp":
         return BreakpointPolicy(d, dp_mod.solve(d, n, k), "dp")

@@ -5,7 +5,7 @@ decision draw) from a counter-based Philox substream keyed by (seed, rep),
 so ability sequences are identical across policies and replication results
 do not depend on execution order.
 
-The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``chunk``.
+The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``CHUNK``.
 The Philox keys of a block's replications are derived once, as arrays, and
 one Philox restarts under each key in turn (``block_keys``).  Each block is
 drawn once, a few dozen replications at a time through a rep-major scratch
@@ -29,13 +29,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import AbilityDistribution, ThresholdSet, half_min_mass, thresholds
+from .distribution import AbilityDistribution, half_min_mass, thresholds
 from .errors import BadDelta, InfeasiblePair, check_pair
 from .offline import offline_sort_batch
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
-DEFAULT_CHUNK = 1024
+CHUNK = 1024  # replications per block
 SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
 MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
 
@@ -157,9 +157,14 @@ def check_cell(policy, n: int, k: int, reps: int) -> None:
     """Raise unless n >= 1, 0 <= k <= n, 1 <= reps <= ``MAX_REPS`` and
     ``policy.check(n, k)`` passes."""
     check_pair(n, k, min_n=1)
+    check_reps(reps)
+    policy.check(n, k)
+
+
+def check_reps(reps: int) -> None:
+    """Raise unless 1 <= reps <= ``MAX_REPS``."""
     if not 1 <= reps <= MAX_REPS:
         raise InfeasiblePair(f"reps must be in [1, 2**32], got {reps}")
-    policy.check(n, k)
 
 
 class _Cell:
@@ -248,10 +253,9 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
                 cell.paths[t_next] = cell.budgets
 
 
-def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int,
-            want_paths=False, want_counts=False):
+def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_counts=False):
     """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
-    over episodes 0..reps-1 in shared blocks of ``chunk``.
+    over episodes 0..reps-1 in shared blocks of ``CHUNK``.
 
     Yields ``(rows, counts)`` once every cell has stepped through a block:
     ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
@@ -260,9 +264,9 @@ def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int,
     """
     if not cells:
         return
-    scratch = np.empty((min(SCRATCH_REPS, chunk, reps), 2 * n))
-    for start in range(0, reps, chunk):
-        rows = slice(start, min(start + chunk, reps))
+    scratch = np.empty((min(SCRATCH_REPS, CHUNK, reps), 2 * n))
+    for start in range(0, reps, CHUNK):
+        rows = slice(start, min(start + CHUNK, reps))
         ranks, u, counts = _draw_block(
             d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
         for cell in cells:
@@ -272,7 +276,7 @@ def _blocks(d, n: int, cells, reps: int, seed: int, chunk: int,
 
 
 def simulate_paths(
-    d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
+    d, policy, n: int, k: int, reps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
     check_cell(policy, n, k, reps)
@@ -280,14 +284,12 @@ def simulate_paths(
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, cnt in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True, want_counts=True):
+    for rows, cnt in _blocks(d, n, [cell], reps, seed, want_paths=True, want_counts=True):
         payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths.T
     return payoffs, counts, paths
 
 
-def paired_payoffs_cells(
-    d, n: int, cells, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
-) -> list:
+def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
     """Per-episode online and posterior-sort payoffs of several (policy, k)
     cells at horizon ``n``, on blocks drawn once and shared by all of them;
     the sort runs once per distinct k.
@@ -299,7 +301,7 @@ def paired_payoffs_cells(
         check_cell(policy, n, k, reps)
     state = [_Cell(policy, k) for policy, k in cells]
     got = [(np.empty(reps), np.empty(reps)) for _ in state]
-    for rows, counts in _blocks(d, n, state, reps, seed, chunk, want_counts=True):
+    for rows, counts in _blocks(d, n, state, reps, seed, want_counts=True):
         sorts = {}
         for cell, (online, offline) in zip(state, got):
             if cell.k not in sorts:
@@ -310,13 +312,13 @@ def paired_payoffs_cells(
 
 
 def ratio_mean_curve(
-    d, policy, n: int, k: int, reps: int, seed: int, chunk: int = DEFAULT_CHUNK
+    d, policy, n: int, k: int, reps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, k)
     budget_sum = np.zeros(n)
-    for _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
+    for _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
         budget_sum += cell.paths[:n].sum(axis=1)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
@@ -336,8 +338,9 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
     return np.where(mask[first, np.arange(mask.shape[1])], first, none)
 
 
-def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
-    """tau0/j/tau of each column of an (n+1, reps) matrix of budget paths.
+def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
+    """tau0/j/tau of each column of an (n+1, reps) matrix of budget paths,
+    against the thresholds ``thr`` = T_1..T_{m+1}.
 
     The ratio R_t enters the orbit of T_j at the first t below the cutoff
     with |R_t - T_j| <= delta/2, and leaves it at the first later t with
@@ -345,29 +348,29 @@ def _orbit_scan(paths: np.ndarray, thr: ThresholdSet, delta: float, n: int):
     into the midpoints between thresholds) is tested: since delta is below
     the smallest gap between thresholds, no other can be within delta/2.
     """
-    m = thr.m
+    m = thr.size - 1
     reps = paths.shape[1]
     t_cut = min(cutoff_time(n, delta), n - 1)
     if t_cut == 0:
         cut = np.zeros(reps, dtype=np.int64)
         return cut, np.full(reps, m + 1, dtype=np.int16), cut
     ratio = paths[:t_cut] / (n - np.arange(t_cut))[:, None]
-    mids = 0.5 * (thr.values[: m - 1] + thr.values[1:m])
+    mids = 0.5 * (thr[: m - 1] + thr[1:m])
     nearest = np.searchsorted(mids, ratio)  # 0-based j of the nearest T_j
-    dev = ratio - thr.values[nearest]
+    dev = ratio - thr[nearest]
     np.abs(dev, out=dev)
     tau0 = _first_true(dev <= delta / 2.0, t_cut)
     cols = np.arange(reps)
     entered = tau0 < t_cut
     j_tau0 = np.where(entered, nearest[np.minimum(tau0, t_cut - 1), cols] + 1, m + 1)
-    np.subtract(ratio, thr.values[j_tau0 - 1], out=dev)  # T_{m+1} = inf on the cutoff branch
+    np.subtract(ratio, thr[j_tau0 - 1], out=dev)  # T_{m+1} = inf on the cutoff branch
     np.abs(dev, out=dev)
     out = dev > delta
     out &= np.arange(t_cut)[:, None] > tau0  # cutoff branch: tau = tau0 = t_cut
     return tau0, j_tau0.astype(np.int16), _first_true(out, t_cut)
 
 
-def _orbit_thresholds(d, delta: float) -> ThresholdSet:
+def _orbit_thresholds(d, delta: float) -> np.ndarray:
     """The thresholds of ``d``, once ``delta`` lies in (0, half the minimal
     mass): then it is below half of every gap between thresholds, so the
     matched threshold is unique."""
@@ -384,18 +387,16 @@ def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostic
     n = record.n
     tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
     tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
-    if j_tau0 == thr.m + 1:
+    if j_tau0 == d.m + 1:
         y_path = np.empty(0)
     else:
-        anchor = thr.values[j_tau0 - 1]
+        anchor = thr[j_tau0 - 1]
         left = n - tau0 - np.arange(n - tau0 + 1)
         y_path = record.budget_path[tau0:] - anchor * left
     return OrbitDiagnostics(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau, y_path=y_path)
 
 
-def orbit_stats(
-    d, policy, n: int, k: int, delta: float, reps: int, seed: int, chunk: int = DEFAULT_CHUNK,
-) -> OrbitSample:
+def orbit_stats(d, policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
     thr = _orbit_thresholds(d, delta)
     check_cell(policy, n, k, reps)
@@ -403,6 +404,6 @@ def orbit_stats(
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _ in _blocks(d, n, [cell], reps, seed, chunk, want_paths=True):
+    for rows, _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths, thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)

@@ -20,9 +20,7 @@ from itertools import product
 import numpy as np
 from scipy.stats import binom
 
-from multisecretary import (
-    IndexOutOfRange, InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds,
-)
+from multisecretary import InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds
 from multisecretary.errors import check_pair
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
@@ -196,7 +194,7 @@ def threshold_bucket(thr, ratio):
     Accepts a scalar or an array; ratios within ``BOUNDARY_TOL`` of a
     threshold count as having reached it.
     """
-    interior = thr.values[1:-1]
+    interior = thr[1:-1]
     idx = np.searchsorted(interior, np.asarray(ratio) + BOUNDARY_TOL, side="right") + 1
     if np.isscalar(ratio):
         return int(idx)
@@ -224,16 +222,16 @@ def drift_at_state(d, thr, n: int, t: int, budget: int, j_anchor: int) -> float:
     """
     if t >= n or budget < 0:
         raise InfeasiblePair(f"need t < n and budget >= 0, got t={t}, budget={budget}")
-    if not 1 <= j_anchor <= thr.m + 1:
-        raise InfeasiblePair(f"anchor index {j_anchor} outside [1, {thr.m + 1}]")
+    if not 1 <= j_anchor <= thr.size:
+        raise InfeasiblePair(f"anchor index {j_anchor} outside [1, {thr.size}]")
     if budget == 0:
-        return thr.t(j_anchor)
+        return float(thr[j_anchor - 1])
     bucket = threshold_bucket(thr, budget / (n - t))
     if bucket == j_anchor:
         return -0.5 * float(d.pmf[j_anchor - 1])
     if bucket == j_anchor - 1:
         return 0.5 * float(d.pmf[j_anchor - 1])
-    return thr.t(j_anchor) - d.survival(bucket + 1)
+    return float(thr[j_anchor - 1] - d.survival_values[bucket])
 
 
 def ai_ratio_increment_mean(d, n: int, t: int, budget: int) -> float:
@@ -291,13 +289,13 @@ def orbit_scan_passes(paths: np.ndarray, thr, delta: float, n: int):
     """tau0/j/tau of each row of a (reps, n+1) matrix of budget paths, with
     one full-array pass per threshold: the nearest T_j of every ratio by
     distance (ties to the smaller j), then the entry test on that distance."""
-    m = thr.m
+    m = thr.size - 1
     t_cut = min(cutoff_time(n, delta), n - 1)
     ratio = paths[:, :n] / (n - np.arange(n))
     best = np.full(ratio.shape, np.inf)
     best_j = np.zeros(ratio.shape, dtype=np.int16)
     for j in range(1, m + 1):
-        dist = np.abs(ratio - thr.values[j - 1])
+        dist = np.abs(ratio - thr[j - 1])
         closer = dist < best
         best[closer] = dist[closer]
         best_j[closer] = j
@@ -307,7 +305,7 @@ def orbit_scan_passes(paths: np.ndarray, thr, delta: float, n: int):
     rows = np.arange(paths.shape[0])
     j_tau0 = np.where(tau0 == t_cut, m + 1, best_j[rows, tau0]).astype(np.int16)
 
-    anchor = np.where(j_tau0 <= m, thr.values[np.minimum(j_tau0, m) - 1], np.inf)
+    anchor = np.where(j_tau0 <= m, thr[np.minimum(j_tau0, m) - 1], np.inf)
     out = np.abs(ratio - anchor[:, None]) > delta
     cols = np.arange(n)
     out |= cols >= t_cut
@@ -371,14 +369,14 @@ def accept_threshold(table, ell: int, kappa: int) -> float:
             "threshold queries need a reference g table; a solved DPTable keeps breakpoints only"
         )
     if not (1 <= ell <= table.n and 1 <= kappa <= table.k):
-        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
+        raise IndexError(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
     return float(table.g[ell - 1, kappa] - table.g[ell - 1, kappa - 1])
 
 
 def accept_cut(table, ell: int, kappa: int) -> int:
     """How many of the top abilities a solved DPTable accepts in this state."""
     if not (1 <= ell <= table.n and 0 <= kappa <= table.k):
-        raise IndexOutOfRange(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
+        raise IndexError(f"(ell={ell}, kappa={kappa}) outside table of (n={table.n}, k={table.k})")
     return int(np.searchsorted(table.breakpoints[ell], kappa, side="right"))
 
 

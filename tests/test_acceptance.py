@@ -14,10 +14,9 @@ from multisecretary import (
     half_min_mass,
     make_policy,
     offline_expectation,
-    offline_expected_value,
-    optimal_value,
     orbit_stats,
     simulate_paths,
+    solve,
     thresholds,
 )
 from multisecretary.cli import kleinberg_distribution
@@ -60,10 +59,10 @@ def test_criterion_1_brute_force_equivalence(small_family):
             for k in range(0, n + 1):
                 worst["offline"] = max(
                     worst["offline"],
-                    abs(offline_expected_value(d, n, k) - enum_offline_value(d, n, k)),
+                    abs(offline_expectation(d, n, k).value - enum_offline_value(d, n, k)),
                 )
                 worst["dp"] = max(
-                    worst["dp"], abs(optimal_value(d, n, k) - enum_optimal_value(d, n, k))
+                    worst["dp"], abs(solve(d, n, k).value - enum_optimal_value(d, n, k))
                 )
                 for name, table in tables.items():
                     got = _forward_value(d, make_policy(name, d, n, k), n, k)[0]
@@ -78,11 +77,11 @@ def test_criterion_1_brute_force_equivalence(small_family):
 def test_criterion_2_bellman_identities(uniform3, uniform5, masspoint5):
     worst_h = 0.0
     for d in (uniform3, uniform5, masspoint5):
-        h_2 = optimal_value(d, 1, 1) - optimal_value(d, 1, 0)
+        h_2 = solve(d, 1, 1).value - solve(d, 1, 0).value
         worst_h = max(worst_h, abs(h_2 - d.mean()))
     worst_v = 0.0
     n, k = 12, 5
-    base = optimal_value(uniform3, n, k)
+    base = solve(uniform3, n, k).value
     for w in (0.0, 0.25, 1.0, 3.75, 10.5, 123.0):
         worst_v = max(worst_v, abs(full_value_check(uniform3, n, k, w) - (w + base)))
     ok = worst_h <= 1e-10 and worst_v <= 1e-10
@@ -189,7 +188,7 @@ def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, unifo
         thr = thresholds(d)
         br = {n: make_policy("br", d, n, n) for n in (1000, 4000)}
         for j in range(2, d.m + 1):
-            anchor = thr.t(j)
+            anchor = thr[j - 1]
             for n, t in ((1000, 250), (4000, 1777)):
                 target = anchor * (n - t)
                 for budget in range(int(target) - 2, int(target) + 4):

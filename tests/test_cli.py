@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from multisecretary import cli
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER
@@ -153,10 +154,14 @@ class TestSweepK:
         assert "greedy" in assert_one_error_line(capsys)
 
     def test_mc_zero_reps_exits_2_once(self, dist_file, tmp_path, capsys):
-        assert main(["sweep-k", "--dist", dist_file, "--n", "30", "--k-range", "0:30:10",
-                     "--policies", "br,ai", "--mc", "--reps", "0",
-                     "--out", str(tmp_path / "x.csv")]) == 2
-        assert "reps" in assert_one_error_line(capsys)
+        # 2**32 + 1 reps once failed every cell with exit 1 and wrote a CSV
+        for reps in ("0", str(2**32 + 1)):
+            for argv in (["sweep-k", "--n", "30", "--k-range", "0:30:10"],
+                         ["sweep-n", "--n-list", "30", "--ratio", "0.3"]):
+                assert main(argv + ["--dist", dist_file, "--policies", "br,ai", "--mc",
+                                    "--reps", reps, "--out", str(tmp_path / "x.csv")]) == 2
+                assert "reps" in assert_one_error_line(capsys)
+                assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
     def test_unreadable_matrix_file_fails_its_cell(self, dist_file, tmp_path, capsys):
         mat = tmp_path / "bad.csv"
@@ -247,6 +252,19 @@ class TestKleinberg:
         assert main(["kleinberg", "--epsilons", "0.05,abc",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("bad", ["1e-170", "0.2"])
+    def test_every_epsilon_checked_before_any_sweep(self, tmp_path, capsys, monkeypatch, bad):
+        # an epsilon after 0.01 was once checked only after the n=10,000
+        # cells of 0.01 had been evaluated
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran before every epsilon was checked")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        assert main(["kleinberg", "--epsilons", f"0.01,{bad}",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert "epsilon" in assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("eps", ["1e-170", "1e-160"])
     def test_epsilon_without_finite_horizon_exits_2(self, tmp_path, capsys, eps):

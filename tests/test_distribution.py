@@ -5,7 +5,6 @@ import pytest
 
 from multisecretary import (
     BadPmf,
-    IndexOutOfRange,
     InfeasiblePair,
     ModelError,
     NonDecreasingSupport,
@@ -92,59 +91,53 @@ class TestConstruction:
 
 class TestSurvival:
     def test_third_point(self, uniform5):
-        assert uniform5.survival(3) == pytest.approx(0.4, abs=1e-15)
+        assert uniform5.survival_values[3 - 1] == pytest.approx(0.4, abs=1e-15)
 
     def test_endpoints(self, uniform5, uniform3):
         for d in (uniform5, uniform3):
-            assert d.survival(1) == 0.0
-            assert d.survival(d.m + 1) == 1.0
+            assert d.survival_values[0] == 0.0
+            assert d.survival_values[d.m] == 1.0
 
     def test_strictly_increasing(self, masspoint5):
         assert np.all(np.diff(masspoint5.survival_values) > 0)
-
-    def test_out_of_range(self, uniform5):
-        with pytest.raises(IndexOutOfRange):
-            uniform5.survival(0)
-        with pytest.raises(IndexOutOfRange):
-            uniform5.survival(7)
 
 
 class TestThresholds:
     def test_five_point_values(self, uniform5):
         thr = thresholds(uniform5)
-        np.testing.assert_allclose(thr.values[:-1], [0.0, 0.3, 0.5, 0.7, 0.9], atol=1e-12)
-        assert np.isposinf(thr.values[-1])
+        np.testing.assert_allclose(thr[:-1], [0.0, 0.3, 0.5, 0.7, 0.9], atol=1e-12)
+        assert np.isposinf(thr[-1]) and thr.shape == (6,) and not thr.flags.writeable
 
     def test_kleinberg_t2(self):
         d = kleinberg_distribution(0.01)
-        assert thresholds(d).t(2) == pytest.approx(0.47, abs=1e-12)
+        assert thresholds(d)[2 - 1] == pytest.approx(0.47, abs=1e-12)
 
     def test_single_point(self):
         thr = thresholds(new_distribution([1.0], [1.0]))
-        assert thr.values[0] == 0.0 and np.isposinf(thr.values[1])
+        assert thr[0] == 0.0 and np.isposinf(thr[1])
 
     def test_interleaving_and_half_mass_gaps(self, masspoint5):
         d = masspoint5
         thr = thresholds(d)
         sv = d.survival_values
         for j in range(2, d.m + 1):
-            t = thr.t(j)
+            t = thr[j - 1]
             assert sv[j - 1] < t < sv[j]
             assert t - sv[j - 1] == pytest.approx(d.pmf[j - 1] / 2, abs=1e-15)
             assert sv[j] - t == pytest.approx(d.pmf[j - 1] / 2, abs=1e-15)
 
     def test_strictly_increasing(self, uniform10):
-        vals = thresholds(uniform10).values
+        vals = thresholds(uniform10)
         assert np.all(np.diff(vals[:-1]) > 0)
 
     def test_bucket_covers_every_ratio(self, masspoint5):
         thr = thresholds(masspoint5)
         rng = np.random.default_rng(5)
-        for r in np.concatenate([rng.uniform(0, 1.5, 500), thr.values[:-1]]):
+        for r in np.concatenate([rng.uniform(0, 1.5, 500), thr[:-1]]):
             j = threshold_bucket(thr, r)
             assert 1 <= j <= masspoint5.m
-            assert thr.values[j - 1] <= r + 1e-12
-            assert r + 1e-12 < thr.values[j]
+            assert thr[j - 1] <= r + 1e-12
+            assert r + 1e-12 < thr[j]
 
 
 class TestHalfMinMass:
@@ -181,7 +174,7 @@ class TestActionIndex:
         n = 1000
         for k in range(0, n + 1, 13):
             j = action_index_j0(masspoint5, n, k)
-            assert thr.values[j - 1] <= k / n + 1e-12 < thr.values[j]
+            assert thr[j - 1] <= k / n + 1e-12 < thr[j]
 
 
 class TestMeanAndSampling:

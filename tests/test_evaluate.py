@@ -13,15 +13,15 @@ from multisecretary import (
     make_policy,
     offline_expectation,
     offline_sort,
-    optimal_value,
     simulate_paths,
+    solve,
     sweep,
     take_top_matrix,
     write_records,
 )
 from multisecretary import evaluate
 from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
-from multisecretary.simulate import DEFAULT_CHUNK
+from multisecretary.simulate import CHUNK
 from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
 
 
@@ -47,7 +47,7 @@ class TestExactPolicyValue:
         d = request.getfixturevalue(dist)
         policy = make_policy("dp", d, n, k)
         forward = _forward_value(d, policy, n, k)[0]
-        assert forward == pytest.approx(optimal_value(d, n, k), abs=1e-10)
+        assert forward == pytest.approx(solve(d, n, k).value, abs=1e-10)
 
     def test_br_matches_path_enumeration(self, uniform3):
         policy = make_policy("br", uniform3, 6, 3)
@@ -69,7 +69,7 @@ class TestExactPolicyValue:
 
     def test_dp_dominates_every_policy(self, masspoint5):
         n, k = 90, 33
-        best = optimal_value(masspoint5, n, k)
+        best = solve(masspoint5, n, k).value
         for name in ("br", "ai", "index", "take-top"):
             policy = make_policy(name, masspoint5, n, k)
             assert _forward_value(masspoint5, policy, n, k)[0] <= best + 1e-10
@@ -122,8 +122,10 @@ class TestForwardWindow:
     def test_window_matches_full_pass_within_bound(self, masspoint5, name):
         n, k = 4004, 1573
         policy = make_policy(name, masspoint5, n, k)
-        full, _, untrimmed = _forward_value(masspoint5, policy, n, k, tail_tol=0.0)
         value, drift, bound = _forward_value(masspoint5, policy, n, k)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evaluate, "TAIL_TOL", 0.0)
+            full, _, untrimmed = _forward_value(masspoint5, policy, n, k)
         assert untrimmed == 0.0
         assert 0.0 < bound < 2 * masspoint5.support[0] * 1e-12
         assert abs(value - full) <= bound + 4 * np.spacing(full)
@@ -140,13 +142,14 @@ class TestForwardWindow:
         assert bound > 0.0
         assert rec.error_bound == off.error_bound + bound
 
-    def test_zero_tail_tol_trims_nothing_and_matches_forward_value(self, masspoint5):
+    def test_zero_tail_tol_trims_nothing_and_matches_forward_value(self, masspoint5, monkeypatch):
         n, k = 400, 157
         policy = make_policy("ai", masspoint5, n, k)
         trimmed = exact_regret(masspoint5, policy, n, k)
-        full = exact_regret(masspoint5, policy, n, k, tail_tol=0.0)
+        monkeypatch.setattr(evaluate, "TAIL_TOL", 0.0)
+        full = exact_regret(masspoint5, policy, n, k)
         assert full.error_bound == 0.0 < trimmed.error_bound
-        assert full.v_on == _forward_value(masspoint5, policy, n, k, tail_tol=0.0)[0]
+        assert full.v_on == _forward_value(masspoint5, policy, n, k)[0]
 
     def test_policies_sharing_a_name_are_evaluated_apart(self, uniform5):
         # a take-top matrix named "index" once reused the index policy's value
@@ -182,12 +185,6 @@ class TestExactRegret:
             slack = dp.error_bound + 1e-9
             assert dp.regret >= -slack
             assert dp.regret <= br.regret + slack
-
-    @pytest.mark.parametrize("tail_tol", [1e-3, -1e-12])
-    def test_tail_tol_outside_limit_raises(self, uniform5, tail_tol):
-        policy = make_policy("br", uniform5, 5, 2)
-        with pytest.raises(InfeasiblePair, match="tail_tol"):
-            exact_regret(uniform5, policy, 5, 2, tail_tol=tail_tol)
 
     def test_record_fields(self, uniform5):
         rec = exact_regret(uniform5, make_policy("br", uniform5, 50, 20), 50, 20)
@@ -288,7 +285,7 @@ class SecondBlockFails(AdaptiveIndexPolicy):
 class TestSharedMonteCarlo:
     # sweep(mode="mc") draws each block once per n and steps every
     # (policy, k) cell over it; each record must equal its one-cell pass
-    N, KS, REPS, SEED = 40, (8, 15, 30), 2 * DEFAULT_CHUNK + 52, 6
+    N, KS, REPS, SEED = 40, (8, 15, 30), 2 * CHUNK + 52, 6
 
     def separate(self, d, names, ks):
         n, reps, seed = self.N, self.REPS, self.SEED

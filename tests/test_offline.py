@@ -11,7 +11,6 @@ from multisecretary import (
     half_min_mass,
     new_distribution,
     offline_expectation,
-    offline_expected_value,
     offline_sort,
 )
 from oracles import (
@@ -62,7 +61,7 @@ class TestOfflineExpectation:
         want = sum(
             (1 / 9) * max(a, b) for a in uniform3.support for b in uniform3.support
         )
-        assert offline_expected_value(uniform3, 2, 1) == pytest.approx(want, abs=1e-12)
+        assert offline_expectation(uniform3, 2, 1).value == pytest.approx(want, abs=1e-12)
 
     def test_full_budget_takes_everything(self, masspoint5):
         n = 57
@@ -71,7 +70,7 @@ class TestOfflineExpectation:
         np.testing.assert_allclose(got.per_ability, n * masspoint5.pmf, atol=1e-12)
 
     def test_matches_sequence_enumeration_uniform5(self, uniform5):
-        got = offline_expected_value(uniform5, 8, 3)
+        got = offline_expectation(uniform5, 8, 3).value
         want = enum_offline_value(uniform5, 8, 3)
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -79,7 +78,7 @@ class TestOfflineExpectation:
     def test_matches_sequence_enumeration_small(self, small_family, k):
         for d in small_family:
             n = 7
-            got = offline_expected_value(d, n, k)
+            got = offline_expectation(d, n, k).value
             want = enum_offline_value(d, n, k)
             assert got == pytest.approx(want, abs=1e-9)
 
@@ -90,9 +89,9 @@ class TestOfflineExpectation:
         assert got.error_bound == 0.0
 
     def test_monotone_in_budget_and_horizon(self, masspoint5):
-        values_k = [offline_expected_value(masspoint5, 40, k) for k in range(0, 41, 4)]
+        values_k = [offline_expectation(masspoint5, 40, k).value for k in range(0, 41, 4)]
         assert all(a <= b + 1e-12 for a, b in zip(values_k, values_k[1:]))
-        values_n = [offline_expected_value(masspoint5, n, 10) for n in (10, 20, 40, 80)]
+        values_n = [offline_expectation(masspoint5, n, 10).value for n in (10, 20, 40, 80)]
         assert all(a <= b + 1e-12 for a, b in zip(values_n, values_n[1:]))
 
     def test_error_bound_is_tiny(self, uniform5):
@@ -101,7 +100,7 @@ class TestOfflineExpectation:
 
     def test_infeasible(self, uniform3):
         with pytest.raises(InfeasiblePair):
-            offline_expected_value(uniform3, 5, 6)
+            offline_expectation(uniform3, 5, 6)
 
     def test_decomposition_bounds(self, masspoint5):
         # within each action-index cell, almost all activity is at two levels

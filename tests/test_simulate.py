@@ -256,12 +256,13 @@ class TestRankCounts:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, rank_counts_loop(ranks, d.m))
 
-    def test_engine_counts_match_loop_at_m200(self):
+    def test_engine_counts_match_loop_at_m200(self, monkeypatch):
         # 150 reps in blocks of 128 take three scratch fills, the last partial
         d = new_distribution(np.linspace(2.0, 0.2, 200), [1 / 200] * 200)
         n, k, reps, seed = 300, 90, 150, 8
         assert SCRATCH_REPS < reps < 3 * SCRATCH_REPS
-        _, counts, _ = simulate_paths(d, make_policy("ai", d, n, k), n, k, reps, seed, chunk=128)
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        _, counts, _ = simulate_paths(d, make_policy("ai", d, n, k), n, k, reps, seed)
         ranks = np.stack([d.sample_many(episode_stream(seed, rep).random(2 * n)[0::2])
                           for rep in range(reps)])
         np.testing.assert_array_equal(counts, rank_counts_loop(ranks, d.m))
@@ -354,7 +355,7 @@ class TestOrbitScanOracle:
         t_in, t_out = n - 4096, n - 2048
         t_cut = cutoff_time(n, delta)
         assert t_out < t_cut
-        far = 0.5 * (thr.values[0] + thr.values[1])  # more than delta from every T_j
+        far = 0.5 * (thr[0] + thr[1])  # more than delta from every T_j
         left = n - np.arange(n + 1.0)
 
         def path(marks):
@@ -368,14 +369,14 @@ class TestOrbitScanOracle:
 
         columns, exact = [], 0
         for j in sorted({1, 2, m // 2, m}):
-            anchor = thr.values[j - 1]
+            anchor = thr[j - 1]
             for r in around(anchor + half) + around(anchor - half):
                 columns.append(path([(t_in, r)]))
                 exact += abs(r - anchor) == half
             for r in around(anchor + delta) + around(anchor - delta):
                 columns.append(path([(slice(t_in, t_out), anchor), (t_out, r)]))
         # cut off first: a hit at t_cut, or an entry just before it
-        anchor = thr.values[1]
+        anchor = thr[1]
         columns += [path([]), path([(t_cut, anchor)]), path([(slice(t_cut - 1, None), anchor)])]
         paths = np.stack(columns, axis=1)
         got = _orbit_scan(paths, thr, delta, n)
@@ -400,17 +401,17 @@ class TestDrift:
         def drift(t, budget, j):
             sel = br.rates(t + 1, n, np.array([budget]))[0][0]
             closed = drift_at_state(d, thr, n, t, budget, j)
-            assert abs(thr.t(j) - sel - closed) <= 1e-15
+            assert abs(thr[j - 1] - sel - closed) <= 1e-15
             return closed
 
         for j in range(2, d.m + 1):
             t = 400
-            anchor = thr.t(j)
+            anchor = thr[j - 1]
             above = int(np.ceil(anchor * (n - t) + 1))
             below = int(np.floor(anchor * (n - t) - 1))
             assert drift(t, above, j) == -0.5 * d.pmf[j - 1]
             assert drift(t, below, j) == 0.5 * d.pmf[j - 1]
-        assert drift(100, 0, 3) == thr.t(3)
+        assert drift(100, 0, 3) == thr[3 - 1]
 
     def test_empirical_drift_matches_analytic(self, uniform5):
         # conditional means of Y increments inside the orbit, by sign of Y
@@ -420,7 +421,7 @@ class TestDrift:
         policy = make_policy("br", d, n, k)
         _, _, paths = simulate_paths(d, policy, n, k, reps, seed)
         t_cut = cutoff_time(n, delta)
-        anchor = thr.t(2)
+        anchor = thr[2 - 1]
         times = np.arange(n)
         up, down = [], []
         for row in paths:
