@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import NonMarkovPolicy, ProbabilityDrift, check_pair
+from .errors import ModelError, NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import offline_expectation
 from .policies import make_policy
 from .simulate import check_cell, paired_payoffs_cells
@@ -166,19 +166,52 @@ def _mc_record(name: str, n: int, k: int, online: np.ndarray, offline: np.ndarra
     )
 
 
+def _policies(d: AbilityDistribution, n: int, cells, check):
+    """Yield each (policy, n, k) cell at one ``n`` with its policy, or with
+    the exception that building or ``check(policy, k)`` raised.
+
+    A name's cells come in descending k.  A cell reuses the policy built for
+    a larger k of its name when ``check`` passes on it: ``policy.check(n, k)``
+    passing means it decides (n, k) as ``make_policy(name, d, n, k)`` would,
+    so br and dp solve one table per n.  Otherwise the cell builds its own
+    policy and checks it, and fails with the message it would meet alone.
+    """
+    held = policy = None  # the name whose policy is held
+    for cell in sorted(cells, key=lambda c: (c[0], -c[2])):
+        name, _, k = cell
+        try:
+            if name != held or not _passes(check, policy, k):
+                held, policy = name, None  # a failed build leaves nothing to reuse
+                policy = make_policy(name, d, n, k)
+                check(policy, k)
+        except Exception as exc:
+            yield cell, exc
+        else:
+            yield cell, policy
+
+
+def _passes(check, policy, k: int) -> bool:
+    if policy is None:
+        return False
+    try:
+        check(policy, k)
+    except ModelError:
+        return False
+    return True
+
+
 def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> dict:
     """Monte Carlo records of the (policy, n, k) cells at one ``n``, from one
     pass whose blocks every cell shares; maps each cell to its record or
     exception.  Build and ``check_cell`` failures are reported before the
-    pass; an exception inside it fails every cell it ran."""
+    pass; an exception inside it fails every cell it ran.  Cells built on
+    one policy step as one stack."""
     out, built = {}, []
-    for cell in cells:
-        try:
-            policy = make_policy(cell[0], d, n, cell[2])
-            check_cell(policy, n, cell[2], reps)
+    for cell, policy in _policies(d, n, cells, lambda p, k: check_cell(p, n, k, reps)):
+        if isinstance(policy, Exception):
+            out[cell] = policy
+        else:
             built.append((cell, policy))
-        except Exception as exc:
-            out[cell] = exc
     try:
         got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
         for (cell, policy), pair in zip(built, got):
@@ -200,26 +233,29 @@ def sweep(
     (policy, n, k) order.
 
     A cell that raises is skipped and the sweep goes on; returns the records
-    and the failures as ``((policy, n, k), exception)`` pairs.  Exact cells
-    run one at a time, so a DP table is freed before the next cell builds
-    its own.  Monte Carlo cells run one pass per n: every policy of that n
-    is built and checked first, and all of them step over each block of
-    draws; an exception inside a pass fails every cell of that n.
+    and the failures as ``((policy, n, k), exception)`` pairs.  Both modes
+    build policies by one rule (``_policies``): at each n, a name's cells run
+    in descending k and reuse the policy built for the largest k it decides,
+    so dp solves one table per n and the table held is the one the largest k
+    held.  Exact cells run one at a time.  Monte Carlo cells run one pass per
+    n: every policy of that n is built and checked first, and all of them
+    step over each block of draws, every k of one policy as one stack; an
+    exception inside a pass fails every cell of that n.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     cells = sorted((name, n, k) for name in policy_names for (n, k) in grid)
     results = {}
-    if mode == "exact":
-        for cell in cells:
-            name, n, k = cell
+    for n in sorted({cell[1] for cell in cells}):
+        at_n = [c for c in cells if c[1] == n]
+        if mode == "mc":
+            results.update(_mc_cells(d, n, at_n, reps, seed))
+            continue
+        for cell, got in _policies(d, n, at_n, lambda p, k: p.check(n, k)):
             try:
-                results[cell] = exact_regret(d, make_policy(name, d, n, k), n, k)
+                results[cell] = got if isinstance(got, Exception) else exact_regret(d, got, n, cell[2])
             except Exception as exc:  # enumerate failing cells, keep going
                 results[cell] = exc
-    else:
-        for n in sorted({cell[1] for cell in cells}):
-            results.update(_mc_cells(d, n, [c for c in cells if c[1] == n], reps, seed))
     records = [results[c] for c in cells if not isinstance(results[c], Exception)]
     failures = [(c, results[c]) for c in cells if isinstance(results[c], Exception)]
     return records, failures

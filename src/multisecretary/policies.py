@@ -10,6 +10,10 @@ random numbers and closed-form u-integration need no per-policy casework.
 The deterministic rules br (budget ratio) and dp (optimal) are both a
 :class:`BreakpointPolicy` on a per-period budget-breakpoint table built for
 one (n, k); its ``check`` raises ``TableMismatch`` at any other n or larger k.
+``check(n, k)`` passing means the policy decides (n, k) exactly as
+``make_policy(name, d, n, k)`` would, so one policy may serve several budgets.
+The hooks accept budgets of any shape, e.g. one row per budget k of a sweep,
+against a (reps,) row of ranks and uniforms.
 """
 
 from __future__ import annotations
@@ -113,7 +117,7 @@ class BreakpointPolicy:
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """Select iff the budget has reached the observed rank's breakpoint;
         breakpoints are >= 1, so a zero budget selects nothing."""
-        return budgets >= self.table.breakpoints[n - t_next + 1][abilities - 1]
+        return budgets >= self.table.breakpoints[n - t_next + 1].take(abilities - 1)
 
     def rates(self, t_next, n, budgets):
         cut = self.table.breakpoints[n - t_next + 1].searchsorted(budgets, side="right")
@@ -134,13 +138,17 @@ class AdaptiveIndexPolicy:
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         """With r = K/(n-t), take an ability-j arrival with probability
-        clamp((r - F̄(a_j)) / f_j, 0, 1); once r >= 1 take everything."""
+        clamp((r - F̄(a_j)) / f_j, 0, 1); once r >= 1 take everything.  As
+        u lies in [0, 1), u < clamp(p, 0, 1) iff u < p, so p is not clamped."""
         d = self.dist
+        rank = abilities - 1
         ratio = budgets / (n - t_next + 1)
-        p = (ratio - d.survival_values[abilities - 1]) / d.pmf[abilities - 1]
-        np.clip(p, 0.0, 1.0, out=p)
-        p[ratio >= 1.0] = 1.0
-        return (budgets > 0) & (u < p)
+        p = ratio - d.survival_values[rank]
+        p /= d.pmf[rank]
+        take = u < p
+        take |= ratio >= 1.0
+        take &= budgets > 0
+        return take
 
     def rates(self, t_next, n, budgets):
         ratio = budgets / (n - t_next + 1)
@@ -150,9 +158,12 @@ class AdaptiveIndexPolicy:
 
 
 class NonAdaptivePolicy:
-    """Fixed probability matrix applied until the budget runs out."""
+    """Fixed probability matrix applied until the budget runs out.  A matrix
+    derived from the budget (index's) records that ``k``; ``None`` means the
+    matrix serves every k."""
 
-    def __init__(self, d: AbilityDistribution, matrix: NonAdaptiveMatrix, name: str):
+    def __init__(self, d: AbilityDistribution, matrix: NonAdaptiveMatrix, name: str,
+                 k: int | None = None):
         if matrix.p.shape[0] != d.m:
             raise DimensionMismatch(
                 f"matrix has {matrix.p.shape[0]} ability rows, distribution has {d.m}"
@@ -160,6 +171,7 @@ class NonAdaptivePolicy:
         self.dist = d
         self.matrix = matrix
         self.name = name
+        self.k = k
         # a take-everything column sums the pmf to 1 + ulp; a selection rate
         # above 1 would push the forward pass's budget cell below zero
         self._sel_by_t = np.minimum(d.pmf @ matrix.p, 1.0)
@@ -168,6 +180,8 @@ class NonAdaptivePolicy:
     def check(self, n, k):
         if n != self.matrix.p.shape[1]:
             raise DimensionMismatch(f"matrix covers {self.matrix.p.shape[1]} periods, not n={n}")
+        if self.k is not None and k != self.k:
+            raise TableMismatch(f"{self.name} matrix built for k={self.k} cannot decide k={k}")
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
         p = self.matrix.p[abilities - 1, t_next - 1]
@@ -198,7 +212,7 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
     if name == "ai":
         return AdaptiveIndexPolicy(d)
     if name == "index":
-        return NonAdaptivePolicy(d, index_matrix(d, n, k), "index")
+        return NonAdaptivePolicy(d, index_matrix(d, n, k), "index", k)
     if name == "take-top":
         return NonAdaptivePolicy(d, take_top_matrix(d, n), "take-top")
     if name.startswith("matrix:"):

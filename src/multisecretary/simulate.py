@@ -13,13 +13,18 @@ buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
 decision uniforms and, for the passes that read them, the per-rank counts
 of each replication.  Every (policy, k) cell at that n then steps over the
 same rows ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior
-sort runs once per k on the shared counts.  Budget paths are time-major too,
-(n+1, reps) int32, one row written per period; ``simulate_paths`` returns
-them rep-major.  Every entry point checks (n, k), reps and ``policy.check``
+sort runs once per k on the shared counts.  Cells that share one policy
+object step as one stack, a (len(ks), reps) budget matrix, so each period
+makes one ``decide_batch`` call per policy, whose shared rank and uniform
+rows broadcast over the stack.  Only one block is alive at a time.  Budget
+paths, kept only by the one-cell passes, are time-major too, (n+1, 1, reps)
+int32, one row written per period; ``simulate_paths`` returns them
+rep-major.  Every entry point checks (n, k), reps and ``policy.check``
 before it draws; an exception inside the pass stops every cell of it.  The
 one-cell entry points (``simulate_paths``, ``ratio_mean_curve``,
-``orbit_stats``) are this same pass, and ``run_episode`` draws and steps its
-one replication with the same ``_draw_block`` and ``_step_block``.
+``orbit_stats``) are this same pass on a stack of one, and ``run_episode``
+draws and steps its one replication with the same ``_draw_block`` and
+``_step_block``.
 """
 
 from __future__ import annotations
@@ -135,10 +140,10 @@ def run_episode(
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
     ranks, u, _ = _draw_block(d, seed, range(rep, rep + 1), n, np.empty((1, 2 * n)), False)
-    cell = _Cell(policy, k)
+    cell = _Cell(policy, [k])
     cell.start(1, n, want_paths=True)
     _step_block(d, n, [cell], ranks, u)
-    budget_path = cell.paths[:, 0].astype(np.int64)
+    budget_path = cell.paths[:, 0, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
@@ -147,7 +152,7 @@ def run_episode(
         seed_ref=(seed, rep),
         abilities=ranks[:, 0].copy(),
         decisions=budget_path[1:] < budget_path[:-1],
-        payoff=float(cell.payoff[0]),
+        payoff=float(cell.payoff[0, 0]),
         budget_path=budget_path,
         ratio_path=ratio_path,
     )
@@ -168,20 +173,23 @@ def check_reps(reps: int) -> None:
 
 
 class _Cell:
-    """One (policy, k) of a pass at a fixed n: the state of its episodes in
-    the current block."""
+    """The cells of a pass at a fixed n that share one policy object, one row
+    per budget in ``ks``: the state of their episodes in the current block,
+    (len(ks), reps) budgets and payoffs and, if wanted, (n+1, len(ks), reps)
+    budget paths."""
 
-    def __init__(self, policy, k: int):
+    def __init__(self, policy, ks: list):
         self.policy = policy
-        self.k = k
+        self.ks = ks
         self.budgets = self.payoff = self.paths = None
 
     def start(self, reps: int, n: int, want_paths: bool) -> None:
-        self.budgets = np.full(reps, self.k, dtype=np.int64)
-        self.payoff = np.zeros(reps)
+        self.budgets = self.payoff = self.paths = None  # free the last block's before allocating
+        self.budgets = np.array(self.ks, dtype=np.int64)[:, None].repeat(reps, axis=1)
+        self.payoff = np.zeros(self.budgets.shape)
         if want_paths:
-            self.paths = np.empty((n + 1, reps), dtype=np.int32)
-            self.paths[0] = self.k
+            self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
+            self.paths[0] = self.budgets
 
 
 def _uniform_block(gen: np.random.Generator, restart: dict, keys: np.ndarray,
@@ -240,11 +248,13 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_cou
 
 def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
     """Play every cell over one time-major block, period by period: all cells
-    read the same rows ``ranks[t-1]`` and ``u[t-1]``."""
+    read the same rows ``ranks[t-1]`` and ``u[t-1]``, and one ``decide_batch``
+    call decides every budget row of a cell's stack against them."""
+    value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
         j = ranks[t_next - 1]
         du = u[t_next - 1]
-        value = d.support[j - 1]
+        value = value_of_rank.take(j)
         for cell in cells:
             sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
             cell.payoff += value * sel
@@ -260,19 +270,21 @@ def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_count
     Yields ``(rows, counts)`` once every cell has stepped through a block:
     ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
     rank counts, or None unless ``want_counts``; each cell holds the block's
-    payoffs (and time-major paths).
+    payoffs (and time-major paths).  Only one block is alive at a time: its
+    draws and the cells' state are dropped before the next block is drawn.
     """
     if not cells:
         return
     scratch = np.empty((min(SCRATCH_REPS, CHUNK, reps), 2 * n))
     for start in range(0, reps, CHUNK):
         rows = slice(start, min(start + CHUNK, reps))
-        ranks, u, counts = _draw_block(
-            d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
         for cell in cells:
             cell.start(rows.stop - rows.start, n, want_paths)
+        ranks, u, counts = _draw_block(
+            d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
         _step_block(d, n, cells, ranks, u)
         yield rows, counts
+        del ranks, u, counts
 
 
 def simulate_paths(
@@ -280,34 +292,40 @@ def simulate_paths(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
     check_cell(policy, n, k, reps)
-    cell = _Cell(policy, k)
+    cell = _Cell(policy, [k])
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
     for rows, cnt in _blocks(d, n, [cell], reps, seed, want_paths=True, want_counts=True):
-        payoffs[rows], counts[rows], paths[rows] = cell.payoff, cnt, cell.paths.T
+        payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
     return payoffs, counts, paths
 
 
 def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
     """Per-episode online and posterior-sort payoffs of several (policy, k)
     cells at horizon ``n``, on blocks drawn once and shared by all of them;
-    the sort runs once per distinct k.
+    the sort runs once per distinct k.  Cells that share one policy object
+    step as one stack, one budget row per cell, so each period costs one
+    ``decide_batch`` call per distinct policy.
 
     Returns each cell's ``(online, offline)`` arrays, in order.  Every cell
     is checked by ``check_cell`` before the first block is drawn.
     """
     for policy, k in cells:
         check_cell(policy, n, k, reps)
-    state = [_Cell(policy, k) for policy, k in cells]
-    got = [(np.empty(reps), np.empty(reps)) for _ in state]
-    for rows, counts in _blocks(d, n, state, reps, seed, want_counts=True):
+    stacks, place = {}, []  # one stack per distinct policy; each cell's (stack, row)
+    for policy, k in cells:
+        stack = stacks.setdefault(id(policy), _Cell(policy, []))
+        place.append((stack, len(stack.ks)))
+        stack.ks.append(k)
+    got = [(np.empty(reps), np.empty(reps)) for _ in cells]
+    for rows, counts in _blocks(d, n, list(stacks.values()), reps, seed, want_counts=True):
         sorts = {}
-        for cell, (online, offline) in zip(state, got):
-            if cell.k not in sorts:
-                sorts[cell.k] = offline_sort_batch(d, counts, cell.k)
-            online[rows] = cell.payoff
-            offline[rows] = sorts[cell.k]
+        for (stack, row), (_, k), (online, offline) in zip(place, cells, got):
+            if k not in sorts:
+                sorts[k] = offline_sort_batch(d, counts, k)
+            online[rows] = stack.payoff[row]
+            offline[rows] = sorts[k]
     return got
 
 
@@ -316,10 +334,10 @@ def ratio_mean_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
     check_cell(policy, n, k, reps)
-    cell = _Cell(policy, k)
+    cell = _Cell(policy, [k])
     budget_sum = np.zeros(n)
     for _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
-        budget_sum += cell.paths[:n].sum(axis=1)
+        budget_sum += cell.paths[:n, 0].sum(axis=1)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
     return mean_ratio, mean_budget
@@ -400,10 +418,10 @@ def orbit_stats(d, policy, n: int, k: int, delta: float, reps: int, seed: int) -
     """Orbit entry/exit statistics over many replications."""
     thr = _orbit_thresholds(d, delta)
     check_cell(policy, n, k, reps)
-    cell = _Cell(policy, k)
+    cell = _Cell(policy, [k])
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
     for rows, _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
-        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths, thr, delta, n)
+        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)

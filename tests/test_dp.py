@@ -112,6 +112,19 @@ def test_matches_exact_rational_dp(inst):
                     assert selects, (ell, kappa, j)
 
 
+class TestSharedTable:
+    # h_l(kappa) reads only cells kappa' <= kappa, so the table solved at the
+    # largest budget decides every smaller one: capped at k + 1, it is the
+    # table solved at k, and a sweep over k needs one solve per n
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5"])
+    def test_capped_table_equals_the_table_solved_at_k(self, request, dist):
+        d = request.getfixturevalue(dist)
+        n = 1000
+        full = solve(d, n, n).breakpoints
+        for k in range(0, n + 1, 25):
+            assert np.array_equal(np.minimum(full, k + 1), solve(d, n, k).breakpoints), k
+
+
 class TestAcceptThreshold:
     def test_two_to_go_one_budget_is_mean(self, uniform5, masspoint5):
         for d in (uniform5, masspoint5):

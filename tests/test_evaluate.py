@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from multisecretary import (
     AdaptiveIndexPolicy,
+    BreakpointPolicy,
     DimensionMismatch,
     InfeasiblePair,
     ModelError,
@@ -19,7 +22,7 @@ from multisecretary import (
     take_top_matrix,
     write_records,
 )
-from multisecretary import evaluate
+from multisecretary import cli, dp, evaluate
 from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
 from multisecretary.simulate import CHUNK
 from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
@@ -341,6 +344,68 @@ class TestSharedMonteCarlo:
         for _, exc in failures:
             assert isinstance(exc, RuntimeError)
             assert str(exc) == "stub failed in its second block"
+
+    # every k of one policy steps as one stack: at mp5 with all five rules,
+    # index is rebuilt for each k, k = 41 is infeasible for every name, and
+    # k = 0 and k = n are the edges
+    NAMES, EDGE_KS = ["br", "dp", "ai", "index", "take-top"], (0, 8, 15, 30, 40, 41)
+
+    def test_stacked_pass_equals_one_cell_sweeps(self, masspoint5):
+        grid = [(self.N, k) for k in self.EDGE_KS]
+        records, failures = sweep(masspoint5, self.NAMES, grid, mode="mc",
+                                  reps=self.REPS, seed=self.SEED)
+        assert records == [mc_cell(masspoint5, name, self.N, k, self.REPS, self.SEED)
+                           for name in sorted(self.NAMES) for k in self.EDGE_KS[:-1]]
+        assert [(cell, str(exc)) for cell, exc in failures] == infeasible_k(self.NAMES, self.N, 41)
+
+    def test_one_decide_batch_call_per_policy_period_and_block(self, masspoint5, monkeypatch):
+        calls = []
+        for cls in (BreakpointPolicy, AdaptiveIndexPolicy, NonAdaptivePolicy):
+            def counted(self, *args, _decide=cls.decide_batch):
+                calls.append(id(self))
+                return _decide(self, *args)
+            monkeypatch.setattr(cls, "decide_batch", counted)
+        sweep(masspoint5, self.NAMES, [(self.N, k) for k in self.EDGE_KS], mode="mc",
+              reps=self.REPS, seed=self.SEED)
+        policies = 4 + 5  # br, dp, ai and take-top once, index once per feasible k
+        assert len(set(calls)) == policies
+        assert len(calls) == policies * self.N * 3  # three blocks of draws
+
+
+def infeasible_k(names, n, k):
+    return [((name, n, k), f"(n={n}, k={k}) is not a feasible pair") for name in sorted(names)]
+
+
+class TestOneTablePerN:
+    # a name's cells at one n reuse the policy built for their largest k, so
+    # the exact records equal one-cell evaluations and dp solves once per n
+    def test_exact_records_equal_one_cell_evaluations(self, masspoint5):
+        n, names, ks = 40, ["br", "dp", "ai", "index", "take-top"], (0, 8, 15, 30, 40, 41)
+        records, failures = sweep(masspoint5, names, [(n, k) for k in ks])
+        assert records == [exact_regret(masspoint5, make_policy(name, masspoint5, n, k), n, k)
+                           for name in sorted(names) for k in ks[:-1]]
+        assert [(cell, str(exc)) for cell, exc in failures] == infeasible_k(names, n, 41)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_dp_solves_once_per_n(self, masspoint5, monkeypatch, tmp_path, mode):
+        solved = []
+
+        def counted(d, n, k):
+            solved.append((n, k))
+            return solve(d, n, k)
+
+        monkeypatch.setattr(dp, "solve", counted)
+        grid = [(n, k) for n in (30, 40) for k in (0, 8, 15, 30)]
+        records, _ = sweep(masspoint5, ["dp"], grid, mode=mode, reps=300, seed=1)
+        assert len(records) == 8 and solved == [(30, 30), (40, 30)]
+        solved.clear()
+        dist = tmp_path / "mp5.json"
+        dist.write_text(json.dumps({"support": masspoint5.support.tolist(),
+                                    "pmf": masspoint5.pmf.tolist()}))
+        args = ["sweep-k", "--dist", str(dist), "--n", "40", "--k-range", "0:40:5",
+                "--policies", "dp,br", "--out", str(tmp_path / "out.csv")]
+        assert cli.main(args + (["--mc", "--reps", "300"] if mode == "mc" else [])) == 0
+        assert solved == [(40, 40)]
 
 
 class TestCsv:

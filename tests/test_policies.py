@@ -262,6 +262,23 @@ class TestNonAdaptive:
         with pytest.raises(ModelError):
             NonAdaptiveMatrix.of([[0.5, 1.2]])
 
+    def test_index_decides_only_its_own_budget(self, uniform5):
+        # index's matrix comes from k/n, so at another k it would return the
+        # value of a different rule; take-top's matrix serves every k
+        n, k = 40, 12
+        index = make_policy("index", uniform5, n, k)
+        index.check(n, k)
+        for other in (k - 1, k + 1):
+            with pytest.raises(TableMismatch, match="built for k=12"):
+                index.check(n, other)
+        with pytest.raises(TableMismatch):
+            _forward_value(uniform5, index, n, k + 1)
+        with pytest.raises(TableMismatch):
+            run_episode(uniform5, index, n, k - 1, 0)
+        take_top = make_policy("take-top", uniform5, n, k)
+        for other in (0, k + 1, n):
+            take_top.check(n, other)
+
 
 class TestFeasibility:
     @pytest.mark.parametrize("name", ["br", "dp", "ai", "index", "take-top"])
