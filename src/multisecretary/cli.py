@@ -30,6 +30,7 @@ from .simulate import (
     RNG_FAMILY,
     check_reps,
     orbit_stats,
+    orbit_thresholds,
     ratio_mean_curve,
     run_episode,
 )
@@ -227,15 +228,14 @@ def cmd_diagnostics(args) -> int:
     started = time.perf_counter()
     d = load_distribution(args.dist)
     check_reps(args.reps)
+    orbit_thresholds(d, args.delta)  # a bad delta exits before any policy is built
     policy = make_policy(args.policy, d, args.n, args.k)
     sample = orbit_stats(d, policy, args.n, args.k, args.delta, args.reps, args.seed)
+    rows = zip(sample.tau0.tolist(), sample.j_tau0.tolist(), sample.tau.tolist())
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rep,tau0,j_tau0,tau,n_minus_tau\n")
-        for rep in range(args.reps):
-            fh.write(
-                f"{rep},{sample.tau0[rep]},{sample.j_tau0[rep]},{sample.tau[rep]},"
-                f"{args.n - sample.tau[rep]}\n"
-            )
+        fh.writelines(f"{rep},{tau0},{j},{tau},{args.n - tau}\n"
+                      for rep, (tau0, j, tau) in enumerate(rows))
     _write_manifest(args.out, "diagnostics", d, args.seed,
                     {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
                      "policy": args.policy},

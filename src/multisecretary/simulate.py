@@ -19,12 +19,21 @@ makes one ``decide_batch`` call per policy, whose shared rank and uniform
 rows broadcast over the stack.  Only one block is alive at a time.  Budget
 paths, kept only by the one-cell passes, are time-major too, (n+1, 1, reps)
 int32, one row written per period; ``simulate_paths`` returns them
-rep-major.  Every entry point checks (n, k), reps and ``policy.check``
-before it draws; an exception inside the pass stops every cell of it.  The
-one-cell entry points (``simulate_paths``, ``ratio_mean_curve``,
-``orbit_stats``) are this same pass on a stack of one, and ``run_episode``
-draws and steps its one replication with the same ``_draw_block`` and
-``_step_block``.
+rep-major.  Payoffs are summed only by the passes that return them
+(``run_episode``, ``simulate_paths``, ``paired_payoffs_cells``);
+``ratio_mean_curve`` and ``orbit_stats`` read the budget paths alone, so
+their cells hold no payoff matrix.  Every entry point checks (n, k), reps
+and ``policy.check`` before it draws; an exception inside the pass stops
+every cell of it.  The one-cell entry points (``simulate_paths``,
+``ratio_mean_curve``, ``orbit_stats``) are this same pass on a stack of
+one, and ``run_episode`` draws and steps its one replication with the same
+``_draw_block`` and ``_step_block``.
+
+``orbit_stats`` scans each block's paths as soon as it is stepped
+(``_orbit_scan``): the orbit-entry search reads a few dozen periods at a
+time and stops once every replication has entered, so a block that enters
+at t = 0 costs one such step, and the exit test then reads each
+replication's matched threshold alone.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 CHUNK = 1024  # replications per block
 SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
+_ENTRY_ROWS = 64  # periods of the orbit-entry search per step
 MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -141,7 +151,7 @@ def run_episode(
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
     ranks, u, _ = _draw_block(d, seed, range(rep, rep + 1), n, np.empty((1, 2 * n)), False)
     cell = _Cell(policy, [k])
-    cell.start(1, n, want_paths=True)
+    cell.start(1, n, want_paths=True, want_payoffs=True)
     _step_block(d, n, [cell], ranks, u)
     budget_path = cell.paths[:, 0, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
@@ -175,18 +185,19 @@ def check_reps(reps: int) -> None:
 class _Cell:
     """The cells of a pass at a fixed n that share one policy object, one row
     per budget in ``ks``: the state of their episodes in the current block,
-    (len(ks), reps) budgets and payoffs and, if wanted, (n+1, len(ks), reps)
-    budget paths."""
+    (len(ks), reps) budgets and, if wanted, (len(ks), reps) payoffs and
+    (n+1, len(ks), reps) budget paths."""
 
     def __init__(self, policy, ks: list):
         self.policy = policy
         self.ks = ks
         self.budgets = self.payoff = self.paths = None
 
-    def start(self, reps: int, n: int, want_paths: bool) -> None:
+    def start(self, reps: int, n: int, want_paths: bool, want_payoffs: bool) -> None:
         self.budgets = self.payoff = self.paths = None  # free the last block's before allocating
         self.budgets = np.array(self.ks, dtype=np.int64)[:, None].repeat(reps, axis=1)
-        self.payoff = np.zeros(self.budgets.shape)
+        if want_payoffs:
+            self.payoff = np.zeros(self.budgets.shape)
         if want_paths:
             self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
             self.paths[0] = self.budgets
@@ -249,29 +260,36 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_cou
 def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
     """Play every cell over one time-major block, period by period: all cells
     read the same rows ``ranks[t-1]`` and ``u[t-1]``, and one ``decide_batch``
-    call decides every budget row of a cell's stack against them."""
+    call decides every budget row of a cell's stack against them.  Payoffs
+    are summed only if the cells keep them (the cells of a pass all do, or
+    none does)."""
+    paying = cells[0].payoff is not None
     value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
         j = ranks[t_next - 1]
         du = u[t_next - 1]
-        value = value_of_rank.take(j)
+        if paying:
+            value = value_of_rank.take(j)
         for cell in cells:
             sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
-            cell.payoff += value * sel
+            if paying:
+                cell.payoff += value * sel
             cell.budgets -= sel
             if cell.paths is not None:
                 cell.paths[t_next] = cell.budgets
 
 
-def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_counts=False):
+def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_counts=False,
+            want_payoffs=False):
     """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
     over episodes 0..reps-1 in shared blocks of ``CHUNK``.
 
     Yields ``(rows, counts)`` once every cell has stepped through a block:
     ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
     rank counts, or None unless ``want_counts``; each cell holds the block's
-    payoffs (and time-major paths).  Only one block is alive at a time: its
-    draws and the cells' state are dropped before the next block is drawn.
+    final budgets and, if wanted, its payoffs and time-major paths.  Only
+    one block is alive at a time: its draws and the cells' state are dropped
+    before the next block is drawn.
     """
     if not cells:
         return
@@ -279,7 +297,7 @@ def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_count
     for start in range(0, reps, CHUNK):
         rows = slice(start, min(start + CHUNK, reps))
         for cell in cells:
-            cell.start(rows.stop - rows.start, n, want_paths)
+            cell.start(rows.stop - rows.start, n, want_paths, want_payoffs)
         ranks, u, counts = _draw_block(
             d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
         _step_block(d, n, cells, ranks, u)
@@ -296,7 +314,8 @@ def simulate_paths(
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, cnt in _blocks(d, n, [cell], reps, seed, want_paths=True, want_counts=True):
+    for rows, cnt in _blocks(d, n, [cell], reps, seed, want_paths=True, want_counts=True,
+                              want_payoffs=True):
         payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
     return payoffs, counts, paths
 
@@ -319,7 +338,8 @@ def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
         place.append((stack, len(stack.ks)))
         stack.ks.append(k)
     got = [(np.empty(reps), np.empty(reps)) for _ in cells]
-    for rows, counts in _blocks(d, n, list(stacks.values()), reps, seed, want_counts=True):
+    for rows, counts in _blocks(d, n, list(stacks.values()), reps, seed, want_counts=True,
+                                  want_payoffs=True):
         sorts = {}
         for (stack, row), (_, k), (online, offline) in zip(place, cells, got):
             if k not in sorts:
@@ -365,6 +385,11 @@ def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
     |R_t - T_j| > delta.  Only the threshold nearest R_t (one searchsorted
     into the midpoints between thresholds) is tested: since delta is below
     the smallest gap between thresholds, no other can be within delta/2.
+
+    The entry search reads ``_ENTRY_ROWS`` rows at a time, only of the
+    columns that have not entered yet, and stops once none is left.  The
+    exit test then runs once over all ratios, in place, against each
+    column's matched threshold alone.
     """
     m = thr.size - 1
     reps = paths.shape[1]
@@ -374,24 +399,33 @@ def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
         return cut, np.full(reps, m + 1, dtype=np.int16), cut
     ratio = paths[:t_cut] / (n - np.arange(t_cut))[:, None]
     mids = 0.5 * (thr[: m - 1] + thr[1:m])
-    nearest = np.searchsorted(mids, ratio)  # 0-based j of the nearest T_j
-    dev = ratio - thr[nearest]
-    np.abs(dev, out=dev)
-    tau0 = _first_true(dev <= delta / 2.0, t_cut)
-    cols = np.arange(reps)
-    entered = tau0 < t_cut
-    j_tau0 = np.where(entered, nearest[np.minimum(tau0, t_cut - 1), cols] + 1, m + 1)
-    np.subtract(ratio, thr[j_tau0 - 1], out=dev)  # T_{m+1} = inf on the cutoff branch
+    tau0 = np.full(reps, t_cut, dtype=np.int64)
+    j_tau0 = np.full(reps, m + 1, dtype=np.int16)
+    pending = np.arange(reps)
+    for lo in range(0, t_cut, _ENTRY_ROWS):
+        rows = ratio[lo : lo + _ENTRY_ROWS, pending]
+        nearest = np.searchsorted(mids, rows)  # 0-based j of the nearest T_j
+        rows -= thr[nearest]
+        np.abs(rows, out=rows)
+        first = _first_true(rows <= delta / 2.0, len(rows))
+        hit = np.flatnonzero(first < len(rows))
+        tau0[pending[hit]] = lo + first[hit]
+        j_tau0[pending[hit]] = nearest[first[hit], hit] + 1
+        pending = np.delete(pending, hit)
+        if not pending.size:
+            break
+    dev = ratio  # reused in place
+    dev -= thr[j_tau0 - 1]  # T_{m+1} = inf on the cutoff branch
     np.abs(dev, out=dev)
     out = dev > delta
     out &= np.arange(t_cut)[:, None] > tau0  # cutoff branch: tau = tau0 = t_cut
-    return tau0, j_tau0.astype(np.int16), _first_true(out, t_cut)
+    return tau0, j_tau0, _first_true(out, t_cut)
 
 
-def _orbit_thresholds(d, delta: float) -> np.ndarray:
+def orbit_thresholds(d, delta: float) -> np.ndarray:
     """The thresholds of ``d``, once ``delta`` lies in (0, half the minimal
     mass): then it is below half of every gap between thresholds, so the
-    matched threshold is unique."""
+    matched threshold is unique.  Any other ``delta`` raises ``BadDelta``."""
     epsilon = half_min_mass(d)
     if not 0.0 < delta < epsilon:
         raise BadDelta(f"delta must satisfy 0 < delta < {epsilon} (half the minimal mass), got {delta}")
@@ -401,7 +435,7 @@ def _orbit_thresholds(d, delta: float) -> np.ndarray:
 def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostics:
     """Entry time tau0 into a threshold orbit, the matched threshold, the
     exit time tau, and the deviation path Y from tau0 onward."""
-    thr = _orbit_thresholds(d, delta)
+    thr = orbit_thresholds(d, delta)
     n = record.n
     tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
     tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
@@ -416,7 +450,7 @@ def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostic
 
 def orbit_stats(d, policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
     """Orbit entry/exit statistics over many replications."""
-    thr = _orbit_thresholds(d, delta)
+    thr = orbit_thresholds(d, delta)
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, [k])
     tau0 = np.empty(reps, dtype=np.int64)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from multisecretary import cli
+from multisecretary import cli, dp
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER
@@ -371,6 +371,19 @@ class TestRatioMeanAndDiagnostics:
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",
                      "--delta", "0.1", "--reps", "10",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_delta_checked_before_policy_is_built(self, dist_file, tmp_path, capsys, monkeypatch):
+        # delta was once checked only after make_policy, so a bad delta with
+        # --policy dp solved the whole DP (2 s at n=40,000) before it exited
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the DP was solved before delta was checked")
+
+        monkeypatch.setattr(dp, "solve", no_solve)
+        out = tmp_path / "x.csv"
+        assert main(["diagnostics", "--dist", dist_file, "--policy", "dp", "--n", "40000",
+                     "--k", "12000", "--delta", "0.5", "--reps", "10", "--out", str(out)]) == 2
+        assert "delta" in assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 class TestPinnedCsvs:

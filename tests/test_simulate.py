@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -387,6 +388,73 @@ class TestOrbitScanOracle:
         tau0, j_tau0, tau = got
         assert set(tau0.tolist()) >= {t_in, t_cut} and np.all(j_tau0[-3:-1] == m + 1)
         assert set(tau.tolist()) >= {t_in + 1, t_out, t_out + 1}
+
+
+class TestOrbitEntryChunks:
+    # the entry search reads _ENTRY_ROWS periods at a time and drops each
+    # column once it has entered: entries on either side of every chunk
+    # boundary, at t = 0 and at t_cut - 1, and none at all, must come out as
+    # the one-pass oracle finds them
+
+    @pytest.mark.parametrize("m", [5, 50])
+    @pytest.mark.parametrize("chunks", [0.5, 4.25])
+    def test_entries_around_chunk_boundaries(self, m, chunks):
+        d = m_grid(m)
+        thr = thresholds(d)
+        delta = 0.9 * half_min_mass(d)
+        rows = simulate._ENTRY_ROWS
+        t_cut = int(chunks * rows)
+        n = t_cut + math.ceil(2.0 / delta) + 1
+        assert cutoff_time(n, delta) == t_cut
+        far = 0.5 * (thr[0] + thr[1])  # more than delta from every T_j
+        left = n - np.arange(n + 1.0)
+        anchors = [thr[j - 1] for j in sorted({1, 2, m // 2, m})]
+        entries = {0, t_cut - 1} | {b + off for b in range(rows, t_cut, rows) for off in (-1, 0, 1)}
+        columns = []
+        for i, t_in in enumerate(sorted(entries)):
+            anchor = anchors[i % len(anchors)]
+            for stay in (1, rows + 2):  # leave at once, or stay past the next boundary
+                ratio = np.full(n + 1, far)
+                ratio[t_in : t_in + stay] = anchor
+                columns.append(ratio * left)
+        columns.append(far * left)  # no entry: the cutoff branch
+        paths = np.stack(columns, axis=1)
+        got = _orbit_scan(paths, thr, delta, n)
+        want = orbit_scan_passes(paths.T, thr, delta, n)
+        assert [a.dtype for a in got] == [np.int64, np.int16, np.int64]
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        tau0, j_tau0, _ = got
+        assert set(tau0.tolist()) == entries | {t_cut}
+        assert j_tau0[-1] == m + 1 and np.all(j_tau0[:-1] <= m)
+
+
+class TestPayoffFreePasses:
+    # orbit_stats and ratio_mean_curve step without summing payoffs: their
+    # budgets must be those of simulate_paths, which sums them
+
+    @pytest.mark.parametrize("seed", [5, 6])
+    @pytest.mark.parametrize("name", ["br", "ai"])
+    def test_same_budgets_without_payoffs(self, uniform5, monkeypatch, name, seed):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, delta, reps = 400, 136, 0.05, 300
+        policy = make_policy(name, uniform5, n, k)
+        _, _, paths = simulate_paths(uniform5, policy, n, k, reps, seed)
+        payoffs_seen = []
+        step_block = simulate._step_block
+
+        def spy(d, n, cells, ranks, u):
+            payoffs_seen.extend(cell.payoff for cell in cells)
+            step_block(d, n, cells, ranks, u)
+
+        monkeypatch.setattr(simulate, "_step_block", spy)
+        sample = orbit_stats(uniform5, policy, n, k, delta, reps, seed)
+        _, mean_budget = ratio_mean_curve(uniform5, policy, n, k, reps, seed)
+        assert len(payoffs_seen) == 2 * 3 and all(p is None for p in payoffs_seen)
+        want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
+        for a, b in zip((sample.tau0, sample.j_tau0, sample.tau), want):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_allclose(mean_budget, paths[:, :n].mean(axis=0), rtol=0, atol=1e-12)
 
 
 class TestDrift:
