@@ -15,7 +15,6 @@ from .errors import (
     BadDelta,
     BadEpsilon,
     BadPmf,
-    CountMismatch,
     DimensionMismatch,
     InfeasiblePair,
     ModelError,
@@ -27,17 +26,13 @@ from .errors import (
 )
 from .evaluate import (
     RegretRecord,
-    clear_caches,
     exact_regret,
     sweep,
     write_records,
 )
 from .offline import (
-    OfflineResult,
     OfflineValue,
-    dr_solution,
     offline_expectation,
-    offline_sort,
 )
 from .policies import (
     AdaptiveIndexPolicy,
@@ -53,7 +48,6 @@ from .simulate import (
     OrbitDiagnostics,
     OrbitSample,
     cutoff_time,
-    episode_stream,
     orbit_diagnostics,
     orbit_stats,
     ratio_mean_curve,

@@ -52,7 +52,8 @@ def round_half_up(x: float) -> int:
 
 
 def _parse_policies(text: str) -> list[str]:
-    names = [p.strip() for p in text.split(",") if p.strip()]
+    """The policy names of ``text``, the first of any repeats kept, in order."""
+    names = list(dict.fromkeys(p.strip() for p in text.split(",") if p.strip()))
     if not names:
         raise ModelError("at least one policy name is required")
     for name in names:
@@ -77,8 +78,9 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_list(text: str, cast) -> list:
+    """The values of ``text``, the first of any repeats kept, in order."""
     try:
-        values = [cast(p) for p in text.split(",") if p.strip()]
+        values = list(dict.fromkeys(cast(p) for p in text.split(",") if p.strip()))
     except ValueError:
         raise ModelError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
     if not values:
@@ -193,7 +195,7 @@ def cmd_paths(args) -> int:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("t,ability_index,decision,K_t,R_t\n")
                 for t in range(1, args.n + 1):
-                    ratio = f"{record.budget_path[t] / (args.n - t):.12g}" if t < args.n else ""
+                    ratio = f"{record.ratio_path[t]:.12g}" if t < args.n else ""
                     fh.write(
                         f"{t},{record.abilities[t - 1]},{int(record.decisions[t - 1])},"
                         f"{record.budget_path[t]},{ratio}\n"

@@ -27,10 +27,6 @@ def check_pair(n: int, k: int, min_n: int = 0) -> None:
         raise InfeasiblePair(f"(n={n}, k={k}) is not a feasible pair")
 
 
-class CountMismatch(ModelError):
-    """Realization counts do not line up with the distribution support."""
-
-
 class TableMismatch(ModelError):
     """A value table does not cover the requested state or query."""
 

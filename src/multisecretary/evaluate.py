@@ -229,8 +229,8 @@ def sweep(
     reps: int = 10_000,
     seed: int = 0,
 ) -> tuple[list[RegretRecord], list]:
-    """Evaluate every (policy, n, k) cell; records and failures come in
-    (policy, n, k) order.
+    """Evaluate every distinct (policy, n, k) cell once; records and failures
+    come in (policy, n, k) order.
 
     A cell that raises is skipped and the sweep goes on; returns the records
     and the failures as ``((policy, n, k), exception)`` pairs.  Both modes
@@ -244,7 +244,7 @@ def sweep(
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
-    cells = sorted((name, n, k) for name in policy_names for (n, k) in grid)
+    cells = sorted({(name, n, k) for name in policy_names for (n, k) in grid})
     results = {}
     for n in sorted({cell[1] for cell in cells}):
         at_n = [c for c in cells if c[1] == n]

@@ -1,8 +1,13 @@
 """Offline posterior-sort benchmark and its exact expectation.
 
 The offline solver sees the whole realization, sorts it, and keeps the k
-largest values.  If Z_j counts the arrivals of rank <= j, the sort keeps
-s_1 + ... + s_j = min(Z_j, k) of them, and Z_j ~ Binomial(n, F̄(a_{j+1})).
+largest values.  ``offline_sort_batch`` runs this sort on the rank counts of
+a block of replications, one row each: going down the ranks, it keeps all
+of a rank's arrivals while budget is left, so the kept counts satisfy
+s_1 + ... + s_j = min(z_1 + ... + z_j, k), the unique optimum of the offline
+knapsack with unit weights.
+
+If Z_j counts the arrivals of rank <= j, then Z_j ~ Binomial(n, F̄(a_{j+1})).
 Summing by parts, the value is sum_j (a_j - a_{j+1}) min(Z_j, k) with
 a_{m+1} = 0, so its expectation needs one capped binomial mean per ability
 level, and each has a closed form in two binomial distribution functions.
@@ -16,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import CountMismatch, InfeasiblePair, check_pair
-
-
-@dataclass(frozen=True, eq=False)
-class OfflineResult:
-    """Counts selected per ability by the posterior sort, and their value."""
-
-    s: np.ndarray
-    payoff: float
+from .errors import check_pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -37,23 +34,6 @@ class OfflineValue:
     value: float
     per_ability: np.ndarray
     error_bound: float
-
-
-def offline_sort(d: AbilityDistribution, counts, k: int) -> OfflineResult:
-    """Greedy top-down selection: s_1 + ... + s_j = min(z_1 + ... + z_j, k).
-
-    This is the unique optimum of the offline knapsack with unit weights, so
-    no LP machinery is needed.
-    """
-    z = np.asarray(counts, dtype=np.int64)
-    if z.ndim != 1 or np.any(z < 0):
-        raise CountMismatch("counts must be a 1-D sequence of non-negative integers")
-    if z.size != d.m:
-        raise CountMismatch(f"expected {d.m} counts, got {z.size}")
-    if k < 0:
-        raise InfeasiblePair(f"budget must be >= 0, got {k}")
-    s = np.diff(np.minimum(np.cumsum(z), k), prepend=0)
-    return OfflineResult(s=s, payoff=float(d.support @ s))
 
 
 def offline_sort_batch(d: AbilityDistribution, counts: np.ndarray, k: int) -> np.ndarray:
@@ -93,13 +73,3 @@ def offline_expectation(d: AbilityDistribution, n: int, k: int) -> OfflineValue:
         error_bound=0.0,
     )
 
-
-def dr_solution(d: AbilityDistribution, n: int, k: int) -> tuple[np.ndarray, float]:
-    """Deterministic relaxation: replace counts by their means and sort.
-
-    s*_j = min(n f_j, (k - n F̄(a_j))_+); the value upper-bounds the exact
-    offline expectation.
-    """
-    check_pair(n, k)
-    s = np.minimum(n * d.pmf, np.maximum(k - n * d.survival_values[: d.m], 0.0))
-    return s, float(d.support @ s)

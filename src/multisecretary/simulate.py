@@ -19,15 +19,16 @@ makes one ``decide_batch`` call per policy, whose shared rank and uniform
 rows broadcast over the stack.  Only one block is alive at a time.  Budget
 paths, kept only by the one-cell passes, are time-major too, (n+1, 1, reps)
 int32, one row written per period; ``simulate_paths`` returns them
-rep-major.  Payoffs are summed only by the passes that return them
-(``run_episode``, ``simulate_paths``, ``paired_payoffs_cells``);
-``ratio_mean_curve`` and ``orbit_stats`` read the budget paths alone, so
-their cells hold no payoff matrix.  Every entry point checks (n, k), reps
-and ``policy.check`` before it draws; an exception inside the pass stops
-every cell of it.  The one-cell entry points (``simulate_paths``,
-``ratio_mean_curve``, ``orbit_stats``) are this same pass on a stack of
-one, and ``run_episode`` draws and steps its one replication with the same
-``_draw_block`` and ``_step_block``.
+rep-major.  Payoffs, and with them the rank counts, are kept only by the
+passes that return them (``run_episode``, ``simulate_paths``,
+``paired_payoffs_cells``); ``ratio_mean_curve`` and ``orbit_stats`` read
+the budget paths alone, so their cells hold no payoff matrix and their
+blocks count no ranks.  Every entry point checks (n, k), reps and
+``policy.check`` before it draws; an exception inside the pass stops every
+cell of it.  Every entry point runs the one block loop ``_blocks``: the
+one-cell ones (``simulate_paths``, ``ratio_mean_curve``, ``orbit_stats``)
+on a stack of one, and ``run_episode`` on a stack of one over the one
+replication ``rep``.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
 (``_orbit_scan``): the orbit-entry search reads a few dozen periods at a
@@ -62,14 +63,9 @@ _POOL = 4  # SeedSequence's default pool size, in 32-bit words
 _M32 = 2**32
 
 
-def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
-    """Independent substream for one replication, reproducible by (seed, rep)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
-
-
 def block_keys(seed: int, reps: range) -> np.ndarray:
-    """(len(reps), 2) uint64 Philox keys: row i is the key of
-    ``episode_stream(seed, reps[i])``, i.e.
+    """(len(reps), 2) uint64 Philox keys: row i is the key that
+    ``Philox(SeedSequence(seed, spawn_key=(reps[i],)))`` derives, i.e.
     ``SeedSequence(seed, spawn_key=(reps[i],)).generate_state(2, np.uint64)``.
 
     SeedSequence hashes the seed's 32-bit words into a pool of four, then
@@ -144,15 +140,15 @@ class OrbitSample:
 def run_episode(
     d: AbilityDistribution, policy, n: int, k: int, seed: int, rep: int = 0
 ) -> EpisodeRecord:
-    """Play replication ``rep`` of ``seed``: the 2n uniforms of
-    ``episode_stream(seed, rep)``, drawn like every other pass."""
+    """Play replication ``rep`` of ``seed``: row ``rep`` of
+    ``simulate_paths``, by the same block pass over that one replication."""
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
-    ranks, u, _ = _draw_block(d, seed, range(rep, rep + 1), n, np.empty((1, 2 * n)), False)
     cell = _Cell(policy, [k])
-    cell.start(1, n, want_paths=True, want_payoffs=True)
-    _step_block(d, n, [cell], ranks, u)
+    for _, ranks, _ in _blocks(d, n, [cell], range(rep, rep + 1), seed, want_paths=True,
+                               want_payoffs=True):
+        abilities = ranks[:, 0].copy()
     budget_path = cell.paths[:, 0, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
@@ -160,7 +156,7 @@ def run_episode(
         n=n,
         k=k,
         seed_ref=(seed, rep),
-        abilities=ranks[:, 0].copy(),
+        abilities=abilities,
         decisions=budget_path[1:] < budget_path[:-1],
         payoff=float(cell.payoff[0, 0]),
         budget_path=budget_path,
@@ -208,7 +204,7 @@ def _uniform_block(gen: np.random.Generator, restart: dict, keys: np.ndarray,
     """The uniforms of the replications keyed by ``keys``, one row each,
     drawn into the leading rows of ``out``.  ``gen``'s Philox restarts from
     ``restart``, its state when new, under each row's key: the stream of
-    ``episode_stream`` for that replication."""
+    ``Philox(SeedSequence(seed, spawn_key=(rep,)))`` for that replication."""
     block = out[: len(keys)]
     bitgen = gen.bit_generator
     for row, key in zip(block, keys):
@@ -226,11 +222,11 @@ def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
 
 
-def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_counts: bool):
+def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, counted: bool):
     """Replications ``reps`` stored time-major: (n, reps) int16 ranks,
     (n, reps) decision uniforms, and (reps, m) int64 rank counts, or None
-    unless ``want_counts``.  They are read-only, so no cell can change what
-    the others read.
+    unless ``counted``.  They are read-only, so no cell can change what the
+    others read.
 
     The block's keys are derived at once and one Philox draws every row.
     Each replication's 2n uniforms pass through the rep-major ``scratch``,
@@ -239,7 +235,7 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_cou
     size = len(reps)
     ranks = np.empty((n, size), dtype=np.int16)
     u = np.empty((n, size))
-    counts = np.empty((size, d.m), dtype=np.int64) if want_counts else None
+    counts = np.empty((size, d.m), dtype=np.int64) if counted else None
     keys = block_keys(seed, reps)
     philox = np.random.Philox(key=0)
     restart, gen = philox.state, np.random.Generator(philox)
@@ -249,7 +245,7 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, want_cou
         block_ranks = d.sample_many(buf[:, 0::2])
         ranks[:, cols] = block_ranks.T
         u[:, cols] = buf[:, 1::2].T
-        if want_counts:
+        if counted:
             counts[cols] = _rank_counts(block_ranks, d.m)
     for arr in (ranks, u, counts):
         if arr is not None:
@@ -279,29 +275,28 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
                 cell.paths[t_next] = cell.budgets
 
 
-def _blocks(d, n: int, cells, reps: int, seed: int, want_paths=False, want_counts=False,
-            want_payoffs=False):
+def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_payoffs=False):
     """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
-    over episodes 0..reps-1 in shared blocks of ``CHUNK``.
+    over the replications ``reps`` in shared blocks of ``CHUNK``.
 
-    Yields ``(rows, counts)`` once every cell has stepped through a block:
-    ``rows`` is the block's slice of 0..reps-1 and ``counts`` its (rows, m)
-    rank counts, or None unless ``want_counts``; each cell holds the block's
-    final budgets and, if wanted, its payoffs and time-major paths.  Only
-    one block is alive at a time: its draws and the cells' state are dropped
-    before the next block is drawn.
+    Yields ``(rows, ranks, counts)`` once every cell has stepped through a
+    block: ``rows`` is the block's slice of positions in ``reps``, ``ranks``
+    its read-only (n, rows) ranks and ``counts`` its (rows, m) rank counts,
+    or None unless ``want_payoffs``; each cell holds the block's final
+    budgets and, if wanted, its payoffs and time-major paths.  Only one
+    block is alive at a time: its draws and the cells' state are dropped
+    before the next block is drawn, so a caller drops ``ranks`` too.
     """
     if not cells:
         return
-    scratch = np.empty((min(SCRATCH_REPS, CHUNK, reps), 2 * n))
-    for start in range(0, reps, CHUNK):
-        rows = slice(start, min(start + CHUNK, reps))
+    scratch = np.empty((min(SCRATCH_REPS, CHUNK, len(reps)), 2 * n))
+    for start in range(0, len(reps), CHUNK):
+        block = reps[start : start + CHUNK]
         for cell in cells:
-            cell.start(rows.stop - rows.start, n, want_paths, want_payoffs)
-        ranks, u, counts = _draw_block(
-            d, seed, range(rows.start, rows.stop), n, scratch, want_counts)
+            cell.start(len(block), n, want_paths, want_payoffs)
+        ranks, u, counts = _draw_block(d, seed, block, n, scratch, want_payoffs)
         _step_block(d, n, cells, ranks, u)
-        yield rows, counts
+        yield slice(start, start + len(block)), ranks, counts
         del ranks, u, counts
 
 
@@ -314,9 +309,10 @@ def simulate_paths(
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, cnt in _blocks(d, n, [cell], reps, seed, want_paths=True, want_counts=True,
-                              want_payoffs=True):
+    for rows, ranks, cnt in _blocks(d, n, [cell], range(reps), seed, want_paths=True,
+                                    want_payoffs=True):
         payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
+        del ranks
     return payoffs, counts, paths
 
 
@@ -338,8 +334,8 @@ def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
         place.append((stack, len(stack.ks)))
         stack.ks.append(k)
     got = [(np.empty(reps), np.empty(reps)) for _ in cells]
-    for rows, counts in _blocks(d, n, list(stacks.values()), reps, seed, want_counts=True,
-                                  want_payoffs=True):
+    for rows, _, counts in _blocks(d, n, list(stacks.values()), range(reps), seed,
+                                   want_payoffs=True):
         sorts = {}
         for (stack, row), (_, k), (online, offline) in zip(place, cells, got):
             if k not in sorts:
@@ -356,7 +352,7 @@ def ratio_mean_curve(
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, [k])
     budget_sum = np.zeros(n)
-    for _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
+    for _, _, _ in _blocks(d, n, [cell], range(reps), seed, want_paths=True):
         budget_sum += cell.paths[:n, 0].sum(axis=1)
     mean_budget = budget_sum / reps
     mean_ratio = mean_budget / (n - np.arange(n))
@@ -456,6 +452,6 @@ def orbit_stats(d, policy, n: int, k: int, delta: float, reps: int, seed: int) -
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _ in _blocks(d, n, [cell], reps, seed, want_paths=True):
+    for rows, _, _ in _blocks(d, n, [cell], range(reps), seed, want_paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)

@@ -89,6 +89,17 @@ def exact_offline_value(support, pmf, n: int, k: int) -> Fraction:
     return total
 
 
+def dr_solution(d, n: int, k: int) -> tuple[np.ndarray, float]:
+    """Deterministic relaxation: replace counts by their means and sort.
+
+    s*_j = min(n f_j, (k - n F̄(a_j))_+); the value upper-bounds the exact
+    offline expectation.
+    """
+    check_pair(n, k)
+    s = np.minimum(n * d.pmf, np.maximum(k - n * d.survival_values[: d.m], 0.0))
+    return s, float(d.support @ s)
+
+
 def enum_optimal_value(d, n: int, k: int) -> float:
     """Optimal online value by recursion over full histories.
 
@@ -277,6 +288,11 @@ def rank_counts_loop(ranks: np.ndarray, m: int) -> np.ndarray:
     for j in range(1, m + 1):
         counts[:, j - 1] = (ranks == j).sum(axis=1)
     return counts
+
+
+def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
+    """Independent substream for one replication, reproducible by (seed, rep)."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
 
 
 def sample_searchsorted(d, u: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from multisecretary import (
-    dr_solution,
     exact_regret,
     half_min_mass,
     make_policy,
@@ -28,6 +27,7 @@ from oracles import (
     binomial_overshoot,
     binomial_undershoot,
     br_prob_table,
+    dr_solution,
     drift_at_state,
     enum_offline_value,
     enum_optimal_value,

@@ -10,6 +10,7 @@ from multisecretary import cli, dp
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER
+from multisecretary.simulate import run_episode
 
 
 @pytest.fixture()
@@ -447,6 +448,41 @@ class TestEmptyLists:
         assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 2
         assert "','" in assert_one_error_line(capsys)
         assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
+
+class TestRepeatedEntries:
+    @pytest.mark.parametrize("repeated,single", [
+        (["sweep-k", "--dist", "{dist}", "--n", "30", "--k-range", "5:25:10", "--policies",
+          "br,ai,br"], "br,ai"),
+        (["sweep-k", "--dist", "{dist}", "--n", "30", "--k-range", "5:25:10", "--policies",
+          "br,br", "--mc", "--reps", "300", "--seed", "4"], "br"),
+        (["sweep-n", "--dist", "{dist}", "--n-list", "10,20,10", "--ratio", "0.3",
+          "--policies", "dp"], "10,20"),
+        (["kleinberg", "--epsilons", "0.1,0.1", "--policies", "br"], "0.1"),
+    ], ids=["sweep-k", "sweep-k-mc", "sweep-n", "kleinberg"])
+    def test_each_row_written_once(self, dist_file, tmp_path, repeated, single):
+        # each of these once evaluated and wrote every repeated cell twice
+        argv = [dist_file if a == "{dist}" else a for a in repeated]
+        assert main(argv + ["--out", str(tmp_path / "rep.csv")]) == 0
+        flag = {"sweep-n": "--n-list", "kleinberg": "--epsilons"}.get(argv[0], "--policies")
+        argv[argv.index(flag) + 1] = single
+        assert main(argv + ["--out", str(tmp_path / "one.csv")]) == 0
+        assert (tmp_path / "rep.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+    def test_paths_writes_each_file_once(self, dist_file, tmp_path, monkeypatch):
+        # --seeds 1,1 once played and wrote the same file twice
+        played = []
+
+        def counted(d, policy, n, k, seed, rep=0):
+            played.append((policy.name, seed))
+            return run_episode(d, policy, n, k, seed, rep)
+
+        monkeypatch.setattr(cli, "run_episode", counted)
+        assert main(["paths", "--dist", dist_file, "--n", "20", "--k", "6", "--policies",
+                     "br,dp,br", "--seeds", "1,2,1", "--out", str(tmp_path / "p.csv")]) == 0
+        assert played == [("br", 1), ("br", 2), ("dp", 1), ("dp", 2)]
+        manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
+        assert manifest["seed"] == [1, 2] and manifest["grid"]["policies"] == ["br", "dp"]
 
 
 class TestEntryPoint:

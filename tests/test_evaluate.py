@@ -15,7 +15,6 @@ from multisecretary import (
     exact_regret,
     make_policy,
     offline_expectation,
-    offline_sort,
     simulate_paths,
     solve,
     sweep,
@@ -24,6 +23,7 @@ from multisecretary import (
 )
 from multisecretary import cli, dp, evaluate
 from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
+from multisecretary.offline import offline_sort_batch
 from multisecretary.simulate import CHUNK
 from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
 
@@ -229,9 +229,7 @@ class TestPathwiseDominance:
         n, k, reps = 60, 25, 2000
         policy = make_policy(name, masspoint5, n, k)
         payoffs, counts, paths = simulate_paths(masspoint5, policy, n, k, reps, seed=123)
-        for row in range(0, reps, 97):
-            off = offline_sort(masspoint5, counts[row], k).payoff
-            assert off >= payoffs[row] - 1e-9
+        assert np.all(offline_sort_batch(masspoint5, counts, k) >= payoffs - 1e-9)
         assert np.all(paths >= 0)
         assert np.all(k - paths[:, -1] <= k)
 
@@ -263,6 +261,14 @@ class TestSweep:
     def test_unknown_mode(self, uniform3):
         with pytest.raises(ValueError):
             sweep(uniform3, ["br"], [(30, 10)], mode="bogus")
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_repeated_cells_evaluate_once(self, uniform5, mode):
+        # a repeated name or grid point was once evaluated and returned twice
+        grid = [(40, 12), (30, 9), (40, 12)]
+        want, _ = sweep(uniform5, ["br", "dp"], grid[:2], mode, reps=300, seed=2)
+        got, failures = sweep(uniform5, ["dp", "br", "dp"], grid, mode, reps=300, seed=2)
+        assert failures == [] and len(want) == 4 and got == want
 
     def test_mc_mode(self, uniform3):
         records, _ = sweep(uniform3, ["br"], [(30, 10)], mode="mc", reps=200, seed=5)

@@ -5,55 +5,49 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from multisecretary import (
-    CountMismatch,
     InfeasiblePair,
-    dr_solution,
     half_min_mass,
     new_distribution,
     offline_expectation,
-    offline_sort,
 )
+from multisecretary.offline import offline_sort_batch
 from oracles import (
     action_index_j0,
     binomial_overshoot,
     binomial_undershoot,
+    dr_solution,
     enum_offline_value,
     exact_offline_value,
     max_integer_selection,
 )
 
 
+def sort_one(d, counts, k: int) -> float:
+    """The posterior-sort payoff of one count vector, as a one-row batch."""
+    return float(offline_sort_batch(d, np.array([counts], dtype=np.int64), k)[0])
+
+
 class TestOfflineSort:
     def test_cascade_example(self, uniform3):
-        res = offline_sort(uniform3, [3, 2, 5], 4)
-        np.testing.assert_array_equal(res.s, [3, 1, 0])
-        assert res.payoff == pytest.approx(3 * 3 + 2 * 1, abs=0)
+        assert sort_one(uniform3, [3, 2, 5], 4) == 3 * 3 + 2 * 1
 
     def test_budget_exceeds_supply(self, uniform3):
-        res = offline_sort(uniform3, [2, 2, 2], 10)
-        np.testing.assert_array_equal(res.s, [2, 2, 2])
+        assert sort_one(uniform3, [2, 2, 2], 10) == 3 * 2 + 2 * 2 + 1 * 2
 
     def test_zero_budget(self, uniform3):
-        res = offline_sort(uniform3, [4, 4, 4], 0)
-        assert res.payoff == 0.0 and res.s.sum() == 0
-
-    def test_count_validation(self, uniform3):
-        with pytest.raises(CountMismatch):
-            offline_sort(uniform3, [1, 2], 1)
-        with pytest.raises(CountMismatch):
-            offline_sort(uniform3, [1, -1, 2], 1)
+        assert sort_one(uniform3, [4, 4, 4], 0) == 0.0
 
     def test_greedy_matches_integer_brute_force(self):
-        # every count vector summing to n <= 8, m = 3, several budgets
+        # every count vector summing to n <= 8, m = 3, several budgets: one
+        # matrix of all vectors per (n, k)
         d = new_distribution([3.0, 2.0, 1.0], [0.5, 0.2, 0.3])
         for n in range(0, 9):
-            for z1 in range(n + 1):
-                for z2 in range(n - z1 + 1):
-                    z = (z1, z2, n - z1 - z2)
-                    for k in {0, 1, n // 2, n}:
-                        got = offline_sort(d, z, k).payoff
-                        want = max_integer_selection(d.support, z, k)
-                        assert got == pytest.approx(want, abs=1e-12)
+            z = np.array([(z1, z2, n - z1 - z2) for z1 in range(n + 1) for z2 in range(n - z1 + 1)],
+                         dtype=np.int64)
+            for k in {0, 1, n // 2, n}:
+                got = offline_sort_batch(d, z, k)
+                want = [max_integer_selection(d.support, row, k) for row in z]
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"n={n} k={k}")
 
 
 class TestOfflineExpectation:

@@ -12,7 +12,6 @@ from multisecretary import (
     NonAdaptivePolicy,
     TableMismatch,
     cutoff_time,
-    episode_stream,
     half_min_mass,
     make_policy,
     new_distribution,
@@ -39,6 +38,7 @@ from oracles import (
     ai_prob_table,
     br_prob_table,
     drift_at_state,
+    episode_stream,
     exact_value_table,
     index_prob_table,
     orbit_scan_passes,
@@ -143,6 +143,24 @@ class TestEpisodes:
             np.diff(rec.budget_path), -rec.decisions.astype(np.int64)
         )
         assert rec.decisions.sum() <= 30
+
+
+class TestEpisodeIsPathRow:
+    @pytest.mark.parametrize("name", ["br", "dp", "ai", "index"])
+    def test_run_episode_is_row_rep_of_simulate_paths(self, masspoint5, monkeypatch, name):
+        # reps 127 and 128 end and start a block of simulate_paths
+        d, n, k, reps, seed = masspoint5, 60, 20, 300, 13
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        policy = make_policy(name, d, n, k)
+        payoffs, counts, paths = simulate_paths(d, policy, n, k, reps, seed)
+        for rep in (0, 127, 128, 299):
+            rec = run_episode(d, policy, n, k, seed, rep)
+            np.testing.assert_array_equal(rec.budget_path, paths[rep])
+            np.testing.assert_array_equal(np.bincount(rec.abilities, minlength=d.m + 1)[1:],
+                                          counts[rep])
+            np.testing.assert_array_equal(
+                rec.abilities, sample_searchsorted(d, episode_stream(seed, rep).random(2 * n)[0::2]))
+            assert rec.payoff == payoffs[rep]
 
 
 class TestBatchConsistency:
