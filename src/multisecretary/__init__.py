@@ -37,7 +37,6 @@ from .offline import (
 from .policies import (
     AdaptiveIndexPolicy,
     BreakpointPolicy,
-    NonAdaptiveMatrix,
     NonAdaptivePolicy,
     index_matrix,
     make_policy,

@@ -1,7 +1,8 @@
 """Command-line front end for the experiment families.
 
-Every command writes a CSV plus a JSON manifest alongside it; re-running a
-command with the same inputs and seed reproduces the CSV byte for byte.
+Every command but ``validate`` writes a CSV, and ``main`` writes a JSON
+manifest alongside it; re-running a command with the same inputs and seed
+reproduces the CSV byte for byte.
 """
 
 from __future__ import annotations
@@ -53,9 +54,7 @@ def round_half_up(x: float) -> int:
 
 def _parse_policies(text: str) -> list[str]:
     """The policy names of ``text``, the first of any repeats kept, in order."""
-    names = list(dict.fromkeys(p.strip() for p in text.split(",") if p.strip()))
-    if not names:
-        raise ModelError("at least one policy name is required")
+    names = _parse_list(text, str)
     for name in names:
         if name not in POLICY_NAMES and not name.startswith("matrix:"):
             raise ModelError(
@@ -80,7 +79,7 @@ def _parse_range(text: str) -> list[int]:
 def _parse_list(text: str, cast) -> list:
     """The values of ``text``, the first of any repeats kept, in order."""
     try:
-        values = list(dict.fromkeys(cast(p) for p in text.split(",") if p.strip()))
+        values = list(dict.fromkeys(cast(p.strip()) for p in text.split(",") if p.strip()))
     except ValueError:
         raise ModelError(f"expected comma-separated {cast.__name__} values, got {text!r}") from None
     if not values:
@@ -94,98 +93,70 @@ def _check_seeds(seeds: list) -> list:
     return seeds
 
 
-def _write_manifest(out: str, command: str, dist: AbilityDistribution | None,
-                    seed, grid, started: float) -> None:
-    manifest = {
-        "command": command,
-        "dist_sha": dist.content_hash() if dist is not None else None,
-        "seed": seed,
-        "grid": grid,
-        "version": __version__,
-        "rng": RNG_FAMILY,
-        "wall_time_s": round(time.perf_counter() - started, 3),
-    }
-    with open(str(out) + ".manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _report_failures(failures) -> int:
+def _regret(out, names, runs, mode="exact", reps=10_000, seed=0) -> int:
+    """The body of sweep-k, sweep-n and kleinberg once each has built its
+    cells: sweep every (distribution, cells) pair of ``runs``, write all the
+    records to ``out`` and list each failing cell; the exit status."""
+    if mode == "mc":
+        check_reps(reps)
+    records, failures = [], []
+    for d, cells in runs:
+        got, failed = sweep(d, names, cells, mode, reps, seed)
+        records += got
+        failures += failed
+    write_records(records, out)
     for (name, n, k), exc in failures:
         print(f"cell policy={name} n={n} k={k} failed: {exc}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _sweep_mode(args) -> str:
-    if args.mc:
-        check_reps(args.reps)
-        return "mc"
-    return "exact"
-
-
-def cmd_sweep_k(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep_k(args):
     d = load_distribution(args.dist)
     ks = _parse_range(args.k_range)
     names = _parse_policies(args.policies)
-    grid = [(args.n, k) for k in ks]
-    mode = _sweep_mode(args)
-    records, failures = sweep(d, names, grid, mode, args.reps, args.seed)
-    write_records(records, args.out)
-    _write_manifest(args.out, "sweep-k", d, args.seed,
-                    {"n": args.n, "k_range": args.k_range, "policies": names, "mode": mode},
-                    started)
-    return _report_failures(failures)
+    mode = "mc" if args.mc else "exact"
+    status = _regret(args.out, names, [(d, [(args.n, k) for k in ks])], mode, args.reps, args.seed)
+    return status, d, args.seed, {"n": args.n, "k_range": args.k_range, "policies": names,
+                                  "mode": mode}
 
 
-def cmd_sweep_n(args) -> int:
-    started = time.perf_counter()
+def cmd_sweep_n(args):
     d = load_distribution(args.dist)
     ns = _parse_list(args.n_list, int)
     names = _parse_policies(args.policies)
     if not all(math.isfinite(args.ratio * n) for n in ns):
         raise ModelError(f"ratio * n must be finite, got ratio {args.ratio}")
-    grid = [(n, round_half_up(args.ratio * n)) for n in ns]
-    mode = _sweep_mode(args)
-    records, failures = sweep(d, names, grid, mode, args.reps, args.seed)
-    write_records(records, args.out)
-    _write_manifest(args.out, "sweep-n", d, args.seed,
-                    {"n_list": ns, "ratio": args.ratio, "k_list": [k for _, k in grid],
-                     "policies": names, "mode": mode},
-                    started)
-    return _report_failures(failures)
+    cells = [(n, round_half_up(args.ratio * n)) for n in ns]
+    mode = "mc" if args.mc else "exact"
+    status = _regret(args.out, names, [(d, cells)], mode, args.reps, args.seed)
+    return status, d, args.seed, {"n_list": ns, "ratio": args.ratio,
+                                  "k_list": [k for _, k in cells], "policies": names, "mode": mode}
 
 
-def cmd_kleinberg(args) -> int:
-    started = time.perf_counter()
+def cmd_kleinberg(args):
     epsilons = _parse_list(args.epsilons, float)
     names = _parse_policies(args.policies)
-    cells = []
+    runs, grid, eps_at = [], [], {}
     for eps in epsilons:  # every epsilon is checked before the first sweep
         d = kleinberg_distribution(eps)
         try:
             n = math.ceil(1.0 / eps**2)
         except (ZeroDivisionError, OverflowError):  # eps**2 underflows to 0, or 1/eps**2 to inf
             raise BadEpsilon(f"epsilon {eps!r} is too small: 1/epsilon^2 is not finite") from None
-        cells.append((eps, d, n, math.ceil(n / 2)))
-    records, failures = [], []
-    for _, d, n, k in cells:
-        got, failed = sweep(d, names, [(n, k)])
-        records += got
-        failures += failed
-    write_records(records, args.out)
-    grid_note = [{"epsilon": eps, "n": n, "k": k} for eps, _, n, k in cells]
-    _write_manifest(args.out, "kleinberg", None, args.seed, grid_note, started)
-    return _report_failures(failures)
+        if n in eps_at:  # their rows would share (policy, n, k)
+            raise BadEpsilon(f"epsilons {eps_at[n]!r} and {eps!r} both give n={n}")
+        eps_at[n] = eps
+        k = math.ceil(n / 2)
+        runs.append((d, [(n, k)]))
+        grid.append({"epsilon": eps, "n": n, "k": k})
+    return _regret(args.out, names, runs), None, None, grid
 
 
-def cmd_paths(args) -> int:
-    started = time.perf_counter()
+def cmd_paths(args):
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
     seeds = _check_seeds(_parse_list(args.seeds, int))
-    base = str(args.out)
-    stem, suffix = os.path.splitext(base)
+    stem, suffix = os.path.splitext(str(args.out))
     suffix = suffix or ".csv"
     for name in names:
         policy = make_policy(name, d, args.n, args.k)
@@ -200,13 +171,10 @@ def cmd_paths(args) -> int:
                         f"{t},{record.abilities[t - 1]},{int(record.decisions[t - 1])},"
                         f"{record.budget_path[t]},{ratio}\n"
                     )
-    _write_manifest(base, "paths", d, seeds,
-                    {"n": args.n, "k": args.k, "policies": names}, started)
-    return 0
+    return 0, d, seeds, {"n": args.n, "k": args.k, "policies": names}
 
 
-def cmd_ratio_mean(args) -> int:
-    started = time.perf_counter()
+def cmd_ratio_mean(args):
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
     check_reps(args.reps)
@@ -221,13 +189,10 @@ def cmd_ratio_mean(args) -> int:
         for name, (mean_ratio, mean_budget) in curves.items():
             for t in range(args.n):
                 fh.write(f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}\n")
-    _write_manifest(args.out, "ratio-mean", d, args.seed,
-                    {"n": args.n, "k": args.k, "reps": args.reps, "policies": names}, started)
-    return 0
+    return 0, d, args.seed, {"n": args.n, "k": args.k, "reps": args.reps, "policies": names}
 
 
-def cmd_diagnostics(args) -> int:
-    started = time.perf_counter()
+def cmd_diagnostics(args):
     d = load_distribution(args.dist)
     check_reps(args.reps)
     orbit_thresholds(d, args.delta)  # a bad delta exits before any policy is built
@@ -238,14 +203,11 @@ def cmd_diagnostics(args) -> int:
         fh.write("rep,tau0,j_tau0,tau,n_minus_tau\n")
         fh.writelines(f"{rep},{tau0},{j},{tau},{args.n - tau}\n"
                       for rep, (tau0, j, tau) in enumerate(rows))
-    _write_manifest(args.out, "diagnostics", d, args.seed,
-                    {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
-                     "policy": args.policy},
-                    started)
-    return 0
+    return 0, d, args.seed, {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
+                             "policy": args.policy}
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args) -> None:
     d = load_distribution(args.dist)
     thr = thresholds(d)
     m = d.m
@@ -265,7 +227,7 @@ def cmd_validate(args) -> int:
     }
     if args.json:
         print(json.dumps(payload, indent=2))
-        return 0
+        return
     print(f"m = {m}, mean = {d.mean():.6g}, epsilon = {half_min_mass(d):.6g}")
     print("  j      a_j      f_j   F̄(a_j)      T_j")
     for j in range(1, m + 1):
@@ -278,7 +240,6 @@ def cmd_validate(args) -> int:
     for j in range(1, m + 1):
         hi = f"{thr[j]:.6g}" if np.isfinite(thr[j]) else "inf"
         print(f"  [{thr[j - 1]:.6g}, {hi}) -> j0 = {j}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,63 +249,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, dist=True):
-        if dist:
-            p.add_argument("--dist", required=True, help="distribution JSON file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", required=True, help="output CSV path")
+    def option(*flags, **kwargs):
+        """A parent parser holding one option, for the commands that share it."""
+        p = argparse.ArgumentParser(add_help=False)
+        p.add_argument(*flags, **kwargs)
+        return p
 
-    p = sub.add_parser("sweep-k", help="regret versus budget at a fixed horizon")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
+    dist = option("--dist", required=True, help="distribution JSON file")
+    out = option("--out", required=True, help="output CSV path")
+    seed = option("--seed", type=int, default=0)
+    n = option("--n", type=int, required=True)
+    k = option("--k", type=int, required=True)
+    policies = option("--policies", required=True, help="comma-separated policy names")
+    mc = option("--mc", action="store_true", help="Monte Carlo instead of exact")
+    mc_reps = option("--reps", type=int, default=10_000)
+
+    p = sub.add_parser("sweep-k", parents=[dist, seed, out, n, policies, mc, mc_reps],
+                       help="regret versus budget at a fixed horizon")
     p.add_argument("--k-range", required=True, help="A:B:STEP, endpoints inclusive")
-    p.add_argument("--policies", required=True, help="comma-separated policy names")
-    p.add_argument("--mc", action="store_true", help="Monte Carlo instead of exact")
-    p.add_argument("--reps", type=int, default=10_000)
     p.set_defaults(func=cmd_sweep_k)
 
-    p = sub.add_parser("sweep-n", help="regret versus horizon at a fixed budget ratio")
-    add_common(p)
+    p = sub.add_parser("sweep-n", parents=[dist, seed, out, policies, mc, mc_reps],
+                       help="regret versus horizon at a fixed budget ratio")
     p.add_argument("--n-list", required=True, help="comma-separated horizons")
     p.add_argument("--ratio", type=float, required=True, help="k/n, rounded half-up")
-    p.add_argument("--policies", required=True)
-    p.add_argument("--mc", action="store_true")
-    p.add_argument("--reps", type=int, default=10_000)
     p.set_defaults(func=cmd_sweep_n)
 
-    p = sub.add_parser("kleinberg", help="regret on the shrinking-mass three-point family")
-    add_common(p, dist=False)
+    p = sub.add_parser("kleinberg", parents=[out],
+                       help="regret on the shrinking-mass three-point family")
     p.add_argument("--epsilons", required=True, help="comma-separated epsilons in (0, 0.125)")
     p.add_argument("--policies", default="dp,br")
     p.set_defaults(func=cmd_kleinberg)
 
-    p = sub.add_parser("paths", help="single sample paths with shared random numbers")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--policies", required=True)
+    p = sub.add_parser("paths", parents=[dist, out, n, k, policies],
+                       help="single sample paths with shared random numbers")
     p.add_argument("--seeds", required=True, help="comma-separated seeds, one file each")
     p.set_defaults(func=cmd_paths)
 
-    p = sub.add_parser("ratio-mean", help="averaged ratio and budget trajectories")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--policies", required=True)
+    p = sub.add_parser("ratio-mean", parents=[dist, seed, out, n, k, policies],
+                       help="averaged ratio and budget trajectories")
     p.add_argument("--reps", type=int, required=True)
     p.set_defaults(func=cmd_ratio_mean)
 
-    p = sub.add_parser("diagnostics", help="orbit entry/exit times per replication")
-    add_common(p)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = sub.add_parser("diagnostics", parents=[dist, seed, out, n, k],
+                       help="orbit entry/exit times per replication")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--policy", default="br")
     p.set_defaults(func=cmd_diagnostics)
 
-    p = sub.add_parser("validate", help="print derived quantities of a distribution")
-    p.add_argument("--dist", required=True)
+    p = sub.add_parser("validate", parents=[dist], help="print derived quantities of a distribution")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_validate)
 
@@ -352,12 +306,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command.  Each file-writing ``cmd_*`` returns its exit status,
+    distribution (or None), seed and grid, which go to ``<out>.manifest.json``."""
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         if "seed" in args:
             _check_seeds([args.seed])
-        return args.func(args)
+        written = args.func(args)
+        if written is None:  # validate prints and writes no file
+            return 0
+        status, dist, seed, grid = written
+        manifest = {
+            "command": args.command,
+            "dist_sha": dist.content_hash() if dist is not None else None,
+            "seed": seed,
+            "grid": grid,
+            "version": __version__,
+            "rng": RNG_FAMILY,
+            "wall_time_s": round(time.perf_counter() - started, 3),
+        }
+        with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return status
     except (ModelError, json.JSONDecodeError, FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

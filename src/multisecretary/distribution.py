@@ -200,4 +200,8 @@ def dist_from_json(text: str) -> AbilityDistribution:
 
 def load_distribution(path) -> AbilityDistribution:
     with open(path, "r", encoding="utf-8") as fh:
-        return dist_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise BadPmf(f"distribution file {str(path)!r} is not UTF-8 text: {exc}") from None
+    return dist_from_json(text)

@@ -19,7 +19,6 @@ against a (reps,) row of ranks and uniforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,25 +27,8 @@ from .distribution import RATIO_TIE_TOL, AbilityDistribution, partial_means, thr
 from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch, check_pair
 
 
-@dataclass(frozen=True, eq=False)
-class NonAdaptiveMatrix:
-    """Selection probabilities p[j-1, t-1] for ability j at time t."""
-
-    p: np.ndarray
-
-    @classmethod
-    def of(cls, p) -> "NonAdaptiveMatrix":
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim != 2:
-            raise DimensionMismatch("probability matrix must be 2-D (abilities x periods)")
-        if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-            raise ModelError("matrix entries must be probabilities in [0, 1]")
-        arr.flags.writeable = False
-        return cls(p=arr)
-
-
-def index_matrix(d: AbilityDistribution, n: int, k: int) -> NonAdaptiveMatrix:
-    """Time-constant matrix from the deterministic relaxation at ratio k/n.
+def index_matrix(d: AbilityDistribution, n: int, k: int) -> np.ndarray:
+    """Time-constant (m, n) matrix from the deterministic relaxation at ratio k/n.
 
     Ranks above the pivot are always taken, the pivot rank with the
     fractional probability (k/n - F̄)/f, lower ranks never.  Fractions within
@@ -65,16 +47,16 @@ def index_matrix(d: AbilityDistribution, n: int, k: int) -> NonAdaptiveMatrix:
     col = np.zeros(d.m)
     col[: pivot - 1] = 1.0
     col[pivot - 1] = frac
-    return NonAdaptiveMatrix.of(np.tile(col[:, None], (1, n)))
+    return np.tile(col[:, None], (1, n))
 
 
-def take_top_matrix(d: AbilityDistribution, n: int) -> NonAdaptiveMatrix:
+def take_top_matrix(d: AbilityDistribution, n: int) -> np.ndarray:
     """Take every top-ability arrival, nothing else."""
     if n < 1:
         raise InfeasiblePair(f"horizon must be >= 1, got {n}")
     p = np.zeros((d.m, n))
     p[0, :] = 1.0
-    return NonAdaptiveMatrix.of(p)
+    return p
 
 
 def _ratio_breakpoints(values: np.ndarray, n: int) -> np.ndarray:
@@ -158,33 +140,37 @@ class AdaptiveIndexPolicy:
 
 
 class NonAdaptivePolicy:
-    """Fixed probability matrix applied until the budget runs out.  A matrix
-    derived from the budget (index's) records that ``k``; ``None`` means the
-    matrix serves every k."""
+    """Fixed probability matrix applied until the budget runs out: ability j
+    at time t is selected with probability ``p[j-1, t-1]``.  A matrix derived
+    from the budget (index's) records that ``k``; ``None`` means the matrix
+    serves every k."""
 
-    def __init__(self, d: AbilityDistribution, matrix: NonAdaptiveMatrix, name: str,
-                 k: int | None = None):
-        if matrix.p.shape[0] != d.m:
-            raise DimensionMismatch(
-                f"matrix has {matrix.p.shape[0]} ability rows, distribution has {d.m}"
-            )
+    def __init__(self, d: AbilityDistribution, p, name: str, k: int | None = None):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 2:
+            raise DimensionMismatch("probability matrix must be 2-D (abilities x periods)")
+        if p.shape[0] != d.m:
+            raise DimensionMismatch(f"matrix has {p.shape[0]} ability rows, distribution has {d.m}")
+        if np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
+            raise ModelError("matrix entries must be probabilities in [0, 1]")
+        p.flags.writeable = False
         self.dist = d
-        self.matrix = matrix
+        self.p = p
         self.name = name
         self.k = k
         # a take-everything column sums the pmf to 1 + ulp; a selection rate
         # above 1 would push the forward pass's budget cell below zero
-        self._sel_by_t = np.minimum(d.pmf @ matrix.p, 1.0)
-        self._gain_by_t = (d.pmf * d.support) @ matrix.p
+        self._sel_by_t = np.minimum(d.pmf @ p, 1.0)
+        self._gain_by_t = (d.pmf * d.support) @ p
 
     def check(self, n, k):
-        if n != self.matrix.p.shape[1]:
-            raise DimensionMismatch(f"matrix covers {self.matrix.p.shape[1]} periods, not n={n}")
+        if n != self.p.shape[1]:
+            raise DimensionMismatch(f"matrix covers {self.p.shape[1]} periods, not n={n}")
         if self.k is not None and k != self.k:
             raise TableMismatch(f"{self.name} matrix built for k={self.k} cannot decide k={k}")
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
-        p = self.matrix.p[abilities - 1, t_next - 1]
+        p = self.p[abilities - 1, t_next - 1]
         return (budgets > 0) & (u < p)
 
     def rates(self, t_next, n, budgets):
@@ -225,5 +211,5 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
             raise DimensionMismatch(
                 f"matrix file is {p.shape[0]}x{p.shape[1]}, need {d.m}x{n}"
             )
-        return NonAdaptivePolicy(d, NonAdaptiveMatrix.of(p), "matrix")
+        return NonAdaptivePolicy(d, p, "matrix")
     raise ModelError(f"unknown policy {name!r}")

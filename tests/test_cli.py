@@ -79,6 +79,17 @@ class TestValidate:
         assert main(["validate", "--dist", str(bad)]) == 2
         assert "support must be a list of numbers" in assert_one_error_line(capsys)
 
+    def test_non_utf8_file_exits_2_once(self, tmp_path, capsys):
+        # the decode error once escaped main: a UnicodeDecodeError traceback, exit 1
+        bad = tmp_path / "bin.json"
+        bad.write_bytes(b"\xff\xfe\x00bad")
+        assert main(["validate", "--dist", str(bad)]) == 2
+        assert "not UTF-8" in assert_one_error_line(capsys)
+        assert main(["sweep-k", "--dist", str(bad), "--n", "10", "--k-range", "2:4:2",
+                     "--policies", "br", "--out", str(tmp_path / "s.csv")]) == 2
+        assert "not UTF-8" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["bin.json"]
+
 
 class TestSweepK:
     def test_exact_sweep_and_manifest(self, dist_file, tmp_path):
@@ -265,6 +276,14 @@ class TestKleinberg:
         assert main(["kleinberg", "--epsilons", f"0.01,{bad}",
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert "epsilon" in assert_one_error_line(capsys)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_epsilons_with_one_horizon_exit_2(self, tmp_path, capsys):
+        # both once gave n=100, k=50: two br,100,50 rows with different v_on
+        assert main(["kleinberg", "--epsilons", "0.05,0.1,0.1000001", "--policies", "br",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = assert_one_error_line(capsys)
+        assert "0.1 and 0.1000001" in err and "n=100" in err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("eps", ["1e-170", "1e-160"])
@@ -483,6 +502,47 @@ class TestRepeatedEntries:
         assert played == [("br", 1), ("br", 2), ("dp", 1), ("dp", 2)]
         manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
         assert manifest["seed"] == [1, 2] and manifest["grid"]["policies"] == ["br", "dp"]
+
+
+class TestManifests:
+    KEYS = {"command", "dist_sha", "seed", "grid", "version", "rng", "wall_time_s"}
+
+    @pytest.mark.parametrize("argv,seed", [
+        (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br"],
+         0),
+        (["sweep-n", "--dist", "{dist}", "--n-list", "10", "--ratio", "0.3", "--policies", "ai",
+          "--mc", "--reps", "5", "--seed", "4"], 4),
+        (["kleinberg", "--epsilons", "0.1", "--policies", "br"], None),
+        (["paths", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br",
+          "--seeds", "2,1"], [2, 1]),
+        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br",
+          "--reps", "5", "--seed", "1"], 1),
+        (["diagnostics", "--dist", "{dist}", "--n", "100", "--k", "30", "--delta", "0.05",
+          "--reps", "5"], 0),
+    ], ids=["sweep-k", "sweep-n-mc", "kleinberg", "paths", "ratio-mean", "diagnostics"])
+    def test_every_command_writes_its_manifest(self, dist_file, tmp_path, argv, seed):
+        argv = [dist_file if a == "{dist}" else a for a in argv]
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        manifest = json.loads((tmp_path / "x.csv.manifest.json").read_text())
+        assert set(manifest) == self.KEYS
+        assert manifest["command"] == argv[0] and manifest["seed"] == seed
+        assert (manifest["dist_sha"] is None) == (argv[0] == "kleinberg")
+
+    def test_validate_writes_no_file(self, dist_file, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate", "--dist", dist_file, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["m"] == 5
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
+    def test_kleinberg_takes_no_seed(self, tmp_path, capsys):
+        # kleinberg is exact only: its --seed was once accepted and never read
+        with pytest.raises(SystemExit) as exc:
+            main(["kleinberg", "--epsilons", "0.1", "--seed", "1",
+                  "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -8,7 +8,6 @@ from multisecretary import (
     DimensionMismatch,
     InfeasiblePair,
     ModelError,
-    NonAdaptiveMatrix,
     NonAdaptivePolicy,
     TableMismatch,
     index_matrix,
@@ -217,14 +216,14 @@ class TestAdaptiveIndex:
 class TestIndexMatrix:
     def test_half_budget_three_point(self, uniform3):
         mat = index_matrix(uniform3, 10, 5)
-        np.testing.assert_allclose(mat.p[:, 0], [1.0, 0.5, 0.0], atol=1e-12)
-        assert np.all(mat.p == mat.p[:, :1])  # time-constant
+        np.testing.assert_allclose(mat[:, 0], [1.0, 0.5, 0.0], atol=1e-12)
+        assert np.all(mat == mat[:, :1])  # time-constant
 
     def test_zero_budget_all_zero(self, masspoint5):
-        assert np.all(index_matrix(masspoint5, 20, 0).p == 0.0)
+        assert np.all(index_matrix(masspoint5, 20, 0) == 0.0)
 
     def test_full_budget_all_ones(self, masspoint5):
-        assert np.all(index_matrix(masspoint5, 20, 20).p == 1.0)
+        assert np.all(index_matrix(masspoint5, 20, 20) == 1.0)
 
     def test_infeasible(self, uniform3):
         with pytest.raises(InfeasiblePair):
@@ -233,8 +232,8 @@ class TestIndexMatrix:
 
 class TestNonAdaptive:
     def test_all_ones_selects_first_k(self, uniform3):
-        mat = NonAdaptiveMatrix.of(np.ones((3, 12)))
-        policy = NonAdaptivePolicy(uniform3, mat, "matrix")
+        policy = NonAdaptivePolicy(uniform3, np.ones((3, 12)), "matrix")
+        assert not policy.p.flags.writeable
         rec = run_episode(uniform3, policy, 12, 4, 3)
         assert rec.decisions[:4].all() and not rec.decisions[4:].any()
 
@@ -244,7 +243,7 @@ class TestNonAdaptive:
         assert np.all(rec.abilities[rec.decisions] == 1)
 
     def test_all_zero_never_selects(self, uniform3):
-        policy = NonAdaptivePolicy(uniform3, NonAdaptiveMatrix.of(np.zeros((3, 12))), "matrix")
+        policy = NonAdaptivePolicy(uniform3, np.zeros((3, 12)), "matrix")
         assert not decide(policy, 5, 12, 4, 1, u=0.0)
 
     def test_dimension_mismatch(self, uniform3, uniform5):
@@ -258,9 +257,12 @@ class TestNonAdaptive:
         with pytest.raises(DimensionMismatch):
             NonAdaptivePolicy(uniform5, take_top_matrix(uniform3, 10), "take-top")
 
-    def test_entry_validation(self):
-        with pytest.raises(ModelError):
-            NonAdaptiveMatrix.of([[0.5, 1.2]])
+    def test_entry_validation(self, uniform3):
+        for p in ([[0.5, 1.2]] * 3, [[0.5, -0.1]] * 3, [[0.5, np.nan]] * 3):
+            with pytest.raises(ModelError, match="probabilities in"):
+                NonAdaptivePolicy(uniform3, p, "matrix")
+        with pytest.raises(DimensionMismatch, match="2-D"):
+            NonAdaptivePolicy(uniform3, [0.5, 0.5, 0.5], "matrix")
 
     def test_index_decides_only_its_own_budget(self, uniform5):
         # index's matrix comes from k/n, so at another k it would return the

@@ -8,7 +8,6 @@ from multisecretary import (
     BadDelta,
     DimensionMismatch,
     InfeasiblePair,
-    NonAdaptiveMatrix,
     NonAdaptivePolicy,
     TableMismatch,
     cutoff_time,
@@ -248,7 +247,7 @@ class TestBatchConsistency:
         if name == "dp":
             policy = make_policy("dp", uniform5, 10, 5)
         else:
-            policy = NonAdaptivePolicy(uniform5, NonAdaptiveMatrix.of(np.full((5, 10), 0.5)), name)
+            policy = NonAdaptivePolicy(uniform5, np.full((5, 10), 0.5), name)
         work = []
         draw, rates = simulate._draw_block, policy.rates
         monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
