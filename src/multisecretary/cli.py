@@ -29,6 +29,7 @@ from .evaluate import sweep, write_records
 from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
+    check_cell,
     check_reps,
     orbit_stats,
     orbit_thresholds,
@@ -158,11 +159,18 @@ def cmd_paths(args):
     seeds = _check_seeds(_parse_list(args.seeds, int))
     stem, suffix = os.path.splitext(str(args.out))
     suffix = suffix or ".csv"
+    policies = {}  # policy.name -> (spec, policy), all built and checked before any file
     for name in names:
         policy = make_policy(name, d, args.n, args.k)
+        check_cell(policy, args.n, args.k, 1)
+        if policy.name in policies:
+            raise ModelError(f"policies {policies[policy.name][0]!r} and {name!r} would both "
+                             f"write {stem}_{policy.name}_seed<s>{suffix}")
+        policies[policy.name] = name, policy
+    for label, (_, policy) in policies.items():
         for seed in seeds:
             record = run_episode(d, policy, args.n, args.k, seed)
-            path = f"{stem}_{name}_seed{seed}{suffix}"
+            path = f"{stem}_{label}_seed{seed}{suffix}"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("t,ability_index,decision,K_t,R_t\n")
                 for t in range(1, args.n + 1):

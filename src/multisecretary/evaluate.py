@@ -3,8 +3,12 @@
 The exact route propagates the budget distribution forward in time
 (Chapman-Kolmogorov over the (t, budget) chain induced by any state-Markov
 policy), integrating the policy's randomization in closed form through its
-``rates`` hook; edge budget cells below a fixed share of ``TAIL_TOL`` are
-trimmed, and what they could still earn is the record's ``error_bound``.
+``rates`` hook, which it asks once per block of ``BLOCK`` periods for every
+budget the window can reach in the block; edge budget cells below a fixed
+share of ``TAIL_TOL`` are trimmed, and what they could still earn is the
+record's ``error_bound``.  A sweep visits each name's cells in descending
+(n, k) and keeps its policy while ``check`` passes, so br and dp build one
+table per sweep.
 The Monte Carlo route pairs each sampled path's policy payoff with the
 posterior sort on the same realization; a sweep's Monte Carlo cells at one
 n share every block of draws.
@@ -26,6 +30,7 @@ from .simulate import check_cell, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
 TAIL_TOL = 1e-12  # the forward window's total trimmed-mass budget
+BLOCK = 16  # periods per ``rates`` call of the forward pass
 
 CSV_HEADER = "policy,n,k,method,v_on,v_off,regret,ci_halfwidth,error_bound"
 
@@ -64,7 +69,10 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     edge cells holding less than ``TAIL_TOL / (n (k + 1))`` are then dropped,
     each adding ``a_1 * mass * min(budget, periods left)`` (the most that mass
     could still earn) to the truncation bound.  The returned value
-    underestimates the untruncated one by at most that bound.
+    underestimates the untruncated one by at most that bound.  The window
+    never grows up and falls by at most one cell a period, so one ``rates``
+    call over budgets ``[max(lo - BLOCK, 0), hi]`` serves a block of
+    ``BLOCK`` periods, each period reading its own row.
 
     Raises:
         ProbabilityDrift: at a check (every 512 steps and the last), the
@@ -89,7 +97,14 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     comp = 0.0  # Kahan compensation for the payoff accumulator
     max_drift = 0.0
     for t_next in range(1, n + 1):
-        sel, gain = policy.rates(t_next, n, budgets[lo : hi + 1])
+        row = (t_next - 1) % BLOCK
+        if row == 0:
+            base = max(lo - BLOCK, 0)
+            block_sel, block_gain = policy.rates(
+                np.arange(t_next, min(t_next + BLOCK, n + 1)), n, budgets[base : hi + 1]
+            )
+        sel = block_sel[row, lo - base : hi - base + 1]
+        gain = block_gain[row, lo - base : hi - base + 1]
         if lo == 0 and sel[0] != 0.0:
             raise NonMarkovPolicy(f"policy {policy.name!r} selects with zero budget")
         window = prob[lo : hi + 1]
@@ -166,58 +181,60 @@ def _mc_record(name: str, n: int, k: int, online: np.ndarray, offline: np.ndarra
     )
 
 
-def _policies(d: AbilityDistribution, n: int, cells, check):
-    """Yield each (policy, n, k) cell at one ``n`` with its policy, or with
-    the exception that building or ``check(policy, k)`` raised.
+def _policies(d: AbilityDistribution, cells, check):
+    """Yield each (policy, n, k) cell with its policy, or with the exception
+    that building or ``check(policy, n, k)`` raised.
 
-    A name's cells come in descending k.  A cell reuses the policy built for
-    a larger k of its name when ``check`` passes on it: ``policy.check(n, k)``
-    passing means it decides (n, k) as ``make_policy(name, d, n, k)`` would,
-    so br and dp solve one table per n.  Otherwise the cell builds its own
-    policy and checks it, and fails with the message it would meet alone.
+    Names come one after another, each with its cells in descending (n, k),
+    and only the current name's policy is held.  A cell reuses it when
+    ``check`` passes on it: ``policy.check(n, k)`` passing means it decides
+    (n, k) as ``make_policy(name, d, n, k)`` would, so br and dp solve one
+    table per sweep, at their largest (n, k).  Otherwise the cell builds its
+    own policy and checks it, and fails with the message it would meet alone.
     """
     held = policy = None  # the name whose policy is held
-    for cell in sorted(cells, key=lambda c: (c[0], -c[2])):
-        name, _, k = cell
+    for cell in sorted(cells, key=lambda c: (c[0], -c[1], -c[2])):
+        name, n, k = cell
         try:
-            if name != held or not _passes(check, policy, k):
+            if name != held or not _passes(check, policy, n, k):
                 held, policy = name, None  # a failed build leaves nothing to reuse
                 policy = make_policy(name, d, n, k)
-                check(policy, k)
+                check(policy, n, k)
         except Exception as exc:
             yield cell, exc
         else:
             yield cell, policy
 
 
-def _passes(check, policy, k: int) -> bool:
+def _passes(check, policy, n: int, k: int) -> bool:
     if policy is None:
         return False
     try:
-        check(policy, k)
+        check(policy, n, k)
     except ModelError:
         return False
     return True
 
 
-def _mc_cells(d: AbilityDistribution, n: int, cells, reps: int, seed: int) -> dict:
-    """Monte Carlo records of the (policy, n, k) cells at one ``n``, from one
-    pass whose blocks every cell shares; maps each cell to its record or
-    exception.  Build and ``check_cell`` failures are reported before the
-    pass; an exception inside it fails every cell it ran.  Cells built on
-    one policy step as one stack."""
-    out, built = {}, []
-    for cell, policy in _policies(d, n, cells, lambda p, k: check_cell(p, n, k, reps)):
+def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
+    """Monte Carlo records of the (policy, n, k) cells, from one pass per n
+    whose blocks every cell of that n shares; maps each cell to its record or
+    exception.  Every cell is built and checked by ``check_cell`` before the
+    first pass, and a failure there is reported alone; an exception inside a
+    pass fails every cell it ran.  Cells built on one policy step as one stack."""
+    out, passes = {}, {}
+    for cell, policy in _policies(d, cells, lambda p, n, k: check_cell(p, n, k, reps)):
         if isinstance(policy, Exception):
             out[cell] = policy
         else:
-            built.append((cell, policy))
-    try:
-        got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
-        for (cell, policy), pair in zip(built, got):
-            out[cell] = _mc_record(policy.name, n, cell[2], *pair)
-    except Exception as exc:  # the pass itself failed: every cell it ran fails
-        out.update((cell, exc) for cell, _ in built)
+            passes.setdefault(cell[1], []).append((cell, policy))
+    for n, built in passes.items():
+        try:
+            got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
+            for (cell, policy), pair in zip(built, got):
+                out[cell] = _mc_record(policy.name, n, cell[2], *pair)
+        except Exception as exc:  # the pass itself failed: every cell it ran fails
+            out.update((cell, exc) for cell, _ in built)
     return out
 
 
@@ -234,26 +251,24 @@ def sweep(
 
     A cell that raises is skipped and the sweep goes on; returns the records
     and the failures as ``((policy, n, k), exception)`` pairs.  Both modes
-    build policies by one rule (``_policies``): at each n, a name's cells run
-    in descending k and reuse the policy built for the largest k it decides,
-    so dp solves one table per n and the table held is the one the largest k
-    held.  Exact cells run one at a time.  Monte Carlo cells run one pass per
-    n: every policy of that n is built and checked first, and all of them
-    step over each block of draws, every k of one policy as one stack; an
-    exception inside a pass fails every cell of that n.
+    build policies by one rule (``_policies``): a name's cells run in
+    descending (n, k) and reuse the policy built for the largest cell it
+    decides, so dp solves one table per sweep.  Exact cells run one at a
+    time.  Monte Carlo cells run one pass per n: every policy of the sweep is
+    built and checked first, and at each n all of them step over each block
+    of draws, every k of one policy as one stack; an exception inside a pass
+    fails every cell of that n.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
     cells = sorted({(name, n, k) for name in policy_names for (n, k) in grid})
-    results = {}
-    for n in sorted({cell[1] for cell in cells}):
-        at_n = [c for c in cells if c[1] == n]
-        if mode == "mc":
-            results.update(_mc_cells(d, n, at_n, reps, seed))
-            continue
-        for cell, got in _policies(d, n, at_n, lambda p, k: p.check(n, k)):
+    if mode == "mc":
+        results = _mc_cells(d, cells, reps, seed)
+    else:
+        results = {}
+        for cell, got in _policies(d, cells, lambda p, n, k: p.check(n, k)):
             try:
-                results[cell] = got if isinstance(got, Exception) else exact_regret(d, got, n, cell[2])
+                results[cell] = got if isinstance(got, Exception) else exact_regret(d, got, *cell[1:])
             except Exception as exc:  # enumerate failing cells, keep going
                 results[cell] = exc
     records = [results[c] for c in cells if not isinstance(results[c], Exception)]

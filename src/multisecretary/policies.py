@@ -7,13 +7,20 @@ before any work, and two vectorized hooks that only index: ``rates`` for the
 exact evaluator and ``decide_batch`` for the sample-path engine, so common
 random numbers and closed-form u-integration need no per-policy casework.
 
+``rates(t_next, n, budgets)`` takes a 1-D ascending array of budgets and a
+period ``t_next`` that is a scalar or a 1-D array of periods, and returns the
+selection rate and the expected gain of each (period, budget) cell as two
+arrays of shape ``np.shape(t_next) + budgets.shape``.  Row i of a block call
+is bit-identical to the call at the scalar ``t_next[i]``.
+
 The deterministic rules br (budget ratio) and dp (optimal) are both a
 :class:`BreakpointPolicy` on a per-period budget-breakpoint table built for
-one (n, k); its ``check`` raises ``TableMismatch`` at any other n or larger k.
+one (N, K).  Row l of either table depends on l alone, so its ``check``
+passes at every n <= N and k <= K and raises ``TableMismatch`` above either.
 ``check(n, k)`` passing means the policy decides (n, k) exactly as
-``make_policy(name, d, n, k)`` would, so one policy may serve several budgets.
-The hooks accept budgets of any shape, e.g. one row per budget k of a sweep,
-against a (reps,) row of ranks and uniforms.
+``make_policy(name, d, n, k)`` would, so one policy may serve every cell of a
+sweep.  ``decide_batch`` accepts budgets of any shape, e.g. one row per
+budget k of a sweep, against a (reps,) row of ranks and uniforms.
 """
 
 from __future__ import annotations
@@ -90,9 +97,10 @@ class BreakpointPolicy:
         self._gain = partial_means(d)
 
     def check(self, n, k):
-        """Budgets only fall from k, so a table for horizon n and budget >= k covers the cell."""
-        if n != self.table.n:
-            raise TableMismatch(f"table built for n={self.table.n}, episode has n={n}")
+        """Row l depends on l alone, row 0 is never read and budgets only fall
+        from k, so a table for horizon >= n and budget >= k covers the cell."""
+        if n > self.table.n:
+            raise TableMismatch(f"table built for n={self.table.n} cannot decide n={n}")
         if k > self.table.k:
             raise TableMismatch(f"table built for k={self.table.k} cannot decide at budget {k}")
 
@@ -102,8 +110,19 @@ class BreakpointPolicy:
         return budgets >= self.table.breakpoints[n - t_next + 1].take(abilities - 1)
 
     def rates(self, t_next, n, budgets):
-        cut = self.table.breakpoints[n - t_next + 1].searchsorted(budgets, side="right")
-        return self.dist.survival_values[cut], self._gain[cut]
+        """Each period's breakpoints, placed in the budget range, split it into
+        m + 1 runs; the budgets of run j reach exactly j breakpoints, so they
+        select ranks 1..j.  Expanding the runs costs O(periods * (budgets + m))."""
+        t = np.asarray(t_next)
+        rows = self.table.breakpoints[n - t.reshape(-1) + 1]
+        edges = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=np.intp)
+        edges[:, 1:-1] = budgets.searchsorted(rows)
+        edges[:, -1] = budgets.size
+        runs = np.diff(edges).ravel()
+        shape = t.shape + budgets.shape
+        sel = np.repeat(np.tile(self.dist.survival_values, rows.shape[0]), runs)
+        gain = np.repeat(np.tile(self._gain, rows.shape[0]), runs)
+        return sel.reshape(shape), gain.reshape(shape)
 
 
 class AdaptiveIndexPolicy:
@@ -133,7 +152,7 @@ class AdaptiveIndexPolicy:
         return take
 
     def rates(self, t_next, n, budgets):
-        ratio = budgets / (n - t_next + 1)
+        ratio = budgets / (n - _column(t_next) + 1)
         sel = np.minimum(ratio, 1.0)
         gain = np.interp(ratio, self.dist.survival_values, self._gain)
         return sel, gain
@@ -146,7 +165,7 @@ class NonAdaptivePolicy:
     serves every k."""
 
     def __init__(self, d: AbilityDistribution, p, name: str, k: int | None = None):
-        p = np.asarray(p, dtype=float)
+        p = np.array(p, dtype=float)  # a copy: the caller's array stays writeable
         if p.ndim != 2:
             raise DimensionMismatch("probability matrix must be 2-D (abilities x periods)")
         if p.shape[0] != d.m:
@@ -174,10 +193,14 @@ class NonAdaptivePolicy:
         return (budgets > 0) & (u < p)
 
     def rates(self, t_next, n, budgets):
+        t = _column(t_next) - 1
         live = budgets > 0
-        sel = np.where(live, self._sel_by_t[t_next - 1], 0.0)
-        gain = np.where(live, self._gain_by_t[t_next - 1], 0.0)
-        return sel, gain
+        return np.where(live, self._sel_by_t[t], 0.0), np.where(live, self._gain_by_t[t], 0.0)
+
+
+def _column(t_next) -> np.ndarray:
+    """Periods as a column against a row of budgets: shape ``np.shape(t_next) + (1,)``."""
+    return np.asarray(t_next)[..., None]
 
 
 POLICY_NAMES = ("br", "dp", "ai", "index", "take-top")

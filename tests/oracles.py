@@ -21,6 +21,7 @@ import numpy as np
 from scipy.stats import binom
 
 from multisecretary import InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds
+from multisecretary import evaluate
 from multisecretary.errors import check_pair
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
@@ -279,6 +280,52 @@ def enum_policy_value(d, n: int, k: int, prob_table) -> float:
         gains = np.asarray(d.support)[j0][:, None]
         value_to_go = p * (gains + shifted) + (1.0 - p) * value_to_go
     return float(sequence_probs(d, seqs) @ value_to_go[:, k])
+
+
+def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, float]:
+    """``evaluate._forward_value`` asking ``rates`` once per period at the
+    scalar period: the same window, trimming, Kahan sum and drift checks,
+    returning (value, max drift, truncation bound)."""
+    check_pair(n, k)
+    policy.check(n, k)
+    budgets = np.arange(k + 1)
+    prob = np.zeros(k + 1)
+    prob[k] = 1.0
+    lo = hi = k
+    trim_below = evaluate.TAIL_TOL / (n * (k + 1)) if n else 0.0
+    top = float(d.support[0])
+    dropped = truncation = value = comp = max_drift = 0.0
+    for t_next in range(1, n + 1):
+        sel, gain = policy.rates(t_next, n, budgets[lo : hi + 1])
+        assert lo > 0 or sel[0] == 0.0
+        window = prob[lo : hi + 1]
+        term = float(window @ gain) - comp
+        total = value + term
+        comp = (total - value) - term
+        value = total
+        move = window * sel
+        window -= move
+        if lo > 0:
+            lo -= 1
+            prob[lo:hi] += move
+        else:
+            prob[:hi] += move[1:]
+        left = n - t_next
+        while hi > lo and 0.0 <= prob[hi] < trim_below:
+            dropped += float(prob[hi])
+            truncation += top * float(prob[hi]) * min(hi, left)
+            prob[hi] = 0.0
+            hi -= 1
+        while lo < hi and 0.0 <= prob[lo] < trim_below:
+            dropped += float(prob[lo])
+            truncation += top * float(prob[lo]) * min(lo, left)
+            prob[lo] = 0.0
+            lo += 1
+        if t_next % 512 == 0 or t_next == n:
+            drift = abs(float(prob[lo : hi + 1].sum()) + dropped - 1.0)
+            assert drift <= evaluate.DRIFT_LIMIT
+            max_drift = max(max_drift, drift)
+    return value, max_drift, truncation
 
 
 def rank_counts_loop(ranks: np.ndarray, m: int) -> np.ndarray:

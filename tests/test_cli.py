@@ -329,6 +329,37 @@ class TestPaths:
         b = (tmp_path / "p_br_seed2.csv").read_text()
         assert a != b
 
+    def test_a_failing_policy_writes_no_file(self, dist_file, tmp_path, capsys):
+        # br's file was once written before the bad matrix file was read
+        bad = tmp_path / "bad.csv"
+        bad.write_text("x,y\n")
+        assert main(["paths", "--dist", dist_file, "--n", "10", "--k", "3", "--policies",
+                     f"br,matrix:{bad}", "--seeds", "1", "--out", str(tmp_path / "p.csv")]) == 2
+        assert "not a numeric CSV" in assert_one_error_line(capsys)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["bad.csv", "u5.json"]
+
+    def test_matrix_file_is_named_by_its_policy(self, dist_file, tmp_path):
+        # the spec's path once went into the file name, slashes and all
+        good = tmp_path / "sub" / "good.csv"
+        good.parent.mkdir()
+        np.savetxt(good, np.full((5, 10), 0.5), delimiter=",")
+        assert main(["paths", "--dist", dist_file, "--n", "10", "--k", "3", "--policies",
+                     f"br,matrix:{good}", "--seeds", "1", "--out", str(tmp_path / "p.csv")]) == 0
+        header, rows = read_rows(tmp_path / "p_matrix_seed1.csv")
+        assert header == "t,ability_index,decision,K_t,R_t" and len(rows) == 10
+        assert (tmp_path / "p_br_seed1.csv").exists()
+
+    def test_two_policies_with_one_name_exit_2(self, dist_file, tmp_path, capsys):
+        paths = []
+        for name in ("a.csv", "b.csv"):
+            paths.append(tmp_path / name)
+            np.savetxt(paths[-1], np.full((5, 10), 0.5), delimiter=",")
+        assert main(["paths", "--dist", dist_file, "--n", "10", "--k", "3", "--policies",
+                     f"br,matrix:{paths[0]},matrix:{paths[1]}", "--seeds", "1",
+                     "--out", str(tmp_path / "p.csv")]) == 2
+        assert "would both write" in assert_one_error_line(capsys)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["a.csv", "b.csv", "u5.json"]
+
 
 class TestRatioMeanAndDiagnostics:
     def test_ratio_mean_rows(self, dist_file, tmp_path):

@@ -104,7 +104,8 @@ class TestExactPolicyValue:
 
 
 class _BrokenRates:
-    """Budget-ratio stand-in whose live-cell selection rate is overridden."""
+    """Budget-ratio stand-in whose live-cell selection rate is overridden; it
+    answers a block of periods with one row per period, as ``rates`` must."""
 
     name = "broken"
 
@@ -117,7 +118,7 @@ class _BrokenRates:
 
     def rates(self, t_next, n, budgets):
         sel, gain = self.inner.rates(t_next, n, budgets)
-        return np.where(budgets > 0, self.rate, 0.0), gain
+        return np.where(budgets > 0, self.rate, np.zeros_like(sel)), gain
 
 
 class TestForwardWindow:
@@ -276,18 +277,18 @@ class TestSweep:
 
 
 class SecondBlockFails(AdaptiveIndexPolicy):
-    """ai until period 7 of its second block, where it raises."""
+    """ai, but at horizon ``fail_n`` it raises in period 7 of its second block."""
 
-    name = "stub"
-
-    def __init__(self, d):
+    def __init__(self, d, fail_n):
         super().__init__(d)
+        self.fail_n = fail_n
         self.blocks = 0
 
     def decide_batch(self, t_next, n, budgets, abilities, u):
-        self.blocks += t_next == 1
-        if self.blocks == 2 and t_next == 7:
-            raise RuntimeError("stub failed in its second block")
+        if n == self.fail_n:
+            self.blocks += t_next == 1
+            if self.blocks == 2 and t_next == 7:
+                raise RuntimeError("stub failed in its second block")
         return super().decide_batch(t_next, n, budgets, abilities, u)
 
 
@@ -335,11 +336,12 @@ class TestSharedMonteCarlo:
 
     def test_a_failing_pass_fails_every_cell_of_its_n(self, uniform5, monkeypatch):
         # ai raises in the second block at n=30 only: every cell of that
-        # pass fails with its exception, and the pass at n=40 is unchanged
+        # pass fails with its exception, and the pass at n=40 is unchanged.
+        # ai's one policy serves both n, so the stub is keyed on n.
         build = evaluate.make_policy
         fail_n, ks = 30, self.KS[:2]
         monkeypatch.setattr(evaluate, "make_policy", lambda name, d, n, k: (
-            SecondBlockFails(d) if (name, n) == ("ai", fail_n) else build(name, d, n, k)))
+            SecondBlockFails(d, fail_n) if name == "ai" else build(name, d, n, k)))
         grid = [(n, k) for n in (fail_n, self.N) for k in ks]
         records, failures = sweep(uniform5, ["br", "dp", "ai"], grid, mode="mc",
                                   reps=self.REPS, seed=self.SEED)
@@ -383,8 +385,8 @@ def infeasible_k(names, n, k):
 
 
 class TestOneTablePerN:
-    # a name's cells at one n reuse the policy built for their largest k, so
-    # the exact records equal one-cell evaluations and dp solves once per n
+    # a name's cells reuse the policy built for the sweep's largest (n, k), so
+    # the exact records equal one-cell evaluations and dp solves once a sweep
     def test_exact_records_equal_one_cell_evaluations(self, masspoint5):
         n, names, ks = 40, ["br", "dp", "ai", "index", "take-top"], (0, 8, 15, 30, 40, 41)
         records, failures = sweep(masspoint5, names, [(n, k) for k in ks])
@@ -403,7 +405,7 @@ class TestOneTablePerN:
         monkeypatch.setattr(dp, "solve", counted)
         grid = [(n, k) for n in (30, 40) for k in (0, 8, 15, 30)]
         records, _ = sweep(masspoint5, ["dp"], grid, mode=mode, reps=300, seed=1)
-        assert len(records) == 8 and solved == [(30, 30), (40, 30)]
+        assert len(records) == 8 and solved == [(40, 30)]
         solved.clear()
         dist = tmp_path / "mp5.json"
         dist.write_text(json.dumps({"support": masspoint5.support.tolist(),

@@ -237,6 +237,13 @@ class TestNonAdaptive:
         rec = run_episode(uniform3, policy, 12, 4, 3)
         assert rec.decisions[:4].all() and not rec.decisions[4:].any()
 
+    def test_caller_matrix_stays_writeable(self, uniform3):
+        # the policy once marked the caller's own array read-only
+        a = np.full((3, 12), 0.5)
+        policy = NonAdaptivePolicy(uniform3, a, "matrix")
+        a[0, 0] = 0.0
+        assert policy.p[0, 0] == 0.5 and not policy.p.flags.writeable
+
     def test_take_top_selects_only_top(self, uniform3):
         policy = make_policy("take-top", uniform3, 30, 10)
         rec = run_episode(uniform3, policy, 30, 10, 4)
