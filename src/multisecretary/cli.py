@@ -54,14 +54,28 @@ def round_half_up(x: float) -> int:
 
 
 def _parse_policies(text: str) -> list[str]:
-    """The policy names of ``text``, the first of any repeats kept, in order."""
+    """The policy names of ``text``, the first of any repeats kept, in order;
+    at most one ``matrix:`` policy, since each is named ``matrix``."""
     names = _parse_list(text, str)
     for name in names:
         if name not in POLICY_NAMES and not name.startswith("matrix:"):
             raise ModelError(
                 f"unknown policy {name!r}; expected one of {', '.join(POLICY_NAMES)} or matrix:<file>"
             )
+    matrices = [name for name in names if name.startswith("matrix:")]
+    if len(matrices) > 1:
+        raise ModelError(f"policies {matrices[0]!r} and {matrices[1]!r} would both write "
+                         f"output named 'matrix'; give at most one matrix: policy")
     return names
+
+
+def _checked_policies(d, names: list[str], n: int, k: int, reps: int) -> list:
+    """Each name's policy, every one built and checked before any is played."""
+    policies = []
+    for name in names:
+        policies.append(make_policy(name, d, n, k))
+        check_cell(policies[-1], n, k, reps)
+    return policies
 
 
 def _parse_range(text: str) -> list[int]:
@@ -159,18 +173,10 @@ def cmd_paths(args):
     seeds = _check_seeds(_parse_list(args.seeds, int))
     stem, suffix = os.path.splitext(str(args.out))
     suffix = suffix or ".csv"
-    policies = {}  # policy.name -> (spec, policy), all built and checked before any file
-    for name in names:
-        policy = make_policy(name, d, args.n, args.k)
-        check_cell(policy, args.n, args.k, 1)
-        if policy.name in policies:
-            raise ModelError(f"policies {policies[policy.name][0]!r} and {name!r} would both "
-                             f"write {stem}_{policy.name}_seed<s>{suffix}")
-        policies[policy.name] = name, policy
-    for label, (_, policy) in policies.items():
+    for policy in _checked_policies(d, names, args.n, args.k, 1):
         for seed in seeds:
             record = run_episode(d, policy, args.n, args.k, seed)
-            path = f"{stem}_{label}_seed{seed}{suffix}"
+            path = f"{stem}_{policy.name}_seed{seed}{suffix}"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("t,ability_index,decision,K_t,R_t\n")
                 for t in range(1, args.n + 1):
@@ -186,12 +192,10 @@ def cmd_ratio_mean(args):
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
     check_reps(args.reps)
-    curves = {
-        name: ratio_mean_curve(
-            d, make_policy(name, d, args.n, args.k), args.n, args.k, args.reps, args.seed
-        )
-        for name in sorted(names)
-    }
+    # a spec sorts where its policy's name does, matrix:<file> as matrix
+    policies = _checked_policies(d, sorted(names), args.n, args.k, args.reps)
+    curves = {policy.name: ratio_mean_curve(d, policy, args.n, args.k, args.reps, args.seed)
+              for policy in policies}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("policy,t,mean_ratio,mean_budget\n")
         for name, (mean_ratio, mean_budget) in curves.items():

@@ -24,8 +24,8 @@ from .errors import (
 
 PMF_SUM_TOL = 1e-12
 
-# Ranks and action indices are stored as int16.
-MAX_SUPPORT = int(np.iinfo(np.int16).max)
+# Ranks, action indices and the no-orbit marker m + 1 are stored as int16.
+MAX_SUPPORT = int(np.iinfo(np.int16).max) - 1
 
 # Slack used whenever a budget ratio is classified against a threshold or a
 # survival value.  A ratio k/n that equals a threshold in exact arithmetic can

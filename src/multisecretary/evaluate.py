@@ -71,8 +71,8 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     could still earn) to the truncation bound.  The returned value
     underestimates the untruncated one by at most that bound.  The window
     never grows up and falls by at most one cell a period, so one ``rates``
-    call over budgets ``[max(lo - BLOCK, 0), hi]`` serves a block of
-    ``BLOCK`` periods, each period reading its own row.
+    call over budgets ``[max(lo - BLOCK, 0), hi]`` serves ``BLOCK`` periods
+    t, asked as their ``n - t + 1`` periods left, each reading its own row.
 
     Raises:
         ProbabilityDrift: at a check (every 512 steps and the last), the
@@ -101,7 +101,7 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
         if row == 0:
             base = max(lo - BLOCK, 0)
             block_sel, block_gain = policy.rates(
-                np.arange(t_next, min(t_next + BLOCK, n + 1)), n, budgets[base : hi + 1]
+                n + 1 - np.arange(t_next, min(t_next + BLOCK, n + 1)), budgets[base : hi + 1]
             )
         sel = block_sel[row, lo - base : hi - base + 1]
         gain = block_gain[row, lo - base : hi - base + 1]

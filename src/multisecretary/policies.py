@@ -1,4 +1,4 @@
-"""Selection policies as state-Markov rules on (time, residual budget, rank).
+"""Selection policies as state-Markov rules on (periods left, residual budget, rank).
 
 Every policy is a pure function of its static precomputation and the state;
 randomization enters only through one uniform draw per decision.  Each
@@ -7,20 +7,20 @@ before any work, and two vectorized hooks that only index: ``rates`` for the
 exact evaluator and ``decide_batch`` for the sample-path engine, so common
 random numbers and closed-form u-integration need no per-policy casework.
 
-``rates(t_next, n, budgets)`` takes a 1-D ascending array of budgets and a
-period ``t_next`` that is a scalar or a 1-D array of periods, and returns the
-selection rate and the expected gain of each (period, budget) cell as two
-arrays of shape ``np.shape(t_next) + budgets.shape``.  Row i of a block call
-is bit-identical to the call at the scalar ``t_next[i]``.
+Neither hook takes the horizon: each reads the state as ``left``, the periods
+to go with the current one included (n - t + 1 in period t).
+``rates(left, budgets)`` maps a 1-D integer array ``left`` and a 1-D
+ascending array of budgets to the selection rate and the expected gain of
+each (left, budget) cell, two arrays of shape ``(left.size, budgets.size)``.
+``decide_batch(left, budgets, abilities, u)`` takes one integer ``left`` and
+budgets of any shape, e.g. one row per budget k of a sweep, against a (reps,)
+row of ranks and uniforms.
 
-The deterministic rules br (budget ratio) and dp (optimal) are both a
-:class:`BreakpointPolicy` on a per-period budget-breakpoint table built for
-one (N, K).  Row l of either table depends on l alone, so its ``check``
-passes at every n <= N and k <= K and raises ``TableMismatch`` above either.
-``check(n, k)`` passing means the policy decides (n, k) exactly as
-``make_policy(name, d, n, k)`` would, so one policy may serve every cell of a
-sweep.  ``decide_batch`` accepts budgets of any shape, e.g. one row per
-budget k of a sweep, against a (reps,) row of ranks and uniforms.
+br (budget ratio) and dp (optimal) are both a :class:`BreakpointPolicy` on a
+budget-breakpoint table built for one (N, K), whose row l depends on l alone:
+its ``check(n, k)`` passes at every n <= N and k <= K, where the policy then
+decides (n, k) exactly as ``make_policy(name, d, n, k)`` would, so one policy
+may serve every cell of a sweep; above either it raises ``TableMismatch``.
 """
 
 from __future__ import annotations
@@ -104,24 +104,23 @@ class BreakpointPolicy:
         if k > self.table.k:
             raise TableMismatch(f"table built for k={self.table.k} cannot decide at budget {k}")
 
-    def decide_batch(self, t_next, n, budgets, abilities, u):
+    def decide_batch(self, left, budgets, abilities, u):
         """Select iff the budget has reached the observed rank's breakpoint;
         breakpoints are >= 1, so a zero budget selects nothing."""
-        return budgets >= self.table.breakpoints[n - t_next + 1].take(abilities - 1)
+        return budgets >= self.table.breakpoints[left].take(abilities - 1)
 
-    def rates(self, t_next, n, budgets):
-        """Each period's breakpoints, placed in the budget range, split it into
+    def rates(self, left, budgets):
+        """Each row's breakpoints, placed in the budget range, split it into
         m + 1 runs; the budgets of run j reach exactly j breakpoints, so they
-        select ranks 1..j.  Expanding the runs costs O(periods * (budgets + m))."""
-        t = np.asarray(t_next)
-        rows = self.table.breakpoints[n - t.reshape(-1) + 1]
+        select ranks 1..j.  Expanding the runs costs O(rows * (budgets + m))."""
+        rows = self.table.breakpoints[left]
         edges = np.zeros((rows.shape[0], rows.shape[1] + 2), dtype=np.intp)
         edges[:, 1:-1] = budgets.searchsorted(rows)
         edges[:, -1] = budgets.size
         runs = np.diff(edges).ravel()
-        shape = t.shape + budgets.shape
-        sel = np.repeat(np.tile(self.dist.survival_values, rows.shape[0]), runs)
-        gain = np.repeat(np.tile(self._gain, rows.shape[0]), runs)
+        shape = (left.size, budgets.size)
+        sel = np.repeat(np.tile(self.dist.survival_values, left.size), runs)
+        gain = np.repeat(np.tile(self._gain, left.size), runs)
         return sel.reshape(shape), gain.reshape(shape)
 
 
@@ -137,13 +136,13 @@ class AdaptiveIndexPolicy:
     def check(self, n, k):
         """The rule needs no table, so it plays every (n, k)."""
 
-    def decide_batch(self, t_next, n, budgets, abilities, u):
-        """With r = K/(n-t), take an ability-j arrival with probability
+    def decide_batch(self, left, budgets, abilities, u):
+        """With r = budget / left, take an ability-j arrival with probability
         clamp((r - F̄(a_j)) / f_j, 0, 1); once r >= 1 take everything.  As
         u lies in [0, 1), u < clamp(p, 0, 1) iff u < p, so p is not clamped."""
         d = self.dist
         rank = abilities - 1
-        ratio = budgets / (n - t_next + 1)
+        ratio = budgets / left
         p = ratio - d.survival_values[rank]
         p /= d.pmf[rank]
         take = u < p
@@ -151,8 +150,8 @@ class AdaptiveIndexPolicy:
         take &= budgets > 0
         return take
 
-    def rates(self, t_next, n, budgets):
-        ratio = budgets / (n - _column(t_next) + 1)
+    def rates(self, left, budgets):
+        ratio = budgets / left[:, None]
         sel = np.minimum(ratio, 1.0)
         gain = np.interp(ratio, self.dist.survival_values, self._gain)
         return sel, gain
@@ -160,7 +159,8 @@ class AdaptiveIndexPolicy:
 
 class NonAdaptivePolicy:
     """Fixed probability matrix applied until the budget runs out: ability j
-    at time t is selected with probability ``p[j-1, t-1]``.  A matrix derived
+    at time t is selected with probability ``p[j-1, t-1]``, so with l periods
+    left the rule reads column ``n - l``.  A matrix derived
     from the budget (index's) records that ``k``; ``None`` means the matrix
     serves every k."""
 
@@ -188,19 +188,14 @@ class NonAdaptivePolicy:
         if self.k is not None and k != self.k:
             raise TableMismatch(f"{self.name} matrix built for k={self.k} cannot decide k={k}")
 
-    def decide_batch(self, t_next, n, budgets, abilities, u):
-        p = self.p[abilities - 1, t_next - 1]
+    def decide_batch(self, left, budgets, abilities, u):
+        p = self.p[abilities - 1, self.p.shape[1] - left]
         return (budgets > 0) & (u < p)
 
-    def rates(self, t_next, n, budgets):
-        t = _column(t_next) - 1
+    def rates(self, left, budgets):
+        t = (self.p.shape[1] - left)[:, None]
         live = budgets > 0
         return np.where(live, self._sel_by_t[t], 0.0), np.where(live, self._gain_by_t[t], 0.0)
-
-
-def _column(t_next) -> np.ndarray:
-    """Periods as a column against a row of budgets: shape ``np.shape(t_next) + (1,)``."""
-    return np.asarray(t_next)[..., None]
 
 
 POLICY_NAMES = ("br", "dp", "ai", "index", "take-top")

@@ -256,9 +256,9 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, counted:
 def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
     """Play every cell over one time-major block, period by period: all cells
     read the same rows ``ranks[t-1]`` and ``u[t-1]``, and one ``decide_batch``
-    call decides every budget row of a cell's stack against them.  Payoffs
-    are summed only if the cells keep them (the cells of a pass all do, or
-    none does)."""
+    call at the ``n - t + 1`` periods left decides every budget row of a
+    cell's stack against them.  Payoffs are summed only if the cells keep
+    them (the cells of a pass all do, or none does)."""
     paying = cells[0].payoff is not None
     value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
@@ -267,7 +267,7 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
         if paying:
             value = value_of_rank.take(j)
         for cell in cells:
-            sel = cell.policy.decide_batch(t_next, n, cell.budgets, j, du)
+            sel = cell.policy.decide_batch(n - t_next + 1, cell.budgets, j, du)
             if paying:
                 cell.payoff += value * sel
             cell.budgets -= sel

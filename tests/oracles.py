@@ -283,8 +283,8 @@ def enum_policy_value(d, n: int, k: int, prob_table) -> float:
 
 
 def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, float]:
-    """``evaluate._forward_value`` asking ``rates`` once per period at the
-    scalar period: the same window, trimming, Kahan sum and drift checks,
+    """``evaluate._forward_value`` asking ``rates`` once per period, for that
+    period alone: the same window, trimming, Kahan sum and drift checks,
     returning (value, max drift, truncation bound)."""
     check_pair(n, k)
     policy.check(n, k)
@@ -296,7 +296,7 @@ def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, f
     top = float(d.support[0])
     dropped = truncation = value = comp = max_drift = 0.0
     for t_next in range(1, n + 1):
-        sel, gain = policy.rates(t_next, n, budgets[lo : hi + 1])
+        (sel,), (gain,) = policy.rates(np.array([n - t_next + 1]), budgets[lo : hi + 1])
         assert lo > 0 or sel[0] == 0.0
         window = prob[lo : hi + 1]
         term = float(window @ gain) - comp

@@ -177,7 +177,7 @@ def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, unifo
         n = int(rng.integers(10, 5000))
         t = int(rng.integers(0, n - 1))
         budget = int(rng.integers(0, n - t + 1))  # ratio <= 1
-        sel = ai[i].rates(t + 1, n, np.array([budget]))[0][0]
+        sel = ai[i].rates(np.array([n - t]), np.array([budget]))[0][0, 0]
         want = ai_ratio_increment_mean(d, n, t, budget)
         worst_inc = max(worst_inc, abs(want))
         worst_gap = max(worst_gap, abs((budget - sel) / (n - t - 1) - budget / (n - t) - want))
@@ -198,7 +198,7 @@ def test_criterion_7_martingale_and_drift_identities(uniform5, masspoint5, unifo
                     if abs(r - anchor) > half_min_mass(d) / 2:
                         continue
                     got = drift_at_state(d, thr, n, t, budget, j)
-                    sel = br[n].rates(t + 1, n, np.array([budget]))[0][0]
+                    sel = br[n].rates(np.array([n - t]), np.array([budget]))[0][0, 0]
                     worst_gap = max(worst_gap, abs(anchor - sel - got))
                     bucket = threshold_bucket(thr, r)
                     if bucket == j:

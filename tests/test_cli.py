@@ -8,6 +8,7 @@ import pytest
 
 from multisecretary import cli, dp
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
+from multisecretary.distribution import MAX_SUPPORT
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER
 from multisecretary.simulate import run_episode
@@ -142,6 +143,18 @@ class TestSweepK:
         assert rc == 0
         _, rows = read_rows(out)
         assert rows[0][0] == "matrix"
+
+    def test_two_matrix_policies_exit_2(self, dist_file, tmp_path, capsys):
+        # every matrix: policy writes rows named matrix, so two once wrote
+        # rows that could not be told apart
+        mat = tmp_path / "m.csv"
+        np.savetxt(mat, np.full((5, 20), 0.5), delimiter=",")
+        out = tmp_path / "sk.csv"
+        rc = main(["sweep-k", "--dist", dist_file, "--n", "20", "--k-range", "6:6:1",
+                   "--policies", f"matrix:{mat},matrix:{tmp_path}/./m.csv", "--out", str(out)])
+        assert rc == 2
+        assert "would both write" in assert_one_error_line(capsys)
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["m.csv", "u5.json"]
 
     def test_partial_failure_exits_1(self, dist_file, tmp_path, capsys):
         # horizon mismatch makes the matrix cell fail while br succeeds
@@ -374,6 +387,42 @@ class TestRatioMeanAndDiagnostics:
         assert main(["ratio-mean", "--dist", dist_file, "--n", "60", "--k", "18",
                      "--policies", "br", "--reps", "0",
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_every_policy_checked_before_the_first_pass(
+        self, dist_file, tmp_path, capsys, monkeypatch
+    ):
+        # dp's whole pass once ran before matrix:bad.csv was read
+        calls = []
+        monkeypatch.setattr(cli, "ratio_mean_curve", lambda *args: calls.append(args))
+        mat = tmp_path / "bad.csv"
+        mat.write_text("1,0,x\n")
+        out = tmp_path / "rm.csv"
+        assert main(["ratio-mean", "--dist", dist_file, "--n", "30", "--k", "9", "--policies",
+                     f"dp,matrix:{mat}", "--reps", "10", "--out", str(out)]) == 2
+        assert "bad.csv" in assert_one_error_line(capsys)
+        assert calls == [] and not out.exists()
+
+    def test_ratio_mean_rows_are_named_by_policy(self, dist_file, tmp_path):
+        # a matrix: policy's rows once read matrix:<file>, where the other
+        # commands write matrix
+        mat = tmp_path / "m.csv"
+        np.savetxt(mat, np.full((5, 12), 0.5), delimiter=",")
+        out = tmp_path / "rm.csv"
+        assert main(["ratio-mean", "--dist", dist_file, "--n", "12", "--k", "4", "--policies",
+                     f"br,matrix:{mat}", "--reps", "10", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[0] for r in rows] == ["br"] * 12 + ["matrix"] * 12
+
+    def test_diagnostics_at_largest_support(self, tmp_path):
+        # the cutoff marker j = m + 1 once overflowed int16 at m = 32767
+        m = MAX_SUPPORT
+        dist = tmp_path / "big.json"
+        dist.write_text(json.dumps({"support": list(range(m, 0, -1)), "pmf": [1.0 / m] * m}))
+        out = tmp_path / "diag.csv"
+        assert main(["diagnostics", "--dist", str(dist), "--n", "10", "--k", "3",
+                     "--delta", "1e-6", "--reps", "5", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        assert [r[2] for r in rows] == [str(m + 1)] * 5
 
     def test_diagnostics_output(self, dist_file, tmp_path):
         out = tmp_path / "diag.csv"

@@ -68,10 +68,10 @@ class TestConstruction:
 
     def test_support_size_fits_int16_ranks(self):
         # ranks are int16: m=40000 was accepted and sample_many returned -25536
-        m = 32767
+        m = 32766
         d = new_distribution(np.arange(m, 0, -1.0), np.full(m, 1.0 / m))
         assert d.sample_many(np.array([0.0, 0.999999999])).tolist() == [1, m]
-        with pytest.raises(ModelError, match="at most 32767"):
+        with pytest.raises(ModelError, match="at most 32766"):
             new_distribution(np.arange(m + 1, 0, -1.0), np.full(m + 1, 1.0 / (m + 1)))
 
     def test_length_mismatch_rejected(self):

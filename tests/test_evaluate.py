@@ -116,8 +116,8 @@ class _BrokenRates:
     def check(self, n, k):
         self.inner.check(n, k)
 
-    def rates(self, t_next, n, budgets):
-        sel, gain = self.inner.rates(t_next, n, budgets)
+    def rates(self, left, budgets):
+        sel, gain = self.inner.rates(left, budgets)
         return np.where(budgets > 0, self.rate, np.zeros_like(sel)), gain
 
 
@@ -277,19 +277,22 @@ class TestSweep:
 
 
 class SecondBlockFails(AdaptiveIndexPolicy):
-    """ai, but at horizon ``fail_n`` it raises in period 7 of its second block."""
+    """ai, but at horizon ``fail_n`` it raises in period 7 of its second block.
+    A block starts where ``left`` rises, at its horizon."""
 
     def __init__(self, d, fail_n):
         super().__init__(d)
         self.fail_n = fail_n
-        self.blocks = 0
+        self.blocks = self.n = self.left = 0
 
-    def decide_batch(self, t_next, n, budgets, abilities, u):
-        if n == self.fail_n:
-            self.blocks += t_next == 1
-            if self.blocks == 2 and t_next == 7:
-                raise RuntimeError("stub failed in its second block")
-        return super().decide_batch(t_next, n, budgets, abilities, u)
+    def decide_batch(self, left, budgets, abilities, u):
+        if left > self.left:
+            self.n = left
+            self.blocks += left == self.fail_n
+        self.left = left
+        if self.n == self.fail_n and self.blocks == 2 and left == self.fail_n - 6:
+            raise RuntimeError("stub failed in its second block")
+        return super().decide_batch(left, budgets, abilities, u)
 
 
 class TestSharedMonteCarlo:

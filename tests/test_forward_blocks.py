@@ -32,10 +32,10 @@ class LowestBudget:
     def check(self, n, k):
         self.policy.check(n, k)
 
-    def rates(self, t_next, n, budgets):
+    def rates(self, left, budgets):
         low = int(budgets[0])
         self.lowest = low if self.lowest is None else min(self.lowest, low)
-        return self.policy.rates(t_next, n, budgets)
+        return self.policy.rates(left, budgets)
 
 
 def bits(*arrays):
@@ -66,12 +66,13 @@ def test_block_rows_equal_scalar_calls(request, dist, name):
                np.array([7])]
     budgets = [np.arange(k + 1), np.arange(17, 42), np.array([5]), np.array([0])]
     for t in periods:
+        left = n - t + 1
         for b in budgets:
-            sel, gain = policy.rates(t, n, b)
+            sel, gain = policy.rates(left, b)
             assert sel.shape == gain.shape == (t.size, b.size)
-            for i, t_next in enumerate(t.tolist()):
-                one = policy.rates(t_next, n, b)
-                assert bits(*one) == bits(sel[i], gain[i]), (t_next, b)
+            for i, one_left in enumerate(left.tolist()):
+                one = policy.rates(np.array([one_left]), b)
+                assert bits(*one) == bits(sel[i : i + 1], gain[i : i + 1]), (one_left, b)
 
 
 def test_time_varying_matrix_matches_enumeration(uniform3):
@@ -100,13 +101,13 @@ def test_one_table_decides_every_smaller_cell(request, dist, name):
         for k in sorted({0, 1, min(n, 40), min(n, big_k)}):
             big.check(n, k)
             fresh = make_policy(name, d, n, k)
-            periods, budgets = np.arange(1, n + 1), np.arange(k + 1)
-            assert bits(*big.rates(periods, n, budgets)) == bits(*fresh.rates(periods, n, budgets))
+            lefts, budgets = np.arange(n, 0, -1), np.arange(k + 1)
+            assert bits(*big.rates(lefts, budgets)) == bits(*fresh.rates(lefts, budgets))
             held = rng.integers(0, k + 1, 64)
             ranks = rng.integers(1, d.m + 1, 64).astype(np.int16)
-            for t_next in range(1, n + 1):
-                assert np.array_equal(big.decide_batch(t_next, n, held, ranks, None),
-                                      fresh.decide_batch(t_next, n, held, ranks, None))
+            for left in range(1, n + 1):
+                assert np.array_equal(big.decide_batch(left, held, ranks, None),
+                                      fresh.decide_batch(left, held, ranks, None))
             assert _forward_value(d, big, n, k) == _forward_value(d, fresh, n, k), (n, k)
     with pytest.raises(TableMismatch):
         big.check(big_n + 1, big_k)

@@ -24,10 +24,10 @@ from multisecretary.policies import _ratio_breakpoints
 from oracles import ai_ratio_increment_mean, threshold_bucket
 
 
-def decide(policy, t_next, n, budget, ability, u=0.0):
+def decide(policy, left, budget, ability, u=0.0):
     """One decision of ``policy`` in a single state, through ``decide_batch``."""
     sel = policy.decide_batch(
-        t_next, n, np.array([budget]), np.array([ability], dtype=np.int16), np.array([u])
+        left, np.array([budget]), np.array([ability], dtype=np.int16), np.array([u])
     )
     return bool(sel[0])
 
@@ -36,23 +36,23 @@ class TestBudgetRatio:
     def test_bucket_two_at_threshold(self, uniform5):
         br = make_policy("br", uniform5, 1000, 300)
         # K/(n-t) = 3/10 = 0.30 sits exactly on T_2: select rank 2, skip rank 3
-        assert decide(br, 991, 1000, 3, 2)
-        assert not decide(br, 991, 1000, 3, 3)
+        assert decide(br, 10, 3, 2)
+        assert not decide(br, 10, 3, 3)
 
     def test_no_budget_rejects(self, uniform5):
         br = make_policy("br", uniform5, 1000, 300)
-        assert not decide(br, 1, 1000, 0, 1)
+        assert not decide(br, 1000, 0, 1)
 
     def test_budget_covers_remaining_selects_all(self, uniform5):
         br = make_policy("br", uniform5, 1000, 300)
-        assert decide(br, 501, 1000, 500, uniform5.m)
+        assert decide(br, 500, 500, uniform5.m)
 
     def test_selection_probability_is_survival(self, masspoint5):
         # P(select | bucket j) = F̄(a_{j+1}) through the rates hook
         pol = make_policy("br", masspoint5, 100, 50)
         thr = thresholds(masspoint5)
         budgets = np.arange(51)
-        sel, _ = pol.rates(31, 100, budgets)
+        (sel,), _ = pol.rates(np.array([70]), budgets)
         for kappa in range(1, 51):
             bucket = threshold_bucket(thr, kappa / 70)
             assert sel[kappa] == masspoint5.survival_values[bucket]
@@ -99,11 +99,11 @@ def assert_br_is_bucket_rule(d, n):
     ranks = np.tile(np.arange(1, d.m + 1, dtype=np.int16), n + 1)
     live = kappa > 0
     budgets = np.arange(n + 1)
-    for t_next in range(1, n + 1):
-        bucket = threshold_bucket(thr, budgets / (n - t_next + 1))
-        got = br.decide_batch(t_next, n, kappa, ranks, None)
+    for left in range(1, n + 1):
+        bucket = threshold_bucket(thr, budgets / left)
+        got = br.decide_batch(left, kappa, ranks, None)
         np.testing.assert_array_equal(got, live & (ranks <= np.repeat(bucket, d.m)))
-        sel, g = br.rates(t_next, n, budgets)
+        (sel,), (g,) = br.rates(np.array([left]), budgets)
         np.testing.assert_array_equal(sel, np.where(budgets > 0, d.survival_values[bucket], 0.0))
         np.testing.assert_array_equal(g, np.where(budgets > 0, gain[bucket], 0.0))
 
@@ -143,16 +143,16 @@ class TestDpDecide:
     def test_mean_rule_two_to_go(self, uniform5):
         dp = BreakpointPolicy(uniform5, solve(uniform5, 1000, 500), "dp")
         # h_2(1) = E[X] = 1.10: ranks up to the mean ability are taken
-        assert decide(dp, 999, 1000, 1, 3)
-        assert not decide(dp, 999, 1000, 1, 4)
+        assert decide(dp, 2, 1, 3)
+        assert not decide(dp, 2, 1, 4)
 
     def test_no_budget(self, uniform5):
         dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
-        assert not decide(dp, 3, 10, 0, 1)
+        assert not decide(dp, 8, 0, 1)
 
     def test_last_period_takes_anything(self, uniform5):
         dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
-        assert decide(dp, 10, 10, 1, uniform5.m)
+        assert decide(dp, 1, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
         dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
@@ -172,7 +172,7 @@ class TestDpDecide:
         d = new_distribution([10.0, 1.5, 1.0], [0.2, 0.4, 0.4])
         dp = BreakpointPolicy(d, solve(d, 100, 60), "dp")
         br = make_policy("br", d, 100, 60)
-        state = (99, 100, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
+        state = (2, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
         assert decide(br, *state)
         assert not decide(dp, *state)
 
@@ -181,16 +181,16 @@ class TestAdaptiveIndex:
     def test_fractional_branch(self, uniform3):
         # ratio 1/2, middle rank: select probability (1/2 - 1/3)/(1/3) = 1/2
         ai = make_policy("ai", uniform3, 1000, 500)
-        assert decide(ai, 501, 1000, 250, 2, u=0.49)
-        assert not decide(ai, 501, 1000, 250, 2, u=0.51)
+        assert decide(ai, 500, 250, 2, u=0.49)
+        assert not decide(ai, 500, 250, 2, u=0.51)
 
     def test_saturated_ratio_takes_everything(self, uniform3):
         ai = make_policy("ai", uniform3, 1000, 500)
-        assert decide(ai, 901, 1000, 100, 3, u=0.999999)
+        assert decide(ai, 100, 100, 3, u=0.999999)
 
     def test_no_budget(self, uniform3):
         ai = make_policy("ai", uniform3, 1000, 500)
-        assert not decide(ai, 1, 1000, 0, 1)
+        assert not decide(ai, 1000, 0, 1)
 
     def test_stopped_ratio_increment_is_zero(self, masspoint5):
         # E[R_{t+1} - R_t] = (kappa - sel)/(l - 1) - kappa/l from the rates
@@ -201,7 +201,7 @@ class TestAdaptiveIndex:
             n = int(rng.integers(10, 3000))
             t = int(rng.integers(0, n - 1))
             budget = int(rng.integers(0, n - t + 1))  # ratio <= 1
-            sel = ai.rates(t + 1, n, np.array([budget]))[0][0]
+            sel = ai.rates(np.array([n - t]), np.array([budget]))[0][0, 0]
             inc = (budget - sel) / (n - t - 1) - budget / (n - t)
             want = ai_ratio_increment_mean(masspoint5, n, t, budget)
             assert abs(inc - want) <= 1e-15
@@ -251,7 +251,7 @@ class TestNonAdaptive:
 
     def test_all_zero_never_selects(self, uniform3):
         policy = NonAdaptivePolicy(uniform3, np.zeros((3, 12)), "matrix")
-        assert not decide(policy, 5, 12, 4, 1, u=0.0)
+        assert not decide(policy, 8, 4, 1, u=0.0)
 
     def test_dimension_mismatch(self, uniform3, uniform5):
         policy = NonAdaptivePolicy(uniform3, take_top_matrix(uniform3, 10), "take-top")

@@ -484,7 +484,7 @@ class TestDrift:
         br = make_policy("br", d, n, n)
 
         def drift(t, budget, j):
-            sel = br.rates(t + 1, n, np.array([budget]))[0][0]
+            sel = br.rates(np.array([n - t]), np.array([budget]))[0][0, 0]
             closed = drift_at_state(d, thr, n, t, budget, j)
             assert abs(thr[j - 1] - sel - closed) <= 1e-15
             return closed
