@@ -131,8 +131,9 @@ def cmd_sweep_k(args):
     names = _parse_policies(args.policies)
     mode = "mc" if args.mc else "exact"
     status = _regret(args.out, names, [(d, [(args.n, k) for k in ks])], mode, args.reps, args.seed)
-    return status, d, args.seed, {"n": args.n, "k_range": args.k_range, "policies": names,
-                                  "mode": mode}
+    seed = args.seed if mode == "mc" else None  # an exact sweep reads no seed
+    return status, d, seed, {"n": args.n, "k_range": args.k_range, "policies": names,
+                             "mode": mode}
 
 
 def cmd_sweep_n(args):
@@ -144,8 +145,9 @@ def cmd_sweep_n(args):
     cells = [(n, round_half_up(args.ratio * n)) for n in ns]
     mode = "mc" if args.mc else "exact"
     status = _regret(args.out, names, [(d, cells)], mode, args.reps, args.seed)
-    return status, d, args.seed, {"n_list": ns, "ratio": args.ratio,
-                                  "k_list": [k for _, k in cells], "policies": names, "mode": mode}
+    seed = args.seed if mode == "mc" else None
+    return status, d, seed, {"n_list": ns, "ratio": args.ratio,
+                             "k_list": [k for _, k in cells], "policies": names, "mode": mode}
 
 
 def cmd_kleinberg(args):

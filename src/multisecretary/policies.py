@@ -14,7 +14,10 @@ ascending array of budgets to the selection rate and the expected gain of
 each (left, budget) cell, two arrays of shape ``(left.size, budgets.size)``.
 ``decide_batch(left, budgets, abilities, u)`` takes one integer ``left`` and
 budgets of any shape, e.g. one row per budget k of a sweep, against a (reps,)
-row of ranks and uniforms.
+row of ranks and uniforms.  Each class declares ``randomized``: ``False``
+when its rule never reads ``u``, so the sample-path engine may pass
+``u=None`` and need not store the decision uniforms (it still draws them, so
+every Philox stream is the same either way).
 
 br (budget ratio) and dp (optimal) are both a :class:`BreakpointPolicy` on a
 budget-breakpoint table built for one (N, K), whose row l depends on l alone:
@@ -88,6 +91,8 @@ class BreakpointPolicy:
     budget has reached ``table.breakpoints[l, j - 1]``.  dp's table comes
     from ``dp.solve``; br's covers every budget up to n (k = n)."""
 
+    randomized = False
+
     def __init__(self, d: AbilityDistribution, table: dp_mod.DPTable, name: str):
         if table.dist_hash != d.content_hash():
             raise TableMismatch("table was solved for a different distribution")
@@ -128,6 +133,7 @@ class AdaptiveIndexPolicy:
     """Re-solves the deterministic relaxation each period; randomized."""
 
     name = "ai"
+    randomized = True
 
     def __init__(self, d: AbilityDistribution):
         self.dist = d
@@ -163,6 +169,8 @@ class NonAdaptivePolicy:
     left the rule reads column ``n - l``.  A matrix derived
     from the budget (index's) records that ``k``; ``None`` means the matrix
     serves every k."""
+
+    randomized = True
 
     def __init__(self, d: AbilityDistribution, p, name: str, k: int | None = None):
         p = np.array(p, dtype=float)  # a copy: the caller's array stays writeable

@@ -16,25 +16,33 @@ same rows ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior
 sort runs once per k on the shared counts.  Cells that share one policy
 object step as one stack, a (len(ks), reps) budget matrix, so each period
 makes one ``decide_batch`` call per policy, whose shared rank and uniform
-rows broadcast over the stack.  Only one block is alive at a time.  Budget
-paths, kept only by the one-cell passes, are time-major too, (n+1, 1, reps)
-int32, one row written per period; ``simulate_paths`` returns them
-rep-major.  Payoffs, and with them the rank counts, are kept only by the
-passes that return them (``run_episode``, ``simulate_paths``,
-``paired_payoffs_cells``); ``ratio_mean_curve`` and ``orbit_stats`` read
-the budget paths alone, so their cells hold no payoff matrix and their
-blocks count no ranks.  Every entry point checks (n, k), reps and
-``policy.check`` before it draws; an exception inside the pass stops every
-cell of it.  Every entry point runs the one block loop ``_blocks``: the
-one-cell ones (``simulate_paths``, ``ratio_mean_curve``, ``orbit_stats``)
-on a stack of one, and ``run_episode`` on a stack of one over the one
-replication ``rep``.
+rows broadcast over the stack.  Budget paths, kept only by the one-cell
+passes, are time-major too, (n+1, 1, reps) int32, one row written per
+period; ``simulate_paths`` returns them rep-major.
+
+A pass works in one fixed set of buffers, at most ``CHUNK`` replications
+wide, allocated before its first block and refilled for every block: the
+scratch, the ranks, the uniforms and counts it reads, and each cell's
+budgets, payoffs and paths (reallocated once, for a last, partial block).
+A pass in which no policy is ``randomized`` (only br and dp) stores no
+decision uniforms: it still draws them, two per period, so every stream and
+the common random numbers are those of a pass that reads them, and its
+policies decide with ``u=None``.  Payoffs, and with them the rank counts,
+are kept only by the passes that return them (``run_episode``,
+``simulate_paths``, ``paired_payoffs_cells``); ``ratio_mean_curve`` and
+``orbit_stats`` read the budget paths alone, so their cells hold no payoff
+matrix and their blocks count no ranks.  Every entry point checks (n, k),
+reps and ``policy.check`` before it draws; an exception inside the pass
+stops every cell of it.  Every entry point runs the one block loop
+``_blocks``: the one-cell ones (``simulate_paths``, ``ratio_mean_curve``,
+``orbit_stats``) on a stack of one, and ``run_episode`` on a stack of one
+over the one replication ``rep``.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
-(``_orbit_scan``): the orbit-entry search reads a few dozen periods at a
-time and stops once every replication has entered, so a block that enters
-at t = 0 costs one such step, and the exit test then reads each
-replication's matched threshold alone.
+(``_orbit_scan``), a few dozen periods at a time into one reused buffer:
+the orbit-entry search tests only the replications that have not entered
+yet, and the exit test compares each replication with its matched
+threshold alone.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 CHUNK = 1024  # replications per block
 SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
-_ENTRY_ROWS = 64  # periods of the orbit-entry search per step
+_ENTRY_ROWS = 64  # periods of the orbit scan per step
 MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
@@ -190,12 +198,19 @@ class _Cell:
         self.budgets = self.payoff = self.paths = None
 
     def start(self, reps: int, n: int, want_paths: bool, want_payoffs: bool) -> None:
-        self.budgets = self.payoff = self.paths = None  # free the last block's before allocating
-        self.budgets = np.array(self.ks, dtype=np.int64)[:, None].repeat(reps, axis=1)
-        if want_payoffs:
-            self.payoff = np.zeros(self.budgets.shape)
-        if want_paths:
-            self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
+        """Reset the state for a block of ``reps`` replications, in place
+        unless the block width changed since the last block."""
+        if self.budgets is None or self.budgets.shape[1] != reps:
+            self.budgets = self.payoff = self.paths = None  # free the old ones before allocating
+            self.budgets = np.empty((len(self.ks), reps), dtype=np.int64)
+            if want_payoffs:
+                self.payoff = np.empty(self.budgets.shape)
+            if want_paths:
+                self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
+        self.budgets[:] = np.reshape(self.ks, (-1, 1))
+        if self.payoff is not None:
+            self.payoff.fill(0.0)
+        if self.paths is not None:
             self.paths[0] = self.budgets
 
 
@@ -222,20 +237,23 @@ def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
 
 
-def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, counted: bool):
-    """Replications ``reps`` stored time-major: (n, reps) int16 ranks,
-    (n, reps) decision uniforms, and (reps, m) int64 rank counts, or None
-    unless ``counted``.  They are read-only, so no cell can change what the
-    others read.
+def _draw_block(d, seed: int, reps: range, scratch: np.ndarray, ranks: np.ndarray,
+                u: np.ndarray | None, counts: np.ndarray | None):
+    """Replications ``reps`` stored time-major into the leading ``len(reps)``
+    columns of a pass's buffers: ``ranks``, (n, width) int16, ``u``, (n,
+    width) decision uniforms, and ``counts``, (width, m) int64 rank counts;
+    ``u`` and ``counts`` are None in a pass that does not read them.
+
+    Returns read-only views of the filled part of each buffer (None for a
+    missing one), so no cell can change what the others read; the buffers
+    themselves stay writeable for the next block.
 
     The block's keys are derived at once and one Philox draws every row.
     Each replication's 2n uniforms pass through the rep-major ``scratch``,
     ``len(scratch)`` replications at a time, so no (reps, 2n) block is built.
+    The decision half is drawn whether or not ``u`` stores it.
     """
     size = len(reps)
-    ranks = np.empty((n, size), dtype=np.int16)
-    u = np.empty((n, size))
-    counts = np.empty((size, d.m), dtype=np.int64) if counted else None
     keys = block_keys(seed, reps)
     philox = np.random.Philox(key=0)
     restart, gen = philox.state, np.random.Generator(philox)
@@ -244,26 +262,30 @@ def _draw_block(d, seed: int, reps: range, n: int, scratch: np.ndarray, counted:
         cols = slice(lo, lo + len(buf))
         block_ranks = d.sample_many(buf[:, 0::2])
         ranks[:, cols] = block_ranks.T
-        u[:, cols] = buf[:, 1::2].T
-        if counted:
+        if u is not None:
+            u[:, cols] = buf[:, 1::2].T
+        if counts is not None:
             counts[cols] = _rank_counts(block_ranks, d.m)
-    for arr in (ranks, u, counts):
-        if arr is not None:
-            arr.flags.writeable = False
-    return ranks, u, counts
+    views = (ranks[:, :size], None if u is None else u[:, :size],
+             None if counts is None else counts[:size])
+    for view in views:
+        if view is not None:
+            view.flags.writeable = False
+    return views
 
 
-def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray) -> None:
+def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray | None) -> None:
     """Play every cell over one time-major block, period by period: all cells
-    read the same rows ``ranks[t-1]`` and ``u[t-1]``, and one ``decide_batch``
-    call at the ``n - t + 1`` periods left decides every budget row of a
-    cell's stack against them.  Payoffs are summed only if the cells keep
-    them (the cells of a pass all do, or none does)."""
+    read the same rows ``ranks[t-1]`` and ``u[t-1]`` (None when the pass
+    stores no uniforms), and one ``decide_batch`` call at the ``n - t + 1``
+    periods left decides every budget row of a cell's stack against them.
+    Payoffs are summed only if the cells keep them (the cells of a pass all
+    do, or none does)."""
     paying = cells[0].payoff is not None
     value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
         j = ranks[t_next - 1]
-        du = u[t_next - 1]
+        du = None if u is None else u[t_next - 1]
         if paying:
             value = value_of_rank.take(j)
         for cell in cells:
@@ -283,21 +305,28 @@ def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_pay
     block: ``rows`` is the block's slice of positions in ``reps``, ``ranks``
     its read-only (n, rows) ranks and ``counts`` its (rows, m) rank counts,
     or None unless ``want_payoffs``; each cell holds the block's final
-    budgets and, if wanted, its payoffs and time-major paths.  Only one
-    block is alive at a time: its draws and the cells' state are dropped
-    before the next block is drawn, so a caller drops ``ranks`` too.
+    budgets and, if wanted, its payoffs and time-major paths.
+
+    The pass allocates one set of draw buffers, at most ``CHUNK`` columns
+    wide, and refills it for every block, as the cells refill their state:
+    a caller reads what a block yields before asking for the next one.  The
+    decision uniforms are stored only if some cell's policy is
+    ``randomized``.
     """
     if not cells:
         return
-    scratch = np.empty((min(SCRATCH_REPS, CHUNK, len(reps)), 2 * n))
+    width = min(CHUNK, len(reps))
+    scratch = np.empty((min(SCRATCH_REPS, width), 2 * n))
+    ranks = np.empty((n, width), dtype=np.int16)
+    u = np.empty((n, width)) if any(cell.policy.randomized for cell in cells) else None
+    counts = np.empty((width, d.m), dtype=np.int64) if want_payoffs else None
     for start in range(0, len(reps), CHUNK):
         block = reps[start : start + CHUNK]
         for cell in cells:
             cell.start(len(block), n, want_paths, want_payoffs)
-        ranks, u, counts = _draw_block(d, seed, block, n, scratch, want_payoffs)
-        _step_block(d, n, cells, ranks, u)
-        yield slice(start, start + len(block)), ranks, counts
-        del ranks, u, counts
+        block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
+        _step_block(d, n, cells, block_ranks, block_u)
+        yield slice(start, start + len(block)), block_ranks, block_counts
 
 
 def simulate_paths(
@@ -309,10 +338,9 @@ def simulate_paths(
     payoffs = np.empty(reps)
     counts = np.empty((reps, d.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, ranks, cnt in _blocks(d, n, [cell], range(reps), seed, want_paths=True,
-                                    want_payoffs=True):
+    for rows, _, cnt in _blocks(d, n, [cell], range(reps), seed, want_paths=True,
+                                want_payoffs=True):
         payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
-        del ranks
     return payoffs, counts, paths
 
 
@@ -382,40 +410,42 @@ def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
     into the midpoints between thresholds) is tested: since delta is below
     the smallest gap between thresholds, no other can be within delta/2.
 
-    The entry search reads ``_ENTRY_ROWS`` rows at a time, only of the
-    columns that have not entered yet, and stops once none is left.  The
-    exit test then runs once over all ratios, in place, against each
-    column's matched threshold alone.
+    The ratios are computed ``_ENTRY_ROWS`` periods at a time into one
+    reused (rows, reps) buffer, so no (t_cut, reps) matrix is built.  On each
+    chunk the entry search tests only the columns that have not entered yet,
+    until none is left; the exit test then compares every column with its
+    matched threshold alone, counting only periods after its entry, and
+    keeps each column's first exit.
     """
     m = thr.size - 1
     reps = paths.shape[1]
     t_cut = min(cutoff_time(n, delta), n - 1)
-    if t_cut == 0:
-        cut = np.zeros(reps, dtype=np.int64)
-        return cut, np.full(reps, m + 1, dtype=np.int16), cut
-    ratio = paths[:t_cut] / (n - np.arange(t_cut))[:, None]
-    mids = 0.5 * (thr[: m - 1] + thr[1:m])
     tau0 = np.full(reps, t_cut, dtype=np.int64)
     j_tau0 = np.full(reps, m + 1, dtype=np.int16)
+    tau = np.full(reps, t_cut, dtype=np.int64)  # cutoff branch: tau = tau0 = t_cut
+    mids = 0.5 * (thr[: m - 1] + thr[1:m])
+    left = n - np.arange(t_cut)
+    buf = np.empty((min(_ENTRY_ROWS, t_cut), reps))
     pending = np.arange(reps)
     for lo in range(0, t_cut, _ENTRY_ROWS):
-        rows = ratio[lo : lo + _ENTRY_ROWS, pending]
-        nearest = np.searchsorted(mids, rows)  # 0-based j of the nearest T_j
-        rows -= thr[nearest]
-        np.abs(rows, out=rows)
-        first = _first_true(rows <= delta / 2.0, len(rows))
-        hit = np.flatnonzero(first < len(rows))
-        tau0[pending[hit]] = lo + first[hit]
-        j_tau0[pending[hit]] = nearest[first[hit], hit] + 1
-        pending = np.delete(pending, hit)
-        if not pending.size:
-            break
-    dev = ratio  # reused in place
-    dev -= thr[j_tau0 - 1]  # T_{m+1} = inf on the cutoff branch
-    np.abs(dev, out=dev)
-    out = dev > delta
-    out &= np.arange(t_cut)[:, None] > tau0  # cutoff branch: tau = tau0 = t_cut
-    return tau0, j_tau0, _first_true(out, t_cut)
+        hi = min(lo + _ENTRY_ROWS, t_cut)
+        ratio = np.divide(paths[lo:hi], left[lo:hi, None], out=buf[: hi - lo])
+        if pending.size:
+            rows = ratio[:, pending]
+            nearest = np.searchsorted(mids, rows)  # 0-based j of the nearest T_j
+            rows -= thr[nearest]
+            np.abs(rows, out=rows)
+            first = _first_true(rows <= delta / 2.0, len(rows))
+            hit = np.flatnonzero(first < len(rows))
+            tau0[pending[hit]] = lo + first[hit]
+            j_tau0[pending[hit]] = nearest[first[hit], hit] + 1
+            pending = np.delete(pending, hit)
+        ratio -= thr[j_tau0 - 1]  # T_{m+1} = inf where no entry yet
+        np.abs(ratio, out=ratio)
+        out = ratio > delta
+        out &= np.arange(lo, hi)[:, None] > tau0
+        np.minimum(tau, lo + _first_true(out, t_cut - lo), out=tau)
+    return tau0, j_tau0, tau
 
 
 def orbit_thresholds(d, delta: float) -> np.ndarray:

@@ -589,7 +589,14 @@ class TestManifests:
 
     @pytest.mark.parametrize("argv,seed", [
         (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br"],
-         0),
+         None),
+        # an exact sweep reads no seed, so it records none, whatever --seed says
+        (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br",
+          "--seed", "5"], None),
+        (["sweep-n", "--dist", "{dist}", "--n-list", "10", "--ratio", "0.3", "--policies", "ai",
+          "--seed", "5"], None),
+        (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br",
+          "--mc", "--reps", "5", "--seed", "5"], 5),
         (["sweep-n", "--dist", "{dist}", "--n-list", "10", "--ratio", "0.3", "--policies", "ai",
           "--mc", "--reps", "5", "--seed", "4"], 4),
         (["kleinberg", "--epsilons", "0.1", "--policies", "br"], None),
@@ -599,7 +606,8 @@ class TestManifests:
           "--reps", "5", "--seed", "1"], 1),
         (["diagnostics", "--dist", "{dist}", "--n", "100", "--k", "30", "--delta", "0.05",
           "--reps", "5"], 0),
-    ], ids=["sweep-k", "sweep-n-mc", "kleinberg", "paths", "ratio-mean", "diagnostics"])
+    ], ids=["sweep-k", "sweep-k-exact-seed", "sweep-n-exact-seed", "sweep-k-mc", "sweep-n-mc",
+            "kleinberg", "paths", "ratio-mean", "diagnostics"])
     def test_every_command_writes_its_manifest(self, dist_file, tmp_path, argv, seed):
         argv = [dist_file if a == "{dist}" else a for a in argv]
         out = tmp_path / "x.csv"

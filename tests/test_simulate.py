@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from multisecretary import (
+    AdaptiveIndexPolicy,
     BadDelta,
+    BreakpointPolicy,
     DimensionMismatch,
     InfeasiblePair,
     NonAdaptivePolicy,
@@ -74,10 +77,14 @@ class TestBlockKeys:
 
     @pytest.mark.parametrize("seed", [1, 2**200])
     def test_block_rows_replay_episode_stream(self, masspoint5, seed):
-        # 70 reps take two scratch fills of one Philox, restarted per row
+        # 70 reps take two scratch fills of one Philox, restarted per row, into
+        # the leading columns of buffers wider than the block
         d, n, reps = masspoint5, 40, range(5, 75)
+        width = len(reps) + 3
         ranks, u, counts = simulate._draw_block(
-            d, seed, reps, n, np.empty((SCRATCH_REPS, 2 * n)), True)
+            d, seed, reps, np.empty((SCRATCH_REPS, 2 * n)), np.empty((n, width), dtype=np.int16),
+            np.empty((n, width)), np.empty((width, d.m), dtype=np.int64))
+        assert ranks.shape == u.shape == (n, len(reps)) and counts.shape == (len(reps), d.m)
         for col, rep in enumerate(reps):
             want = episode_stream(seed, rep).random(2 * n)
             np.testing.assert_array_equal(u[:, col], want[1::2])
@@ -444,6 +451,134 @@ class TestOrbitEntryChunks:
         tau0, j_tau0, _ = got
         assert set(tau0.tolist()) == entries | {t_cut}
         assert j_tau0[-1] == m + 1 and np.all(j_tau0[:-1] <= m)
+
+
+class TestOrbitExitChunks:
+    # the ratios and the exit test are computed _ENTRY_ROWS periods at a time:
+    # exits on either side of every chunk boundary, at t_cut - 1, after an
+    # entry in the last (partial) chunk, after a re-entry, and none at all
+    # must come out as the one-pass oracle finds them
+
+    @pytest.mark.parametrize("m", [5, 50])
+    @pytest.mark.parametrize("chunks", [0.5, 4.25])
+    def test_exits_around_chunk_boundaries(self, m, chunks):
+        d = m_grid(m)
+        thr = thresholds(d)
+        delta = 0.9 * half_min_mass(d)
+        rows = simulate._ENTRY_ROWS
+        t_cut = int(chunks * rows)
+        n = t_cut + math.ceil(2.0 / delta) + 1
+        assert cutoff_time(n, delta) == t_cut
+        far = 0.5 * (thr[0] + thr[1])  # more than delta from every T_j
+        left = n - np.arange(n + 1.0)
+        anchors = [thr[j - 1] for j in sorted({1, 2, m // 2, m})]
+        exits = {t_cut - 1} | {b + off for b in range(rows, t_cut, rows) for off in (-1, 0, 1)}
+        spans = [(t_in, t_out) for t_out in sorted(exits) for t_in in (0, t_out - 1)]
+        spans += [(t_cut - 2, t_cut - 1), (t_cut - 2, n + 1)]  # enter in the last chunk
+        columns, want_tau = [], []
+        for i, (t_in, t_out) in enumerate(spans):
+            anchor = anchors[i % len(anchors)]
+            ratio = np.full(n + 1, far)
+            ratio[t_in:t_out] = anchor
+            columns.append(ratio * left)
+            want_tau.append(min(t_out, t_cut))
+            if t_out + 2 < t_cut:  # re-enter after the exit: the first exit counts
+                ratio[t_out + 1 : t_out + rows] = anchor
+                columns.append(ratio * left)
+                want_tau.append(t_out)
+        for ratio in (np.full(n + 1, far), np.where(np.arange(n + 1) < t_cut, far, thr[1])):
+            columns.append(ratio * left)  # no entry before the cutoff
+            want_tau.append(t_cut)
+        paths = np.stack(columns, axis=1)
+        got = _orbit_scan(paths, thr, delta, n)
+        want = orbit_scan_passes(paths.T, thr, delta, n)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+        tau0, j_tau0, tau = got
+        assert tau.tolist() == want_tau
+        assert set(tau.tolist()) >= exits
+        assert np.all(j_tau0[-2:] == m + 1) and np.all(j_tau0[:-2] <= m)
+
+
+class TestWorkingSet:
+    # a pass holds one set of block buffers, and a pass whose policies are
+    # all deterministic stores no decision uniforms
+
+    @pytest.mark.parametrize("name,limit_mib", [("br", 12), ("ai", 19)])
+    def test_orbit_stats_peak_allocation(self, uniform5, name, limit_mib):
+        n, k, reps = 1000, 300, 3 * simulate.CHUNK + 5
+        policy = make_policy(name, uniform5, n, k)
+        tracemalloc.start()
+        try:
+            orbit_stats(uniform5, policy, n, k, 0.05, reps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
+
+    def test_deterministic_pass_gets_no_uniforms(self, uniform5, monkeypatch):
+        n, k, reps = 50, 15, 40
+        seen = []
+        for cls in (BreakpointPolicy, AdaptiveIndexPolicy):
+            def spy(self, left, budgets, abilities, u, _decide=cls.decide_batch):
+                seen.append((self.name, u is None))
+                return _decide(self, left, budgets, abilities, u)
+
+            monkeypatch.setattr(cls, "decide_batch", spy)
+        br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
+        paired_payoffs_cells(uniform5, n, [(br, k), (dp, k)], reps, seed=1)
+        assert set(seen) == {("br", True), ("dp", True)}
+        seen.clear()
+        paired_payoffs_cells(uniform5, n, [(br, k), (dp, k), (ai, k)], reps, seed=1)
+        assert set(seen) == {("br", False), ("dp", False), ("ai", False)}
+
+    def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps = 40, 12, 300  # two full blocks and a partial one
+        cell = simulate._Cell(make_policy("ai", uniform5, n, k), [k])
+        uniforms, step_block = [], simulate._step_block
+
+        def spy(d, n, cells, ranks, u):
+            uniforms.append(u)
+            step_block(d, n, cells, ranks, u)
+
+        monkeypatch.setattr(simulate, "_step_block", spy)
+        ranks, counts, paths = [], [], []
+        for _, block_ranks, block_counts in simulate._blocks(
+                uniform5, n, [cell], range(reps), 1, want_paths=True, want_payoffs=True):
+            ranks.append(block_ranks)
+            counts.append(block_counts)
+            paths.append(cell.paths)
+        assert [r.shape[1] for r in ranks] == [128, 128, 44]
+        for block in (ranks, uniforms, counts):
+            assert not any(a.flags.writeable for a in block)
+            assert np.shares_memory(block[0], block[1]) and np.shares_memory(block[1], block[2])
+        assert paths[0] is paths[1] and paths[2].shape == (n + 1, 1, 44)
+
+
+class TestStoredUniformsChangeNoDraw:
+    # storing the decision uniforms or not must leave every stream as it is:
+    # br and dp play the same episodes with ai in the pass or without it
+
+    def test_paired_payoffs_with_and_without_ai(self, uniform5, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps, seed = 60, 18, 300, 4
+        br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
+        alone = paired_payoffs_cells(uniform5, n, [(br, k), (dp, k)], reps, seed)
+        joined = paired_payoffs_cells(uniform5, n, [(br, k), (dp, k), (ai, k)], reps, seed)
+        for a, b in zip(alone, joined):
+            np.testing.assert_array_equal(a[0], b[0])
+            np.testing.assert_array_equal(a[1], b[1])
+
+    def test_simulate_paths_with_stored_uniforms(self, uniform5, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps, seed = 60, 18, 300, 4
+        br = make_policy("br", uniform5, n, k)
+        plain = simulate_paths(uniform5, br, n, k, reps, seed)
+        monkeypatch.setattr(BreakpointPolicy, "randomized", True)
+        stored = simulate_paths(uniform5, br, n, k, reps, seed)
+        for a, b in zip(plain, stored):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestPayoffFreePasses:
