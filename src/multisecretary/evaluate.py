@@ -5,8 +5,9 @@ The exact route propagates the budget distribution forward in time
 policy), integrating the policy's randomization in closed form through its
 ``rates`` hook, which it asks once per block of ``BLOCK`` periods for every
 budget the window can reach in the block; edge budget cells below a fixed
-share of ``TAIL_TOL`` are trimmed, and what they could still earn is the
-record's ``error_bound``.  A sweep visits each name's cells in descending
+share of ``TAIL_TOL`` are trimmed, and what they could still earn, plus the
+offline value's bound on the binomial mass it omits, is the record's
+``error_bound``.  A sweep visits each name's cells in descending
 (n, k) and keeps its policy while ``check`` passes, so br and dp build one
 table per sweep.
 The Monte Carlo route pairs each sampled path's policy payoff with the
@@ -44,9 +45,9 @@ def clear_caches() -> None:
 class RegretRecord:
     """One evaluated cell: policy value, offline benchmark, and their gap.
 
-    For exact cells ``error_bound`` is the forward pass's window-truncation
-    bound (the offline value omits nothing); for Monte Carlo cells it is 0
-    and ``ci_halfwidth`` carries the sampling error.
+    For exact cells ``error_bound`` is the offline value's omitted-mass bound
+    plus the forward pass's window-truncation bound; for Monte Carlo cells it
+    is 0 and ``ci_halfwidth`` carries the sampling error.
     """
 
     policy: str
@@ -160,7 +161,7 @@ def exact_regret(d: AbilityDistribution, policy, n: int, k: int) -> RegretRecord
         v_off=off.value,
         regret=off.value - v_on,
         ci_halfwidth=0.0,
-        error_bound=truncation,
+        error_bound=off.error_bound + truncation,
     )
 
 

@@ -10,29 +10,29 @@ knapsack with unit weights.
 If Z_j counts the arrivals of rank <= j, then Z_j ~ Binomial(n, F̄(a_{j+1})).
 Summing by parts, the value is sum_j (a_j - a_{j+1}) min(Z_j, k) with
 a_{m+1} = 0, so its expectation needs one capped binomial mean per ability
-level, and each has a closed form in two binomial distribution functions.
-Nothing is truncated.
+level.  ``capped_mean`` sums each from pmf weights built outward from the
+mode until they leave the normal range, and bounds the mass it leaves out.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import check_pair
+from .errors import InfeasiblePair, check_pair
+
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 @dataclass(frozen=True, eq=False)
 class OfflineValue:
-    """Exact expected offline value with per-ability expected selections.
-
-    ``error_bound`` is always 0.0: the closed form omits no probability mass.
-    """
+    """Expected offline value, and a bound on the error that the binomial
+    mass left out of its capped means can cause (float rounding aside)."""
 
     value: float
-    per_ability: np.ndarray
     error_bound: float
 
 
@@ -47,29 +47,67 @@ def offline_sort_batch(d: AbilityDistribution, counts: np.ndarray, k: int) -> np
     return payoff
 
 
-def offline_expectation(d: AbilityDistribution, n: int, k: int) -> OfflineValue:
-    """Exact E[offline value] = sum_j (a_j - a_{j+1}) E[min(Z_j, k)].
+def capped_mean(n: int, q: float, k: int) -> tuple[float, float]:
+    """E[min(Z, k)] for Z ~ Binomial(n, q), and a bound on its omitted mass.
 
-    Z_j ~ Binomial(n, q_j) with q_j = F̄(a_{j+1}) counts the arrivals of rank
-    <= j, and a_{m+1} = 0.  Z_m = n, so E[min(Z_m, k)] = k; for j < m,
-    z C(n, z) = n C(n-1, z-1) gives the closed form
-    E[min(Z_j, k)] = n q_j P(Binomial(n-1, q_j) <= k-1) + k P(Z_j > k).
+    The pmf weights start at 1 at the mode and go outward by the ratios
+    pmf(z + 1)/pmf(z) = (n - z) q / ((z + 1)(1 - q)), a chunk of O(sigma)
+    cells at a time, until they fall below the smallest normal double or
+    reach 0 or n; they are normalised by their sum.  Only the small side is
+    summed: the mean is nq - E[(Z - k)+] when k >= nq and k - E[(k - Z)+]
+    otherwise.
+
+    The pmf is log-concave, so the ratios fall going outward, and the weights
+    past the last normal one w, whose next ratio is r, sum to at most
+    w r / (1 - r).  That omitted mass over the weights' sum, times the cap
+    of the summed term (n - k or k), bounds the error it can cause.
     """
     check_pair(n, k)
-    if k == 0:
-        return OfflineValue(value=0.0, per_ability=np.zeros(d.m), error_bound=0.0)
-    if k == n:
-        per = n * d.pmf
-        return OfflineValue(value=float(d.support @ per), per_ability=per, error_bound=0.0)
+    if not 0.0 <= q <= 1.0:
+        raise InfeasiblePair(f"need 0 <= q <= 1, got q={q!r}")
+    if q == 1.0:
+        return float(k), 0.0
+    over = k >= n * q
+    sign = 1.0 if over else -1.0
+    mode = min(int((n + 1) * q), n)
+    odds = q / (1.0 - q)
+    # weights fall below the normal range about 38 sigma from the mode
+    step = 16 + int(40.0 * math.sqrt(n * q * (1.0 - q)))
+    total, small, omitted = 1.0, max(sign * (mode - k), 0.0), 0.0
+    for up in (True, False):
+        z, w = mode, 1.0
+        while z < n if up else z > 0:
+            if up:
+                zs = np.arange(z + 1, min(z + step, n) + 1, dtype=float)
+                ratios = (n - zs + 1.0) / zs * odds
+            else:
+                zs = np.arange(z - 1, max(z - step, 0) - 1, -1, dtype=float)
+                ratios = (zs + 1.0) / (n - zs) / odds
+            ws = w * np.cumprod(ratios)
+            total += float(ws.sum())
+            small += float(np.maximum(sign * (zs - k), 0.0) @ ws)
+            if ws[-1] < _TINY:
+                kept = np.count_nonzero(ws >= _TINY)
+                r = float(ratios[kept])
+                omitted += (float(ws[kept - 1]) if kept else w) * r / (1.0 - r)
+                break
+            z, w = int(zs[-1]), float(ws[-1])
+    mean = (n * q if over else float(k)) - small / total
+    return mean, (n - k if over else k) * omitted / total
 
-    from scipy.stats import binom  # imported here: scipy.stats costs about a second to load
 
-    q = d.survival_values[1 : d.m]
-    capped = np.append(n * q * binom.cdf(k - 1, n - 1, q) + k * binom.sf(k, n, q), float(k))
+def offline_expectation(d: AbilityDistribution, n: int, k: int) -> OfflineValue:
+    """E[offline value] = sum_j (a_j - a_{j+1}) E[min(Z_j, k)].
+
+    Z_j ~ Binomial(n, q_j) with q_j = F̄(a_{j+1}) counts the arrivals of rank
+    <= j, and a_{m+1} = 0.  Z_m = n, so E[min(Z_m, k)] = k; for j < m the
+    mean and its bound come from ``capped_mean``, and ``error_bound`` sums
+    the bounds with the same weights a_j - a_{j+1}.
+    """
+    check_pair(n, k)
+    capped = np.full(d.m, float(k))
+    bounds = np.zeros(d.m)
+    for j, q in enumerate(d.survival_values[1 : d.m]):
+        capped[j], bounds[j] = capped_mean(n, float(q), k)
     gaps = d.support - np.append(d.support[1:], 0.0)
-    return OfflineValue(
-        value=float(gaps @ capped),
-        per_ability=np.diff(capped, prepend=0.0),
-        error_bound=0.0,
-    )
-
+    return OfflineValue(value=float(gaps @ capped), error_bound=float(gaps @ bounds))

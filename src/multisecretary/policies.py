@@ -36,6 +36,8 @@ from . import dp as dp_mod
 from .distribution import RATIO_TIE_TOL, AbilityDistribution, partial_means, thresholds
 from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch, check_pair
 
+_BLOCK_CELLS = 8192  # float cells per row block of br's breakpoint table
+
 
 def index_matrix(d: AbilityDistribution, n: int, k: int) -> np.ndarray:
     """Time-constant (m, n) matrix from the deterministic relaxation at ratio k/n.
@@ -74,14 +76,18 @@ def _ratio_breakpoints(values: np.ndarray, n: int) -> np.ndarray:
     smallest kappa >= 1 with kappa/l + ``RATIO_TIE_TOL`` >= T_j in floats (row 0
     is n + 1).  ceil((T_j - tol) l) is off by a cell where the float test
     rounds across it, so one step up or down re-evaluates the test itself.
+    Rows are built a block at a time, so the float temporaries stay at about
+    ``_BLOCK_CELLS`` entries whatever n is.
     """
-    ell = np.arange(1, n + 1, dtype=float)[:, None]
-    cut = np.ceil((values - RATIO_TIE_TOL) * ell)
-    cut += cut / ell + RATIO_TIE_TOL < values
-    cut -= (cut - 1.0) / ell + RATIO_TIE_TOL >= values
     bp = np.empty((n + 1, values.size), dtype=np.int64)
     bp[0] = n + 1
-    np.maximum(cut, 1.0, out=bp[1:], casting="unsafe")
+    rows = max(1, _BLOCK_CELLS // values.size)
+    for start in range(1, n + 1, rows):
+        ell = np.arange(start, min(start + rows, n + 1), dtype=float)[:, None]
+        cut = np.ceil((values - RATIO_TIE_TOL) * ell)
+        cut += cut / ell + RATIO_TIE_TOL < values
+        cut -= (cut - 1.0) / ell + RATIO_TIE_TOL >= values
+        np.maximum(cut, 1.0, out=bp[start : start + ell.size], casting="unsafe")
     bp.flags.writeable = False
     return bp
 

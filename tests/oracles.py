@@ -476,6 +476,23 @@ def full_value_check(d, n: int, k: int, w: float) -> float:
     return v(n, k, float(w))
 
 
+def exact_capped_mean(n: int, q: float, k: int) -> Fraction:
+    """E[min(Z, k)] for Z ~ Binomial(n, q) in exact rationals, with q taken as
+    the double it is, summing every pmf term.  Guarded to n <= 200."""
+    if n > 200:
+        raise InstanceTooLarge(f"the rational sum is guarded to n <= 200, got {n}")
+    check_pair(n, k)
+    p, r = float(q).as_integer_ratio()  # q = p / r exactly, and 1 - q = (r - p) / r
+    return Fraction(sum(math.comb(n, z) * p**z * (r - p) ** (n - z) * min(z, k)
+                        for z in range(n + 1)), r**n)
+
+
+def closed_form_capped_mean(n: int, q: float, k: int) -> float:
+    """E[min(Z, k)] = n q P(Binomial(n - 1, q) <= k - 1) + k P(Binomial(n, q) > k),
+    from z C(n, z) = n C(n - 1, z - 1), in scipy's distribution functions."""
+    return float(n * q * binom.cdf(k - 1, n - 1, q) + k * binom.sf(k, n, q))
+
+
 def binomial_overshoot(n: int, p: float, k: float) -> float:
     """Exact E[(B - k)_+] for B ~ Binomial(n, p), by direct pmf summation."""
     if not 0.0 <= p <= 1.0 or k < 0:

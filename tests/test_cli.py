@@ -643,8 +643,35 @@ class TestEntryPoint:
         assert "epsilon" in proc.stdout
 
     def test_cli_import_leaves_scipy_stats_unloaded(self):
-        # only the offline expectation needs scipy.stats, which is slow to load
+        # the package needs only numpy; scipy.stats alone would add about 66 MiB and 0.85 s
         code = "import sys, multisecretary.cli; print('scipy.stats' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_exact_commands_run_without_scipy(self, dist_file, tmp_path):
+        # with scipy unimportable, the exact regret commands and the offline
+        # expectation still run: scipy is a test dependency only
+        code = f"""
+import sys
+sys.modules["scipy"] = None
+import multisecretary as ms
+from multisecretary.cli import main
+out = {str(tmp_path)!r}
+runs = [
+    ["sweep-k", "--dist", {dist_file!r}, "--n", "60", "--k-range", "0:60:20",
+     "--policies", "br,dp,ai,index", "--out", out + "/k.csv"],
+    ["sweep-n", "--dist", {dist_file!r}, "--n-list", "40,80", "--ratio", "0.3",
+     "--policies", "br,dp", "--out", out + "/n.csv"],
+    ["kleinberg", "--epsilons", "0.1", "--policies", "br", "--out", out + "/kb.csv"],
+]
+codes = [main(argv) for argv in runs]
+d = ms.new_distribution([2.0, 1.0], [0.5, 0.5])
+value = ms.offline_expectation(d, 10, 3).value
+print(codes, value > 0, "scipy" in sys.modules and sys.modules["scipy"] is not None)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[0, 0, 0] True False"
+        for name in ("k", "n", "kb"):
+            assert (tmp_path / f"{name}.csv").read_text().startswith(CSV_HEADER)

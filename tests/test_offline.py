@@ -1,8 +1,13 @@
+import time
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
+from scipy.stats import binom
 
 from multisecretary import (
     InfeasiblePair,
@@ -10,13 +15,15 @@ from multisecretary import (
     new_distribution,
     offline_expectation,
 )
-from multisecretary.offline import offline_sort_batch
+from multisecretary.offline import capped_mean, offline_sort_batch
 from oracles import (
     action_index_j0,
     binomial_overshoot,
     binomial_undershoot,
+    closed_form_capped_mean,
     dr_solution,
     enum_offline_value,
+    exact_capped_mean,
     exact_offline_value,
     max_integer_selection,
 )
@@ -25,6 +32,11 @@ from oracles import (
 def sort_one(d, counts, k: int) -> float:
     """The posterior-sort payoff of one count vector, as a one-row batch."""
     return float(offline_sort_batch(d, np.array([counts], dtype=np.int64), k)[0])
+
+
+def capped_means(d, n: int, k: int) -> np.ndarray:
+    """E[min(Z_j, k)] for j = 1..m, Z_j ~ Binomial(n, F̄(a_{j+1})), from ``capped_mean``."""
+    return np.array([capped_mean(n, float(q), k)[0] for q in d.survival_values[1:]])
 
 
 class TestOfflineSort:
@@ -61,7 +73,8 @@ class TestOfflineExpectation:
         n = 57
         got = offline_expectation(masspoint5, n, n)
         assert got.value == pytest.approx(n * masspoint5.mean(), abs=1e-12)
-        np.testing.assert_allclose(got.per_ability, n * masspoint5.pmf, atol=1e-12)
+        per_ability = np.diff(capped_means(masspoint5, n, n), prepend=0.0)
+        np.testing.assert_allclose(per_ability, n * masspoint5.pmf, atol=1e-12)
 
     def test_matches_sequence_enumeration_uniform5(self, uniform5):
         got = offline_expectation(uniform5, 8, 3).value
@@ -103,11 +116,9 @@ class TestOfflineExpectation:
         n = 400
         for k in (40, 120, 200, 280, 360):
             j0 = action_index_j0(d, n, k)
-            got = offline_expectation(d, n, k)
-            above = float(np.sum(n * d.pmf[: j0 - 1])) - float(
-                np.sum(got.per_ability[: j0 - 1])
-            )
-            below = float(np.sum(got.per_ability[j0 + 1 :]))
+            per_ability = np.diff(capped_means(d, n, k), prepend=0.0)
+            above = float(np.sum(n * d.pmf[: j0 - 1])) - float(np.sum(per_ability[: j0 - 1]))
+            below = float(np.sum(per_ability[j0 + 1 :]))
             assert above <= 1 / (4 * eps) + 1e-9
             assert below <= 1 / (4 * eps) + 1e-9
 
@@ -118,11 +129,83 @@ class TestOfflineExpectation:
         d = request.getfixturevalue(dist)
         ratios = np.concatenate((np.linspace(0.05, 0.95, 19), d.survival_values[1:-1]))
         for k in sorted({int(round(r * n)) for r in ratios}):
-            got = offline_expectation(d, n, k)
-            capped = np.cumsum(got.per_ability)
             want = [k - binomial_undershoot(n, q, k) for q in d.survival_values[1:]]
-            np.testing.assert_allclose(capped, want, rtol=1e-12, atol=0, err_msg=str(k))
-            assert got.error_bound == 0.0
+            np.testing.assert_allclose(capped_means(d, n, k), want, rtol=1e-12, atol=0,
+                                       err_msg=str(k))
+            assert 0.0 <= offline_expectation(d, n, k).error_bound < 1e-300
+
+
+def assert_within_bound(got: float, bound: float, exact: Fraction, scale: float) -> None:
+    """``got`` is ``exact`` up to ``bound``, which covers the omitted mass,
+    and two roundings at ``scale``."""
+    assert bound >= 0.0
+    assert abs(Fraction(got) - exact) <= Fraction(bound) + 2 * Fraction(np.spacing(scale))
+
+
+class TestCappedMean:
+    @pytest.mark.parametrize("n", [1, 2, 7, 60, 200])
+    @pytest.mark.parametrize("q", [0.0, 1e-9, 0.1, 0.18, 11 / 28, 0.5, 23 / 28, 1 - 1e-9, 1.0])
+    def test_matches_exact_rationals(self, n, q):
+        for k in sorted({0, 1, n - 1, n, n // 3, round(n * q)}):
+            got, bound = capped_mean(n, q, k)
+            assert_within_bound(got, bound, exact_capped_mean(n, q, k), max(k, n * q))
+
+    def test_omitted_mass_is_reported(self):
+        # at q = 1e-9 the weights leave the normal range before z = 60
+        got, bound = capped_mean(60, 1e-9, 1)
+        assert 0.0 < bound < 1e-300
+        assert_within_bound(got, bound, exact_capped_mean(60, 1e-9, 1), 1.0)
+        assert capped_mean(7, 0.5, 3)[1] == 0.0  # the weights reach 0 and n
+
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5", "uniform10"])
+    @pytest.mark.parametrize("n", [1000, 4004, 16016])
+    def test_matches_closed_form(self, request, dist, n):
+        d = request.getfixturevalue(dist)
+        for q in d.survival_values[1:-1]:
+            for k in sorted({1, n // 3, round(11 * n / 28), round(n * q), n - 1}):
+                got, _ = capped_mean(n, float(q), k)
+                assert got == pytest.approx(closed_form_capped_mean(n, float(q), k),
+                                            rel=1e-11, abs=0), (q, k)
+
+    def test_huge_horizon_is_fast_and_small(self):
+        # de Moivre: at k = n/2 = nq, E[(k - Z)+] = E|Z - n/2| / 2 = v pmf(v) / 2, v = n/2 + 1
+        n = 10**8
+        tracemalloc.start()
+        started = time.perf_counter()
+        got, bound = capped_mean(n, 0.5, n // 2)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 64 * 2**20  # one O(n) float array would take 763 MiB
+        v = n // 2 + 1
+        want = n / 2 - v * binom.pmf(v, n, 0.5) / 2
+        assert got == pytest.approx(want, rel=1e-14)
+        assert 0.0 < bound < 1e-300
+
+    def test_one_period(self):
+        for q in (0.0, 0.3, 1.0):
+            assert capped_mean(1, q, 0) == (0.0, 0.0)
+            assert capped_mean(1, q, 1) == (q, 0.0)
+
+    def test_rare_level(self):
+        # a 1e-9 top mass: the offline value against exact rationals; it sums three
+        # products, so its rounding is a few ulps of the value
+        d = new_distribution([3.0, 2.0, 1.0], [1e-9, 0.5, 0.5 - 1e-9])
+        gaps = d.support - np.append(d.support[1:], 0.0)
+        n = 200
+        for k in (0, 1, 67, n - 1, n):
+            capped = [exact_capped_mean(n, float(q), k) for q in d.survival_values[1:]]
+            exact = sum(Fraction(float(g)) * c for g, c in zip(gaps, capped))
+            got = offline_expectation(d, n, k)
+            assert_within_bound(got.value, got.error_bound, exact, 4 * float(exact))
+
+    def test_out_of_range(self):
+        for q in (-0.1, 1.5, float("nan")):
+            with pytest.raises(InfeasiblePair):
+                capped_mean(10, q, 3)
+        with pytest.raises(InfeasiblePair):
+            capped_mean(10, 0.5, 11)
 
 
 @st.composite

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from multisecretary import (
 )
 from multisecretary.distribution import RATIO_TIE_TOL, partial_means
 from multisecretary.evaluate import _forward_value
+from multisecretary import policies
 from multisecretary.policies import _ratio_breakpoints
 from oracles import ai_ratio_increment_mean, threshold_bucket
 
@@ -122,6 +125,24 @@ class TestRatioBreakpoints:
         bp = _ratio_breakpoints(np.array([0.0, t]), ell)
         assert bp[ell, 1] == want
         assert want / ell + RATIO_TIE_TOL >= t > (want - 1) / ell + RATIO_TIE_TOL
+
+    @pytest.mark.parametrize("cells", [1, 12, 8191, 10**9])  # 1, 2, 1638 rows, one block
+    def test_row_blocks_change_nothing(self, masspoint5, monkeypatch, cells):
+        values = thresholds(masspoint5)[: masspoint5.m]
+        want = _ratio_breakpoints(values, 1000)
+        monkeypatch.setattr(policies, "_BLOCK_CELLS", cells)
+        got = _ratio_breakpoints(values, 1000)
+        assert got.dtype == np.int64 and not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+    def test_build_holds_no_table_sized_temporaries(self, masspoint5):
+        # the int64 table is 0.61 MiB; whole-table float temporaries took the peak to 2.0 MiB
+        values = thresholds(masspoint5)[: masspoint5.m]
+        tracemalloc.start()
+        _ratio_breakpoints(values, 16016)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(ratio_instances())
