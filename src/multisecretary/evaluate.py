@@ -7,9 +7,13 @@ policy), integrating the policy's randomization in closed form through its
 budget the window can reach in the block; edge budget cells below a fixed
 share of ``TAIL_TOL`` are trimmed, and what they could still earn, plus the
 offline value's bound on the binomial mass it omits, is the record's
-``error_bound``.  A sweep visits each name's cells in descending
-(n, k) and keeps its policy while ``check`` passes, so br and dp build one
-table per sweep.
+``error_bound``.  A non-adaptive rule whose rates are the same every period
+(index, take-top) skips the pass: it selects i.i.d. Bernoulli(s) while
+budget lasts, so its value is (g / s) E[min(Binomial(n, s), k)] from the
+offline module's ``capped_mean``, and its ``error_bound`` is the offline
+bound plus g / s times that mean's bound, with no window truncation.  A
+sweep visits each name's cells in descending (n, k) and keeps its policy
+while ``check`` passes, so br and dp build one table per sweep.
 The Monte Carlo route pairs each sampled path's policy payoff with the
 posterior sort on the same realization; a sweep's Monte Carlo cells at one
 n share every block of draws.
@@ -25,8 +29,8 @@ import numpy as np
 
 from .distribution import AbilityDistribution
 from .errors import ModelError, NonMarkovPolicy, ProbabilityDrift, check_pair
-from .offline import offline_expectation
-from .policies import make_policy
+from .offline import capped_mean, offline_expectation
+from .policies import NonAdaptivePolicy, make_policy
 from .simulate import check_cell, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
@@ -46,7 +50,8 @@ class RegretRecord:
     """One evaluated cell: policy value, offline benchmark, and their gap.
 
     For exact cells ``error_bound`` is the offline value's omitted-mass bound
-    plus the forward pass's window-truncation bound; for Monte Carlo cells it
+    plus the policy value's: the forward pass's window-truncation bound, or
+    for a time-constant rule its capped mean's bound; for Monte Carlo cells it
     is 0 and ``ci_halfwidth`` carries the sampling error.
     """
 
@@ -63,7 +68,51 @@ class RegretRecord:
 
 def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
     """Expected payoff of a state-Markov policy, the worst probability drift
-    observed while propagating, and a bound on the payoff of trimmed mass.
+    observed while propagating, and a bound on the payoff of omitted mass.
+
+    Both routes start with ``check_pair(n, k)`` and ``policy.check(n, k)``.
+    A :class:`NonAdaptivePolicy` whose selection rate s and gain g are the
+    same in every period (index, take-top, or such a ``matrix:`` file)
+    selects i.i.d. Bernoulli(s) while budget lasts, each selection standing
+    for g / s of payoff: its value is (g / s) E[min(Binomial(n, s), k)] from
+    ``capped_mean``, its drift 0 and its bound g / s times that mean's
+    omitted-mass bound.  At s = 0 all three are 0.0.  Every other rule takes
+    the windowed forward pass, ``_window_pass``.
+
+    Raises:
+        NonMarkovPolicy: the policy exposes no ``rates`` hook.
+        ProbabilityDrift: see ``_window_pass``.
+    """
+    if not hasattr(policy, "rates"):
+        raise NonMarkovPolicy(
+            f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
+        )
+    check_pair(n, k)
+    policy.check(n, k)
+    rate = _constant_rates(policy)
+    if rate is None:
+        return _window_pass(d, policy, n, k)
+    sel, gain = rate
+    if sel == 0.0:
+        return 0.0, 0.0, 0.0
+    mean, omitted = capped_mean(n, sel, k)
+    per_pick = gain / sel
+    return per_pick * mean, 0.0, per_pick * omitted
+
+
+def _constant_rates(policy) -> tuple[float, float] | None:
+    """The one (selection rate, gain) pair that a non-adaptive rule's
+    ``rates`` return at every live budget, or None if they vary over t."""
+    if isinstance(policy, NonAdaptivePolicy) and policy.p.shape[1]:
+        sel, gain = policy._sel_by_t, policy._gain_by_t
+        if sel.min() == sel.max() and gain.min() == gain.max():
+            return float(sel[0]), float(gain[0])
+    return None
+
+
+def _window_pass(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
+    """``_forward_value`` by propagating the budget distribution forward, for
+    a policy already checked at (n, k).
 
     Only the budget window ``[lo, hi]`` that carries mass is propagated.
     Selection moves mass down one cell per step, so ``lo`` widens by one;
@@ -80,12 +129,6 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
             window holds a negative or non-finite cell, or its mass plus the
             dropped mass differs from 1 by more than ``DRIFT_LIMIT``.
     """
-    if not hasattr(policy, "rates"):
-        raise NonMarkovPolicy(
-            f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
-        )
-    check_pair(n, k)
-    policy.check(n, k)
     budgets = np.arange(k + 1)
     prob = np.zeros(k + 1)
     prob[k] = 1.0

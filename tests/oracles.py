@@ -283,7 +283,7 @@ def enum_policy_value(d, n: int, k: int, prob_table) -> float:
 
 
 def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, float]:
-    """``evaluate._forward_value`` asking ``rates`` once per period, for that
+    """``evaluate._window_pass`` asking ``rates`` once per period, for that
     period alone: the same window, trimming, Kahan sum and drift checks,
     returning (value, max drift, truncation bound)."""
     check_pair(n, k)
@@ -485,6 +485,31 @@ def exact_capped_mean(n: int, q: float, k: int) -> Fraction:
     p, r = float(q).as_integer_ratio()  # q = p / r exactly, and 1 - q = (r - p) / r
     return Fraction(sum(math.comb(n, z) * p**z * (r - p) ** (n - z) * min(z, k)
                         for z in range(n + 1)), r**n)
+
+
+def exact_constant_rate_value(support, pmf, column, n: int, k: int) -> Fraction:
+    """Value of the non-adaptive rule that selects ability j with probability
+    ``column[j]`` in every period while budget lasts, in exact rationals.
+
+    The rule selects at rate s = sum_j f_j column[j] and earns
+    g = sum_j f_j a_j column[j] in each period it is live; period t + 1 is
+    live iff fewer than k of the first t periods selected, so the value is
+    g sum_{t < n} P(Binomial(t, s) < k), every pmf term summed.  Each float
+    is taken as the rational it is, and the masses are divided by their
+    rational sum.  Guarded to n <= 60.
+    """
+    if n > 60:
+        raise InstanceTooLarge(f"the rational sum is guarded to n <= 60, got {n}")
+    check_pair(n, k)
+    f = [Fraction(x) for x in pmf]
+    total = sum(f)
+    f = [x / total for x in f]
+    s = sum(x * Fraction(c) for x, c in zip(f, column))
+    g = sum(x * Fraction(a) * Fraction(c) for x, a, c in zip(f, support, column))
+    p, r = s.numerator, s.denominator  # s = p / r and 1 - s = (r - p) / r
+    live = sum(math.comb(t, z) * p**z * (r - p) ** (t - z) * r ** (n - 1 - t)
+               for t in range(n) for z in range(min(t + 1, k)))
+    return g * Fraction(live, r ** (n - 1)) if n else Fraction(0)
 
 
 def closed_form_capped_mean(n: int, q: float, k: int) -> float:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from multisecretary import (
     NonAdaptivePolicy,
     NonMarkovPolicy,
     ProbabilityDrift,
+    TableMismatch,
     exact_regret,
     make_policy,
+    new_distribution,
     offline_expectation,
     simulate_paths,
     solve,
@@ -22,10 +25,17 @@ from multisecretary import (
     write_records,
 )
 from multisecretary import cli, dp, evaluate
-from multisecretary.evaluate import CSV_HEADER, _forward_value, format_record
+from multisecretary.evaluate import CSV_HEADER, _forward_value, _window_pass, format_record
 from multisecretary.offline import offline_sort_batch
 from multisecretary.simulate import CHUNK
-from oracles import ai_prob_table, br_prob_table, enum_policy_value, index_prob_table
+from oracles import (
+    ai_prob_table,
+    br_prob_table,
+    enum_policy_value,
+    exact_constant_rate_value,
+    forward_value_per_period,
+    index_prob_table,
+)
 
 
 def mc_cell(d, name, n, k, reps, seed):
@@ -126,10 +136,10 @@ class TestForwardWindow:
     def test_window_matches_full_pass_within_bound(self, masspoint5, name):
         n, k = 4004, 1573
         policy = make_policy(name, masspoint5, n, k)
-        value, drift, bound = _forward_value(masspoint5, policy, n, k)
+        value, drift, bound = _window_pass(masspoint5, policy, n, k)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluate, "TAIL_TOL", 0.0)
-            full, _, untrimmed = _forward_value(masspoint5, policy, n, k)
+            full, _, untrimmed = _window_pass(masspoint5, policy, n, k)
         assert untrimmed == 0.0
         assert 0.0 < bound < 2 * masspoint5.support[0] * 1e-12
         assert abs(value - full) <= bound + 4 * np.spacing(full)
@@ -170,6 +180,110 @@ class TestForwardWindow:
         # mass at 1 through negative cells and returned a finite value
         with pytest.raises(ProbabilityDrift):
             _forward_value(uniform5, _BrokenRates(uniform5, rate), 40, 12)
+
+
+def constant_rule(name, d, n, k):
+    """index, take-top, or ``matrix``: one fixed column repeated over n periods."""
+    if name == "matrix":
+        column = np.linspace(0.9, 0.1, d.m)
+        return NonAdaptivePolicy(d, np.tile(column[:, None], (1, n)), "matrix")
+    return make_policy(name, d, n, k)
+
+
+def capped_mean_calls(monkeypatch):
+    """Record each ``capped_mean`` call the evaluator makes."""
+    calls, inner = [], evaluate.capped_mean
+    monkeypatch.setattr(evaluate, "capped_mean", lambda *a: calls.append(a) or inner(*a))
+    return calls
+
+
+class TestConstantRateClosedForm:
+    RULES = ["index", "take-top", "matrix"]
+    CELLS = [(1, 0), (1, 1), (2, 1), (7, 3), (20, 0), (20, 7), (40, 39), (60, 1), (60, 22),
+             (60, 60)]
+
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5", "point"])
+    @pytest.mark.parametrize("name", RULES)
+    def test_matches_rational_oracle(self, request, monkeypatch, dist, name):
+        d = (new_distribution([0.875], [1.0]) if dist == "point"
+             else request.getfixturevalue(dist))
+        calls = capped_mean_calls(monkeypatch)
+        for n, k in self.CELLS:
+            policy = constant_rule(name, d, n, k)
+            value, drift, bound = _forward_value(d, policy, n, k)
+            want = exact_constant_rate_value(d.support, d.pmf, policy.p[:, 0], n, k)
+            assert drift == 0.0 and bound >= 0.0
+            assert abs(value - float(want)) <= bound + 8 * np.spacing(float(want)), (n, k)
+        assert calls  # the cells took the closed form, not the forward pass
+
+    @pytest.mark.parametrize("name", RULES)
+    def test_matches_enumeration(self, uniform3, name):
+        for n in range(1, 8):
+            for k in range(n + 1):
+                policy = constant_rule(name, uniform3, n, k)
+
+                def table(t_next):
+                    probs = np.repeat(policy.p[:, t_next - 1 : t_next], k + 1, axis=1)
+                    probs[:, 0] = 0.0
+                    return probs
+
+                want = enum_policy_value(uniform3, n, k, table)
+                got = _forward_value(uniform3, policy, n, k)[0]
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-15), (n, k)
+
+    def test_zero_rate_returns_zero_without_warning(self, masspoint5):
+        # index at k = 0 selects nothing: s = 0, and g / s must not be formed;
+        # a matrix with no periods has no rate to read
+        index = make_policy("index", masspoint5, 50, 0)
+        empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            assert _forward_value(masspoint5, index, 50, 0) == (0.0, 0.0, 0.0)
+            assert _forward_value(masspoint5, empty, 0, 0) == (0.0, 0.0, 0.0)
+
+    def test_checks_come_before_any_value(self, uniform5, monkeypatch):
+        calls = capped_mean_calls(monkeypatch)
+        index = make_policy("index", uniform5, 40, 12)
+        with pytest.raises(TableMismatch):
+            _forward_value(uniform5, index, 40, 13)
+        take_top = make_policy("take-top", uniform5, 40, 12)
+        with pytest.raises(DimensionMismatch):
+            _forward_value(uniform5, take_top, 41, 12)
+        assert calls == []
+
+    @pytest.mark.parametrize("last", ["random", "last column"])
+    def test_time_varying_matrix_takes_the_loop(self, masspoint5, monkeypatch, last):
+        n, k = 333, 111
+        p = np.tile(np.linspace(0.9, 0.1, masspoint5.m)[:, None], (1, n))
+        if last == "random":
+            p = np.random.default_rng(2).random(p.shape)
+        else:  # constant but for the last period's column
+            p[0, -1] = 0.5
+        policy = NonAdaptivePolicy(masspoint5, p, "matrix")
+        calls = capped_mean_calls(monkeypatch)
+        assert _forward_value(masspoint5, policy, n, k) == forward_value_per_period(
+            masspoint5, policy, n, k)
+        assert calls == []
+
+    def test_different_columns_with_one_rate_pair_take_the_closed_form(self, monkeypatch):
+        # both columns select at rate 1/4 and earn 3/16 a period, in exact floats
+        d = new_distribution([1.0, 0.75, 0.5, 0.25], [0.25] * 4)
+        n, k = 60, 17
+        columns = np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]).T
+        policy = NonAdaptivePolicy(d, np.tile(columns, (1, n // 2)), "matrix")
+        calls = capped_mean_calls(monkeypatch)
+        value, drift, bound = _forward_value(d, policy, n, k)
+        assert calls == [(n, 0.25, k)]
+        want = exact_constant_rate_value(d.support, d.pmf, columns[:, 0], n, k)
+        assert abs(value - float(want)) <= bound + 8 * np.spacing(float(want))
+        assert value == pytest.approx(_window_pass(d, policy, n, k)[0], rel=1e-13)
+
+    def test_take_top_on_a_mass_point_is_exact(self, masspoint5):
+        # n f_1 = 2860 arrivals of the top rank on average, far below k: the
+        # forward pass gives 2860.000000000005 here with a 3.8e-13 bound
+        n, k = 16016, 6292
+        policy = make_policy("take-top", masspoint5, n, k)
+        assert _forward_value(masspoint5, policy, n, k)[0] == 2860.0
 
 
 class TestExactRegret:

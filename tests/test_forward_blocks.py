@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multisecretary import NonAdaptivePolicy, TableMismatch, exact_regret, make_policy, sweep
-from multisecretary.evaluate import BLOCK, _forward_value
+from multisecretary.evaluate import BLOCK, _forward_value, _window_pass
 from multisecretary.policies import POLICY_NAMES
 from oracles import enum_policy_value, forward_value_per_period
 
@@ -50,7 +50,7 @@ def test_block_pass_equals_per_period_pass(request, dist, name):
     for n, k in CELLS:
         policy = LowestBudget(build(name, d, n, k))
         want = forward_value_per_period(d, policy, n, k)
-        assert _forward_value(d, policy.policy, n, k) == want, (n, k)
+        assert _window_pass(d, policy.policy, n, k) == want, (n, k)
         reached_zero += policy.lowest == 0
         trimmed += want[2] > 0.0
     assert reached_zero and trimmed  # the cells reach both edge cases

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from multisecretary import exact_regret, make_policy, new_distribution
 from multisecretary.policies import POLICY_NAMES
 from multisecretary import evaluate
-from multisecretary.evaluate import _forward_value
+from multisecretary.evaluate import _window_pass
 
 
 @st.composite
@@ -28,10 +28,10 @@ def instances(draw):
 def test_window_within_truncation_bound(inst):
     d, n, k, name = inst
     policy = make_policy(name, d, n, k)
-    value, _, bound = _forward_value(d, policy, n, k)
+    value, _, bound = _window_pass(d, policy, n, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "TAIL_TOL", 0.0)
-        full, _, untrimmed = _forward_value(d, policy, n, k)
+        full, _, untrimmed = _window_pass(d, policy, n, k)
     assert untrimmed == 0.0 and bound >= 0.0
     assert abs(value - full) <= bound + 4 * np.spacing(full)
     # Where the policy matches the offline sort exactly (br at k=1), the two
