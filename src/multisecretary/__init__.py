@@ -27,6 +27,7 @@ from .errors import (
 from .evaluate import (
     RegretRecord,
     exact_regret,
+    ratio_mean_curve,
     sweep,
     write_records,
 )
@@ -49,7 +50,6 @@ from .simulate import (
     cutoff_time,
     orbit_diagnostics,
     orbit_stats,
-    ratio_mean_curve,
     run_episode,
     simulate_paths,
 )

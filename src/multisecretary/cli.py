@@ -25,7 +25,7 @@ from .distribution import (
     thresholds,
 )
 from .errors import BadEpsilon, ModelError
-from .evaluate import sweep, write_records
+from .evaluate import ratio_mean_curve, sweep, write_records
 from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
@@ -33,7 +33,6 @@ from .simulate import (
     check_reps,
     orbit_stats,
     orbit_thresholds,
-    ratio_mean_curve,
     run_episode,
 )
 
@@ -69,12 +68,12 @@ def _parse_policies(text: str) -> list[str]:
     return names
 
 
-def _checked_policies(d, names: list[str], n: int, k: int, reps: int) -> list:
-    """Each name's policy, every one built and checked before any is played."""
+def _checked_policies(d, names: list[str], n: int, k: int) -> list:
+    """Each name's policy, built and checked as one replication is, before any is played."""
     policies = []
     for name in names:
         policies.append(make_policy(name, d, n, k))
-        check_cell(policies[-1], n, k, reps)
+        check_cell(policies[-1], n, k, 1)
     return policies
 
 
@@ -175,7 +174,7 @@ def cmd_paths(args):
     seeds = _check_seeds(_parse_list(args.seeds, int))
     stem, suffix = os.path.splitext(str(args.out))
     suffix = suffix or ".csv"
-    for policy in _checked_policies(d, names, args.n, args.k, 1):
+    for policy in _checked_policies(d, names, args.n, args.k):
         for seed in seeds:
             record = run_episode(d, policy, args.n, args.k, seed)
             path = f"{stem}_{policy.name}_seed{seed}{suffix}"
@@ -193,17 +192,15 @@ def cmd_paths(args):
 def cmd_ratio_mean(args):
     d = load_distribution(args.dist)
     names = _parse_policies(args.policies)
-    check_reps(args.reps)
     # a spec sorts where its policy's name does, matrix:<file> as matrix
-    policies = _checked_policies(d, sorted(names), args.n, args.k, args.reps)
-    curves = {policy.name: ratio_mean_curve(d, policy, args.n, args.k, args.reps, args.seed)
-              for policy in policies}
+    policies = _checked_policies(d, sorted(names), args.n, args.k)
+    curves = {policy.name: ratio_mean_curve(d, policy, args.n, args.k) for policy in policies}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("policy,t,mean_ratio,mean_budget\n")
         for name, (mean_ratio, mean_budget) in curves.items():
             for t in range(args.n):
                 fh.write(f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}\n")
-    return 0, d, args.seed, {"n": args.n, "k": args.k, "reps": args.reps, "policies": names}
+    return 0, d, None, {"n": args.n, "k": args.k, "policies": names}
 
 
 def cmd_diagnostics(args):
@@ -300,9 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated seeds, one file each")
     p.set_defaults(func=cmd_paths)
 
-    p = sub.add_parser("ratio-mean", parents=[dist, seed, out, n, k, policies],
-                       help="averaged ratio and budget trajectories")
-    p.add_argument("--reps", type=int, required=True)
+    p = sub.add_parser("ratio-mean", parents=[dist, out, n, k, policies],
+                       help="exact mean ratio and budget trajectories")
     p.set_defaults(func=cmd_ratio_mean)
 
     p = sub.add_parser("diagnostics", parents=[dist, seed, out, n, k],

@@ -11,9 +11,10 @@ offline value's bound on the binomial mass it omits, is the record's
 (index, take-top) skips the pass: it selects i.i.d. Bernoulli(s) while
 budget lasts, so its value is (g / s) E[min(Binomial(n, s), k)] from the
 offline module's ``capped_mean``, and its ``error_bound`` is the offline
-bound plus g / s times that mean's bound, with no window truncation.  A
-sweep visits each name's cells in descending (n, k) and keeps its policy
-while ``check`` passes, so br and dp build one table per sweep.
+bound plus g / s times that mean's bound, with no window truncation.
+``ratio_mean_curve`` runs the pass for every rule and reads E[K_t] off its
+window.  A sweep visits each name's cells in descending (n, k) and keeps
+its policy while ``check`` passes, so br and dp build one table per sweep.
 The Monte Carlo route pairs each sampled path's policy payoff with the
 posterior sort on the same realization; a sweep's Monte Carlo cells at one
 n share every block of draws.
@@ -83,12 +84,7 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
         NonMarkovPolicy: the policy exposes no ``rates`` hook.
         ProbabilityDrift: see ``_window_pass``.
     """
-    if not hasattr(policy, "rates"):
-        raise NonMarkovPolicy(
-            f"policy {getattr(policy, 'name', policy)!r} exposes no selection-rate hook"
-        )
-    check_pair(n, k)
-    policy.check(n, k)
+    _check_forward(policy, n, k)
     rate = _constant_rates(policy)
     if rate is None:
         return _window_pass(d, policy, n, k)
@@ -98,6 +94,25 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     mean, omitted = capped_mean(n, sel, k)
     per_pick = gain / sel
     return per_pick * mean, 0.0, per_pick * omitted
+
+
+def ratio_mean_curve(d: AbilityDistribution, policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[K_t / (n - t)] and E[K_t], t < n, read off ``_window_pass``'s exact law of K_t after
+    ``_forward_value``'s checks.  The pass never renormalises and trims under ``TAIL_TOL`` of
+    mass, at budgets <= k, so each value is low by at most k * ``TAIL_TOL`` plus rounding."""
+    _check_forward(policy, n, k)
+    mean_budget = np.empty(n)
+    _window_pass(d, policy, n, k, mean_budget)
+    return mean_budget / (n - np.arange(n)), mean_budget
+
+
+def _check_forward(policy, n: int, k: int) -> None:
+    """Require a ``rates`` hook, then ``check_pair(n, k)`` and ``policy.check(n, k)``."""
+    if not hasattr(policy, "rates"):
+        name = getattr(policy, "name", policy)
+        raise NonMarkovPolicy(f"policy {name!r} exposes no selection-rate hook")
+    check_pair(n, k)
+    policy.check(n, k)
 
 
 def _constant_rates(policy) -> tuple[float, float] | None:
@@ -110,9 +125,11 @@ def _constant_rates(policy) -> tuple[float, float] | None:
     return None
 
 
-def _window_pass(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
+def _window_pass(d: AbilityDistribution, policy, n: int, k: int,
+                 mean_budget: np.ndarray | None = None) -> tuple[float, float, float]:
     """``_forward_value`` by propagating the budget distribution forward, for
-    a policy already checked at (n, k).
+    a policy already checked at (n, k); given an (n,) ``mean_budget``, it
+    also writes the window's E[K_t] there for each t < n.
 
     Only the budget window ``[lo, hi]`` that carries mass is propagated.
     Selection moves mass down one cell per step, so ``lo`` widens by one;
@@ -152,6 +169,8 @@ def _window_pass(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float,
         if lo == 0 and sel[0] != 0.0:
             raise NonMarkovPolicy(f"policy {policy.name!r} selects with zero budget")
         window = prob[lo : hi + 1]
+        if mean_budget is not None:
+            mean_budget[t_next - 1] = window @ budgets[lo : hi + 1]
         term = float(window @ gain) - comp
         total = value + term
         comp = (total - value) - term

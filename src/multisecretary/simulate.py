@@ -29,14 +29,13 @@ decision uniforms: it still draws them, two per period, so every stream and
 the common random numbers are those of a pass that reads them, and its
 policies decide with ``u=None``.  Payoffs, and with them the rank counts,
 are kept only by the passes that return them (``run_episode``,
-``simulate_paths``, ``paired_payoffs_cells``); ``ratio_mean_curve`` and
-``orbit_stats`` read the budget paths alone, so their cells hold no payoff
-matrix and their blocks count no ranks.  Every entry point checks (n, k),
-reps and ``policy.check`` before it draws; an exception inside the pass
-stops every cell of it.  Every entry point runs the one block loop
-``_blocks``: the one-cell ones (``simulate_paths``, ``ratio_mean_curve``,
-``orbit_stats``) on a stack of one, and ``run_episode`` on a stack of one
-over the one replication ``rep``.
+``simulate_paths``, ``paired_payoffs_cells``); ``orbit_stats`` reads the
+budget paths alone, so its cells hold no payoff matrix and its blocks count
+no ranks.  Every entry point checks (n, k), reps and ``policy.check`` before
+it draws; an exception inside the pass stops every cell of it.  Every entry
+point runs the one block loop ``_blocks``: the one-cell ones
+(``simulate_paths``, ``orbit_stats``) on a stack of one, and ``run_episode``
+on a stack of one over the one replication ``rep``.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
 (``_orbit_scan``), a few dozen periods at a time into one reused buffer:
@@ -371,20 +370,6 @@ def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
             online[rows] = stack.payoff[row]
             offline[rows] = sorts[k]
     return got
-
-
-def ratio_mean_curve(
-    d, policy, n: int, k: int, reps: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-t averages of the ratio R_t and the remaining budget K_t, t < n."""
-    check_cell(policy, n, k, reps)
-    cell = _Cell(policy, [k])
-    budget_sum = np.zeros(n)
-    for _, _, _ in _blocks(d, n, [cell], range(reps), seed, want_paths=True):
-        budget_sum += cell.paths[:n, 0].sum(axis=1)
-    mean_budget = budget_sum / reps
-    mean_ratio = mean_budget / (n - np.arange(n))
-    return mean_ratio, mean_budget
 
 
 def cutoff_time(n: int, delta: float) -> int:

@@ -5,7 +5,9 @@ explicit enumeration of ability sequences, the optimum by recursion over
 full histories (no budget-state reduction) or by the g recursion on the
 whole value table, in floats or exact rationals (the library recurses on
 the marginal value instead), and policy selection probabilities are
-recomputed from their defining formulas.
+recomputed from their defining formulas.  The one exception,
+``capped_budget_means``, reads the offline module's ``capped_mean``, which
+``test_offline`` checks against ``exact_capped_mean``.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from scipy.stats import binom
 from multisecretary import InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds
 from multisecretary import evaluate
 from multisecretary.errors import check_pair
+from multisecretary.offline import capped_mean
 
 BOUNDARY_TOL = 1e-12  # same closed-left tie slack the library documents
 
@@ -264,6 +267,48 @@ def ai_ratio_increment_mean(d, n: int, t: int, budget: int) -> float:
         probs = np.clip((ratio - d.survival_values[: d.m]) / d.pmf, 0.0, 1.0)
     select_mean = float(d.pmf @ probs)
     return (budget - select_mean) / (remaining - 1) - ratio
+
+
+def dp_prob_table(d, n: int, k: int, tie_scale: float):
+    """Optimal-rule probabilities from the rational g table: ability j is
+    taken at budget kappa iff a_j >= h_l(kappa) - ``tie_scale`` a_1, the
+    marginal value in exact rationals less the library's tie slack."""
+    g = exact_value_table(d.support, d.pmf, n, k)
+    a = [Fraction(float(x)) for x in d.support]
+    slack = Fraction(tie_scale * float(d.support[0]))
+
+    def table(t_next: int) -> np.ndarray:
+        prev = g[n - t_next]
+        p = np.zeros((d.m, k + 1))
+        for kappa in range(1, k + 1):
+            h = prev[kappa] - prev[kappa - 1]
+            p[:, kappa] = [aj >= h - slack for aj in a]
+        return p
+
+    return table
+
+
+def exact_budget_means(d, n: int, k: int, prob_table) -> list:
+    """E[K_t] for t = 0..n-1 in exact rationals, from the law of the budget:
+    at period t + 1 the mass at kappa moves to kappa - 1 with probability
+    sum_j f_j p[j, kappa], each float taken as the rational it is and the
+    masses divided by their rational sum.  Guarded to n <= 60."""
+    if n > 60:
+        raise InstanceTooLarge(f"the rational law is guarded to n <= 60, got {n}")
+    check_pair(n, k)
+    f = [Fraction(x) for x in d.pmf]
+    total = sum(f)
+    f = [x / total for x in f]
+    law = [Fraction(0)] * k + [Fraction(1)]
+    means = []
+    for t_next in range(1, n + 1):
+        means.append(sum(kappa * mass for kappa, mass in enumerate(law)))
+        p = prob_table(t_next)
+        moved = [mass * sum(fj * Fraction(float(p[j, kappa])) for j, fj in enumerate(f))
+                 for kappa, mass in enumerate(law)]
+        assert moved[0] == 0  # no selection at zero budget
+        law = [mass - out + into for mass, out, into in zip(law, moved, moved[1:] + [0])]
+    return means
 
 
 def enum_policy_value(d, n: int, k: int, prob_table) -> float:
@@ -510,6 +555,13 @@ def exact_constant_rate_value(support, pmf, column, n: int, k: int) -> Fraction:
     live = sum(math.comb(t, z) * p**z * (r - p) ** (t - z) * r ** (n - 1 - t)
                for t in range(n) for z in range(min(t + 1, k)))
     return g * Fraction(live, r ** (n - 1)) if n else Fraction(0)
+
+
+def capped_budget_means(policy, n: int, k: int) -> np.ndarray:
+    """E[K_t], t < n, of a rule that selects at one rate s every period:
+    k - E[min(Binomial(t, s), k)], from the offline module's capped mean."""
+    s = float(policy.rates(np.array([n]), np.array([k]))[0][0, 0])
+    return np.array([k - capped_mean(t, s, min(k, t))[0] for t in range(n)])
 
 
 def closed_form_capped_mean(n: int, q: float, k: int) -> float:

@@ -6,12 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from multisecretary import cli, dp
+from multisecretary import cli, dp, make_policy, new_distribution
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.distribution import MAX_SUPPORT
 from multisecretary.errors import BadEpsilon
-from multisecretary.evaluate import CSV_HEADER
+from multisecretary.evaluate import CSV_HEADER, TAIL_TOL
 from multisecretary.simulate import run_episode
+from oracles import capped_budget_means
 
 
 @pytest.fixture()
@@ -378,15 +379,31 @@ class TestRatioMeanAndDiagnostics:
     def test_ratio_mean_rows(self, dist_file, tmp_path):
         out = tmp_path / "rm.csv"
         assert main(["ratio-mean", "--dist", dist_file, "--n", "60", "--k", "18",
-                     "--policies", "br,dp", "--reps", "50", "--out", str(out)]) == 0
+                     "--policies", "br,dp", "--out", str(out)]) == 0
         header, rows = read_rows(out)
         assert header == "policy,t,mean_ratio,mean_budget"
         assert len(rows) == 120
+        manifest = json.loads((tmp_path / "rm.csv.manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert manifest["grid"] == {"n": 60, "k": 18, "policies": ["br", "dp"]}
 
-    def test_zero_reps_exits_2(self, dist_file, tmp_path):
-        assert main(["ratio-mean", "--dist", dist_file, "--n", "60", "--k", "18",
-                     "--policies", "br", "--reps", "0",
-                     "--out", str(tmp_path / "x.csv")]) == 2
+    def test_csv_matches_the_capped_mean_within_its_bound(self, dist_file, tmp_path):
+        # index and take-top select at one rate s, so E[K_t] = k - E[min(Bin(t, s), k)];
+        # each written value is low by at most k * TAIL_TOL, then rounded to 12 digits
+        n, k = 300, 90
+        out = tmp_path / "rm.csv"
+        assert main(["ratio-mean", "--dist", dist_file, "--n", str(n), "--k", str(k),
+                     "--policies", "take-top,index", "--out", str(out)]) == 0
+        _, rows = read_rows(out)
+        d = new_distribution([2.00, 1.55, 1.10, 0.65, 0.20], [0.2] * 5)
+        for i, name in enumerate(["index", "take-top"]):
+            block = rows[i * n : (i + 1) * n]
+            assert [r[0] for r in block] == [name] * n
+            assert [int(r[1]) for r in block] == list(range(n))
+            want = capped_budget_means(make_policy(name, d, n, k), n, k)
+            got = np.array([[float(r[2]), float(r[3])] for r in block])
+            for col, exact in ((0, want / (n - np.arange(n))), (1, want)):
+                assert np.all(np.abs(got[:, col] - exact) <= k * TAIL_TOL + 5e-12 * exact), col
 
     def test_every_policy_checked_before_the_first_pass(
         self, dist_file, tmp_path, capsys, monkeypatch
@@ -398,7 +415,7 @@ class TestRatioMeanAndDiagnostics:
         mat.write_text("1,0,x\n")
         out = tmp_path / "rm.csv"
         assert main(["ratio-mean", "--dist", dist_file, "--n", "30", "--k", "9", "--policies",
-                     f"dp,matrix:{mat}", "--reps", "10", "--out", str(out)]) == 2
+                     f"dp,matrix:{mat}", "--out", str(out)]) == 2
         assert "bad.csv" in assert_one_error_line(capsys)
         assert calls == [] and not out.exists()
 
@@ -409,7 +426,7 @@ class TestRatioMeanAndDiagnostics:
         np.savetxt(mat, np.full((5, 12), 0.5), delimiter=",")
         out = tmp_path / "rm.csv"
         assert main(["ratio-mean", "--dist", dist_file, "--n", "12", "--k", "4", "--policies",
-                     f"br,matrix:{mat}", "--reps", "10", "--out", str(out)]) == 0
+                     f"br,matrix:{mat}", "--out", str(out)]) == 0
         _, rows = read_rows(out)
         assert [r[0] for r in rows] == ["br"] * 12 + ["matrix"] * 12
 
@@ -437,7 +454,8 @@ class TestRatioMeanAndDiagnostics:
     @pytest.mark.parametrize("argv", [
         ["diagnostics", "--n", "0", "--k", "0", "--delta", "0.05", "--reps", "10"],
         ["diagnostics", "--n", "10", "--k", "20", "--delta", "0.05", "--reps", "10"],
-        ["ratio-mean", "--n", "10", "--k", "-3", "--policies", "br,ai", "--reps", "10"],
+        ["ratio-mean", "--n", "10", "--k", "-3", "--policies", "br,ai"],
+        ["ratio-mean", "--n", "0", "--k", "0", "--policies", "br"],
     ])
     def test_infeasible_pair_exits_2_once(self, dist_file, tmp_path, capsys, argv):
         # these once ended in an argmax traceback or wrote a CSV
@@ -448,14 +466,14 @@ class TestRatioMeanAndDiagnostics:
         # the header used to be written before the pair check ran
         out = tmp_path / "rm.csv"
         assert main(["ratio-mean", "--dist", dist_file, "--n", "10", "--k", "-3",
-                     "--policies", "ai", "--reps", "10", "--out", str(out)]) == 2
+                     "--policies", "ai", "--out", str(out)]) == 2
         assert "not a feasible pair" in assert_one_error_line(capsys)
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["diagnostics", "--policy", "matrix:{mat}", "--n", "3", "--k", "1", "--delta", "0.05",
          "--reps", "10"],
-        ["ratio-mean", "--policies", "br,matrix:{mat}", "--n", "3", "--k", "1", "--reps", "10"],
+        ["ratio-mean", "--policies", "br,matrix:{mat}", "--n", "3", "--k", "1"],
     ])
     def test_unreadable_matrix_file_exits_2_once(self, dist_file, tmp_path, capsys, argv):
         # np.loadtxt's ValueError once ended in a traceback
@@ -499,7 +517,6 @@ class TestPinnedCsvs:
         "p_dp_seed2.csv": "022e203fc194c132c4ba09688801efd35f89931e64895ea39b0ad05da4723ecc",
         "p_index_seed1.csv": "7ea6d1fb2d49b52c79e6e09d0f7e80a1ecf6efeb88f863902087b575d7b774fd",
         "p_index_seed2.csv": "e8f7794cff522f2334710dbc019c71c62563f08dd19f9abc2ede36223361bdcf",
-        "rm.csv": "89f2d755d701a0ac077a48e1d4b24effddaff3250fd9e736d8bfccc5a4a6f7c5",
         "diag.csv": "457ec8e5bb65afee70f63a97011dfde68148c4f9f2f382fb13b12efcc06a0b37",
     }
 
@@ -507,8 +524,6 @@ class TestPinnedCsvs:
         cell = ["--dist", dist_file, "--n", "300", "--k", "90"]
         assert main(["paths", *cell, "--policies", "br,dp,ai,index", "--seeds", "1,2",
                      "--out", str(tmp_path / "p.csv")]) == 0
-        assert main(["ratio-mean", *cell, "--policies", "br,dp,ai", "--reps", "1500",
-                     "--seed", "3", "--out", str(tmp_path / "rm.csv")]) == 0
         assert main(["diagnostics", *cell, "--delta", "0.05", "--reps", "3000",
                      "--seed", "4", "--out", str(tmp_path / "diag.csv")]) == 0
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
@@ -519,8 +534,8 @@ class TestPinnedCsvs:
 class TestSeeds:
     @pytest.mark.parametrize("argv", [
         ["paths", "--n", "10", "--k", "3", "--policies", "br", "--seeds", "1,-1"],
-        ["ratio-mean", "--n", "10", "--k", "3", "--policies", "br", "--reps", "5",
-         "--seed", "-1"],
+        ["sweep-n", "--n-list", "10", "--ratio", "0.3", "--policies", "br", "--mc",
+         "--reps", "5", "--seed", "-1"],
         ["diagnostics", "--n", "100", "--k", "30", "--delta", "0.05", "--reps", "5",
          "--seed", "-2"],
         ["sweep-k", "--n", "10", "--k-range", "1:5:2", "--policies", "br,ai", "--mc",
@@ -602,8 +617,7 @@ class TestManifests:
         (["kleinberg", "--epsilons", "0.1", "--policies", "br"], None),
         (["paths", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br",
           "--seeds", "2,1"], [2, 1]),
-        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br",
-          "--reps", "5", "--seed", "1"], 1),
+        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br"], None),
         (["diagnostics", "--dist", "{dist}", "--n", "100", "--k", "30", "--delta", "0.05",
           "--reps", "5"], 0),
     ], ids=["sweep-k", "sweep-k-exact-seed", "sweep-n-exact-seed", "sweep-k-mc", "sweep-n-mc",
@@ -623,14 +637,22 @@ class TestManifests:
         assert json.loads(capsys.readouterr().out)["m"] == 5
         assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
-    def test_kleinberg_takes_no_seed(self, tmp_path, capsys):
-        # kleinberg is exact only: its --seed was once accepted and never read
+    @pytest.mark.parametrize("argv,flag", [
+        (["kleinberg", "--epsilons", "0.1"], "--seed 1"),
+        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br"],
+         "--seed 1"),
+        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br"],
+         "--reps 5"),
+    ], ids=["kleinberg-seed", "ratio-mean-seed", "ratio-mean-reps"])
+    def test_unread_flag_exits_2(self, dist_file, tmp_path, capsys, argv, flag):
+        # kleinberg and ratio-mean are exact: a --seed or --reps they took
+        # would go unread
+        argv = [dist_file if a == "{dist}" else a for a in argv]
         with pytest.raises(SystemExit) as exc:
-            main(["kleinberg", "--epsilons", "0.1", "--seed", "1",
-                  "--out", str(tmp_path / "x.csv")])
+            main(argv + flag.split() + ["--out", str(tmp_path / "x.csv")])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
 
 class TestEntryPoint:
@@ -650,7 +672,7 @@ class TestEntryPoint:
         assert proc.stdout.strip() == "False"
 
     def test_exact_commands_run_without_scipy(self, dist_file, tmp_path):
-        # with scipy unimportable, the exact regret commands and the offline
+        # with scipy unimportable, the exact commands and the offline
         # expectation still run: scipy is a test dependency only
         code = f"""
 import sys
@@ -664,6 +686,8 @@ runs = [
     ["sweep-n", "--dist", {dist_file!r}, "--n-list", "40,80", "--ratio", "0.3",
      "--policies", "br,dp", "--out", out + "/n.csv"],
     ["kleinberg", "--epsilons", "0.1", "--policies", "br", "--out", out + "/kb.csv"],
+    ["ratio-mean", "--dist", {dist_file!r}, "--n", "60", "--k", "18",
+     "--policies", "br,ai,index", "--out", out + "/rm.csv"],
 ]
 codes = [main(argv) for argv in runs]
 d = ms.new_distribution([2.0, 1.0], [0.5, 0.5])
@@ -672,6 +696,7 @@ print(codes, value > 0, "scipy" in sys.modules and sys.modules["scipy"] is not N
 """
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[0, 0, 0] True False"
+        assert proc.stdout.strip() == "[0, 0, 0, 0] True False"
         for name in ("k", "n", "kb"):
             assert (tmp_path / f"{name}.csv").read_text().startswith(CSV_HEADER)
+        assert (tmp_path / "rm.csv").read_text().count("\n") == 1 + 3 * 60

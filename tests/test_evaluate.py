@@ -18,6 +18,7 @@ from multisecretary import (
     make_policy,
     new_distribution,
     offline_expectation,
+    ratio_mean_curve,
     simulate_paths,
     solve,
     sweep,
@@ -25,13 +26,23 @@ from multisecretary import (
     write_records,
 )
 from multisecretary import cli, dp, evaluate
-from multisecretary.evaluate import CSV_HEADER, _forward_value, _window_pass, format_record
+from multisecretary.dp import TIE_TOL_SCALE
+from multisecretary.evaluate import (
+    CSV_HEADER,
+    TAIL_TOL,
+    _forward_value,
+    _window_pass,
+    format_record,
+)
 from multisecretary.offline import offline_sort_batch
 from multisecretary.simulate import CHUNK
 from oracles import (
     ai_prob_table,
     br_prob_table,
+    capped_budget_means,
+    dp_prob_table,
     enum_policy_value,
+    exact_budget_means,
     exact_constant_rate_value,
     forward_value_per_period,
     index_prob_table,
@@ -284,6 +295,61 @@ class TestConstantRateClosedForm:
         n, k = 16016, 6292
         policy = make_policy("take-top", masspoint5, n, k)
         assert _forward_value(masspoint5, policy, n, k)[0] == 2860.0
+
+
+class TestRatioMeanCurve:
+    @pytest.mark.parametrize("dist,n,k", [("uniform5", 1000, 300), ("masspoint5", 4004, 1573)])
+    @pytest.mark.parametrize("name", ["index", "take-top"])
+    def test_time_constant_rules_match_the_capped_mean(self, request, dist, n, k, name):
+        d = request.getfixturevalue(dist)
+        policy = make_policy(name, d, n, k)
+        _, mean_budget = ratio_mean_curve(d, policy, n, k)
+        gap = np.abs(mean_budget - capped_budget_means(policy, n, k))
+        assert gap.max() <= k * TAIL_TOL
+
+    @pytest.mark.parametrize("name", ["br", "dp", "ai"])
+    def test_matches_the_rational_budget_law(self, name):
+        d = new_distribution([1.0, 0.6, 0.2], [0.3, 0.45, 0.25])
+        tables = {"br": br_prob_table, "ai": ai_prob_table,
+                  "dp": lambda d, n, k: dp_prob_table(d, n, k, TIE_TOL_SCALE)}
+        for n in range(1, 8):
+            for k in range(n + 1):
+                _, mean_budget = ratio_mean_curve(d, make_policy(name, d, n, k), n, k)
+                want = exact_budget_means(d, n, k, tables[name](d, n, k))
+                assert len(mean_budget) == n
+                for t, (got, exact) in enumerate(zip(mean_budget, want)):
+                    assert abs(got - float(exact)) <= k * TAIL_TOL, (n, k, t)
+
+    @pytest.mark.parametrize("name", ["br", "dp", "ai", "index", "take-top"])
+    def test_starts_at_k_never_rises_and_divides_exactly(self, uniform5, name):
+        n, k = 1000, 300
+        mean_ratio, mean_budget = ratio_mean_curve(uniform5, make_policy(name, uniform5, n, k),
+                                                   n, k)
+        assert mean_budget[0] == k and np.all(np.diff(mean_budget) <= 0.0)
+        np.testing.assert_array_equal(mean_ratio, mean_budget / (n - np.arange(n)))
+
+    def test_checks_as_the_forward_value_does(self, uniform5, monkeypatch):
+        # the same three checks, in the same order, before any rate is asked for
+        policy = make_policy("dp", uniform5, 40, 12)
+        monkeypatch.setattr(policy, "rates", lambda *a: pytest.fail("a rate was asked for"))
+        for n, k, error in [(40, 41, InfeasiblePair), (41, 12, TableMismatch)]:
+            for call in (ratio_mean_curve, _forward_value):
+                with pytest.raises(error):
+                    call(uniform5, policy, n, k)
+        with pytest.raises(NonMarkovPolicy):
+            ratio_mean_curve(uniform5, object(), 40, 12)
+
+    def test_sweep_cells_ask_for_no_mean(self, masspoint5, monkeypatch):
+        # only ratio_mean_curve passes the out-array, so a sweep's pass skips its dot
+        seen, inner = [], evaluate._window_pass
+
+        def spy(d, policy, n, k, mean_budget=None):
+            seen.append(mean_budget)
+            return inner(d, policy, n, k, mean_budget)
+
+        monkeypatch.setattr(evaluate, "_window_pass", spy)
+        sweep(masspoint5, ["br", "ai"], [(200, 70)])
+        assert seen == [None, None]
 
 
 class TestExactRegret:

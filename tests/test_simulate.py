@@ -202,14 +202,6 @@ class TestBatchConsistency:
             )
             np.testing.assert_array_equal(counts[rep], np.bincount(abilities, minlength=d.m + 1)[1:])
 
-    def test_ratio_mean_single_rep_is_the_path(self, uniform5):
-        n, k, seed = 60, 18, 12
-        policy = make_policy("br", uniform5, n, k)
-        mean_ratio, mean_budget = ratio_mean_curve(uniform5, policy, n, k, 1, seed)
-        rec = run_episode(uniform5, policy, n, k, seed)
-        np.testing.assert_allclose(mean_ratio, rec.ratio_path, atol=1e-12)
-        np.testing.assert_allclose(mean_budget, rec.budget_path[:n], atol=1e-12)
-
     def test_paired_payoffs_reproducible(self, uniform5):
         policy = make_policy("br", uniform5, 50, 15)
         a = paired_payoffs_cells(uniform5, 50, [(policy, 15)], 64, seed=2)[0]
@@ -226,18 +218,20 @@ class TestBatchConsistency:
 
     @pytest.mark.parametrize("n,k,reps", [(10, 11, 8), (10, -1, 8), (0, 0, 8), (10, 5, 0)])
     def test_every_entry_point_checks_before_drawing(self, uniform5, monkeypatch, n, k, reps):
-        def draw(*args):
-            raise AssertionError("a block was drawn")
+        def work(*args):
+            raise AssertionError("a block was drawn or a rate asked for")
 
-        monkeypatch.setattr(simulate, "_draw_block", draw)
+        monkeypatch.setattr(simulate, "_draw_block", work)
         policy = make_policy("ai", uniform5, 10, 5)
+        monkeypatch.setattr(policy, "rates", work)
         calls = [
             lambda: paired_payoffs_cells(uniform5, n, [(policy, 5), (policy, k)], reps, seed=1),
             lambda: simulate_paths(uniform5, policy, n, k, reps, seed=1),
-            lambda: ratio_mean_curve(uniform5, policy, n, k, reps, seed=1),
             lambda: orbit_stats(uniform5, policy, n, k, 0.05, reps, seed=1),
             lambda: run_episode(uniform5, policy, n, k, 1, rep=reps - 1),
         ]
+        if not 0 <= k <= n:  # the exact curve reads no reps and allows n = 0
+            calls.append(lambda: ratio_mean_curve(uniform5, policy, n, k))
         for call in calls:
             with pytest.raises(InfeasiblePair):
                 call()
@@ -262,7 +256,7 @@ class TestBatchConsistency:
         calls = [
             lambda: paired_payoffs_cells(uniform5, n, [(policy, k)], 8, seed=1),
             lambda: simulate_paths(uniform5, policy, n, k, 8, seed=1),
-            lambda: ratio_mean_curve(uniform5, policy, n, k, 8, seed=1),
+            lambda: ratio_mean_curve(uniform5, policy, n, k),
             lambda: orbit_stats(uniform5, policy, n, k, 0.05, 8, seed=1),
             lambda: run_episode(uniform5, policy, n, k, 1),
             lambda: _forward_value(uniform5, policy, n, k),
@@ -582,8 +576,8 @@ class TestStoredUniformsChangeNoDraw:
 
 
 class TestPayoffFreePasses:
-    # orbit_stats and ratio_mean_curve step without summing payoffs: their
-    # budgets must be those of simulate_paths, which sums them
+    # orbit_stats steps without summing payoffs: its budgets must be those of
+    # simulate_paths, which sums them
 
     @pytest.mark.parametrize("seed", [5, 6])
     @pytest.mark.parametrize("name", ["br", "ai"])
@@ -601,12 +595,10 @@ class TestPayoffFreePasses:
 
         monkeypatch.setattr(simulate, "_step_block", spy)
         sample = orbit_stats(uniform5, policy, n, k, delta, reps, seed)
-        _, mean_budget = ratio_mean_curve(uniform5, policy, n, k, reps, seed)
-        assert len(payoffs_seen) == 2 * 3 and all(p is None for p in payoffs_seen)
+        assert len(payoffs_seen) == 3 and all(p is None for p in payoffs_seen)
         want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
         for a, b in zip((sample.tau0, sample.j_tau0, sample.tau), want):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_allclose(mean_budget, paths[:, :n].mean(axis=0), rtol=0, atol=1e-12)
 
 
 class TestDrift:
@@ -674,11 +666,11 @@ class TestDrift:
 
 class TestMeanCurves:
     def test_br_and_dp_hug_the_same_threshold(self, uniform5):
-        n, k, reps, seed = 1000, 300, 400, 9
+        n, k = 1000, 300
         curves = {}
         for name in ("br", "dp"):
             policy = make_policy(name, uniform5, n, k)
-            curves[name], _ = ratio_mean_curve(uniform5, policy, n, k, reps, seed)
+            curves[name], _ = ratio_mean_curve(uniform5, policy, n, k)
         gap = np.abs(curves["br"] - curves["dp"])[: n - 50]
         assert gap.max() < 0.025  # half the orbit width at delta = eps/2
 
