@@ -340,8 +340,8 @@ def main(argv=None) -> int:
             json.dump(manifest, fh, indent=2, sort_keys=True)
             fh.write("\n")
         return status
-    except (ModelError, json.JSONDecodeError, FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ModelError, json.JSONDecodeError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -128,9 +128,9 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
 
     Raises:
         NonDecreasingSupport: support not strictly decreasing.
-        NonPositiveValue: smallest support value is not > 0.
+        NonPositiveValue: smallest support value is below ``np.finfo(float).tiny``.
         BadPmf: an entry is not a Python or numpy int or float (strings and
-            booleans are not), masses negative or zero, lengths
+            booleans are not), a mass below ``np.finfo(float).tiny``, lengths
             mismatched, or the total differs from 1 by more than ``PMF_SUM_TOL``.
         ModelError: more than ``MAX_SUPPORT`` support points.
     """
@@ -143,10 +143,11 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
         raise BadPmf("support and pmf must be finite")
     if np.any(np.diff(a) >= 0):
         raise NonDecreasingSupport("support must be strictly decreasing")
-    if a[-1] <= 0:
-        raise NonPositiveValue("all support values must be strictly positive")
-    if np.any(f <= 0):
-        raise BadPmf("all masses must be strictly positive")
+    tiny = float(np.finfo(float).tiny)  # subnormals lose precision: v_on could exceed v_off
+    if a[-1] < tiny:
+        raise NonPositiveValue(f"support values must be at least the least normal float {tiny!r}")
+    if np.any(f < tiny):
+        raise BadPmf(f"masses must be at least the least normal float {tiny!r}")
     total = float(f.sum())
     if abs(total - 1.0) > PMF_SUM_TOL:
         raise BadPmf(f"pmf sums to {total!r}, not 1 within {PMF_SUM_TOL}")

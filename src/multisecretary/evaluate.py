@@ -7,11 +7,11 @@ policy), integrating the policy's randomization in closed form through its
 budget the window can reach in the block; edge budget cells below a fixed
 share of ``TAIL_TOL`` are trimmed, and what they could still earn, plus the
 offline value's bound on the binomial mass it omits, is the record's
-``error_bound``.  A non-adaptive rule whose rates are the same every period
-(index, take-top) skips the pass: it selects i.i.d. Bernoulli(s) while
-budget lasts, so its value is (g / s) E[min(Binomial(n, s), k)] from the
-offline module's ``capped_mean``, and its ``error_bound`` is the offline
-bound plus g / s times that mean's bound, with no window truncation.
+``error_bound``.  A rule that states ``constant_rates`` = (s, g), one rate
+and gain for every period (index, take-top), skips the pass: it selects
+i.i.d. Bernoulli(s) while budget lasts, so its value is (g / s)
+E[min(Binomial(n, s), k)] from the offline module's ``capped_mean``, and its
+``error_bound`` is the offline bound plus g / s times that mean's bound.
 ``ratio_mean_curve`` runs the pass for every rule and reads E[K_t] off its
 window.  A sweep visits each name's cells in descending (n, k) and keeps
 its policy while ``check`` passes, so br and dp build one table per sweep.
@@ -31,7 +31,7 @@ import numpy as np
 from .distribution import AbilityDistribution
 from .errors import ModelError, NonMarkovPolicy, ProbabilityDrift, check_pair
 from .offline import capped_mean, offline_expectation
-from .policies import NonAdaptivePolicy, make_policy
+from .policies import make_policy
 from .simulate import check_cell, paired_payoffs_cells
 
 DRIFT_LIMIT = 1e-9
@@ -53,7 +53,8 @@ class RegretRecord:
     For exact cells ``error_bound`` is the offline value's omitted-mass bound
     plus the policy value's: the forward pass's window-truncation bound, or
     for a time-constant rule its capped mean's bound; for Monte Carlo cells it
-    is 0 and ``ci_halfwidth`` carries the sampling error.
+    is 0 and ``ci_halfwidth`` carries the sampling error.  A value that
+    overflowed to inf or nan raises :class:`ModelError`, so the cell fails.
     """
 
     policy: str
@@ -66,26 +67,30 @@ class RegretRecord:
     ci_halfwidth: float = 0.0
     error_bound: float = 0.0
 
+    def __post_init__(self):
+        bad = [name for name, x in vars(self).items() if isinstance(x, float) and not math.isfinite(x)]
+        if bad:
+            raise ModelError(f"cell values are not finite: {', '.join(bad)}")
+
 
 def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
     """Expected payoff of a state-Markov policy, the worst probability drift
     observed while propagating, and a bound on the payoff of omitted mass.
 
     Both routes start with ``check_pair(n, k)`` and ``policy.check(n, k)``.
-    A :class:`NonAdaptivePolicy` whose selection rate s and gain g are the
-    same in every period (index, take-top, or such a ``matrix:`` file)
-    selects i.i.d. Bernoulli(s) while budget lasts, each selection standing
-    for g / s of payoff: its value is (g / s) E[min(Binomial(n, s), k)] from
+    A policy whose ``constant_rates`` attribute is a pair (s, g) selects
+    i.i.d. Bernoulli(s) while budget lasts, each selection standing for
+    g / s of payoff: its value is (g / s) E[min(Binomial(n, s), k)] from
     ``capped_mean``, its drift 0 and its bound g / s times that mean's
-    omitted-mass bound.  At s = 0 all three are 0.0.  Every other rule takes
-    the windowed forward pass, ``_window_pass``.
+    omitted-mass bound.  At s = 0 all three are 0.0.  A policy that states
+    no such pair takes the windowed forward pass, ``_window_pass``.
 
     Raises:
         NonMarkovPolicy: the policy exposes no ``rates`` hook.
         ProbabilityDrift: see ``_window_pass``.
     """
     _check_forward(policy, n, k)
-    rate = _constant_rates(policy)
+    rate = getattr(policy, "constant_rates", None)
     if rate is None:
         return _window_pass(d, policy, n, k)
     sel, gain = rate
@@ -113,16 +118,6 @@ def _check_forward(policy, n: int, k: int) -> None:
         raise NonMarkovPolicy(f"policy {name!r} exposes no selection-rate hook")
     check_pair(n, k)
     policy.check(n, k)
-
-
-def _constant_rates(policy) -> tuple[float, float] | None:
-    """The one (selection rate, gain) pair that a non-adaptive rule's
-    ``rates`` return at every live budget, or None if they vary over t."""
-    if isinstance(policy, NonAdaptivePolicy) and policy.p.shape[1]:
-        sel, gain = policy._sel_by_t, policy._gain_by_t
-        if sel.min() == sel.max() and gain.min() == gain.max():
-            return float(sel[0]), float(gain[0])
-    return None
 
 
 def _window_pass(d: AbilityDistribution, policy, n: int, k: int,

@@ -17,7 +17,10 @@ budgets of any shape, e.g. one row per budget k of a sweep, against a (reps,)
 row of ranks and uniforms.  Each class declares ``randomized``: ``False``
 when its rule never reads ``u``, so the sample-path engine may pass
 ``u=None`` and need not store the decision uniforms (it still draws them, so
-every Philox stream is the same either way).
+every Philox stream is the same either way).  A :class:`NonAdaptivePolicy`
+also states ``constant_rates``: the (selection rate, gain) pair its
+``rates`` give every live budget when no period differs, else None; the
+exact evaluator values such a rule in closed form.
 
 br (budget ratio) and dp (optimal) are both a :class:`BreakpointPolicy` on a
 budget-breakpoint table built for one (N, K), whose row l depends on l alone:
@@ -172,9 +175,8 @@ class AdaptiveIndexPolicy:
 class NonAdaptivePolicy:
     """Fixed probability matrix applied until the budget runs out: ability j
     at time t is selected with probability ``p[j-1, t-1]``, so with l periods
-    left the rule reads column ``n - l``.  A matrix derived
-    from the budget (index's) records that ``k``; ``None`` means the matrix
-    serves every k."""
+    left the rule reads column ``n - l``.  A matrix derived from the budget
+    (index's) records that ``k``; ``None`` means the matrix serves every k."""
 
     randomized = True
 
@@ -193,8 +195,10 @@ class NonAdaptivePolicy:
         self.k = k
         # a take-everything column sums the pmf to 1 + ulp; a selection rate
         # above 1 would push the forward pass's budget cell below zero
-        self._sel_by_t = np.minimum(d.pmf @ p, 1.0)
-        self._gain_by_t = (d.pmf * d.support) @ p
+        self._sel_by_t = sel = np.minimum(d.pmf @ p, 1.0)
+        self._gain_by_t = gain = (d.pmf * d.support) @ p
+        same = p.shape[1] and sel.min() == sel.max() and gain.min() == gain.max()
+        self.constant_rates = (float(sel[0]), float(gain[0])) if same else None
 
     def check(self, n, k):
         if n != self.p.shape[1]:

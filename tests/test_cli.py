@@ -81,6 +81,22 @@ class TestValidate:
         assert main(["validate", "--dist", str(bad)]) == 2
         assert "support must be a list of numbers" in assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("command", ["validate", "sweep-k"])
+    @pytest.mark.parametrize("support,pmf,message", [
+        ([1e-320, 5e-324], [0.5, 0.5], "support values must be at least"),
+        ([2.0, 1.0], [1.0, 1e-320], "masses must be at least"),
+    ])
+    def test_subnormal_values_and_masses_exit_2_once(self, tmp_path, capsys, command, support,
+                                                     pmf, message):
+        # both files once validated; on the first, br and dp reported v_on above v_off
+        bad = tmp_path / "sub.json"
+        bad.write_text(json.dumps({"support": support, "pmf": pmf}))
+        argv = [] if command == "validate" else ["--n", "10", "--k-range", "2:2:1", "--policies",
+                                                 "br,dp", "--out", str(tmp_path / "s.csv")]
+        assert main([command, "--dist", str(bad), *argv]) == 2
+        assert message in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["sub.json"]
+
     def test_non_utf8_file_exits_2_once(self, tmp_path, capsys):
         # the decode error once escaped main: a UnicodeDecodeError traceback, exit 1
         bad = tmp_path / "bin.json"
@@ -210,6 +226,36 @@ class TestSweepK:
         _, rows = read_rows(out)
         cells = sorted((r[0], r[2]) for r in rows)
         assert cells == [("ai", "4"), ("ai", "5"), ("br", "4"), ("br", "5")]
+
+    @pytest.mark.parametrize("argv,message", [
+        # the k list itself: a bare MemoryError carries no message
+        (["sweep-k", "--n", "100", "--k-range", "0:1000000000000000:1", "--policies", "br"],
+         "error: out of memory\n"),
+        # br's breakpoint table: numpy names the allocation
+        (["paths", "--n", "1000000000000000", "--k", "3", "--policies", "br", "--seeds", "1"],
+         "error: Unable to allocate"),
+    ])
+    def test_input_too_large_for_memory_exits_2_once(self, dist_file, tmp_path, capsys, argv,
+                                                     message):
+        # both once ended in a MemoryError traceback with exit 1
+        assert main(argv + ["--dist", dist_file, "--out", str(tmp_path / "x.csv")]) == 2
+        assert assert_one_error_line(capsys).startswith(message)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
+    @pytest.mark.parametrize("mode", [[], ["--mc", "--reps", "100"]])
+    def test_overflowing_cells_fail_and_write_no_inf_or_nan(self, tmp_path, capsys, mode):
+        # a value near the float maximum once wrote rows such as
+        # ai,10,4,exact,nan,inf,nan,0,0 with exit 0
+        dist = tmp_path / "big.json"
+        dist.write_text(json.dumps({"support": [1e308, 1.0], "pmf": [0.5, 0.5]}))
+        out = tmp_path / "big.csv"
+        with np.errstate(over="ignore", invalid="ignore"):  # so -W error leaves the cells alone
+            assert main(["sweep-k", "--dist", str(dist), "--n", "10", "--k-range", "2:4:2",
+                         "--policies", "br,dp,ai,index,take-top", "--out", str(out), *mode]) == 1
+        text = out.read_text().lower()
+        assert "inf" not in text and "nan" not in text
+        err = capsys.readouterr().err
+        assert "cell policy=ai n=10 k=4 failed: cell values are not finite: v_on" in err
 
 
 class TestSweepN:

@@ -56,10 +56,23 @@ class TestConstruction:
             new_distribution([1.0, 0.0], [0.5, 0.5])
         with pytest.raises(NonPositiveValue):
             new_distribution([1.0, -0.5], [0.5, 0.5])
+        with pytest.raises(NonPositiveValue):
+            new_distribution([1.0, 1e-320], [0.5, 0.5])
+
+    def test_subnormals_rejected_and_the_least_normal_float_accepted(self):
+        # subnormal support [1e-320, 5e-324] once let br and dp value a cell
+        # 4.9e-324 above the offline optimum, a negative regret with error_bound 0
+        with pytest.raises(NonPositiveValue, match="least normal float 2.225"):
+            new_distribution([1e-320, 5e-324], [0.5, 0.5])
+        with pytest.raises(BadPmf, match="least normal float 2.225"):
+            new_distribution([2.0, 1.0], [1.0, 1e-320])
+        tiny = np.finfo(float).tiny
+        d = new_distribution([1.0, tiny], [1.0 - tiny, tiny])
+        assert d.support[-1] == tiny and d.pmf[-1] == tiny
 
     @pytest.mark.parametrize(
         "pmf",
-        [[0.5, 0.6], [0.5, -0.1, 0.6], [0.5, 0.0, 0.5], [0.25] * 3],
+        [[0.5, 0.6], [0.5, -0.1, 0.6], [0.5, 0.0, 0.5], [0.25] * 3, [1.0, 1e-320]],
     )
     def test_bad_masses_rejected(self, pmf):
         support = list(range(len(pmf), 0, -1))

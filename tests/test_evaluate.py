@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from multisecretary import cli, dp, evaluate
 from multisecretary.dp import TIE_TOL_SCALE
 from multisecretary.evaluate import (
     CSV_HEADER,
+    RegretRecord,
     TAIL_TOL,
     _forward_value,
     _window_pass,
@@ -289,6 +291,31 @@ class TestConstantRateClosedForm:
         assert abs(value - float(want)) <= bound + 8 * np.spacing(float(want))
         assert value == pytest.approx(_window_pass(d, policy, n, k)[0], rel=1e-13)
 
+    def test_a_rule_stating_no_pair_takes_the_forward_pass(self, masspoint5, monkeypatch):
+        # the route once came from the policy's class, whatever it stated:
+        # here the closed form gives 1390.416913441682, the pass 1390.4169134416825
+        n, k = 4004, 1573
+        policy = make_policy("index", masspoint5, n, k)
+        policy.constant_rates = None
+        calls = capped_mean_calls(monkeypatch)
+        assert _forward_value(masspoint5, policy, n, k) == _window_pass(masspoint5, policy, n, k)
+        assert calls == []
+
+    def test_a_foreign_rule_stating_a_pair_takes_the_closed_form(self, uniform5):
+        class Static:  # a best-static rule in miniature: no matrix, no class to test
+            name = "static"
+            constant_rates = (0.25, 0.4)
+
+            def check(self, n, k):
+                pass
+
+            def rates(self, left, budgets):
+                raise AssertionError("the closed form reads no rates")
+
+        n, k = 50, 9
+        mean, omitted = evaluate.capped_mean(n, 0.25, k)
+        assert _forward_value(uniform5, Static(), n, k) == (1.6 * mean, 0.0, 1.6 * omitted)
+
     def test_take_top_on_a_mass_point_is_exact(self, masspoint5):
         # n f_1 = 2860 arrivals of the top rank on average, far below k: the
         # forward pass gives 2860.000000000005 here with a 3.8e-13 bound
@@ -376,6 +403,15 @@ class TestExactRegret:
         assert rec.ci_halfwidth == 0.0
         assert rec.regret == pytest.approx(rec.v_off - rec.v_on, abs=0)
         assert rec.regret >= -rec.error_bound - 1e-9
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["v_on", "v_off", "regret", "ci_halfwidth", "error_bound"])
+    def test_a_non_finite_value_fails_the_record(self, field, bad):
+        # an overflowing cell once wrote inf or nan to the CSV and exited 0
+        values = dict(v_on=1.0, v_off=2.0, regret=1.0, ci_halfwidth=0.0, error_bound=0.0)
+        values[field] = bad
+        with pytest.raises(ModelError, match=f"not finite: {field}$"):
+            RegretRecord("br", 10, 2, "exact", **values)
 
 
 class TestMonteCarlo:

@@ -292,6 +292,38 @@ class TestNonAdaptive:
         with pytest.raises(DimensionMismatch, match="2-D"):
             NonAdaptivePolicy(uniform3, [0.5, 0.5, 0.5], "matrix")
 
+    @pytest.mark.parametrize("dist", ["uniform5", "masspoint5"])
+    @pytest.mark.parametrize("name", ["index", "take-top"])
+    def test_time_constant_rules_state_their_rates(self, request, dist, name):
+        # the evaluator once found these rules by their class and read the
+        # private per-period arrays; now each rule states its own pair
+        d = request.getfixturevalue(dist)
+        n, k = 40, 13
+        policy = make_policy(name, d, n, k)
+        s, g = policy.constant_rates
+        assert type(s) is float and type(g) is float
+        if name == "take-top":
+            assert (s, g) == pytest.approx((d.pmf[0], d.pmf[0] * d.support[0]), rel=1e-15)
+        else:  # the deterministic relaxation at ratio k/n
+            want = (k / n, np.interp(k / n, d.survival_values, partial_means(d)))
+            assert (s, g) == pytest.approx(want, rel=1e-14)
+        # the pair is what ``rates`` gives at every live (period, budget) cell
+        sel, gain = policy.rates(np.arange(n, 0, -1), np.arange(1, k + 1))
+        assert np.all(sel == s) and np.all(gain == g)
+
+    def test_constant_column_matrix_states_its_rates(self, masspoint5):
+        col = np.array([1.0, 0.5, 0.25, 0.0, 0.0])
+        policy = NonAdaptivePolicy(masspoint5, np.tile(col[:, None], (1, 30)), "matrix")
+        want = (masspoint5.pmf @ col, (masspoint5.pmf * masspoint5.support) @ col)
+        assert policy.constant_rates == pytest.approx(want, rel=1e-15)
+
+    def test_time_varying_or_empty_matrix_states_none(self, masspoint5):
+        p = np.tile(np.linspace(0.9, 0.1, masspoint5.m)[:, None], (1, 30))
+        p[0, -1] = 0.5  # constant but for the last period
+        assert NonAdaptivePolicy(masspoint5, p, "matrix").constant_rates is None
+        empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
+        assert empty.constant_rates is None
+
     def test_index_decides_only_its_own_budget(self, uniform5):
         # index's matrix comes from k/n, so at another k it would return the
         # value of a different rule; take-top's matrix serves every k
