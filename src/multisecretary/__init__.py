@@ -51,5 +51,4 @@ from .simulate import (
     orbit_diagnostics,
     orbit_stats,
     run_episode,
-    simulate_paths,
 )

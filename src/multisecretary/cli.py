@@ -114,10 +114,11 @@ def _regret(out, names, runs, mode="exact", reps=10_000, seed=0) -> int:
     if mode == "mc":
         check_reps(reps)
     records, failures = [], []
-    for d, cells in runs:
-        got, failed = sweep(d, names, cells, mode, reps, seed)
-        records += got
-        failures += failed
+    with np.errstate(over="ignore", invalid="ignore"):  # RegretRecord fails a non-finite cell
+        for d, cells in runs:
+            got, failed = sweep(d, names, cells, mode, reps, seed)
+            records += got
+            failures += failed
     write_records(records, out)
     for (name, n, k), exc in failures:
         print(f"cell policy={name} n={n} k={k} failed: {exc}", file=sys.stderr)
@@ -176,7 +177,7 @@ def cmd_paths(args):
     suffix = suffix or ".csv"
     for policy in _checked_policies(d, names, args.n, args.k):
         for seed in seeds:
-            record = run_episode(d, policy, args.n, args.k, seed)
+            record = run_episode(policy, args.n, args.k, seed)
             path = f"{stem}_{policy.name}_seed{seed}{suffix}"
             with open(path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write("t,ability_index,decision,K_t,R_t\n")
@@ -194,7 +195,7 @@ def cmd_ratio_mean(args):
     names = _parse_policies(args.policies)
     # a spec sorts where its policy's name does, matrix:<file> as matrix
     policies = _checked_policies(d, sorted(names), args.n, args.k)
-    curves = {policy.name: ratio_mean_curve(d, policy, args.n, args.k) for policy in policies}
+    curves = {policy.name: ratio_mean_curve(policy, args.n, args.k) for policy in policies}
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("policy,t,mean_ratio,mean_budget\n")
         for name, (mean_ratio, mean_budget) in curves.items():
@@ -208,7 +209,7 @@ def cmd_diagnostics(args):
     check_reps(args.reps)
     orbit_thresholds(d, args.delta)  # a bad delta exits before any policy is built
     policy = make_policy(args.policy, d, args.n, args.k)
-    sample = orbit_stats(d, policy, args.n, args.k, args.delta, args.reps, args.seed)
+    sample = orbit_stats(policy, args.n, args.k, args.delta, args.reps, args.seed)
     rows = zip(sample.tau0.tolist(), sample.j_tau0.tolist(), sample.tau.tolist())
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rep,tau0,j_tau0,tau,n_minus_tau\n")

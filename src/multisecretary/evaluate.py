@@ -1,5 +1,8 @@
 """Exact and Monte Carlo evaluation of policies against the offline benchmark.
 
+Every entry that takes a policy reads the distribution it plays on from
+``policy.dist``; only ``sweep`` takes one, to build its policies from.
+
 The exact route propagates the budget distribution forward in time
 (Chapman-Kolmogorov over the (t, budget) chain induced by any state-Markov
 policy), integrating the policy's randomization in closed form through its
@@ -73,9 +76,10 @@ class RegretRecord:
             raise ModelError(f"cell values are not finite: {', '.join(bad)}")
 
 
-def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[float, float, float]:
-    """Expected payoff of a state-Markov policy, the worst probability drift
-    observed while propagating, and a bound on the payoff of omitted mass.
+def _forward_value(policy, n: int, k: int) -> tuple[float, float, float]:
+    """Expected payoff of a state-Markov policy on ``policy.dist``, the worst
+    probability drift observed while propagating, and a bound on the payoff of
+    omitted mass.
 
     Both routes start with ``check_pair(n, k)`` and ``policy.check(n, k)``.
     A policy whose ``constant_rates`` attribute is a pair (s, g) selects
@@ -92,7 +96,7 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     _check_forward(policy, n, k)
     rate = getattr(policy, "constant_rates", None)
     if rate is None:
-        return _window_pass(d, policy, n, k)
+        return _window_pass(policy, n, k)
     sel, gain = rate
     if sel == 0.0:
         return 0.0, 0.0, 0.0
@@ -101,13 +105,14 @@ def _forward_value(d: AbilityDistribution, policy, n: int, k: int) -> tuple[floa
     return per_pick * mean, 0.0, per_pick * omitted
 
 
-def ratio_mean_curve(d: AbilityDistribution, policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """E[K_t / (n - t)] and E[K_t], t < n, read off ``_window_pass``'s exact law of K_t after
-    ``_forward_value``'s checks.  The pass never renormalises and trims under ``TAIL_TOL`` of
-    mass, at budgets <= k, so each value is low by at most k * ``TAIL_TOL`` plus rounding."""
+def ratio_mean_curve(policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """E[K_t / (n - t)] and E[K_t], t < n, on ``policy.dist``, read off ``_window_pass``'s
+    exact law of K_t after ``_forward_value``'s checks.  The pass never renormalises and trims
+    under ``TAIL_TOL`` of mass, at budgets <= k, so each value is low by at most k * ``TAIL_TOL``
+    plus rounding."""
     _check_forward(policy, n, k)
     mean_budget = np.empty(n)
-    _window_pass(d, policy, n, k, mean_budget)
+    _window_pass(policy, n, k, mean_budget)
     return mean_budget / (n - np.arange(n)), mean_budget
 
 
@@ -120,7 +125,7 @@ def _check_forward(policy, n: int, k: int) -> None:
     policy.check(n, k)
 
 
-def _window_pass(d: AbilityDistribution, policy, n: int, k: int,
+def _window_pass(policy, n: int, k: int,
                  mean_budget: np.ndarray | None = None) -> tuple[float, float, float]:
     """``_forward_value`` by propagating the budget distribution forward, for
     a policy already checked at (n, k); given an (n,) ``mean_budget``, it
@@ -129,12 +134,13 @@ def _window_pass(d: AbilityDistribution, policy, n: int, k: int,
     Only the budget window ``[lo, hi]`` that carries mass is propagated.
     Selection moves mass down one cell per step, so ``lo`` widens by one;
     edge cells holding less than ``TAIL_TOL / (n (k + 1))`` are then dropped,
-    each adding ``a_1 * mass * min(budget, periods left)`` (the most that mass
-    could still earn) to the truncation bound.  The returned value
-    underestimates the untruncated one by at most that bound.  The window
-    never grows up and falls by at most one cell a period, so one ``rates``
-    call over budgets ``[max(lo - BLOCK, 0), hi]`` serves ``BLOCK`` periods
-    t, asked as their ``n - t + 1`` periods left, each reading its own row.
+    each adding ``a_1 * mass * min(budget, periods left)``, the most that
+    mass could still earn at the top value a_1 of ``policy.dist``, to the
+    truncation bound.  The returned value underestimates the untruncated one
+    by at most that bound.  The window never grows up and falls by at most
+    one cell a period, so one ``rates`` call over budgets
+    ``[max(lo - BLOCK, 0), hi]`` serves ``BLOCK`` periods t, asked as their
+    ``n - t + 1`` periods left, each reading its own row.
 
     Raises:
         ProbabilityDrift: at a check (every 512 steps and the last), the
@@ -146,7 +152,7 @@ def _window_pass(d: AbilityDistribution, policy, n: int, k: int,
     prob[k] = 1.0
     lo = hi = k
     trim_below = TAIL_TOL / (n * (k + 1)) if n else 0.0
-    top = float(d.support[0])
+    top = float(policy.dist.support[0])
     dropped = 0.0  # probability mass trimmed off the window
     truncation = 0.0
     value = 0.0
@@ -206,9 +212,11 @@ def _window_pass(d: AbilityDistribution, policy, n: int, k: int,
     return value, max_drift, truncation
 
 
-def exact_regret(d: AbilityDistribution, policy, n: int, k: int) -> RegretRecord:
-    off = offline_expectation(d, n, k)
-    v_on, _, truncation = _forward_value(d, policy, n, k)
+def exact_regret(policy, n: int, k: int) -> RegretRecord:
+    """``policy``'s exact value at (n, k) against the offline value on the
+    distribution it plays on, ``policy.dist``, after ``_forward_value``'s checks."""
+    v_on, _, truncation = _forward_value(policy, n, k)
+    off = offline_expectation(policy.dist, n, k)
     return RegretRecord(
         policy=policy.name,
         n=n,
@@ -288,7 +296,7 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
             passes.setdefault(cell[1], []).append((cell, policy))
     for n, built in passes.items():
         try:
-            got = paired_payoffs_cells(d, n, [(policy, cell[2]) for cell, policy in built], reps, seed)
+            got = paired_payoffs_cells(n, [(policy, cell[2]) for cell, policy in built], reps, seed)
             for (cell, policy), pair in zip(built, got):
                 out[cell] = _mc_record(policy.name, n, cell[2], *pair)
         except Exception as exc:  # the pass itself failed: every cell it ran fails
@@ -326,7 +334,7 @@ def sweep(
         results = {}
         for cell, got in _policies(d, cells, lambda p, n, k: p.check(n, k)):
             try:
-                results[cell] = got if isinstance(got, Exception) else exact_regret(d, got, *cell[1:])
+                results[cell] = got if isinstance(got, Exception) else exact_regret(got, *cell[1:])
             except Exception as exc:  # enumerate failing cells, keep going
                 results[cell] = exc
     records = [results[c] for c in cells if not isinstance(results[c], Exception)]

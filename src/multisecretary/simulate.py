@@ -18,7 +18,7 @@ object step as one stack, a (len(ks), reps) budget matrix, so each period
 makes one ``decide_batch`` call per policy, whose shared rank and uniform
 rows broadcast over the stack.  Budget paths, kept only by the one-cell
 passes, are time-major too, (n+1, 1, reps) int32, one row written per
-period; ``simulate_paths`` returns them rep-major.
+period.
 
 A pass works in one fixed set of buffers, at most ``CHUNK`` replications
 wide, allocated before its first block and refilled for every block: the
@@ -29,13 +29,12 @@ decision uniforms: it still draws them, two per period, so every stream and
 the common random numbers are those of a pass that reads them, and its
 policies decide with ``u=None``.  Payoffs, and with them the rank counts,
 are kept only by the passes that return them (``run_episode``,
-``simulate_paths``, ``paired_payoffs_cells``); ``orbit_stats`` reads the
-budget paths alone, so its cells hold no payoff matrix and its blocks count
-no ranks.  Every entry point checks (n, k), reps and ``policy.check`` before
-it draws; an exception inside the pass stops every cell of it.  Every entry
-point runs the one block loop ``_blocks``: the one-cell ones
-(``simulate_paths``, ``orbit_stats``) on a stack of one, and ``run_episode``
-on a stack of one over the one replication ``rep``.
+``paired_payoffs_cells``); ``orbit_stats`` reads the budget paths alone, so
+its cells hold no payoff matrix and its blocks count no ranks.  Every entry
+point draws from its policies' ``dist`` and checks (n, k), reps and
+``policy.check`` before it draws; an exception inside the pass stops every
+cell of it.  Every entry point runs the one block loop ``_blocks``, the
+one-cell ones on a stack of one, ``run_episode`` over one replication.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
 (``_orbit_scan``), a few dozen periods at a time into one reused buffer:
@@ -52,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution, half_min_mass, thresholds
-from .errors import BadDelta, InfeasiblePair, check_pair
+from .errors import BadDelta, InfeasiblePair, TableMismatch, check_pair
 from .offline import offline_sort_batch
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
@@ -110,9 +109,10 @@ def block_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeRecord:
-    """One full trajectory: draws, decisions, budget and ratio paths."""
+    """One full trajectory on ``dist``: draws, decisions, budget and ratio paths."""
 
     policy: str
+    dist: AbilityDistribution
     n: int
     k: int
     seed_ref: tuple[int, int]  # (seed, rep)
@@ -144,22 +144,21 @@ class OrbitSample:
     tau: np.ndarray
 
 
-def run_episode(
-    d: AbilityDistribution, policy, n: int, k: int, seed: int, rep: int = 0
-) -> EpisodeRecord:
-    """Play replication ``rep`` of ``seed``: row ``rep`` of
-    ``simulate_paths``, by the same block pass over that one replication."""
+def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecord:
+    """Play replication ``rep`` of ``seed`` on ``policy.dist``: row ``rep`` of
+    every many-replication pass, by the same block pass over that one replication."""
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
     cell = _Cell(policy, [k])
-    for _, ranks, _ in _blocks(d, n, [cell], range(rep, rep + 1), seed, want_paths=True,
-                               want_payoffs=True):
+    for _, ranks, _ in _blocks(policy.dist, n, [cell], range(rep, rep + 1), seed,
+                               want_paths=True, want_payoffs=True):
         abilities = ranks[:, 0].copy()
     budget_path = cell.paths[:, 0, 0].astype(np.int64)
     ratio_path = budget_path[:n] / (n - np.arange(n))
     return EpisodeRecord(
         policy=policy.name,
+        dist=policy.dist,
         n=n,
         k=k,
         seed_ref=(seed, rep),
@@ -328,33 +327,25 @@ def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_pay
         yield slice(start, start + len(block)), block_ranks, block_counts
 
 
-def simulate_paths(
-    d, policy, n: int, k: int, reps: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch episodes; returns (payoffs, per-ability counts, budget paths)."""
-    check_cell(policy, n, k, reps)
-    cell = _Cell(policy, [k])
-    payoffs = np.empty(reps)
-    counts = np.empty((reps, d.m), dtype=np.int64)
-    paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, _, cnt in _blocks(d, n, [cell], range(reps), seed, want_paths=True,
-                                want_payoffs=True):
-        payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
-    return payoffs, counts, paths
-
-
-def paired_payoffs_cells(d, n: int, cells, reps: int, seed: int) -> list:
+def paired_payoffs_cells(n: int, cells, reps: int, seed: int) -> list:
     """Per-episode online and posterior-sort payoffs of several (policy, k)
     cells at horizon ``n``, on blocks drawn once and shared by all of them;
     the sort runs once per distinct k.  Cells that share one policy object
     step as one stack, one budget row per cell, so each period costs one
     ``decide_batch`` call per distinct policy.
 
-    Returns each cell's ``(online, offline)`` arrays, in order.  Every cell
-    is checked by ``check_cell`` before the first block is drawn.
+    Returns each cell's ``(online, offline)`` arrays, in order, or ``[]`` for
+    no cells.  The draws are those of the first cell's ``policy.dist``; before
+    the first block is drawn, every cell is checked by ``check_cell`` and a
+    policy on another distribution raises ``TableMismatch``.
     """
+    if not cells:
+        return []
+    d = cells[0][0].dist
     for policy, k in cells:
         check_cell(policy, n, k, reps)
+        if policy.dist.content_hash() != d.content_hash():
+            raise TableMismatch(f"policy {policy.name!r} plays on {policy.dist!r}, not {d!r}")
     stacks, place = {}, []  # one stack per distinct policy; each cell's (stack, row)
     for policy, k in cells:
         stack = stacks.setdefault(id(policy), _Cell(policy, []))
@@ -443,14 +434,14 @@ def orbit_thresholds(d, delta: float) -> np.ndarray:
     return thresholds(d)
 
 
-def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostics:
-    """Entry time tau0 into a threshold orbit, the matched threshold, the
-    exit time tau, and the deviation path Y from tau0 onward."""
-    thr = orbit_thresholds(d, delta)
+def orbit_diagnostics(record: EpisodeRecord, delta: float) -> OrbitDiagnostics:
+    """Entry time tau0 into a threshold orbit of ``record.dist``, the matched
+    threshold, the exit time tau, and the deviation path Y from tau0 onward."""
+    thr = orbit_thresholds(record.dist, delta)
     n = record.n
     tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
     tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
-    if j_tau0 == d.m + 1:
+    if j_tau0 == record.dist.m + 1:
         y_path = np.empty(0)
     else:
         anchor = thr[j_tau0 - 1]
@@ -459,14 +450,14 @@ def orbit_diagnostics(record: EpisodeRecord, d, delta: float) -> OrbitDiagnostic
     return OrbitDiagnostics(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau, y_path=y_path)
 
 
-def orbit_stats(d, policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
-    """Orbit entry/exit statistics over many replications."""
-    thr = orbit_thresholds(d, delta)
+def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
+    """Orbit entry/exit statistics over many replications on ``policy.dist``."""
+    thr = orbit_thresholds(policy.dist, delta)
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, [k])
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _, _ in _blocks(d, n, [cell], range(reps), seed, want_paths=True):
+    for rows, _, _ in _blocks(policy.dist, n, [cell], range(reps), seed, want_paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)

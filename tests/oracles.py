@@ -5,9 +5,11 @@ explicit enumeration of ability sequences, the optimum by recursion over
 full histories (no budget-state reduction) or by the g recursion on the
 whole value table, in floats or exact rationals (the library recurses on
 the marginal value instead), and policy selection probabilities are
-recomputed from their defining formulas.  The one exception,
-``capped_budget_means``, reads the offline module's ``capped_mean``, which
-``test_offline`` checks against ``exact_capped_mean``.
+recomputed from their defining formulas.  Two exceptions read the library:
+``capped_budget_means`` reads the offline module's ``capped_mean``, which
+``test_offline`` checks against ``exact_capped_mean``, and ``simulate_paths``
+runs the sample-path engine's own block loop, to give tests every
+replication's payoff, rank counts and budget path at once.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.stats import binom
 
 from multisecretary import InfeasiblePair, ModelError, TableMismatch, cutoff_time, thresholds
-from multisecretary import evaluate
+from multisecretary import evaluate, simulate
 from multisecretary.errors import check_pair
 from multisecretary.offline import capped_mean
 
@@ -327,10 +329,10 @@ def enum_policy_value(d, n: int, k: int, prob_table) -> float:
     return float(sequence_probs(d, seqs) @ value_to_go[:, k])
 
 
-def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, float]:
+def forward_value_per_period(policy, n: int, k: int) -> tuple[float, float, float]:
     """``evaluate._window_pass`` asking ``rates`` once per period, for that
-    period alone: the same window, trimming, Kahan sum and drift checks,
-    returning (value, max drift, truncation bound)."""
+    period alone: the same window, trimming, Kahan sum and drift checks on
+    ``policy.dist``, returning (value, max drift, truncation bound)."""
     check_pair(n, k)
     policy.check(n, k)
     budgets = np.arange(k + 1)
@@ -338,7 +340,7 @@ def forward_value_per_period(d, policy, n: int, k: int) -> tuple[float, float, f
     prob[k] = 1.0
     lo = hi = k
     trim_below = evaluate.TAIL_TOL / (n * (k + 1)) if n else 0.0
-    top = float(d.support[0])
+    top = float(policy.dist.support[0])
     dropped = truncation = value = comp = max_drift = 0.0
     for t_next in range(1, n + 1):
         (sel,), (gain,) = policy.rates(np.array([n - t_next + 1]), budgets[lo : hi + 1])
@@ -385,6 +387,20 @@ def rank_counts_loop(ranks: np.ndarray, m: int) -> np.ndarray:
 def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
     """Independent substream for one replication, reproducible by (seed, rep)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rep,))))
+
+
+def simulate_paths(policy, n: int, k: int, reps: int, seed: int):
+    """Batch episodes on ``policy.dist`` by ``simulate``'s block loop;
+    returns (payoffs, per-ability counts, budget paths), one row per rep."""
+    simulate.check_cell(policy, n, k, reps)
+    cell = simulate._Cell(policy, [k])
+    payoffs = np.empty(reps)
+    counts = np.empty((reps, policy.dist.m), dtype=np.int64)
+    paths = np.empty((reps, n + 1), dtype=np.int32)
+    for rows, _, cnt in simulate._blocks(policy.dist, n, [cell], range(reps), seed,
+                                         want_paths=True, want_payoffs=True):
+        payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
+    return payoffs, counts, paths
 
 
 def sample_searchsorted(d, u: np.ndarray) -> np.ndarray:

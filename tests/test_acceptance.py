@@ -14,7 +14,6 @@ from multisecretary import (
     make_policy,
     offline_expectation,
     orbit_stats,
-    simulate_paths,
     solve,
     thresholds,
 )
@@ -34,6 +33,7 @@ from oracles import (
     enum_policy_value,
     full_value_check,
     index_prob_table,
+    simulate_paths,
     threshold_bucket,
 )
 
@@ -65,7 +65,7 @@ def test_criterion_1_brute_force_equivalence(small_family):
                     worst["dp"], abs(solve(d, n, k).value - enum_optimal_value(d, n, k))
                 )
                 for name, table in tables.items():
-                    got = _forward_value(d, make_policy(name, d, n, k), n, k)[0]
+                    got = _forward_value(make_policy(name, d, n, k), n, k)[0]
                     want = enum_policy_value(d, n, k, table(d, n, k))
                     worst[name] = max(worst[name], abs(got - want))
     elapsed = time.perf_counter() - started
@@ -96,7 +96,7 @@ def test_criterion_3_bounded_regret_flat_in_n(uniform5):
         regrets = []
         for n in horizons:
             k = int(round(0.30 * n))
-            regrets.append(exact_regret(uniform5, make_policy(name, uniform5, n, k), n, k).regret)
+            regrets.append(exact_regret(make_policy(name, uniform5, n, k), n, k).regret)
         elapsed = time.perf_counter() - started
         spreads[name] = (max(regrets) / min(regrets), regrets, elapsed)
         assert elapsed < 300
@@ -113,7 +113,7 @@ def test_criterion_4_nonadaptive_sqrt_regret(uniform5):
     regrets = []
     for n in horizons:
         k = n // 2
-        regrets.append(exact_regret(uniform5, make_policy("index", uniform5, n, k), n, k).regret)
+        regrets.append(exact_regret(make_policy("index", uniform5, n, k), n, k).regret)
     slope, _ = linear_fit_r2(np.log(horizons), np.log(regrets))
     ok = 0.40 <= slope <= 0.60
     gate(4, ok, f"index-policy log-log slope = {slope:.3f}, regrets {['%.3f' % r for r in regrets]}")
@@ -125,9 +125,7 @@ def test_criterion_5_adaptive_index_grows_br_flat(uniform10):
     for name in ("ai", "br"):
         for n in (2000, 8000):
             k = int(round(ratio * n))
-            regret[name, n] = exact_regret(
-                uniform10, make_policy(name, uniform10, n, k), n, k
-            ).regret
+            regret[name, n] = exact_regret(make_policy(name, uniform10, n, k), n, k).regret
     growth = regret["ai", 8000] / regret["ai", 2000]
     br_change = abs(regret["br", 8000] - regret["br", 2000]) / regret["br", 2000]
     ok = growth >= 1.5 and br_change <= 0.25
@@ -142,7 +140,7 @@ def test_criterion_6_kleinberg_example():
         d = kleinberg_distribution(eps)
         n = math.ceil(1.0 / eps**2)
         k = math.ceil(n / 2)
-        dp_regrets.append(exact_regret(d, make_policy("dp", d, n, k), n, k).regret)
+        dp_regrets.append(exact_regret(make_policy("dp", d, n, k), n, k).regret)
     dp_regrets = np.array(dp_regrets)
     inv = 1.0 / epsilons
     increasing = bool(np.all(np.diff(dp_regrets) > 0))  # epsilons listed decreasing
@@ -154,7 +152,7 @@ def test_criterion_6_kleinberg_example():
     n = 10_000
     ks = list(range(4300, 5101, 100))
     br_regrets = [
-        exact_regret(d, make_policy("br", d, n, k), n, k).regret for k in ks
+        exact_regret(make_policy("br", d, n, k), n, k).regret for k in ks
     ]
     argmax_k = ks[int(np.argmax(br_regrets))]
     elapsed = time.perf_counter() - started
@@ -223,7 +221,7 @@ def test_criterion_8_pathwise_dominance_and_feasibility(uniform5, uniform3, mass
         for name in ("br", "dp", "ai", "index", "take-top"):
             k = 28
             policy = make_policy(name, d, n, k)
-            payoffs, counts, paths = simulate_paths(d, policy, n, k, reps, seed=8080)
+            payoffs, counts, paths = simulate_paths(policy, n, k, reps, seed=8080)
             total += reps
             selected = k - paths[:, -1]
             violations += int(np.sum(selected > k))
@@ -288,7 +286,7 @@ def test_criterion_11_stopping_time_boundedness(uniform5):
     for n in (1000, 2000):
         k = int(round(0.30 * n))
         policy = make_policy("br", uniform5, n, k)
-        sample = orbit_stats(uniform5, policy, n, k, delta, reps=10_000, seed=1111)
+        sample = orbit_stats(policy, n, k, delta, reps=10_000, seed=1111)
         means[n] = float(np.mean(n - sample.tau))
     rel_change = abs(means[2000] - means[1000]) / means[1000]
     cap = 4.0 / delta

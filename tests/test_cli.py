@@ -249,13 +249,27 @@ class TestSweepK:
         dist = tmp_path / "big.json"
         dist.write_text(json.dumps({"support": [1e308, 1.0], "pmf": [0.5, 0.5]}))
         out = tmp_path / "big.csv"
-        with np.errstate(over="ignore", invalid="ignore"):  # so -W error leaves the cells alone
-            assert main(["sweep-k", "--dist", str(dist), "--n", "10", "--k-range", "2:4:2",
-                         "--policies", "br,dp,ai,index,take-top", "--out", str(out), *mode]) == 1
+        assert main(["sweep-k", "--dist", str(dist), "--n", "10", "--k-range", "2:4:2",
+                     "--policies", "br,dp,ai,index,take-top", "--out", str(out), *mode]) == 1
         text = out.read_text().lower()
         assert "inf" not in text and "nan" not in text
         err = capsys.readouterr().err
         assert "cell policy=ai n=10 k=4 failed: cell values are not finite: v_on" in err
+
+    @pytest.mark.parametrize("mode", [[], ["--mc", "--reps", "100"]])
+    def test_overflowing_cells_print_one_line_each(self, tmp_path, mode):
+        # numpy's overflow warnings and their source lines once came before the cell lines
+        dist = tmp_path / "big.json"
+        dist.write_text(json.dumps({"support": [1e308, 1.0], "pmf": [0.5, 0.5]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "multisecretary.cli", "sweep-k", "--dist", str(dist),
+             "--n", "10", "--k-range", "2:4:2", "--policies", "br,dp,ai,index,take-top",
+             "--out", str(tmp_path / "big.csv"), *mode],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 10 and all(line.startswith("cell policy=") for line in lines)
 
 
 class TestSweepN:
@@ -633,9 +647,9 @@ class TestRepeatedEntries:
         # --seeds 1,1 once played and wrote the same file twice
         played = []
 
-        def counted(d, policy, n, k, seed, rep=0):
+        def counted(policy, n, k, seed, rep=0):
             played.append((policy.name, seed))
-            return run_episode(d, policy, n, k, seed, rep)
+            return run_episode(policy, n, k, seed, rep)
 
         monkeypatch.setattr(cli, "run_episode", counted)
         assert main(["paths", "--dist", dist_file, "--n", "20", "--k", "6", "--policies",

@@ -20,7 +20,6 @@ from multisecretary import (
     new_distribution,
     offline_expectation,
     ratio_mean_curve,
-    simulate_paths,
     solve,
     sweep,
     take_top_matrix,
@@ -48,6 +47,7 @@ from oracles import (
     exact_constant_rate_value,
     forward_value_per_period,
     index_prob_table,
+    simulate_paths,
 )
 
 
@@ -62,7 +62,7 @@ class TestExactPolicyValue:
     def test_single_period_accept_all(self, masspoint5):
         for name in ("br", "dp", "ai"):
             policy = make_policy(name, masspoint5, 1, 1)
-            got = _forward_value(masspoint5, policy, 1, 1)[0]
+            got = _forward_value(policy, 1, 1)[0]
             assert got == pytest.approx(masspoint5.mean(), abs=1e-12)
 
     @pytest.mark.parametrize("dist,n,k", [
@@ -72,24 +72,24 @@ class TestExactPolicyValue:
     def test_dp_forward_matches_backward(self, request, dist, n, k):
         d = request.getfixturevalue(dist)
         policy = make_policy("dp", d, n, k)
-        forward = _forward_value(d, policy, n, k)[0]
+        forward = _forward_value(policy, n, k)[0]
         assert forward == pytest.approx(solve(d, n, k).value, abs=1e-10)
 
     def test_br_matches_path_enumeration(self, uniform3):
         policy = make_policy("br", uniform3, 6, 3)
-        got = _forward_value(uniform3, policy, 6, 3)[0]
+        got = _forward_value(policy, 6, 3)[0]
         want = enum_policy_value(uniform3, 6, 3, br_prob_table(uniform3, 6, 3))
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_ai_matches_path_enumeration(self, uniform3):
         policy = make_policy("ai", uniform3, 6, 3)
-        got = _forward_value(uniform3, policy, 6, 3)[0]
+        got = _forward_value(policy, 6, 3)[0]
         want = enum_policy_value(uniform3, 6, 3, ai_prob_table(uniform3, 6, 3))
         assert got == pytest.approx(want, abs=1e-9)
 
     def test_index_matches_path_enumeration(self, masspoint5):
         policy = make_policy("index", masspoint5, 5, 2)
-        got = _forward_value(masspoint5, policy, 5, 2)[0]
+        got = _forward_value(policy, 5, 2)[0]
         want = enum_policy_value(masspoint5, 5, 2, index_prob_table(masspoint5, 5, 2))
         assert got == pytest.approx(want, abs=1e-9)
 
@@ -98,32 +98,33 @@ class TestExactPolicyValue:
         best = solve(masspoint5, n, k).value
         for name in ("br", "ai", "index", "take-top"):
             policy = make_policy(name, masspoint5, n, k)
-            assert _forward_value(masspoint5, policy, n, k)[0] <= best + 1e-10
+            assert _forward_value(policy, n, k)[0] <= best + 1e-10
 
     def test_monotone_in_budget(self, masspoint5):
         n = 80
         for name in ("br", "dp", "ai"):
             values = [
-                _forward_value(masspoint5, make_policy(name, masspoint5, n, k), n, k)[0]
+                _forward_value(make_policy(name, masspoint5, n, k), n, k)[0]
                 for k in range(0, n + 1, 8)
             ]
             assert all(a <= b + 1e-10 for a, b in zip(values, values[1:]))
 
     def test_probability_drift_stays_tiny(self, uniform5):
         policy = make_policy("br", uniform5, 2000, 600)
-        _, drift, _ = _forward_value(uniform5, policy, 2000, 600)
+        _, drift, _ = _forward_value(policy, 2000, 600)
         assert drift < 1e-9
 
     def test_non_markov_rejected(self, uniform5):
-        class Opaque:
+        class Opaque:  # no rates hook and no dist: the hook check comes first
             name = "opaque"
 
-        with pytest.raises(NonMarkovPolicy):
-            _forward_value(uniform5, Opaque(), 5, 2)
+        for call in (_forward_value, exact_regret):
+            with pytest.raises(NonMarkovPolicy):
+                call(Opaque(), 5, 2)
 
     def test_infeasible(self, uniform5):
         with pytest.raises(InfeasiblePair):
-            _forward_value(uniform5, make_policy("br", uniform5, 5, 2), 5, 6)
+            _forward_value(make_policy("br", uniform5, 5, 2), 5, 6)
 
 
 class _BrokenRates:
@@ -134,6 +135,7 @@ class _BrokenRates:
 
     def __init__(self, d, rate):
         self.inner = make_policy("br", d, 40, 12)
+        self.dist = d
         self.rate = rate
 
     def check(self, n, k):
@@ -149,22 +151,22 @@ class TestForwardWindow:
     def test_window_matches_full_pass_within_bound(self, masspoint5, name):
         n, k = 4004, 1573
         policy = make_policy(name, masspoint5, n, k)
-        value, drift, bound = _window_pass(masspoint5, policy, n, k)
+        value, drift, bound = _window_pass(policy, n, k)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(evaluate, "TAIL_TOL", 0.0)
-            full, _, untrimmed = _window_pass(masspoint5, policy, n, k)
+            full, _, untrimmed = _window_pass(policy, n, k)
         assert untrimmed == 0.0
         assert 0.0 < bound < 2 * masspoint5.support[0] * 1e-12
         assert abs(value - full) <= bound + 4 * np.spacing(full)
         assert drift <= 1e-9
-        rec = exact_regret(masspoint5, policy, n, k)
+        rec = exact_regret(policy, n, k)
         assert rec.regret >= -rec.error_bound
 
     def test_bound_reaches_error_bound(self, masspoint5):
         n, k = 400, 157
         policy = make_policy("br", masspoint5, n, k)
-        _, _, bound = _forward_value(masspoint5, policy, n, k)
-        rec = exact_regret(masspoint5, policy, n, k)
+        _, _, bound = _forward_value(policy, n, k)
+        rec = exact_regret(policy, n, k)
         off = offline_expectation(masspoint5, n, k)
         assert bound > 0.0
         assert rec.error_bound == off.error_bound + bound
@@ -172,19 +174,19 @@ class TestForwardWindow:
     def test_zero_tail_tol_trims_nothing_and_matches_forward_value(self, masspoint5, monkeypatch):
         n, k = 400, 157
         policy = make_policy("ai", masspoint5, n, k)
-        trimmed = exact_regret(masspoint5, policy, n, k)
+        trimmed = exact_regret(policy, n, k)
         monkeypatch.setattr(evaluate, "TAIL_TOL", 0.0)
-        full = exact_regret(masspoint5, policy, n, k)
+        full = exact_regret(policy, n, k)
         assert full.error_bound == 0.0 < trimmed.error_bound
-        assert full.v_on == _forward_value(masspoint5, policy, n, k)[0]
+        assert full.v_on == _forward_value(policy, n, k)[0]
 
     def test_policies_sharing_a_name_are_evaluated_apart(self, uniform5):
         # a take-top matrix named "index" once reused the index policy's value
         n, k = 200, 60
         index = make_policy("index", uniform5, n, k)
         take_top = NonAdaptivePolicy(uniform5, take_top_matrix(uniform5, n), "index")
-        first = _forward_value(uniform5, index, n, k)[0]
-        second = _forward_value(uniform5, take_top, n, k)[0]
+        first = _forward_value(index, n, k)[0]
+        second = _forward_value(take_top, n, k)[0]
         assert second < first - 1.0
 
     @pytest.mark.parametrize("rate", [np.nan, 1.5])
@@ -192,7 +194,7 @@ class TestForwardWindow:
         # NaN rates once returned value nan; rates above one kept the total
         # mass at 1 through negative cells and returned a finite value
         with pytest.raises(ProbabilityDrift):
-            _forward_value(uniform5, _BrokenRates(uniform5, rate), 40, 12)
+            _forward_value(_BrokenRates(uniform5, rate), 40, 12)
 
 
 def constant_rule(name, d, n, k):
@@ -223,7 +225,7 @@ class TestConstantRateClosedForm:
         calls = capped_mean_calls(monkeypatch)
         for n, k in self.CELLS:
             policy = constant_rule(name, d, n, k)
-            value, drift, bound = _forward_value(d, policy, n, k)
+            value, drift, bound = _forward_value(policy, n, k)
             want = exact_constant_rate_value(d.support, d.pmf, policy.p[:, 0], n, k)
             assert drift == 0.0 and bound >= 0.0
             assert abs(value - float(want)) <= bound + 8 * np.spacing(float(want)), (n, k)
@@ -241,7 +243,7 @@ class TestConstantRateClosedForm:
                     return probs
 
                 want = enum_policy_value(uniform3, n, k, table)
-                got = _forward_value(uniform3, policy, n, k)[0]
+                got = _forward_value(policy, n, k)[0]
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-15), (n, k)
 
     def test_zero_rate_returns_zero_without_warning(self, masspoint5):
@@ -251,17 +253,17 @@ class TestConstantRateClosedForm:
         empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            assert _forward_value(masspoint5, index, 50, 0) == (0.0, 0.0, 0.0)
-            assert _forward_value(masspoint5, empty, 0, 0) == (0.0, 0.0, 0.0)
+            assert _forward_value(index, 50, 0) == (0.0, 0.0, 0.0)
+            assert _forward_value(empty, 0, 0) == (0.0, 0.0, 0.0)
 
     def test_checks_come_before_any_value(self, uniform5, monkeypatch):
         calls = capped_mean_calls(monkeypatch)
         index = make_policy("index", uniform5, 40, 12)
         with pytest.raises(TableMismatch):
-            _forward_value(uniform5, index, 40, 13)
+            _forward_value(index, 40, 13)
         take_top = make_policy("take-top", uniform5, 40, 12)
         with pytest.raises(DimensionMismatch):
-            _forward_value(uniform5, take_top, 41, 12)
+            _forward_value(take_top, 41, 12)
         assert calls == []
 
     @pytest.mark.parametrize("last", ["random", "last column"])
@@ -274,8 +276,7 @@ class TestConstantRateClosedForm:
             p[0, -1] = 0.5
         policy = NonAdaptivePolicy(masspoint5, p, "matrix")
         calls = capped_mean_calls(monkeypatch)
-        assert _forward_value(masspoint5, policy, n, k) == forward_value_per_period(
-            masspoint5, policy, n, k)
+        assert _forward_value(policy, n, k) == forward_value_per_period(policy, n, k)
         assert calls == []
 
     def test_different_columns_with_one_rate_pair_take_the_closed_form(self, monkeypatch):
@@ -285,11 +286,11 @@ class TestConstantRateClosedForm:
         columns = np.array([[0.0, 1.0, 0.0, 0.0], [0.5, 0.0, 0.5, 0.0]]).T
         policy = NonAdaptivePolicy(d, np.tile(columns, (1, n // 2)), "matrix")
         calls = capped_mean_calls(monkeypatch)
-        value, drift, bound = _forward_value(d, policy, n, k)
+        value, drift, bound = _forward_value(policy, n, k)
         assert calls == [(n, 0.25, k)]
         want = exact_constant_rate_value(d.support, d.pmf, columns[:, 0], n, k)
         assert abs(value - float(want)) <= bound + 8 * np.spacing(float(want))
-        assert value == pytest.approx(_window_pass(d, policy, n, k)[0], rel=1e-13)
+        assert value == pytest.approx(_window_pass(policy, n, k)[0], rel=1e-13)
 
     def test_a_rule_stating_no_pair_takes_the_forward_pass(self, masspoint5, monkeypatch):
         # the route once came from the policy's class, whatever it stated:
@@ -298,7 +299,7 @@ class TestConstantRateClosedForm:
         policy = make_policy("index", masspoint5, n, k)
         policy.constant_rates = None
         calls = capped_mean_calls(monkeypatch)
-        assert _forward_value(masspoint5, policy, n, k) == _window_pass(masspoint5, policy, n, k)
+        assert _forward_value(policy, n, k) == _window_pass(policy, n, k)
         assert calls == []
 
     def test_a_foreign_rule_stating_a_pair_takes_the_closed_form(self, uniform5):
@@ -314,14 +315,14 @@ class TestConstantRateClosedForm:
 
         n, k = 50, 9
         mean, omitted = evaluate.capped_mean(n, 0.25, k)
-        assert _forward_value(uniform5, Static(), n, k) == (1.6 * mean, 0.0, 1.6 * omitted)
+        assert _forward_value(Static(), n, k) == (1.6 * mean, 0.0, 1.6 * omitted)
 
     def test_take_top_on_a_mass_point_is_exact(self, masspoint5):
         # n f_1 = 2860 arrivals of the top rank on average, far below k: the
         # forward pass gives 2860.000000000005 here with a 3.8e-13 bound
         n, k = 16016, 6292
         policy = make_policy("take-top", masspoint5, n, k)
-        assert _forward_value(masspoint5, policy, n, k)[0] == 2860.0
+        assert _forward_value(policy, n, k)[0] == 2860.0
 
 
 class TestRatioMeanCurve:
@@ -330,7 +331,7 @@ class TestRatioMeanCurve:
     def test_time_constant_rules_match_the_capped_mean(self, request, dist, n, k, name):
         d = request.getfixturevalue(dist)
         policy = make_policy(name, d, n, k)
-        _, mean_budget = ratio_mean_curve(d, policy, n, k)
+        _, mean_budget = ratio_mean_curve(policy, n, k)
         gap = np.abs(mean_budget - capped_budget_means(policy, n, k))
         assert gap.max() <= k * TAIL_TOL
 
@@ -341,7 +342,7 @@ class TestRatioMeanCurve:
                   "dp": lambda d, n, k: dp_prob_table(d, n, k, TIE_TOL_SCALE)}
         for n in range(1, 8):
             for k in range(n + 1):
-                _, mean_budget = ratio_mean_curve(d, make_policy(name, d, n, k), n, k)
+                _, mean_budget = ratio_mean_curve(make_policy(name, d, n, k), n, k)
                 want = exact_budget_means(d, n, k, tables[name](d, n, k))
                 assert len(mean_budget) == n
                 for t, (got, exact) in enumerate(zip(mean_budget, want)):
@@ -350,8 +351,7 @@ class TestRatioMeanCurve:
     @pytest.mark.parametrize("name", ["br", "dp", "ai", "index", "take-top"])
     def test_starts_at_k_never_rises_and_divides_exactly(self, uniform5, name):
         n, k = 1000, 300
-        mean_ratio, mean_budget = ratio_mean_curve(uniform5, make_policy(name, uniform5, n, k),
-                                                   n, k)
+        mean_ratio, mean_budget = ratio_mean_curve(make_policy(name, uniform5, n, k), n, k)
         assert mean_budget[0] == k and np.all(np.diff(mean_budget) <= 0.0)
         np.testing.assert_array_equal(mean_ratio, mean_budget / (n - np.arange(n)))
 
@@ -362,17 +362,17 @@ class TestRatioMeanCurve:
         for n, k, error in [(40, 41, InfeasiblePair), (41, 12, TableMismatch)]:
             for call in (ratio_mean_curve, _forward_value):
                 with pytest.raises(error):
-                    call(uniform5, policy, n, k)
+                    call(policy, n, k)
         with pytest.raises(NonMarkovPolicy):
-            ratio_mean_curve(uniform5, object(), 40, 12)
+            ratio_mean_curve(object(), 40, 12)
 
     def test_sweep_cells_ask_for_no_mean(self, masspoint5, monkeypatch):
         # only ratio_mean_curve passes the out-array, so a sweep's pass skips its dot
         seen, inner = [], evaluate._window_pass
 
-        def spy(d, policy, n, k, mean_budget=None):
+        def spy(policy, n, k, mean_budget=None):
             seen.append(mean_budget)
-            return inner(d, policy, n, k, mean_budget)
+            return inner(policy, n, k, mean_budget)
 
         monkeypatch.setattr(evaluate, "_window_pass", spy)
         sweep(masspoint5, ["br", "ai"], [(200, 70)])
@@ -383,26 +383,32 @@ class TestExactRegret:
     def test_zero_at_budget_extremes(self, masspoint5):
         for name in ("br", "dp", "ai"):
             n = 120
-            rec0 = exact_regret(masspoint5, make_policy(name, masspoint5, n, 0), n, 0)
-            recn = exact_regret(masspoint5, make_policy(name, masspoint5, n, n), n, n)
+            rec0 = exact_regret(make_policy(name, masspoint5, n, 0), n, 0)
+            recn = exact_regret(make_policy(name, masspoint5, n, n), n, n)
             assert abs(rec0.regret) <= 1e-9
             assert abs(recn.regret) <= 1e-9
 
     def test_dp_beats_br_and_both_nonnegative(self, uniform5):
         n = 300
         for k in (60, 90, 150, 240):
-            dp = exact_regret(uniform5, make_policy("dp", uniform5, n, k), n, k)
-            br = exact_regret(uniform5, make_policy("br", uniform5, n, k), n, k)
+            dp = exact_regret(make_policy("dp", uniform5, n, k), n, k)
+            br = exact_regret(make_policy("br", uniform5, n, k), n, k)
             slack = dp.error_bound + 1e-9
             assert dp.regret >= -slack
             assert dp.regret <= br.regret + slack
 
     def test_record_fields(self, uniform5):
-        rec = exact_regret(uniform5, make_policy("br", uniform5, 50, 20), 50, 20)
+        rec = exact_regret(make_policy("br", uniform5, 50, 20), 50, 20)
         assert rec.method == "exact"
         assert rec.ci_halfwidth == 0.0
         assert rec.regret == pytest.approx(rec.v_off - rec.v_on, abs=0)
         assert rec.regret >= -rec.error_bound - 1e-9
+
+    def test_offline_value_is_that_of_the_policys_distribution(self, uniform3):
+        # with u5 passed beside a policy built from u3 this once read -33.74
+        rec = exact_regret(make_policy("br", uniform3, 100, 30), 100, 30)
+        assert rec.v_off == offline_expectation(uniform3, 100, 30).value
+        assert rec.regret >= -rec.error_bound
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("field", ["v_on", "v_off", "regret", "ci_halfwidth", "error_bound"])
@@ -417,7 +423,7 @@ class TestExactRegret:
 class TestMonteCarlo:
     def test_agrees_with_exact(self, uniform5):
         n, k, reps = 300, 90, 20_000
-        exact = exact_regret(uniform5, make_policy("br", uniform5, n, k), n, k)
+        exact = exact_regret(make_policy("br", uniform5, n, k), n, k)
         mc = mc_cell(uniform5, "br", n, k, reps, seed=42)
         assert abs(mc.regret - exact.regret) <= 3 * mc.ci_halfwidth + 1e-6
 
@@ -445,7 +451,7 @@ class TestPathwiseDominance:
     def test_offline_dominates_every_path(self, masspoint5, name):
         n, k, reps = 60, 25, 2000
         policy = make_policy(name, masspoint5, n, k)
-        payoffs, counts, paths = simulate_paths(masspoint5, policy, n, k, reps, seed=123)
+        payoffs, counts, paths = simulate_paths(policy, n, k, reps, seed=123)
         assert np.all(offline_sort_batch(masspoint5, counts, k) >= payoffs - 1e-9)
         assert np.all(paths >= 0)
         assert np.all(k - paths[:, -1] <= k)
@@ -609,7 +615,7 @@ class TestOneTablePerN:
     def test_exact_records_equal_one_cell_evaluations(self, masspoint5):
         n, names, ks = 40, ["br", "dp", "ai", "index", "take-top"], (0, 8, 15, 30, 40, 41)
         records, failures = sweep(masspoint5, names, [(n, k) for k in ks])
-        assert records == [exact_regret(masspoint5, make_policy(name, masspoint5, n, k), n, k)
+        assert records == [exact_regret(make_policy(name, masspoint5, n, k), n, k)
                            for name in sorted(names) for k in ks[:-1]]
         assert [(cell, str(exc)) for cell, exc in failures] == infeasible_k(names, n, 41)
 
@@ -647,7 +653,7 @@ class TestCsv:
         assert first[0] == "br" and first[1] == "40" and first[3] == "exact"
 
     def test_twelve_significant_digits(self, uniform5):
-        rec = exact_regret(uniform5, make_policy("br", uniform5, 37, 11), 37, 11)
+        rec = exact_regret(make_policy("br", uniform5, 37, 11), 37, 11)
         text = format_record(rec)
         v_on_text = text.split(",")[4]
         assert float(v_on_text) == pytest.approx(rec.v_on, rel=1e-11)

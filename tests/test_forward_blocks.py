@@ -27,7 +27,7 @@ class LowestBudget:
     """A policy that records the lowest budget it was asked about."""
 
     def __init__(self, policy):
-        self.policy, self.name, self.lowest = policy, policy.name, None
+        self.policy, self.name, self.dist, self.lowest = policy, policy.name, policy.dist, None
 
     def check(self, n, k):
         self.policy.check(n, k)
@@ -49,8 +49,8 @@ def test_block_pass_equals_per_period_pass(request, dist, name):
     reached_zero = trimmed = 0
     for n, k in CELLS:
         policy = LowestBudget(build(name, d, n, k))
-        want = forward_value_per_period(d, policy, n, k)
-        assert _window_pass(d, policy.policy, n, k) == want, (n, k)
+        want = forward_value_per_period(policy, n, k)
+        assert _window_pass(policy.policy, n, k) == want, (n, k)
         reached_zero += policy.lowest == 0
         trimmed += want[2] > 0.0
     assert reached_zero and trimmed  # the cells reach both edge cases
@@ -85,7 +85,7 @@ def test_time_varying_matrix_matches_enumeration(uniform3):
         probs[:, 0] = 0.0
         return probs
 
-    value, _, bound = _forward_value(uniform3, build("matrix", uniform3, n, k), n, k)
+    value, _, bound = _forward_value(build("matrix", uniform3, n, k), n, k)
     assert bound == 0.0
     assert value == pytest.approx(enum_policy_value(uniform3, n, k, table), rel=1e-13)
 
@@ -108,7 +108,7 @@ def test_one_table_decides_every_smaller_cell(request, dist, name):
             for left in range(1, n + 1):
                 assert np.array_equal(big.decide_batch(left, held, ranks, None),
                                       fresh.decide_batch(left, held, ranks, None))
-            assert _forward_value(d, big, n, k) == _forward_value(d, fresh, n, k), (n, k)
+            assert _forward_value(big, n, k) == _forward_value(fresh, n, k), (n, k)
     with pytest.raises(TableMismatch):
         big.check(big_n + 1, big_k)
     if name == "dp":  # br's table decides every budget up to its horizon
@@ -121,5 +121,5 @@ def test_sweep_over_n_equals_one_cell_evaluations(masspoint5):
     names, grid = ["br", "dp", "ai", "index"], [(40, 15), (97, 38), (33, 20), (97, 90), (40, 40)]
     records, failures = sweep(masspoint5, names, grid)
     assert failures == []
-    assert records == [exact_regret(masspoint5, make_policy(name, masspoint5, n, k), n, k)
+    assert records == [exact_regret(make_policy(name, masspoint5, n, k), n, k)
                        for name in sorted(names) for n, k in sorted(grid)]

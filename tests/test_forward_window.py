@@ -28,13 +28,13 @@ def instances(draw):
 def test_window_within_truncation_bound(inst):
     d, n, k, name = inst
     policy = make_policy(name, d, n, k)
-    value, _, bound = _window_pass(d, policy, n, k)
+    value, _, bound = _window_pass(policy, n, k)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evaluate, "TAIL_TOL", 0.0)
-        full, _, untrimmed = _window_pass(d, policy, n, k)
+        full, _, untrimmed = _window_pass(policy, n, k)
     assert untrimmed == 0.0 and bound >= 0.0
     assert abs(value - full) <= bound + 4 * np.spacing(full)
     # Where the policy matches the offline sort exactly (br at k=1), the two
     # values come from different sums and may differ in the last ulp.
-    rec = exact_regret(d, policy, n, k)
+    rec = exact_regret(policy, n, k)
     assert rec.regret >= -rec.error_bound - 4 * np.spacing(rec.v_off)

@@ -157,7 +157,7 @@ class TestRatioBreakpoints:
     def test_other_horizon_raises(self, uniform5):
         br = make_policy("br", uniform5, 100, 30)
         with pytest.raises(TableMismatch):
-            _forward_value(uniform5, br, 101, 30)
+            _forward_value(br, 101, 30)
 
 
 class TestDpDecide:
@@ -179,9 +179,9 @@ class TestDpDecide:
         dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
-                run_episode(uniform5, dp, n, k, 1)
+                run_episode(dp, n, k, 1)
             with pytest.raises(TableMismatch):
-                _forward_value(uniform5, dp, n, k)
+                _forward_value(dp, n, k)
 
     def test_table_for_another_distribution_raises(self, uniform5, masspoint5):
         with pytest.raises(TableMismatch, match="different distribution"):
@@ -255,7 +255,7 @@ class TestNonAdaptive:
     def test_all_ones_selects_first_k(self, uniform3):
         policy = NonAdaptivePolicy(uniform3, np.ones((3, 12)), "matrix")
         assert not policy.p.flags.writeable
-        rec = run_episode(uniform3, policy, 12, 4, 3)
+        rec = run_episode(policy, 12, 4, 3)
         assert rec.decisions[:4].all() and not rec.decisions[4:].any()
 
     def test_caller_matrix_stays_writeable(self, uniform3):
@@ -267,7 +267,7 @@ class TestNonAdaptive:
 
     def test_take_top_selects_only_top(self, uniform3):
         policy = make_policy("take-top", uniform3, 30, 10)
-        rec = run_episode(uniform3, policy, 30, 10, 4)
+        rec = run_episode(policy, 30, 10, 4)
         assert np.all(rec.abilities[rec.decisions] == 1)
 
     def test_all_zero_never_selects(self, uniform3):
@@ -277,9 +277,9 @@ class TestNonAdaptive:
     def test_dimension_mismatch(self, uniform3, uniform5):
         policy = NonAdaptivePolicy(uniform3, take_top_matrix(uniform3, 10), "take-top")
         with pytest.raises(DimensionMismatch):
-            run_episode(uniform3, policy, 12, 4, 1)
+            run_episode(policy, 12, 4, 1)
         with pytest.raises(DimensionMismatch):
-            _forward_value(uniform3, policy, 12, 4)
+            _forward_value(policy, 12, 4)
         # a rank beyond the matrix rows cannot reach decide_batch: the
         # matrix must have one row per ability of the distribution
         with pytest.raises(DimensionMismatch):
@@ -334,9 +334,9 @@ class TestNonAdaptive:
             with pytest.raises(TableMismatch, match="built for k=12"):
                 index.check(n, other)
         with pytest.raises(TableMismatch):
-            _forward_value(uniform5, index, n, k + 1)
+            _forward_value(index, n, k + 1)
         with pytest.raises(TableMismatch):
-            run_episode(uniform5, index, n, k - 1, 0)
+            run_episode(index, n, k - 1, 0)
         take_top = make_policy("take-top", uniform5, n, k)
         for other in (0, k + 1, n):
             take_top.check(n, other)
@@ -348,7 +348,7 @@ class TestFeasibility:
         n, k = 60, 20
         policy = make_policy(name, masspoint5, n, k)
         for rep in range(20):
-            rec = run_episode(masspoint5, policy, n, k, 17, rep)
+            rec = run_episode(policy, n, k, 17, rep)
             assert rec.decisions.sum() <= k
             assert np.all(rec.budget_path >= 0)
             assert np.all(np.diff(rec.budget_path) <= 0)

@@ -21,7 +21,6 @@ from multisecretary import (
     orbit_stats,
     ratio_mean_curve,
     run_episode,
-    simulate_paths,
     thresholds,
 )
 from multisecretary import simulate
@@ -46,6 +45,7 @@ from oracles import (
     orbit_scan_passes,
     rank_counts_loop,
     sample_searchsorted,
+    simulate_paths,
     threshold_bucket,
 )
 
@@ -99,7 +99,7 @@ class TestBlockKeys:
         with pytest.raises(ValueError):
             block_keys(-1, range(3))
         with pytest.raises(ValueError):
-            simulate_paths(uniform5, make_policy("br", uniform5, 10, 3), 10, 3, 4, seed=-1)
+            simulate_paths(make_policy("br", uniform5, 10, 3), 10, 3, 4, seed=-1)
 
     def test_reps_beyond_one_spawn_word_rejected(self, uniform5):
         policy = make_policy("br", uniform5, 10, 3)
@@ -107,24 +107,24 @@ class TestBlockKeys:
         with pytest.raises(InfeasiblePair):
             check_cell(policy, 10, 3, MAX_REPS + 1)
         with pytest.raises(InfeasiblePair):
-            orbit_stats(uniform5, policy, 10, 3, 0.05, MAX_REPS + 1, seed=1)
+            orbit_stats(policy, 10, 3, 0.05, MAX_REPS + 1, seed=1)
         # a rep past one spawn word would wrap in block_keys' uint32 cast
-        rec = run_episode(uniform5, policy, 10, 3, 1, rep=MAX_REPS - 1)
+        rec = run_episode(policy, 10, 3, 1, rep=MAX_REPS - 1)
         assert rec.seed_ref == (1, MAX_REPS - 1)
         for rep in (-1, MAX_REPS):
             with pytest.raises(InfeasiblePair):
-                run_episode(uniform5, policy, 10, 3, 1, rep=rep)
+                run_episode(policy, 10, 3, 1, rep=rep)
 
 
 class TestEpisodes:
     def test_zero_budget_never_selects(self, uniform5):
         policy = make_policy("br", uniform5, 50, 0)
-        rec = run_episode(uniform5, policy, 50, 0, 1)
+        rec = run_episode(policy, 50, 0, 1)
         assert not rec.decisions.any() and rec.payoff == 0.0
 
     def test_full_budget_takes_everything(self, uniform5):
         policy = make_policy("dp", uniform5, 50, 50)
-        rec = run_episode(uniform5, policy, 50, 50, 1)
+        rec = run_episode(policy, 50, 50, 1)
         assert rec.decisions.all()
         assert rec.payoff == pytest.approx(
             float(np.sum(uniform5.support[rec.abilities - 1])), abs=1e-9
@@ -133,7 +133,7 @@ class TestEpisodes:
     def test_common_random_numbers_across_policies(self, uniform5):
         n, k = 400, 120
         recs = [
-            run_episode(uniform5, make_policy(name, uniform5, n, k), n, k, 77)
+            run_episode(make_policy(name, uniform5, n, k), n, k, 77)
             for name in ("br", "dp", "ai")
         ]
         np.testing.assert_array_equal(recs[0].abilities, recs[1].abilities)
@@ -141,7 +141,7 @@ class TestEpisodes:
 
     def test_budget_identities(self, masspoint5):
         policy = make_policy("ai", masspoint5, 80, 30)
-        rec = run_episode(masspoint5, policy, 80, 30, 5, 3)
+        rec = run_episode(policy, 80, 30, 5, 3)
         assert rec.seed_ref == (5, 3)
         want = sample_searchsorted(masspoint5, episode_stream(5, 3).random(160)[0::2])
         np.testing.assert_array_equal(rec.abilities, want)
@@ -158,9 +158,9 @@ class TestEpisodeIsPathRow:
         d, n, k, reps, seed = masspoint5, 60, 20, 300, 13
         monkeypatch.setattr(simulate, "CHUNK", 128)
         policy = make_policy(name, d, n, k)
-        payoffs, counts, paths = simulate_paths(d, policy, n, k, reps, seed)
+        payoffs, counts, paths = simulate_paths(policy, n, k, reps, seed)
         for rep in (0, 127, 128, 299):
-            rec = run_episode(d, policy, n, k, seed, rep)
+            rec = run_episode(policy, n, k, seed, rep)
             np.testing.assert_array_equal(rec.budget_path, paths[rep])
             np.testing.assert_array_equal(np.bincount(rec.abilities, minlength=d.m + 1)[1:],
                                           counts[rep])
@@ -176,7 +176,7 @@ class TestBatchConsistency:
         # defining rule, recomputed outside the library from the same draws
         d = masspoint5
         n, k, reps, seed = 70, 25, 20, 99
-        payoffs, counts, paths = simulate_paths(d, make_policy(name, d, n, k), n, k, reps, seed)
+        payoffs, counts, paths = simulate_paths(make_policy(name, d, n, k), n, k, reps, seed)
         if name == "dp":
             g = exact_value_table(d.support, d.pmf, n, k)
             tie_tol = Fraction(TIE_TOL_SCALE * float(d.support[0]))
@@ -204,17 +204,29 @@ class TestBatchConsistency:
 
     def test_paired_payoffs_reproducible(self, uniform5):
         policy = make_policy("br", uniform5, 50, 15)
-        a = paired_payoffs_cells(uniform5, 50, [(policy, 15)], 64, seed=2)[0]
-        b = paired_payoffs_cells(uniform5, 50, [(policy, 15)], 64, seed=2)[0]
+        a = paired_payoffs_cells(50, [(policy, 15)], 64, seed=2)[0]
+        b = paired_payoffs_cells(50, [(policy, 15)], 64, seed=2)[0]
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
+
+    def test_cells_on_two_distributions_raise_before_any_draw(self, uniform5, masspoint5,
+                                                              monkeypatch):
+        # the pass once drew every cell from the distribution it was handed
+        drawn = []
+        monkeypatch.setattr(simulate, "_uniform_block", lambda *a: drawn.append(a))
+        n, k = 50, 15
+        cells = [(make_policy("br", uniform5, n, k), k), (make_policy("br", masspoint5, n, k), k)]
+        with pytest.raises(TableMismatch, match="plays on"):
+            paired_payoffs_cells(n, cells, 8, seed=1)
+        assert drawn == []
+        assert paired_payoffs_cells(n, [], 8, seed=1) == []
 
     @pytest.mark.parametrize("n,k", [(10, 11), (10, -1), (0, 0)])
     def test_infeasible_pair_raises(self, uniform5, n, k):
         # the engine checked only reps and paired k > n with the offline sort
         policy = make_policy("ai", uniform5, 10, 5)
         with pytest.raises(InfeasiblePair):
-            paired_payoffs_cells(uniform5, n, [(policy, k)], 8, seed=1)
+            paired_payoffs_cells(n, [(policy, k)], 8, seed=1)
 
     @pytest.mark.parametrize("n,k,reps", [(10, 11, 8), (10, -1, 8), (0, 0, 8), (10, 5, 0)])
     def test_every_entry_point_checks_before_drawing(self, uniform5, monkeypatch, n, k, reps):
@@ -225,13 +237,13 @@ class TestBatchConsistency:
         policy = make_policy("ai", uniform5, 10, 5)
         monkeypatch.setattr(policy, "rates", work)
         calls = [
-            lambda: paired_payoffs_cells(uniform5, n, [(policy, 5), (policy, k)], reps, seed=1),
-            lambda: simulate_paths(uniform5, policy, n, k, reps, seed=1),
-            lambda: orbit_stats(uniform5, policy, n, k, 0.05, reps, seed=1),
-            lambda: run_episode(uniform5, policy, n, k, 1, rep=reps - 1),
+            lambda: paired_payoffs_cells(n, [(policy, 5), (policy, k)], reps, seed=1),
+            lambda: simulate_paths(policy, n, k, reps, seed=1),
+            lambda: orbit_stats(policy, n, k, 0.05, reps, seed=1),
+            lambda: run_episode(policy, n, k, 1, rep=reps - 1),
         ]
         if not 0 <= k <= n:  # the exact curve reads no reps and allows n = 0
-            calls.append(lambda: ratio_mean_curve(uniform5, policy, n, k))
+            calls.append(lambda: ratio_mean_curve(policy, n, k))
         for call in calls:
             with pytest.raises(InfeasiblePair):
                 call()
@@ -254,12 +266,12 @@ class TestBatchConsistency:
         monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
         monkeypatch.setattr(policy, "rates", lambda *a: work.append("rates") or rates(*a))
         calls = [
-            lambda: paired_payoffs_cells(uniform5, n, [(policy, k)], 8, seed=1),
-            lambda: simulate_paths(uniform5, policy, n, k, 8, seed=1),
-            lambda: ratio_mean_curve(uniform5, policy, n, k),
-            lambda: orbit_stats(uniform5, policy, n, k, 0.05, 8, seed=1),
-            lambda: run_episode(uniform5, policy, n, k, 1),
-            lambda: _forward_value(uniform5, policy, n, k),
+            lambda: paired_payoffs_cells(n, [(policy, k)], 8, seed=1),
+            lambda: simulate_paths(policy, n, k, 8, seed=1),
+            lambda: ratio_mean_curve(policy, n, k),
+            lambda: orbit_stats(policy, n, k, 0.05, 8, seed=1),
+            lambda: run_episode(policy, n, k, 1),
+            lambda: _forward_value(policy, n, k),
         ]
         for call in calls:
             with pytest.raises(error):
@@ -281,7 +293,7 @@ class TestRankCounts:
         n, k, reps, seed = 300, 90, 150, 8
         assert SCRATCH_REPS < reps < 3 * SCRATCH_REPS
         monkeypatch.setattr(simulate, "CHUNK", 128)
-        _, counts, _ = simulate_paths(d, make_policy("ai", d, n, k), n, k, reps, seed)
+        _, counts, _ = simulate_paths(make_policy("ai", d, n, k), n, k, reps, seed)
         ranks = np.stack([d.sample_many(episode_stream(seed, rep).random(2 * n)[0::2])
                           for rep in range(reps)])
         np.testing.assert_array_equal(counts, rank_counts_loop(ranks, d.m))
@@ -291,8 +303,8 @@ class TestOrbit:
     def test_start_on_threshold_enters_immediately(self, uniform5):
         n, k = 1000, 300  # k/n = 0.30 = T_2
         policy = make_policy("br", uniform5, n, k)
-        rec = run_episode(uniform5, policy, n, k, 8)
-        diag = orbit_diagnostics(rec, uniform5, delta=0.05)
+        rec = run_episode(policy, n, k, 8)
+        diag = orbit_diagnostics(rec, delta=0.05)
         assert diag.tau0 == 0 and diag.j_tau0 == 2
         assert diag.tau0 <= diag.tau <= n
 
@@ -300,16 +312,16 @@ class TestOrbit:
         n, k, delta = 1000, 340, 0.05
         policy = make_policy("br", uniform5, n, k)
         for rep in range(10):
-            rec = run_episode(uniform5, policy, n, k, 21, rep)
-            diag = orbit_diagnostics(rec, uniform5, delta)
+            rec = run_episode(policy, n, k, 21, rep)
+            diag = orbit_diagnostics(rec, delta)
             if diag.j_tau0 <= uniform5.m:
                 assert abs(diag.y_path[0]) <= delta / 2 * (n - diag.tau0) + 1e-9
 
     def test_cutoff_branch_on_short_horizon(self, uniform5):
         # with n - ceil(2/delta) - 1 <= 0 the sentinel fires at time zero
         policy = make_policy("br", uniform5, 30, 10)
-        rec = run_episode(uniform5, policy, 30, 10, 2)
-        diag = orbit_diagnostics(rec, uniform5, delta=0.05)
+        rec = run_episode(policy, 30, 10, 2)
+        diag = orbit_diagnostics(rec, delta=0.05)
         assert diag.j_tau0 == uniform5.m + 1
         assert diag.tau == diag.tau0 == cutoff_time(30, 0.05) == 0
         assert diag.y_path.size == 0
@@ -319,7 +331,7 @@ class TestOrbit:
         policy = make_policy("br", uniform5, n, k)
         t_cut = cutoff_time(n, delta)
         for rep in range(5):
-            rec = run_episode(uniform5, policy, n, k, 31, rep)
+            rec = run_episode(policy, n, k, 31, rep)
             jumps = np.abs(np.diff(rec.ratio_path))
             assert np.all(jumps[: t_cut + 1] <= delta / 2 + 1e-12)
 
@@ -327,23 +339,35 @@ class TestOrbit:
         # one rule for both: 0 < delta < half the minimal mass (0.1 on u5);
         # orbit_diagnostics once took delta up to the smallest threshold gap
         policy = make_policy("br", uniform5, 100, 30)
-        rec = run_episode(uniform5, policy, 100, 30, 0)
+        rec = run_episode(policy, 100, 30, 0)
         for delta in (half_min_mass(uniform5), 0.15, 0.0):
             with pytest.raises(BadDelta):
-                orbit_stats(uniform5, policy, 100, 30, delta, 10, seed=0)
+                orbit_stats(policy, 100, 30, delta, 10, seed=0)
             with pytest.raises(BadDelta):
-                orbit_diagnostics(rec, uniform5, delta)
+                orbit_diagnostics(rec, delta)
 
     def test_stats_batch_matches_single(self, uniform5):
         n, k, delta, reps, seed = 600, 180, 0.05, 8, 44
         policy = make_policy("br", uniform5, n, k)
-        sample = orbit_stats(uniform5, policy, n, k, delta, reps, seed)
+        sample = orbit_stats(policy, n, k, delta, reps, seed)
         for rep in range(reps):
-            rec = run_episode(uniform5, policy, n, k, seed, rep)
-            diag = orbit_diagnostics(rec, uniform5, delta)
+            rec = run_episode(policy, n, k, seed, rep)
+            diag = orbit_diagnostics(rec, delta)
             assert sample.tau0[rep] == diag.tau0
             assert sample.j_tau0[rep] == diag.j_tau0
             assert sample.tau[rep] == diag.tau
+
+    def test_record_carries_its_policys_distribution(self, masspoint5):
+        # orbit_diagnostics once took the thresholds of whatever distribution it was handed
+        n, k, delta, reps, seed = 500, 196, 0.05, 6, 9
+        policy = make_policy("dp", masspoint5, n, k)
+        sample = orbit_stats(policy, n, k, delta, reps, seed)
+        for rep in range(reps):
+            rec = run_episode(policy, n, k, seed, rep)
+            assert rec.dist is policy.dist
+            diag = orbit_diagnostics(rec, delta)
+            assert (diag.tau0, diag.j_tau0, diag.tau) == \
+                (sample.tau0[rep], sample.j_tau0[rep], sample.tau[rep])
 
 
 class TestOrbitScanOracle:
@@ -354,7 +378,7 @@ class TestOrbitScanOracle:
         thr = thresholds(d)
         delta = 0.9 * half_min_mass(d)
         n, k, reps = 1200, 360, 48
-        _, _, paths = simulate_paths(d, make_policy(name, d, n, k), n, k, reps, seed=m)
+        _, _, paths = simulate_paths(make_policy(name, d, n, k), n, k, reps, seed=m)
         got = _orbit_scan(np.ascontiguousarray(paths.T), thr, delta, n)
         want = orbit_scan_passes(paths, thr, delta, n)
         for a, b in zip(got, want):
@@ -504,7 +528,7 @@ class TestWorkingSet:
         policy = make_policy(name, uniform5, n, k)
         tracemalloc.start()
         try:
-            orbit_stats(uniform5, policy, n, k, 0.05, reps, seed=1)
+            orbit_stats(policy, n, k, 0.05, reps, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -520,10 +544,10 @@ class TestWorkingSet:
 
             monkeypatch.setattr(cls, "decide_batch", spy)
         br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
-        paired_payoffs_cells(uniform5, n, [(br, k), (dp, k)], reps, seed=1)
+        paired_payoffs_cells(n, [(br, k), (dp, k)], reps, seed=1)
         assert set(seen) == {("br", True), ("dp", True)}
         seen.clear()
-        paired_payoffs_cells(uniform5, n, [(br, k), (dp, k), (ai, k)], reps, seed=1)
+        paired_payoffs_cells(n, [(br, k), (dp, k), (ai, k)], reps, seed=1)
         assert set(seen) == {("br", False), ("dp", False), ("ai", False)}
 
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
@@ -558,8 +582,8 @@ class TestStoredUniformsChangeNoDraw:
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps, seed = 60, 18, 300, 4
         br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
-        alone = paired_payoffs_cells(uniform5, n, [(br, k), (dp, k)], reps, seed)
-        joined = paired_payoffs_cells(uniform5, n, [(br, k), (dp, k), (ai, k)], reps, seed)
+        alone = paired_payoffs_cells(n, [(br, k), (dp, k)], reps, seed)
+        joined = paired_payoffs_cells(n, [(br, k), (dp, k), (ai, k)], reps, seed)
         for a, b in zip(alone, joined):
             np.testing.assert_array_equal(a[0], b[0])
             np.testing.assert_array_equal(a[1], b[1])
@@ -568,9 +592,9 @@ class TestStoredUniformsChangeNoDraw:
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps, seed = 60, 18, 300, 4
         br = make_policy("br", uniform5, n, k)
-        plain = simulate_paths(uniform5, br, n, k, reps, seed)
+        plain = simulate_paths(br, n, k, reps, seed)
         monkeypatch.setattr(BreakpointPolicy, "randomized", True)
-        stored = simulate_paths(uniform5, br, n, k, reps, seed)
+        stored = simulate_paths(br, n, k, reps, seed)
         for a, b in zip(plain, stored):
             np.testing.assert_array_equal(a, b)
 
@@ -585,7 +609,7 @@ class TestPayoffFreePasses:
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, delta, reps = 400, 136, 0.05, 300
         policy = make_policy(name, uniform5, n, k)
-        _, _, paths = simulate_paths(uniform5, policy, n, k, reps, seed)
+        _, _, paths = simulate_paths(policy, n, k, reps, seed)
         payoffs_seen = []
         step_block = simulate._step_block
 
@@ -594,7 +618,7 @@ class TestPayoffFreePasses:
             step_block(d, n, cells, ranks, u)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
-        sample = orbit_stats(uniform5, policy, n, k, delta, reps, seed)
+        sample = orbit_stats(policy, n, k, delta, reps, seed)
         assert len(payoffs_seen) == 3 and all(p is None for p in payoffs_seen)
         want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
         for a, b in zip((sample.tau0, sample.j_tau0, sample.tau), want):
@@ -631,7 +655,7 @@ class TestDrift:
         n, k, delta, reps, seed = 1000, 300, 0.05, 400, 606
         thr = thresholds(d)
         policy = make_policy("br", d, n, k)
-        _, _, paths = simulate_paths(d, policy, n, k, reps, seed)
+        _, _, paths = simulate_paths(policy, n, k, reps, seed)
         t_cut = cutoff_time(n, delta)
         anchor = thr[2 - 1]
         times = np.arange(n)
@@ -653,7 +677,7 @@ class TestDrift:
         d = uniform5
         n, k, reps, seed = 500, 150, 300, 17
         policy = make_policy("ai", d, n, k)
-        _, _, paths = simulate_paths(d, policy, n, k, reps, seed)
+        _, _, paths = simulate_paths(policy, n, k, reps, seed)
         times = np.arange(n - 1)
         ratios = paths[:, : n - 1] / (n - times)
         nxt = paths[:, 1:n] / (n - times - 1)
@@ -670,7 +694,7 @@ class TestMeanCurves:
         curves = {}
         for name in ("br", "dp"):
             policy = make_policy(name, uniform5, n, k)
-            curves[name], _ = ratio_mean_curve(uniform5, policy, n, k)
+            curves[name], _ = ratio_mean_curve(policy, n, k)
         gap = np.abs(curves["br"] - curves["dp"])[: n - 50]
         assert gap.max() < 0.025  # half the orbit width at delta = eps/2
 
