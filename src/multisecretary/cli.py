@@ -111,8 +111,7 @@ def _regret(out, names, runs, mode="exact", reps=10_000, seed=0) -> int:
     """The body of sweep-k, sweep-n and kleinberg once each has built its
     cells: sweep every (distribution, cells) pair of ``runs``, write all the
     records to ``out`` and list each failing cell; the exit status."""
-    if mode == "mc":
-        check_reps(reps)
+    check_reps(reps)
     records, failures = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # RegretRecord fails a non-finite cell
         for d, cells in runs:

@@ -33,9 +33,9 @@ import numpy as np
 
 from .distribution import AbilityDistribution
 from .errors import ModelError, NonMarkovPolicy, ProbabilityDrift, check_pair
-from .offline import capped_mean, offline_expectation
+from .offline import capped_mean, offline_expectation, offline_sort_batch
 from .policies import make_policy
-from .simulate import check_cell, paired_payoffs_cells
+from .simulate import _blocks, _Cell, check_cell
 
 DRIFT_LIMIT = 1e-9
 TAIL_TOL = 1e-12  # the forward window's total trimmed-mass budget
@@ -283,24 +283,45 @@ def _passes(check, policy, n: int, k: int) -> bool:
 
 
 def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
-    """Monte Carlo records of the (policy, n, k) cells, from one pass per n
-    whose blocks every cell of that n shares; maps each cell to its record or
-    exception.  Every cell is built and checked by ``check_cell`` before the
-    first pass, and a failure there is reported alone; an exception inside a
-    pass fails every cell it ran.  Cells built on one policy step as one stack."""
-    out, passes = {}, {}
+    """Monte Carlo records of the (policy, n, k) cells; maps each cell to its
+    record or exception.  Every cell is built and checked by ``check_cell``
+    once, before the first pass, and a failure there is reported alone.
+
+    Each n then runs one pass of ``_blocks`` on ``d``, whose blocks every
+    cell of that n shares: the cells built on one policy object step as one
+    ``_Cell`` stack, one budget row per k, and the posterior sort runs once
+    per distinct k on each block's rank counts.  An exception inside a pass
+    fails every cell it ran; a record whose mean is not finite fails alone.
+    """
+    out, passes = {}, {}  # n -> {id(policy): (its stack, the cells of its rows)}
     for cell, policy in _policies(d, cells, lambda p, n, k: check_cell(p, n, k, reps)):
         if isinstance(policy, Exception):
             out[cell] = policy
-        else:
-            passes.setdefault(cell[1], []).append((cell, policy))
-    for n, built in passes.items():
+            continue
+        by_policy = passes.setdefault(cell[1], {})
+        stack, built = by_policy.setdefault(id(policy), (_Cell(policy, []), []))
+        stack.ks.append(cell[2])
+        built.append(cell)
+    for n, by_policy in passes.items():
+        stacks = list(by_policy.values())
         try:
-            got = paired_payoffs_cells(n, [(policy, cell[2]) for cell, policy in built], reps, seed)
-            for (cell, policy), pair in zip(built, got):
-                out[cell] = _mc_record(policy.name, n, cell[2], *pair)
+            online = [np.empty((len(stack.ks), reps)) for stack, _ in stacks]
+            offline = {k: np.empty(reps) for stack, _ in stacks for k in stack.ks}
+            for rows, _, counts in _blocks(d, n, [stack for stack, _ in stacks], range(reps),
+                                           seed, want_payoffs=True):
+                for k, sort in offline.items():
+                    sort[rows] = offline_sort_batch(d, counts, k)
+                for (stack, _), payoff in zip(stacks, online):
+                    payoff[:, rows] = stack.payoff
         except Exception as exc:  # the pass itself failed: every cell it ran fails
-            out.update((cell, exc) for cell, _ in built)
+            out.update((cell, exc) for _, built in stacks for cell in built)
+            continue
+        for (stack, built), payoff in zip(stacks, online):
+            for cell, row in zip(built, payoff):
+                try:
+                    out[cell] = _mc_record(stack.policy.name, n, cell[2], row, offline[cell[2]])
+                except ModelError as exc:  # a non-finite mean fails its own cell
+                    out[cell] = exc
     return out
 
 
@@ -320,10 +341,11 @@ def sweep(
     build policies by one rule (``_policies``): a name's cells run in
     descending (n, k) and reuse the policy built for the largest cell it
     decides, so dp solves one table per sweep.  Exact cells run one at a
-    time.  Monte Carlo cells run one pass per n: every policy of the sweep is
-    built and checked first, and at each n all of them step over each block
-    of draws, every k of one policy as one stack; an exception inside a pass
-    fails every cell of that n.
+    time.  Monte Carlo cells (``_mc_cells``) are each built and checked once,
+    all before the first draw, then run one pass per n on ``d``: at each n
+    every policy steps over each block of draws, every k of one policy as one
+    stack, and each distinct k's posterior sort runs once per block; an
+    exception inside a pass fails every cell of that n.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")

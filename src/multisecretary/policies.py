@@ -239,6 +239,8 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
         return NonAdaptivePolicy(d, take_top_matrix(d, n), "take-top")
     if name.startswith("matrix:"):
         path = name.split(":", 1)[1]
+        if not path:
+            raise ModelError("the matrix: policy names no file; give matrix:<csv-file>")
         try:
             p = np.loadtxt(path, delimiter=",", ndmin=2)
         except ValueError as exc:

@@ -12,11 +12,11 @@ drawn once, a few dozen replications at a time through a rep-major scratch
 buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
 decision uniforms and, for the passes that read them, the per-rank counts
 of each replication.  Every (policy, k) cell at that n then steps over the
-same rows ``ranks[t-1]`` and ``u[t-1]``, period by period, and the posterior
-sort runs once per k on the shared counts.  Cells that share one policy
-object step as one stack, a (len(ks), reps) budget matrix, so each period
-makes one ``decide_batch`` call per policy, whose shared rank and uniform
-rows broadcast over the stack.  Budget paths, kept only by the one-cell
+same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
+sorts the posterior does so once per k on the shared counts.  Cells that
+share one policy object step as one stack, a (len(ks), reps) budget matrix,
+so each period makes one ``decide_batch`` call per policy, whose shared
+rank and uniform rows broadcast over the stack.  Budget paths, kept only by the one-cell
 passes, are time-major too, (n+1, 1, reps) int32, one row written per
 period.
 
@@ -28,13 +28,15 @@ A pass in which no policy is ``randomized`` (only br and dp) stores no
 decision uniforms: it still draws them, two per period, so every stream and
 the common random numbers are those of a pass that reads them, and its
 policies decide with ``u=None``.  Payoffs, and with them the rank counts,
-are kept only by the passes that return them (``run_episode``,
-``paired_payoffs_cells``); ``orbit_stats`` reads the budget paths alone, so
-its cells hold no payoff matrix and its blocks count no ranks.  Every entry
-point draws from its policies' ``dist`` and checks (n, k), reps and
-``policy.check`` before it draws; an exception inside the pass stops every
-cell of it.  Every entry point runs the one block loop ``_blocks``, the
-one-cell ones on a stack of one, ``run_episode`` over one replication.
+are kept only by the passes that read them (``run_episode``, and the
+Monte Carlo sweep, ``evaluate._mc_cells``, which pairs them with the
+posterior sort); ``orbit_stats`` reads the budget paths alone, so its cells
+hold no payoff matrix and its blocks count no ranks.  Every pass draws from
+its policies' ``dist``, and its caller checks each cell with ``check_cell``
+before it draws; an exception inside the pass stops every cell of it.
+Every pass runs the one block loop ``_blocks``; ``run_episode`` and
+``orbit_stats`` run it on a stack of one, ``run_episode`` over one
+replication.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
 (``_orbit_scan``), a few dozen periods at a time into one reused buffer:
@@ -51,8 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distribution import AbilityDistribution, half_min_mass, thresholds
-from .errors import BadDelta, InfeasiblePair, TableMismatch, check_pair
-from .offline import offline_sort_batch
+from .errors import BadDelta, InfeasiblePair, check_pair
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
@@ -325,42 +326,6 @@ def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_pay
         block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
         _step_block(d, n, cells, block_ranks, block_u)
         yield slice(start, start + len(block)), block_ranks, block_counts
-
-
-def paired_payoffs_cells(n: int, cells, reps: int, seed: int) -> list:
-    """Per-episode online and posterior-sort payoffs of several (policy, k)
-    cells at horizon ``n``, on blocks drawn once and shared by all of them;
-    the sort runs once per distinct k.  Cells that share one policy object
-    step as one stack, one budget row per cell, so each period costs one
-    ``decide_batch`` call per distinct policy.
-
-    Returns each cell's ``(online, offline)`` arrays, in order, or ``[]`` for
-    no cells.  The draws are those of the first cell's ``policy.dist``; before
-    the first block is drawn, every cell is checked by ``check_cell`` and a
-    policy on another distribution raises ``TableMismatch``.
-    """
-    if not cells:
-        return []
-    d = cells[0][0].dist
-    for policy, k in cells:
-        check_cell(policy, n, k, reps)
-        if policy.dist.content_hash() != d.content_hash():
-            raise TableMismatch(f"policy {policy.name!r} plays on {policy.dist!r}, not {d!r}")
-    stacks, place = {}, []  # one stack per distinct policy; each cell's (stack, row)
-    for policy, k in cells:
-        stack = stacks.setdefault(id(policy), _Cell(policy, []))
-        place.append((stack, len(stack.ks)))
-        stack.ks.append(k)
-    got = [(np.empty(reps), np.empty(reps)) for _ in cells]
-    for rows, _, counts in _blocks(d, n, list(stacks.values()), range(reps), seed,
-                                   want_payoffs=True):
-        sorts = {}
-        for (stack, row), (_, k), (online, offline) in zip(place, cells, got):
-            if k not in sorts:
-                sorts[k] = offline_sort_batch(d, counts, k)
-            online[rows] = stack.payoff[row]
-            offline[rows] = sorts[k]
-    return got
 
 
 def cutoff_time(n: int, delta: float) -> int:

@@ -205,6 +205,16 @@ class TestSweepK:
                 assert "reps" in assert_one_error_line(capsys)
                 assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
+    def test_exact_zero_reps_exits_2_once(self, dist_file, tmp_path, capsys):
+        # an exact sweep once took --reps 0 and exited 0
+        for reps in ("0", str(2**32 + 1)):
+            for argv in (["sweep-k", "--n", "20", "--k-range", "0:20:10"],
+                         ["sweep-n", "--n-list", "20", "--ratio", "0.3"]):
+                assert main(argv + ["--dist", dist_file, "--policies", "br", "--reps", reps,
+                                    "--out", str(tmp_path / "x.csv")]) == 2
+                assert "reps" in assert_one_error_line(capsys)
+                assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
     def test_unreadable_matrix_file_fails_its_cell(self, dist_file, tmp_path, capsys):
         mat = tmp_path / "bad.csv"
         mat.write_text("1,0,x\n")
@@ -544,6 +554,17 @@ class TestRatioMeanAndDiagnostics:
         assert main(argv + ["--dist", dist_file, "--out", str(out)]) == 2
         assert "bad.csv" in assert_one_error_line(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["diagnostics", "--policy", "matrix:", "--n", "3", "--k", "1", "--delta", "0.05",
+         "--reps", "10"],
+        ["paths", "--policies", "matrix:", "--n", "3", "--k", "1", "--seeds", "1"],
+    ])
+    def test_matrix_naming_no_file_exits_2_once(self, dist_file, tmp_path, capsys, argv):
+        # an empty path once printed "error:  not found."
+        assert main(argv + ["--dist", dist_file, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "matrix: policy names no file" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
     def test_delta_at_least_epsilon_exits_2(self, dist_file, tmp_path):
         assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90",

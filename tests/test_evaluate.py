@@ -25,7 +25,7 @@ from multisecretary import (
     take_top_matrix,
     write_records,
 )
-from multisecretary import cli, dp, evaluate
+from multisecretary import cli, dp, evaluate, simulate
 from multisecretary.dp import TIE_TOL_SCALE
 from multisecretary.evaluate import (
     CSV_HEADER,
@@ -577,6 +577,30 @@ class TestSharedMonteCarlo:
         for _, exc in failures:
             assert isinstance(exc, RuntimeError)
             assert str(exc) == "stub failed in its second block"
+
+    def test_check_cell_runs_once_per_cell(self, uniform5, monkeypatch):
+        # the pass once checked every cell again after the sweep had checked it
+        checked, check = [], simulate.check_cell
+
+        def spy(policy, n, k, reps):
+            checked.append((policy.name, n, k))
+            check(policy, n, k, reps)
+
+        monkeypatch.setattr(evaluate, "check_cell", spy)
+        monkeypatch.setattr(simulate, "check_cell", spy)
+        grid = [(n, k) for n in (30, self.N) for k in self.KS[:2]]
+        records, failures = sweep(uniform5, ["br", "dp", "ai"], grid, mode="mc",
+                                  reps=self.REPS, seed=self.SEED)
+        assert failures == [] and len(records) == 12
+        assert sorted(checked) == sorted((r.policy, r.n, r.k) for r in records)
+
+    def test_a_non_finite_record_fails_only_its_cell(self):
+        # one overflowing record once failed every cell of its pass, k = 0 too
+        d = new_distribution([1e308, 1.0], [0.5, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            records, failures = sweep(d, ["br"], [(10, 0), (10, 4)], mode="mc", reps=100)
+        assert [(r.k, r.v_on, r.v_off) for r in records] == [(0, 0.0, 0.0)]
+        assert [(cell, type(exc)) for cell, exc in failures] == [(("br", 10, 4), ModelError)]
 
     # every k of one policy steps as one stack: at mp5 with all five rules,
     # index is rebuilt for each k, k = 41 is infeasible for every name, and

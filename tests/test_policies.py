@@ -376,3 +376,8 @@ class TestFactory:
     def test_unknown_name(self, uniform3):
         with pytest.raises(ModelError):
             make_policy("greedy", uniform3, 5, 2)
+
+    def test_matrix_naming_no_file(self, uniform3):
+        # np.loadtxt("") once raised FileNotFoundError(" not found."), a message with no name
+        with pytest.raises(ModelError, match="names no file"):
+            make_policy("matrix:", uniform3, 5, 2)

@@ -21,6 +21,7 @@ from multisecretary import (
     orbit_stats,
     ratio_mean_curve,
     run_episode,
+    sweep,
     thresholds,
 )
 from multisecretary import simulate
@@ -33,7 +34,6 @@ from multisecretary.simulate import (
     _rank_counts,
     block_keys,
     check_cell,
-    paired_payoffs_cells,
 )
 from oracles import (
     ai_prob_table,
@@ -203,30 +203,19 @@ class TestBatchConsistency:
             np.testing.assert_array_equal(counts[rep], np.bincount(abilities, minlength=d.m + 1)[1:])
 
     def test_paired_payoffs_reproducible(self, uniform5):
-        policy = make_policy("br", uniform5, 50, 15)
-        a = paired_payoffs_cells(50, [(policy, 15)], 64, seed=2)[0]
-        b = paired_payoffs_cells(50, [(policy, 15)], 64, seed=2)[0]
-        np.testing.assert_array_equal(a[0], b[0])
-        np.testing.assert_array_equal(a[1], b[1])
-
-    def test_cells_on_two_distributions_raise_before_any_draw(self, uniform5, masspoint5,
-                                                              monkeypatch):
-        # the pass once drew every cell from the distribution it was handed
-        drawn = []
-        monkeypatch.setattr(simulate, "_uniform_block", lambda *a: drawn.append(a))
-        n, k = 50, 15
-        cells = [(make_policy("br", uniform5, n, k), k), (make_policy("br", masspoint5, n, k), k)]
-        with pytest.raises(TableMismatch, match="plays on"):
-            paired_payoffs_cells(n, cells, 8, seed=1)
-        assert drawn == []
-        assert paired_payoffs_cells(n, [], 8, seed=1) == []
+        runs = [sweep(uniform5, ["br", "ai"], [(50, 15), (50, 25)], "mc", 64, seed=2)
+                for _ in range(2)]
+        assert runs[0] == runs[1] and len(runs[0][0]) == 4
 
     @pytest.mark.parametrize("n,k", [(10, 11), (10, -1), (0, 0)])
-    def test_infeasible_pair_raises(self, uniform5, n, k):
+    def test_infeasible_pair_raises(self, uniform5, monkeypatch, n, k):
         # the engine checked only reps and paired k > n with the offline sort
-        policy = make_policy("ai", uniform5, 10, 5)
-        with pytest.raises(InfeasiblePair):
-            paired_payoffs_cells(n, [(policy, k)], 8, seed=1)
+        drawn = []
+        monkeypatch.setattr(simulate, "_uniform_block", lambda *a: drawn.append(a))
+        records, failures = sweep(uniform5, ["ai", "br"], [(n, k)], "mc", 8, seed=1)
+        assert records == [] and drawn == []
+        assert [cell for cell, _ in failures] == [("ai", n, k), ("br", n, k)]
+        assert all(isinstance(exc, InfeasiblePair) for _, exc in failures)
 
     @pytest.mark.parametrize("n,k,reps", [(10, 11, 8), (10, -1, 8), (0, 0, 8), (10, 5, 0)])
     def test_every_entry_point_checks_before_drawing(self, uniform5, monkeypatch, n, k, reps):
@@ -237,7 +226,6 @@ class TestBatchConsistency:
         policy = make_policy("ai", uniform5, 10, 5)
         monkeypatch.setattr(policy, "rates", work)
         calls = [
-            lambda: paired_payoffs_cells(n, [(policy, 5), (policy, k)], reps, seed=1),
             lambda: simulate_paths(policy, n, k, reps, seed=1),
             lambda: orbit_stats(policy, n, k, 0.05, reps, seed=1),
             lambda: run_episode(policy, n, k, 1, rep=reps - 1),
@@ -247,6 +235,8 @@ class TestBatchConsistency:
         for call in calls:
             with pytest.raises(InfeasiblePair):
                 call()
+        records, failures = sweep(uniform5, ["ai"], [(n, k)], "mc", reps, seed=1)
+        assert records == [] and isinstance(failures[0][1], InfeasiblePair)
 
     @pytest.mark.parametrize("name,n,k,error", [
         ("dp", 11, 5, TableMismatch),
@@ -266,7 +256,6 @@ class TestBatchConsistency:
         monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
         monkeypatch.setattr(policy, "rates", lambda *a: work.append("rates") or rates(*a))
         calls = [
-            lambda: paired_payoffs_cells(n, [(policy, k)], 8, seed=1),
             lambda: simulate_paths(policy, n, k, 8, seed=1),
             lambda: ratio_mean_curve(policy, n, k),
             lambda: orbit_stats(policy, n, k, 0.05, 8, seed=1),
@@ -543,11 +532,10 @@ class TestWorkingSet:
                 return _decide(self, left, budgets, abilities, u)
 
             monkeypatch.setattr(cls, "decide_batch", spy)
-        br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
-        paired_payoffs_cells(n, [(br, k), (dp, k)], reps, seed=1)
+        sweep(uniform5, ["br", "dp"], [(n, k)], "mc", reps, seed=1)
         assert set(seen) == {("br", True), ("dp", True)}
         seen.clear()
-        paired_payoffs_cells(n, [(br, k), (dp, k), (ai, k)], reps, seed=1)
+        sweep(uniform5, ["br", "dp", "ai"], [(n, k)], "mc", reps, seed=1)
         assert set(seen) == {("br", False), ("dp", False), ("ai", False)}
 
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
@@ -581,12 +569,9 @@ class TestStoredUniformsChangeNoDraw:
     def test_paired_payoffs_with_and_without_ai(self, uniform5, monkeypatch):
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps, seed = 60, 18, 300, 4
-        br, dp, ai = (make_policy(name, uniform5, n, k) for name in ("br", "dp", "ai"))
-        alone = paired_payoffs_cells(n, [(br, k), (dp, k)], reps, seed)
-        joined = paired_payoffs_cells(n, [(br, k), (dp, k), (ai, k)], reps, seed)
-        for a, b in zip(alone, joined):
-            np.testing.assert_array_equal(a[0], b[0])
-            np.testing.assert_array_equal(a[1], b[1])
+        alone, _ = sweep(uniform5, ["br", "dp"], [(n, k)], "mc", reps, seed)
+        joined, _ = sweep(uniform5, ["br", "dp", "ai"], [(n, k)], "mc", reps, seed)
+        assert len(alone) == 2 and alone == [r for r in joined if r.policy != "ai"]
 
     def test_simulate_paths_with_stored_uniforms(self, uniform5, monkeypatch):
         monkeypatch.setattr(simulate, "CHUNK", 128)
