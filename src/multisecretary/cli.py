@@ -25,7 +25,7 @@ from .distribution import (
     thresholds,
 )
 from .errors import BadEpsilon, ModelError
-from .evaluate import ratio_mean_curve, sweep, write_records
+from .evaluate import ratio_mean_curve, sweep, write_csv, write_records
 from .policies import POLICY_NAMES, make_policy
 from .simulate import (
     RNG_FAMILY,
@@ -177,15 +177,11 @@ def cmd_paths(args):
     for policy in _checked_policies(d, names, args.n, args.k):
         for seed in seeds:
             record = run_episode(policy, args.n, args.k, seed)
-            path = f"{stem}_{policy.name}_seed{seed}{suffix}"
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("t,ability_index,decision,K_t,R_t\n")
-                for t in range(1, args.n + 1):
-                    ratio = f"{record.ratio_path[t]:.12g}" if t < args.n else ""
-                    fh.write(
-                        f"{t},{record.abilities[t - 1]},{int(record.decisions[t - 1])},"
-                        f"{record.budget_path[t]},{ratio}\n"
-                    )
+            ratio = [f"{r:.12g}" for r in record.ratio_path[1:]] + [""]  # no R_n
+            rows = (f"{t + 1},{record.abilities[t]},{int(record.decisions[t])},"
+                    f"{record.budget_path[t + 1]},{ratio[t]}" for t in range(args.n))
+            write_csv(f"{stem}_{policy.name}_seed{seed}{suffix}",
+                      "t,ability_index,decision,K_t,R_t", rows)
     return 0, d, seeds, {"n": args.n, "k": args.k, "policies": names}
 
 
@@ -195,11 +191,9 @@ def cmd_ratio_mean(args):
     # a spec sorts where its policy's name does, matrix:<file> as matrix
     policies = _checked_policies(d, sorted(names), args.n, args.k)
     curves = {policy.name: ratio_mean_curve(policy, args.n, args.k) for policy in policies}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("policy,t,mean_ratio,mean_budget\n")
-        for name, (mean_ratio, mean_budget) in curves.items():
-            for t in range(args.n):
-                fh.write(f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}\n")
+    write_csv(args.out, "policy,t,mean_ratio,mean_budget",
+              (f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}"
+               for name, (mean_ratio, mean_budget) in curves.items() for t in range(args.n)))
     return 0, d, None, {"n": args.n, "k": args.k, "policies": names}
 
 
@@ -210,10 +204,8 @@ def cmd_diagnostics(args):
     policy = make_policy(args.policy, d, args.n, args.k)
     sample = orbit_stats(policy, args.n, args.k, args.delta, args.reps, args.seed)
     rows = zip(sample.tau0.tolist(), sample.j_tau0.tolist(), sample.tau.tolist())
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rep,tau0,j_tau0,tau,n_minus_tau\n")
-        fh.writelines(f"{rep},{tau0},{j},{tau},{args.n - tau}\n"
-                      for rep, (tau0, j, tau) in enumerate(rows))
+    write_csv(args.out, "rep,tau0,j_tau0,tau,n_minus_tau",
+              (f"{rep},{tau0},{j},{tau},{args.n - tau}" for rep, (tau0, j, tau) in enumerate(rows)))
     return 0, d, args.seed, {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
                              "policy": args.policy}
 

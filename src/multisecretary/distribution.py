@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -192,10 +193,16 @@ def half_min_mass(d: AbilityDistribution) -> float:
 
 
 def dist_from_json(text: str) -> AbilityDistribution:
-    """Build a distribution from the ``{"support": [...], "pmf": [...]}`` schema."""
-    obj = json.loads(text)
+    """Build a distribution from the ``{"support": [...], "pmf": [...]}`` schema:
+    each key once and no other, else one ``BadPmf`` names each key amiss."""
+    objects = []  # the (key, value) pairs of each JSON object, the outermost last
+    obj = json.loads(text, object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs))
     if not isinstance(obj, dict) or "support" not in obj or "pmf" not in obj:
         raise BadPmf("distribution config must be an object with 'support' and 'pmf'")
+    keys = Counter(key for key, _ in objects[-1])
+    wrong = [key for key, count in keys.items() if count > 1 or key not in ("support", "pmf")]
+    if wrong:
+        raise BadPmf(f"repeated or unknown distribution keys: {', '.join(map(repr, wrong))}")
     return new_distribution(obj["support"], obj["pmf"])
 
 

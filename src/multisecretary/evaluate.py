@@ -178,11 +178,8 @@ def _window_pass(policy, n: int, k: int,
         value = total
         move = window * sel
         window -= move
-        if lo > 0:
-            lo -= 1
-            prob[lo:hi] += move
-        else:
-            prob[:hi] += move[1:]
+        lo = max(lo - 1, 0)  # at budget 0 the move is 0: sel[0] was checked above
+        prob[lo:hi] += move[move.size - (hi - lo):]
         left = n - t_next
         while hi > lo and 0.0 <= prob[hi] < trim_below:
             mass = float(prob[hi])
@@ -287,7 +284,7 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
     record or exception.  Every cell is built and checked by ``check_cell``
     once, before the first pass, and a failure there is reported alone.
 
-    Each n then runs one pass of ``_blocks`` on ``d``, whose blocks every
+    Each n then runs one payoff pass of ``_blocks``, whose blocks every
     cell of that n shares: the cells built on one policy object step as one
     ``_Cell`` stack, one budget row per k, and the posterior sort runs once
     per distinct k on each block's rank counts.  An exception inside a pass
@@ -307,8 +304,7 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
         try:
             online = [np.empty((len(stack.ks), reps)) for stack, _ in stacks]
             offline = {k: np.empty(reps) for stack, _ in stacks for k in stack.ks}
-            for rows, _, counts in _blocks(d, n, [stack for stack, _ in stacks], range(reps),
-                                           seed, want_payoffs=True):
+            for rows, _, counts in _blocks(n, [stack for stack, _ in stacks], range(reps), seed):
                 for k, sort in offline.items():
                     sort[rows] = offline_sort_batch(d, counts, k)
                 for (stack, _), payoff in zip(stacks, online):
@@ -371,8 +367,13 @@ def format_record(rec: RegretRecord) -> str:
     )
 
 
-def write_records(records: Sequence[RegretRecord], path) -> None:
+def write_csv(path, header: str, rows: Iterable[str]) -> None:
+    """Write ``header`` and then each of ``rows`` as one UTF-8 line ending in
+    a bare line feed: every CSV the package writes goes through here."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(format_record(rec) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(row + "\n" for row in rows)
+
+
+def write_records(records: Sequence[RegretRecord], path) -> None:
+    write_csv(path, CSV_HEADER, map(format_record, records))

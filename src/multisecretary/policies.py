@@ -37,7 +37,7 @@ import numpy as np
 
 from . import dp as dp_mod
 from .distribution import RATIO_TIE_TOL, AbilityDistribution, partial_means, thresholds
-from .errors import DimensionMismatch, InfeasiblePair, ModelError, TableMismatch, check_pair
+from .errors import DimensionMismatch, ModelError, TableMismatch, check_pair
 
 _BLOCK_CELLS = 8192  # float cells per row block of br's breakpoint table
 
@@ -47,14 +47,13 @@ def index_matrix(d: AbilityDistribution, n: int, k: int) -> np.ndarray:
 
     Ranks above the pivot are always taken, the pivot rank with the
     fractional probability (k/n - F̄)/f, lower ranks never.  Fractions within
-    the ratio tie tolerance of 0 or 1 snap to the exact endpoint.
+    the ratio tie tolerance of 0 or 1, or beyond either, snap to that endpoint.
     """
     check_pair(n, k, min_n=1)
     ratio = k / n
     sv = d.survival_values
     pivot = int(np.searchsorted(sv[: d.m], ratio + RATIO_TIE_TOL, side="right"))
     frac = (ratio - sv[pivot - 1]) / d.pmf[pivot - 1]
-    frac = min(max(frac, 0.0), 1.0)
     if frac < RATIO_TIE_TOL:
         frac = 0.0
     elif 1.0 - frac < RATIO_TIE_TOL:
@@ -67,8 +66,7 @@ def index_matrix(d: AbilityDistribution, n: int, k: int) -> np.ndarray:
 
 def take_top_matrix(d: AbilityDistribution, n: int) -> np.ndarray:
     """Take every top-ability arrival, nothing else."""
-    if n < 1:
-        raise InfeasiblePair(f"horizon must be >= 1, got {n}")
+    check_pair(n, 0, min_n=1)
     p = np.zeros((d.m, n))
     p[0, :] = 1.0
     return p

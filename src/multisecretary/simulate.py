@@ -10,8 +10,8 @@ The Philox keys of a block's replications are derived once, as arrays, and
 one Philox restarts under each key in turn (``block_keys``).  Each block is
 drawn once, a few dozen replications at a time through a rep-major scratch
 buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
-decision uniforms and, for the passes that read them, the per-rank counts
-of each replication.  Every (policy, k) cell at that n then steps over the
+decision uniforms and, in a payoff pass, the per-rank counts of each
+replication.  Every (policy, k) cell at that n then steps over the
 same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
 sorts the posterior does so once per k on the shared counts.  Cells that
 share one policy object step as one stack, a (len(ks), reps) budget matrix,
@@ -23,20 +23,20 @@ period.
 A pass works in one fixed set of buffers, at most ``CHUNK`` replications
 wide, allocated before its first block and refilled for every block: the
 scratch, the ranks, the uniforms and counts it reads, and each cell's
-budgets, payoffs and paths (reallocated once, for a last, partial block).
-A pass in which no policy is ``randomized`` (only br and dp) stores no
-decision uniforms: it still draws them, two per period, so every stream and
-the common random numbers are those of a pass that reads them, and its
-policies decide with ``u=None``.  Payoffs, and with them the rank counts,
-are kept only by the passes that read them (``run_episode``, and the
-Monte Carlo sweep, ``evaluate._mc_cells``, which pairs them with the
-posterior sort); ``orbit_stats`` reads the budget paths alone, so its cells
-hold no payoff matrix and its blocks count no ranks.  Every pass draws from
-its policies' ``dist``, and its caller checks each cell with ``check_cell``
-before it draws; an exception inside the pass stops every cell of it.
-Every pass runs the one block loop ``_blocks``; ``run_episode`` and
-``orbit_stats`` run it on a stack of one, ``run_episode`` over one
-replication.
+budgets and its payoffs or paths (reallocated once, for a last, partial
+block).  A pass in which no policy is ``randomized`` (only br and dp) stores
+no decision uniforms: it still draws them, two per period, so every stream
+and the common random numbers are those of a pass that reads them, and its
+policies decide with ``u=None``.  A pass either records budget paths, or
+sums payoffs and counts ranks.  The Monte Carlo sweep,
+``evaluate._mc_cells``, sums payoffs and pairs them with the posterior sort
+on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths, and
+``run_episode`` reads its payoff off its own path, summed left to right as a
+payoff pass sums it.  Every pass draws from its cells' ``policy.dist``, and
+its caller checks each cell with ``check_cell`` before it draws; an
+exception inside the pass stops every cell of it.  Every pass runs the one
+block loop ``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a
+stack of one, ``run_episode`` over one replication.
 
 ``orbit_stats`` scans each block's paths as soon as it is stepped
 (``_orbit_scan``), a few dozen periods at a time into one reused buffer:
@@ -147,16 +147,17 @@ class OrbitSample:
 
 def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecord:
     """Play replication ``rep`` of ``seed`` on ``policy.dist``: row ``rep`` of
-    every many-replication pass, by the same block pass over that one replication."""
+    every many-replication pass, by a path pass over that one replication.  Its
+    payoff is summed off the path left to right, as a payoff pass sums it."""
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
     cell = _Cell(policy, [k])
-    for _, ranks, _ in _blocks(policy.dist, n, [cell], range(rep, rep + 1), seed,
-                               want_paths=True, want_payoffs=True):
+    for _, ranks, _ in _blocks(n, [cell], range(rep, rep + 1), seed, paths=True):
         abilities = ranks[:, 0].copy()
     budget_path = cell.paths[:, 0, 0].astype(np.int64)
-    ratio_path = budget_path[:n] / (n - np.arange(n))
+    decisions = budget_path[1:] < budget_path[:-1]
+    payoff = np.cumsum(policy.dist.support[abilities - 1] * decisions)[-1]
     return EpisodeRecord(
         policy=policy.name,
         dist=policy.dist,
@@ -164,10 +165,10 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
         k=k,
         seed_ref=(seed, rep),
         abilities=abilities,
-        decisions=budget_path[1:] < budget_path[:-1],
-        payoff=float(cell.payoff[0, 0]),
+        decisions=decisions,
+        payoff=float(payoff),
         budget_path=budget_path,
-        ratio_path=ratio_path,
+        ratio_path=budget_path[:n] / (n - np.arange(n)),
     )
 
 
@@ -188,7 +189,7 @@ def check_reps(reps: int) -> None:
 class _Cell:
     """The cells of a pass at a fixed n that share one policy object, one row
     per budget in ``ks``: the state of their episodes in the current block,
-    (len(ks), reps) budgets and, if wanted, (len(ks), reps) payoffs and
+    (len(ks), reps) budgets and either (len(ks), reps) payoffs or
     (n+1, len(ks), reps) budget paths."""
 
     def __init__(self, policy, ks: list):
@@ -196,16 +197,16 @@ class _Cell:
         self.ks = ks
         self.budgets = self.payoff = self.paths = None
 
-    def start(self, reps: int, n: int, want_paths: bool, want_payoffs: bool) -> None:
-        """Reset the state for a block of ``reps`` replications, in place
-        unless the block width changed since the last block."""
+    def start(self, reps: int, n: int, paths: bool) -> None:
+        """Reset the budgets, and the paths if ``paths`` or else the payoffs, for a
+        block of ``reps`` replications, in place unless the block width changed."""
         if self.budgets is None or self.budgets.shape[1] != reps:
             self.budgets = self.payoff = self.paths = None  # free the old ones before allocating
             self.budgets = np.empty((len(self.ks), reps), dtype=np.int64)
-            if want_payoffs:
-                self.payoff = np.empty(self.budgets.shape)
-            if want_paths:
+            if paths:
                 self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
+            else:
+                self.payoff = np.empty(self.budgets.shape)
         self.budgets[:] = np.reshape(self.ks, (-1, 1))
         if self.payoff is not None:
             self.payoff.fill(0.0)
@@ -278,8 +279,7 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray | None) -> No
     read the same rows ``ranks[t-1]`` and ``u[t-1]`` (None when the pass
     stores no uniforms), and one ``decide_batch`` call at the ``n - t + 1``
     periods left decides every budget row of a cell's stack against them.
-    Payoffs are summed only if the cells keep them (the cells of a pass all
-    do, or none does)."""
+    Payoffs are summed only in a payoff pass, whose cells all keep them."""
     paying = cells[0].payoff is not None
     value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
@@ -296,15 +296,17 @@ def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray | None) -> No
                 cell.paths[t_next] = cell.budgets
 
 
-def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_payoffs=False):
-    """Play ``cells``, all at horizon ``n`` and checked by ``check_cell``,
-    over the replications ``reps`` in shared blocks of ``CHUNK``.
+def _blocks(n: int, cells, reps: range, seed: int, paths=False):
+    """Play ``cells``, all at horizon ``n`` on ``cells[0].policy.dist`` and
+    checked by ``check_cell``, over the replications ``reps`` in shared blocks
+    of ``CHUNK``.  A path pass (``paths``) records each cell's budget paths;
+    a payoff pass sums each cell's payoffs and counts the block's ranks.
 
     Yields ``(rows, ranks, counts)`` once every cell has stepped through a
     block: ``rows`` is the block's slice of positions in ``reps``, ``ranks``
     its read-only (n, rows) ranks and ``counts`` its (rows, m) rank counts,
-    or None unless ``want_payoffs``; each cell holds the block's final
-    budgets and, if wanted, its payoffs and time-major paths.
+    None in a path pass; each cell holds the block's final budgets and its
+    payoffs or time-major paths.
 
     The pass allocates one set of draw buffers, at most ``CHUNK`` columns
     wide, and refills it for every block, as the cells refill their state:
@@ -312,17 +314,16 @@ def _blocks(d, n: int, cells, reps: range, seed: int, want_paths=False, want_pay
     decision uniforms are stored only if some cell's policy is
     ``randomized``.
     """
-    if not cells:
-        return
+    d = cells[0].policy.dist
     width = min(CHUNK, len(reps))
     scratch = np.empty((min(SCRATCH_REPS, width), 2 * n))
     ranks = np.empty((n, width), dtype=np.int16)
     u = np.empty((n, width)) if any(cell.policy.randomized for cell in cells) else None
-    counts = np.empty((width, d.m), dtype=np.int64) if want_payoffs else None
+    counts = None if paths else np.empty((width, d.m), dtype=np.int64)
     for start in range(0, len(reps), CHUNK):
         block = reps[start : start + CHUNK]
         for cell in cells:
-            cell.start(len(block), n, want_paths, want_payoffs)
+            cell.start(len(block), n, paths)
         block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
         _step_block(d, n, cells, block_ranks, block_u)
         yield slice(start, start + len(block)), block_ranks, block_counts
@@ -423,6 +424,6 @@ def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> O
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _, _ in _blocks(policy.dist, n, [cell], range(reps), seed, want_paths=True):
+    for rows, _, _ in _blocks(n, [cell], range(reps), seed, paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
     return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)

@@ -390,16 +390,19 @@ def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
 
 
 def simulate_paths(policy, n: int, k: int, reps: int, seed: int):
-    """Batch episodes on ``policy.dist`` by ``simulate``'s block loop;
-    returns (payoffs, per-ability counts, budget paths), one row per rep."""
+    """Batch episodes on ``policy.dist`` by ``simulate``'s block loop, one
+    payoff pass and one path pass over the same draws; returns (payoffs,
+    per-ability counts, budget paths), one row per rep."""
     simulate.check_cell(policy, n, k, reps)
-    cell = simulate._Cell(policy, [k])
     payoffs = np.empty(reps)
     counts = np.empty((reps, policy.dist.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, _, cnt in simulate._blocks(policy.dist, n, [cell], range(reps), seed,
-                                         want_paths=True, want_payoffs=True):
-        payoffs[rows], counts[rows], paths[rows] = cell.payoff[0], cnt, cell.paths[:, 0].T
+    cell = simulate._Cell(policy, [k])
+    for rows, _, cnt in simulate._blocks(n, [cell], range(reps), seed):
+        payoffs[rows], counts[rows] = cell.payoff[0], cnt
+    cell = simulate._Cell(policy, [k])
+    for rows, _, _ in simulate._blocks(n, [cell], range(reps), seed, paths=True):
+        paths[rows] = cell.paths[:, 0].T
     return payoffs, counts, paths
 
 

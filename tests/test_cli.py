@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from multisecretary import cli, dp, make_policy, new_distribution
+from multisecretary import cli, dp, evaluate, make_policy, new_distribution
 from multisecretary.cli import kleinberg_distribution, main, round_half_up
 from multisecretary.distribution import MAX_SUPPORT
 from multisecretary.errors import BadEpsilon
@@ -73,6 +73,20 @@ class TestValidate:
         assert main(["sweep-k", "--dist", str(bad), "--n", "10", "--k-range", "2:4:2",
                      "--policies", "br", "--out", str(tmp_path / "s.csv")]) == 2
         assert field in assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["sweep-k", "--n", "10", "--k-range", "2:4:2", "--policies", "br", "--out", "{out}"],
+    ], ids=["validate", "sweep-k"])
+    def test_repeated_and_unknown_keys_exit_2_once(self, tmp_path, capsys, argv):
+        # the first "support" was once dropped and "note" ignored: exit 0
+        bad = tmp_path / "keys.json"
+        bad.write_text('{"support": [9.0], "support": [2.0, 1.55, 1.1, 0.65, 0.2], '
+                       '"pmf": [0.2, 0.2, 0.2, 0.2, 0.2], "note": "u5"}')
+        argv = [str(tmp_path / "s.csv") if a == "{out}" else a for a in argv]
+        assert main(argv + ["--dist", str(bad)]) == 2
+        assert "keys: 'support', 'note'\n" in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["keys.json"]
 
     def test_strings_and_booleans_exit_2_once(self, tmp_path, capsys):
         # "2" and true once passed as numbers: exit 0 with m = 2
@@ -318,6 +332,14 @@ class TestSweepN:
                      "--policies", "br,ai", "--mc", "--reps", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err.count("not a feasible pair") == 2
         assert read_rows(out) == (CSV_HEADER, [])
+
+    def test_zero_horizon_fails_index_and_take_top_alike(self, dist_file, tmp_path, capsys):
+        # take-top once failed with a message of its own, "horizon must be >= 1, got 0"
+        assert main(["sweep-n", "--dist", dist_file, "--n-list", "0", "--ratio", "0.3",
+                     "--policies", "index,take-top", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"cell policy={name} n=0 k=0 failed: (n=0, k=0) is not a feasible pair"
+            for name in ("index", "take-top")]
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3
@@ -678,6 +700,34 @@ class TestRepeatedEntries:
         assert played == [("br", 1), ("br", 2), ("dp", 1), ("dp", 2)]
         manifest = json.loads((tmp_path / "p.csv.manifest.json").read_text())
         assert manifest["seed"] == [1, 2] and manifest["grid"]["policies"] == ["br", "dp"]
+
+
+class TestOneCsvWriter:
+    @pytest.mark.parametrize("argv,files", [
+        (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br,ai"],
+         1),
+        (["kleinberg", "--epsilons", "0.1,0.05", "--policies", "br"], 1),
+        (["paths", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br,ai",
+          "--seeds", "1,2"], 4),
+        (["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br,ai"], 1),
+        (["diagnostics", "--dist", "{dist}", "--n", "100", "--k", "30", "--delta", "0.05",
+          "--reps", "5"], 1),
+    ], ids=["sweep-k", "kleinberg", "paths", "ratio-mean", "diagnostics"])
+    def test_every_csv_goes_through_write_csv(self, dist_file, tmp_path, monkeypatch, argv,
+                                              files):
+        written, write_csv = [], evaluate.write_csv
+
+        def spy(path, header, rows):
+            written.append(str(path))
+            write_csv(path, header, rows)
+
+        for module in (evaluate, cli):
+            monkeypatch.setattr(module, "write_csv", spy)
+        argv = [dist_file if a == "{dist}" else a for a in argv]
+        assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert sorted(written) == [str(p) for p in csvs] and len(csvs) == files
+        assert not any(b"\r" in p.read_bytes() for p in csvs)
 
 
 class TestManifests:

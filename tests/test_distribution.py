@@ -262,3 +262,17 @@ class TestJsonInterface:
             dist_from_json('{"support": [1.0, 2.0], "pmf": [0.5, 0.5]}')
         with pytest.raises(BadPmf):
             dist_from_json('{"support": [1.0]}')
+
+    def test_repeated_and_unknown_keys_named_in_one_error(self):
+        # the first "support" was once dropped silently and "note" ignored
+        with pytest.raises(BadPmf) as exc:
+            dist_from_json('{"support": [9.0], "support": [2.0, 1.55, 1.1, 0.65, 0.2], '
+                           '"pmf": [0.2, 0.2, 0.2, 0.2, 0.2], "note": "u5"}')
+        assert str(exc.value).endswith("keys: 'support', 'note'")
+        with pytest.raises(BadPmf, match=r"keys: 'x', 'pmf'$"):
+            dist_from_json('{"x": 1, "support": [1.0], "pmf": [1.0], "pmf": [1.0]}')
+
+    def test_nested_objects_are_not_the_config(self):
+        # only the outermost object's keys are the config's
+        with pytest.raises(BadPmf, match="pmf must be a list of numbers"):
+            dist_from_json('{"support": [2, 1], "pmf": [0.5, {"x": 1, "x": 2}]}')

@@ -250,6 +250,19 @@ class TestIndexMatrix:
         with pytest.raises(InfeasiblePair):
             index_matrix(uniform3, 5, 6)
 
+    def test_ratio_below_a_survival_value_snaps_to_zero(self):
+        # 0.1 + 0.2 rounds above 3/10, so the pivot's fraction comes out
+        # negative, -8e-17; it snaps to 0, never below
+        mat = index_matrix(new_distribution([3.0, 2.0, 1.0], [0.1, 0.2, 0.7]), 10, 3)
+        assert mat[:, 0].tolist() == [1.0, 1.0, 0.0]
+
+
+class TestTakeTopMatrix:
+    def test_zero_horizon_is_an_infeasible_pair(self, uniform3):
+        # take-top once raised a message of its own, "horizon must be >= 1"
+        with pytest.raises(InfeasiblePair, match=r"^\(n=0, k=0\) is not a feasible pair$"):
+            take_top_matrix(uniform3, 0)
+
 
 class TestNonAdaptive:
     def test_all_ones_selects_first_k(self, uniform3):

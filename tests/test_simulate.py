@@ -541,7 +541,7 @@ class TestWorkingSet:
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps = 40, 12, 300  # two full blocks and a partial one
-        cell = simulate._Cell(make_policy("ai", uniform5, n, k), [k])
+        policy = make_policy("ai", uniform5, n, k)
         uniforms, step_block = [], simulate._step_block
 
         def spy(d, n, cells, ranks, u):
@@ -549,17 +549,36 @@ class TestWorkingSet:
             step_block(d, n, cells, ranks, u)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
-        ranks, counts, paths = [], [], []
-        for _, block_ranks, block_counts in simulate._blocks(
-                uniform5, n, [cell], range(reps), 1, want_paths=True, want_payoffs=True):
+        ranks, counts, payoffs, paths = [], [], [], []
+        cell = simulate._Cell(policy, [k])
+        for _, block_ranks, block_counts in simulate._blocks(n, [cell], range(reps), 1):
             ranks.append(block_ranks)
             counts.append(block_counts)
+            payoffs.append(cell.payoff)
+            assert cell.paths is None
+        cell = simulate._Cell(policy, [k])
+        for _, _, block_counts in simulate._blocks(n, [cell], range(reps), 1, paths=True):
             paths.append(cell.paths)
+            assert block_counts is None and cell.payoff is None
         assert [r.shape[1] for r in ranks] == [128, 128, 44]
-        for block in (ranks, uniforms, counts):
+        for block in (ranks, uniforms[:3], uniforms[3:], counts):
             assert not any(a.flags.writeable for a in block)
             assert np.shares_memory(block[0], block[1]) and np.shares_memory(block[1], block[2])
+        assert payoffs[0] is payoffs[1] and payoffs[2].shape == (1, 44)
         assert paths[0] is paths[1] and paths[2].shape == (n + 1, 1, 44)
+
+    def test_blocks_draw_from_their_cells_distribution(self, masspoint5, monkeypatch):
+        # a pass takes no distribution: given only a masspoint5 cell, it
+        # draws masspoint5's ranks
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps, seed = 30, 10, 200, 7
+        cell = simulate._Cell(make_policy("br", masspoint5, n, k), [k])
+        ranks = np.empty((n, reps), dtype=np.int16)
+        for rows, block_ranks, _ in simulate._blocks(n, [cell], range(reps), seed):
+            ranks[:, rows] = block_ranks
+        for rep in range(reps):
+            u = episode_stream(seed, rep).random(2 * n)
+            np.testing.assert_array_equal(ranks[:, rep], sample_searchsorted(masspoint5, u[0::2]))
 
 
 class TestStoredUniformsChangeNoDraw:
