@@ -45,10 +45,8 @@ from .policies import (
 )
 from .simulate import (
     EpisodeRecord,
-    OrbitDiagnostics,
     OrbitSample,
     cutoff_time,
-    orbit_diagnostics,
     orbit_stats,
     run_episode,
 )

@@ -35,7 +35,7 @@ TIE_TOL_SCALE = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class DPTable:
-    """Backward-induction output for one (distribution, n, k) instance.
+    """Backward-induction output for one (``dist``, n, k) instance.
 
     ``value`` is g_n(k), the sum of h_{n+1}(kappa) over kappa <= k, from the
     h recursion in the module docstring; NaN for tables not produced by
@@ -46,7 +46,7 @@ class DPTable:
     k + 1 throughout.  The budget-ratio rule's table has the same form.
     """
 
-    dist_hash: str
+    dist: AbilityDistribution
     n: int
     k: int
     value: float
@@ -92,6 +92,4 @@ def solve(d: AbilityDistribution, n: int, k: int) -> DPTable:
         u, u_next = u_next, u
     breakpoints += 1  # cell index -> budget
     breakpoints.flags.writeable = False
-    return DPTable(
-        dist_hash=d.content_hash(), n=n, k=k, value=float(np.sum(-u)), breakpoints=breakpoints
-    )
+    return DPTable(dist=d, n=n, k=k, value=float(np.sum(-u)), breakpoints=breakpoints)

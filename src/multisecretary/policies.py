@@ -94,19 +94,17 @@ def _ratio_breakpoints(values: np.ndarray, n: int) -> np.ndarray:
 
 
 class BreakpointPolicy:
-    """Deterministic rule: with l periods to go, rank j is selected iff the
-    budget has reached ``table.breakpoints[l, j - 1]``.  dp's table comes
-    from ``dp.solve``; br's covers every budget up to n (k = n)."""
+    """Deterministic rule on ``table.dist``: with l periods to go, rank j is
+    selected iff the budget has reached ``table.breakpoints[l, j - 1]``.  dp's
+    table comes from ``dp.solve``; br's covers every budget up to n (k = n)."""
 
     randomized = False
 
-    def __init__(self, d: AbilityDistribution, table: dp_mod.DPTable, name: str):
-        if table.dist_hash != d.content_hash():
-            raise TableMismatch("table was solved for a different distribution")
-        self.dist = d
+    def __init__(self, table: dp_mod.DPTable, name: str):
+        self.dist = table.dist
         self.table = table
         self.name = name
-        self._gain = partial_means(d)
+        self._gain = partial_means(self.dist)
 
     def check(self, n, k):
         """Row l depends on l alone, row 0 is never read and budgets only fall
@@ -226,9 +224,9 @@ def make_policy(name: str, d: AbilityDistribution, n: int, k: int):
     if name == "br":
         check_pair(n, k)
         bp = _ratio_breakpoints(thresholds(d)[: d.m], n)
-        return BreakpointPolicy(d, dp_mod.DPTable(d.content_hash(), n, n, math.nan, bp), "br")
+        return BreakpointPolicy(dp_mod.DPTable(d, n, n, math.nan, bp), "br")
     if name == "dp":
-        return BreakpointPolicy(d, dp_mod.solve(d, n, k), "dp")
+        return BreakpointPolicy(dp_mod.solve(d, n, k), "dp")
     if name == "ai":
         return AdaptiveIndexPolicy(d)
     if name == "index":

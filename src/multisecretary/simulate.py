@@ -38,11 +38,11 @@ exception inside the pass stops every cell of it.  Every pass runs the one
 block loop ``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a
 stack of one, ``run_episode`` over one replication.
 
-``orbit_stats`` scans each block's paths as soon as it is stepped
-(``_orbit_scan``), a few dozen periods at a time into one reused buffer:
-the orbit-entry search tests only the replications that have not entered
-yet, and the exit test compares each replication with its matched
-threshold alone.
+``orbit_stats`` is the one orbit entry.  It scans each block's paths as
+soon as it is stepped (``_orbit_scan``), a few dozen periods at a time into
+one reused buffer: the orbit-entry search tests only the replications that
+have not entered yet, and the exit test compares each replication with its
+matched threshold alone.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distribution import AbilityDistribution, half_min_mass, thresholds
+from .distribution import half_min_mass, thresholds
 from .errors import BadDelta, InfeasiblePair, check_pair
 
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
@@ -110,10 +110,9 @@ def block_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeRecord:
-    """One full trajectory on ``dist``: draws, decisions, budget and ratio paths."""
+    """One full trajectory: draws, decisions, budget and ratio paths."""
 
     policy: str
-    dist: AbilityDistribution
     n: int
     k: int
     seed_ref: tuple[int, int]  # (seed, rep)
@@ -125,21 +124,11 @@ class EpisodeRecord:
 
 
 @dataclass(frozen=True, eq=False)
-class OrbitDiagnostics:
-    """Threshold-orbit entry/exit data for one trajectory."""
-
-    delta: float
-    tau0: int
-    j_tau0: int          # m+1 when the horizon cutoff fired first
-    tau: int
-    y_path: np.ndarray   # deviation K - T*(time left) from tau0 on; empty on the cutoff branch
-
-
-@dataclass(frozen=True, eq=False)
 class OrbitSample:
-    """Batch of orbit statistics, one entry per replication."""
+    """Orbit entry time, matched threshold and exit time, one entry per
+    replication.  Where the horizon cutoff fires before any entry, ``j_tau0``
+    is m+1 and ``tau`` = ``tau0`` = the cutoff time."""
 
-    delta: float
     tau0: np.ndarray
     j_tau0: np.ndarray
     tau: np.ndarray
@@ -160,7 +149,6 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
     payoff = np.cumsum(policy.dist.support[abilities - 1] * decisions)[-1]
     return EpisodeRecord(
         policy=policy.name,
-        dist=policy.dist,
         n=n,
         k=k,
         seed_ref=(seed, rep),
@@ -400,24 +388,11 @@ def orbit_thresholds(d, delta: float) -> np.ndarray:
     return thresholds(d)
 
 
-def orbit_diagnostics(record: EpisodeRecord, delta: float) -> OrbitDiagnostics:
-    """Entry time tau0 into a threshold orbit of ``record.dist``, the matched
-    threshold, the exit time tau, and the deviation path Y from tau0 onward."""
-    thr = orbit_thresholds(record.dist, delta)
-    n = record.n
-    tau0_a, j_a, tau_a = _orbit_scan(record.budget_path[:, None], thr, delta, n)
-    tau0, j_tau0, tau = int(tau0_a[0]), int(j_a[0]), int(tau_a[0])
-    if j_tau0 == record.dist.m + 1:
-        y_path = np.empty(0)
-    else:
-        anchor = thr[j_tau0 - 1]
-        left = n - tau0 - np.arange(n - tau0 + 1)
-        y_path = record.budget_path[tau0:] - anchor * left
-    return OrbitDiagnostics(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau, y_path=y_path)
-
-
 def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
-    """Orbit entry/exit statistics over many replications on ``policy.dist``."""
+    """tau0, j and tau of replications 0..reps-1 of ``seed`` on
+    ``policy.dist``: row ``rep`` is ``_orbit_scan`` of ``run_episode``'s budget
+    path for that replication.  A ``delta`` outside (0, half the minimal mass)
+    raises ``BadDelta`` before any draw."""
     thr = orbit_thresholds(policy.dist, delta)
     check_cell(policy, n, k, reps)
     cell = _Cell(policy, [k])
@@ -426,4 +401,4 @@ def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> O
     tau = np.empty(reps, dtype=np.int64)
     for rows, _, _ in _blocks(n, [cell], range(reps), seed, paths=True):
         tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
-    return OrbitSample(delta=delta, tau0=tau0, j_tau0=j_tau0, tau=tau)
+    return OrbitSample(tau0=tau0, j_tau0=j_tau0, tau=tau)

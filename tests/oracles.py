@@ -5,11 +5,15 @@ explicit enumeration of ability sequences, the optimum by recursion over
 full histories (no budget-state reduction) or by the g recursion on the
 whole value table, in floats or exact rationals (the library recurses on
 the marginal value instead), and policy selection probabilities are
-recomputed from their defining formulas.  Two exceptions read the library:
+recomputed from their defining formulas.  Four exceptions read the library:
 ``capped_budget_means`` reads the offline module's ``capped_mean``, which
-``test_offline`` checks against ``exact_capped_mean``, and ``simulate_paths``
+``test_offline`` checks against ``exact_capped_mean``; ``simulate_paths``
 runs the sample-path engine's own block loop, to give tests every
-replication's payoff, rank counts and budget path at once.
+replication's payoff, rank counts and budget path at once;
+``orbit_scan_passes`` reads the horizon guard ``cutoff_time``, which
+``TestCutoff`` pins to n - ceil(2/delta) - 1; and ``action_index_j0`` reads
+``thresholds``, which ``TestThresholds`` checks against hand-computed
+values.
 """
 
 from __future__ import annotations

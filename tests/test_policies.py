@@ -162,36 +162,32 @@ class TestRatioBreakpoints:
 
 class TestDpDecide:
     def test_mean_rule_two_to_go(self, uniform5):
-        dp = BreakpointPolicy(uniform5, solve(uniform5, 1000, 500), "dp")
+        dp = BreakpointPolicy(solve(uniform5, 1000, 500), "dp")
         # h_2(1) = E[X] = 1.10: ranks up to the mean ability are taken
         assert decide(dp, 2, 1, 3)
         assert not decide(dp, 2, 1, 4)
 
     def test_no_budget(self, uniform5):
-        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
+        dp = BreakpointPolicy(solve(uniform5, 10, 5), "dp")
         assert not decide(dp, 8, 0, 1)
 
     def test_last_period_takes_anything(self, uniform5):
-        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
+        dp = BreakpointPolicy(solve(uniform5, 10, 5), "dp")
         assert decide(dp, 1, 1, uniform5.m)
 
     def test_table_mismatch(self, uniform5):
-        dp = BreakpointPolicy(uniform5, solve(uniform5, 10, 5), "dp")
+        dp = BreakpointPolicy(solve(uniform5, 10, 5), "dp")
         for n, k in ((11, 5), (10, 6)):
             with pytest.raises(TableMismatch):
                 run_episode(dp, n, k, 1)
             with pytest.raises(TableMismatch):
                 _forward_value(dp, n, k)
 
-    def test_table_for_another_distribution_raises(self, uniform5, masspoint5):
-        with pytest.raises(TableMismatch, match="different distribution"):
-            BreakpointPolicy(masspoint5, solve(uniform5, 10, 5), "dp")
-
     def test_disagrees_with_br_near_horizon_end(self):
         # two to go, one budget unit: the optimal rule keeps only values at or
         # above the mean, while the ratio rule still takes the middle rank
         d = new_distribution([10.0, 1.5, 1.0], [0.2, 0.4, 0.4])
-        dp = BreakpointPolicy(d, solve(d, 100, 60), "dp")
+        dp = BreakpointPolicy(solve(d, 100, 60), "dp")
         br = make_policy("br", d, 100, 60)
         state = (2, 1, 2)  # ratio 1/2, ability 1.5 < mean 3.0
         assert decide(br, *state)

@@ -17,7 +17,6 @@ from multisecretary import (
     half_min_mass,
     make_policy,
     new_distribution,
-    orbit_diagnostics,
     orbit_stats,
     ratio_mean_curve,
     run_episode,
@@ -60,6 +59,17 @@ def m_grid(m: int):
 def seedsequence_keys(seed: int, reps) -> np.ndarray:
     return np.array([np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(2, np.uint64)
                      for rep in reps])
+
+
+def assert_stats_rows_scan_episodes(policy, n, k, reps, seed, delta=0.05):
+    """Each row of ``orbit_stats`` is ``_orbit_scan`` of that replication's
+    ``run_episode`` path against the policy's thresholds."""
+    sample = orbit_stats(policy, n, k, delta, reps, seed)
+    thr = thresholds(policy.dist)
+    for rep in range(reps):
+        path = run_episode(policy, n, k, seed, rep).budget_path[:, None]
+        got = [int(a[0]) for a in _orbit_scan(path, thr, delta, n)]
+        assert got == [sample.tau0[rep], sample.j_tau0[rep], sample.tau[rep]]
 
 
 class TestBlockKeys:
@@ -292,28 +302,28 @@ class TestOrbit:
     def test_start_on_threshold_enters_immediately(self, uniform5):
         n, k = 1000, 300  # k/n = 0.30 = T_2
         policy = make_policy("br", uniform5, n, k)
-        rec = run_episode(policy, n, k, 8)
-        diag = orbit_diagnostics(rec, delta=0.05)
-        assert diag.tau0 == 0 and diag.j_tau0 == 2
-        assert diag.tau0 <= diag.tau <= n
+        sample = orbit_stats(policy, n, k, 0.05, 1, seed=8)
+        assert sample.tau0[0] == 0 and sample.j_tau0[0] == 2
+        assert sample.tau0[0] <= sample.tau[0] <= n
 
     def test_initial_deviation_bound(self, uniform5):
-        n, k, delta = 1000, 340, 0.05
+        n, k, delta, reps, seed = 1000, 340, 0.05, 10, 21
         policy = make_policy("br", uniform5, n, k)
-        for rep in range(10):
-            rec = run_episode(policy, n, k, 21, rep)
-            diag = orbit_diagnostics(rec, delta)
-            if diag.j_tau0 <= uniform5.m:
-                assert abs(diag.y_path[0]) <= delta / 2 * (n - diag.tau0) + 1e-9
+        thr = thresholds(uniform5)
+        sample = orbit_stats(policy, n, k, delta, reps, seed)
+        assert np.any(sample.j_tau0 <= uniform5.m)
+        for rep in range(reps):
+            tau0, j = int(sample.tau0[rep]), int(sample.j_tau0[rep])
+            if j <= uniform5.m:
+                budget = run_episode(policy, n, k, seed, rep).budget_path[tau0]
+                assert abs(budget - thr[j - 1] * (n - tau0)) <= delta / 2 * (n - tau0) + 1e-9
 
     def test_cutoff_branch_on_short_horizon(self, uniform5):
         # with n - ceil(2/delta) - 1 <= 0 the sentinel fires at time zero
         policy = make_policy("br", uniform5, 30, 10)
-        rec = run_episode(policy, 30, 10, 2)
-        diag = orbit_diagnostics(rec, delta=0.05)
-        assert diag.j_tau0 == uniform5.m + 1
-        assert diag.tau == diag.tau0 == cutoff_time(30, 0.05) == 0
-        assert diag.y_path.size == 0
+        sample = orbit_stats(policy, 30, 10, 0.05, 1, seed=2)
+        assert sample.j_tau0[0] == uniform5.m + 1
+        assert sample.tau[0] == sample.tau0[0] == cutoff_time(30, 0.05) == 0
 
     def test_jump_bound_up_to_cutoff(self, uniform5):
         n, k, delta = 500, 150, 0.05
@@ -325,38 +335,19 @@ class TestOrbit:
             assert np.all(jumps[: t_cut + 1] <= delta / 2 + 1e-12)
 
     def test_bad_delta(self, uniform5):
-        # one rule for both: 0 < delta < half the minimal mass (0.1 on u5);
-        # orbit_diagnostics once took delta up to the smallest threshold gap
+        # one rule: 0 < delta < half the minimal mass (0.1 on u5); 0.15 lies
+        # below the smallest threshold gap (0.2) and still raises
         policy = make_policy("br", uniform5, 100, 30)
-        rec = run_episode(policy, 100, 30, 0)
         for delta in (half_min_mass(uniform5), 0.15, 0.0):
             with pytest.raises(BadDelta):
                 orbit_stats(policy, 100, 30, delta, 10, seed=0)
-            with pytest.raises(BadDelta):
-                orbit_diagnostics(rec, delta)
 
     def test_stats_batch_matches_single(self, uniform5):
-        n, k, delta, reps, seed = 600, 180, 0.05, 8, 44
-        policy = make_policy("br", uniform5, n, k)
-        sample = orbit_stats(policy, n, k, delta, reps, seed)
-        for rep in range(reps):
-            rec = run_episode(policy, n, k, seed, rep)
-            diag = orbit_diagnostics(rec, delta)
-            assert sample.tau0[rep] == diag.tau0
-            assert sample.j_tau0[rep] == diag.j_tau0
-            assert sample.tau[rep] == diag.tau
+        assert_stats_rows_scan_episodes(make_policy("br", uniform5, 600, 180), 600, 180, 8, 44)
 
-    def test_record_carries_its_policys_distribution(self, masspoint5):
-        # orbit_diagnostics once took the thresholds of whatever distribution it was handed
-        n, k, delta, reps, seed = 500, 196, 0.05, 6, 9
-        policy = make_policy("dp", masspoint5, n, k)
-        sample = orbit_stats(policy, n, k, delta, reps, seed)
-        for rep in range(reps):
-            rec = run_episode(policy, n, k, seed, rep)
-            assert rec.dist is policy.dist
-            diag = orbit_diagnostics(rec, delta)
-            assert (diag.tau0, diag.j_tau0, diag.tau) == \
-                (sample.tau0[rep], sample.j_tau0[rep], sample.tau[rep])
+    def test_stats_match_scan_of_masspoint_dp_paths(self, masspoint5):
+        # the thresholds scanned are those of the policy's own distribution
+        assert_stats_rows_scan_episodes(make_policy("dp", masspoint5, 500, 196), 500, 196, 6, 9)
 
 
 class TestOrbitScanOracle:
