@@ -16,11 +16,17 @@ i.i.d. Bernoulli(s) while budget lasts, so its value is (g / s)
 E[min(Binomial(n, s), k)] from the offline module's ``capped_mean``, and its
 ``error_bound`` is the offline bound plus g / s times that mean's bound.
 ``ratio_mean_curve`` runs the pass for every rule and reads E[K_t] off its
-window.  A sweep visits each name's cells in descending (n, k) and keeps
-its policy while ``check`` passes, so br and dp build one table per sweep.
-The Monte Carlo route pairs each sampled path's policy payoff with the
-posterior sort on the same realization; a sweep's Monte Carlo cells at one
-n share every block of draws.
+window.  Every entry takes cells with n >= 1 and 0 <= k <= n.
+
+Both sweep modes run their cells through one driver, ``_run_cells``: it
+visits each name's cells in descending (n, k) and runs each on the held
+policy, whose cell check runs once per cell; only a cell whose check fails
+builds a policy of its own, so br and dp build one table per sweep.  An
+exact cell's run is ``exact_regret``, which checks the cell before its
+forward pass, so a failed check costs no pass.  A Monte Carlo cell's run is
+``check_cell``, and the route then pairs each sampled path's policy payoff
+with the posterior sort on the same realization; a sweep's Monte Carlo
+cells at one n share every block of draws.
 """
 
 from __future__ import annotations
@@ -32,7 +38,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distribution import AbilityDistribution
-from .errors import ModelError, NonMarkovPolicy, ProbabilityDrift, check_pair
+from .errors import (DimensionMismatch, InfeasiblePair, ModelError, NonMarkovPolicy,
+                     ProbabilityDrift, TableMismatch, check_pair)
 from .offline import capped_mean, offline_expectation, offline_sort_batch
 from .policies import make_policy
 from .simulate import _blocks, _Cell, check_cell
@@ -40,6 +47,8 @@ from .simulate import _blocks, _Cell, check_cell
 DRIFT_LIMIT = 1e-9
 TAIL_TOL = 1e-12  # the forward window's total trimmed-mass budget
 BLOCK = 16  # periods per ``rates`` call of the forward pass
+# what only the cell check raises: a held policy that meets one is rebuilt for the cell
+_CELL_CHECK = (InfeasiblePair, TableMismatch, DimensionMismatch)
 
 CSV_HEADER = "policy,n,k,method,v_on,v_off,regret,ci_halfwidth,error_bound"
 
@@ -79,9 +88,8 @@ class RegretRecord:
 def _forward_value(policy, n: int, k: int) -> tuple[float, float, float]:
     """Expected payoff of a state-Markov policy on ``policy.dist``, the worst
     probability drift observed while propagating, and a bound on the payoff of
-    omitted mass.
+    omitted mass, for a policy already checked at (n, k) by ``_check_forward``.
 
-    Both routes start with ``check_pair(n, k)`` and ``policy.check(n, k)``.
     A policy whose ``constant_rates`` attribute is a pair (s, g) selects
     i.i.d. Bernoulli(s) while budget lasts, each selection standing for
     g / s of payoff: its value is (g / s) E[min(Binomial(n, s), k)] from
@@ -90,10 +98,8 @@ def _forward_value(policy, n: int, k: int) -> tuple[float, float, float]:
     no such pair takes the windowed forward pass, ``_window_pass``.
 
     Raises:
-        NonMarkovPolicy: the policy exposes no ``rates`` hook.
         ProbabilityDrift: see ``_window_pass``.
     """
-    _check_forward(policy, n, k)
     rate = getattr(policy, "constant_rates", None)
     if rate is None:
         return _window_pass(policy, n, k)
@@ -107,7 +113,7 @@ def _forward_value(policy, n: int, k: int) -> tuple[float, float, float]:
 
 def ratio_mean_curve(policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """E[K_t / (n - t)] and E[K_t], t < n, on ``policy.dist``, read off ``_window_pass``'s
-    exact law of K_t after ``_forward_value``'s checks.  The pass never renormalises and trims
+    exact law of K_t after ``_check_forward``.  The pass never renormalises and trims
     under ``TAIL_TOL`` of mass, at budgets <= k, so each value is low by at most k * ``TAIL_TOL``
     plus rounding."""
     _check_forward(policy, n, k)
@@ -117,11 +123,12 @@ def ratio_mean_curve(policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_forward(policy, n: int, k: int) -> None:
-    """Require a ``rates`` hook, then ``check_pair(n, k)`` and ``policy.check(n, k)``."""
+    """Require a ``rates`` hook, then the cell rule ``check_pair(n, k, min_n=1)``
+    and ``policy.check(n, k)``."""
     if not hasattr(policy, "rates"):
         name = getattr(policy, "name", policy)
         raise NonMarkovPolicy(f"policy {name!r} exposes no selection-rate hook")
-    check_pair(n, k)
+    check_pair(n, k, min_n=1)
     policy.check(n, k)
 
 
@@ -151,7 +158,7 @@ def _window_pass(policy, n: int, k: int,
     prob = np.zeros(k + 1)
     prob[k] = 1.0
     lo = hi = k
-    trim_below = TAIL_TOL / (n * (k + 1)) if n else 0.0
+    trim_below = TAIL_TOL / (n * (k + 1))
     top = float(policy.dist.support[0])
     dropped = 0.0  # probability mass trimmed off the window
     truncation = 0.0
@@ -211,7 +218,9 @@ def _window_pass(policy, n: int, k: int,
 
 def exact_regret(policy, n: int, k: int) -> RegretRecord:
     """``policy``'s exact value at (n, k) against the offline value on the
-    distribution it plays on, ``policy.dist``, after ``_forward_value``'s checks."""
+    distribution it plays on, ``policy.dist``, after ``_check_forward``, so a
+    cell that fails its check runs no forward pass."""
+    _check_forward(policy, n, k)
     v_on, _, truncation = _forward_value(policy, n, k)
     off = offline_expectation(policy.dist, n, k)
     return RegretRecord(
@@ -244,45 +253,42 @@ def _mc_record(name: str, n: int, k: int, online: np.ndarray, offline: np.ndarra
     )
 
 
-def _policies(d: AbilityDistribution, cells, check):
-    """Yield each (policy, n, k) cell with its policy, or with the exception
-    that building or ``check(policy, n, k)`` raised.
+def _run_cells(d: AbilityDistribution, cells, run) -> dict:
+    """Map each (policy, n, k) cell to ``run(policy, n, k)``, or to the
+    exception that building its policy or the run raised.
 
     Names come one after another, each with its cells in descending (n, k),
-    and only the current name's policy is held.  A cell reuses it when
-    ``check`` passes on it: ``policy.check(n, k)`` passing means it decides
-    (n, k) as ``make_policy(name, d, n, k)`` would, so br and dp solve one
-    table per sweep, at their largest (n, k).  Otherwise the cell builds its
-    own policy and checks it, and fails with the message it would meet alone.
+    and only the current name's policy is held.  A cell first runs on it: a
+    policy that passes ``policy.check(n, k)`` decides (n, k) as
+    ``make_policy(name, d, n, k)`` would, so br and dp solve one table per
+    sweep, at their largest (n, k).  Where the run raises one of the cell
+    check's errors (``_CELL_CHECK``), the cell builds its own policy and
+    runs on that, so it fails with the message it would meet alone.
     """
+    out = {}
     held = policy = None  # the name whose policy is held
     for cell in sorted(cells, key=lambda c: (c[0], -c[1], -c[2])):
         name, n, k = cell
         try:
-            if name != held or not _passes(check, policy, n, k):
-                held, policy = name, None  # a failed build leaves nothing to reuse
-                policy = make_policy(name, d, n, k)
-                check(policy, n, k)
+            if name == held and policy is not None:
+                try:
+                    out[cell] = run(policy, n, k)
+                    continue
+                except _CELL_CHECK:
+                    pass
+            held, policy = name, None  # a failed build leaves nothing to reuse
+            policy = make_policy(name, d, n, k)
+            out[cell] = run(policy, n, k)
         except Exception as exc:
-            yield cell, exc
-        else:
-            yield cell, policy
-
-
-def _passes(check, policy, n: int, k: int) -> bool:
-    if policy is None:
-        return False
-    try:
-        check(policy, n, k)
-    except ModelError:
-        return False
-    return True
+            out[cell] = exc
+    return out
 
 
 def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
     """Monte Carlo records of the (policy, n, k) cells; maps each cell to its
-    record or exception.  Every cell is built and checked by ``check_cell``
-    once, before the first pass, and a failure there is reported alone.
+    record or exception.  ``_run_cells`` gives every cell its policy and runs
+    ``check_cell`` on it once, before the first pass, and a failure there is
+    reported alone.
 
     Each n then runs one payoff pass of ``_blocks``, whose blocks every
     cell of that n shares: the cells built on one policy object step as one
@@ -291,7 +297,8 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
     fails every cell it ran; a record whose mean is not finite fails alone.
     """
     out, passes = {}, {}  # n -> {id(policy): (its stack, the cells of its rows)}
-    for cell, policy in _policies(d, cells, lambda p, n, k: check_cell(p, n, k, reps)):
+    checked = _run_cells(d, cells, lambda p, n, k: check_cell(p, n, k, reps) or p)
+    for cell, policy in checked.items():
         if isinstance(policy, Exception):
             out[cell] = policy
             continue
@@ -334,14 +341,14 @@ def sweep(
 
     A cell that raises is skipped and the sweep goes on; returns the records
     and the failures as ``((policy, n, k), exception)`` pairs.  Both modes
-    build policies by one rule (``_policies``): a name's cells run in
-    descending (n, k) and reuse the policy built for the largest cell it
-    decides, so dp solves one table per sweep.  Exact cells run one at a
-    time.  Monte Carlo cells (``_mc_cells``) are each built and checked once,
-    all before the first draw, then run one pass per n on ``d``: at each n
-    every policy steps over each block of draws, every k of one policy as one
-    stack, and each distinct k's posterior sort runs once per block; an
-    exception inside a pass fails every cell of that n.
+    run their cells through ``_run_cells``: a name's cells run in descending
+    (n, k) on the policy built for the largest cell it decides, so dp solves
+    one table per sweep, and each cell's check runs once.  Exact cells run
+    ``exact_regret`` one at a time.  Monte Carlo cells (``_mc_cells``) are
+    each checked once, all before the first draw, then run one pass per n on
+    ``d``: at each n every policy steps over each block of draws, every k of
+    one policy as one stack, and each distinct k's posterior sort runs once
+    per block; an exception inside a pass fails every cell of that n.
     """
     if mode not in ("exact", "mc"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -349,12 +356,7 @@ def sweep(
     if mode == "mc":
         results = _mc_cells(d, cells, reps, seed)
     else:
-        results = {}
-        for cell, got in _policies(d, cells, lambda p, n, k: p.check(n, k)):
-            try:
-                results[cell] = got if isinstance(got, Exception) else exact_regret(got, *cell[1:])
-            except Exception as exc:  # enumerate failing cells, keep going
-                results[cell] = exc
+        results = _run_cells(d, cells, exact_regret)
     records = [results[c] for c in cells if not isinstance(results[c], Exception)]
     failures = [(c, results[c]) for c in cells if isinstance(results[c], Exception)]
     return records, failures

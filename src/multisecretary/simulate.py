@@ -110,12 +110,8 @@ def block_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeRecord:
-    """One full trajectory: draws, decisions, budget and ratio paths."""
+    """One full trajectory: draws, decisions, payoff, budget and ratio paths."""
 
-    policy: str
-    n: int
-    k: int
-    seed_ref: tuple[int, int]  # (seed, rep)
     abilities: np.ndarray   # 1-based ranks, length n
     decisions: np.ndarray   # bool, length n
     payoff: float
@@ -148,10 +144,6 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
     decisions = budget_path[1:] < budget_path[:-1]
     payoff = np.cumsum(policy.dist.support[abilities - 1] * decisions)[-1]
     return EpisodeRecord(
-        policy=policy.name,
-        n=n,
-        k=k,
-        seed_ref=(seed, rep),
         abilities=abilities,
         decisions=decisions,
         payoff=float(payoff),

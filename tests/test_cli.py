@@ -333,13 +333,17 @@ class TestSweepN:
         assert capsys.readouterr().err.count("not a feasible pair") == 2
         assert read_rows(out) == (CSV_HEADER, [])
 
-    def test_zero_horizon_fails_index_and_take_top_alike(self, dist_file, tmp_path, capsys):
-        # take-top once failed with a message of its own, "horizon must be >= 1, got 0"
+    @pytest.mark.parametrize("mode", [[], ["--mc", "--reps", "10"]], ids=["exact", "mc"])
+    @pytest.mark.parametrize("name", ["br", "dp", "ai", "index", "take-top"])
+    def test_zero_horizon_fails_every_rule_alike(self, dist_file, tmp_path, capsys, name, mode):
+        # take-top once failed with a message of its own, "horizon must be >= 1, got 0",
+        # and an exact sweep once wrote rows for br, dp and ai at n = 0
+        out = tmp_path / "x.csv"
         assert main(["sweep-n", "--dist", dist_file, "--n-list", "0", "--ratio", "0.3",
-                     "--policies", "index,take-top", "--out", str(tmp_path / "x.csv")]) == 1
+                     "--policies", name, "--out", str(out)] + mode) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"cell policy={name} n=0 k=0 failed: (n=0, k=0) is not a feasible pair"
-            for name in ("index", "take-top")]
+            f"cell policy={name} n=0 k=0 failed: (n=0, k=0) is not a feasible pair"]
+        assert read_rows(out) == (CSV_HEADER, [])
 
     def test_rounding_half_up(self):
         assert round_half_up(2.5) == 3

@@ -118,13 +118,13 @@ class TestExactPolicyValue:
         class Opaque:  # no rates hook and no dist: the hook check comes first
             name = "opaque"
 
-        for call in (_forward_value, exact_regret):
+        for call in (exact_regret, ratio_mean_curve):
             with pytest.raises(NonMarkovPolicy):
                 call(Opaque(), 5, 2)
 
     def test_infeasible(self, uniform5):
         with pytest.raises(InfeasiblePair):
-            _forward_value(make_policy("br", uniform5, 5, 2), 5, 6)
+            exact_regret(make_policy("br", uniform5, 5, 2), 5, 6)
 
 
 class _BrokenRates:
@@ -248,22 +248,23 @@ class TestConstantRateClosedForm:
 
     def test_zero_rate_returns_zero_without_warning(self, masspoint5):
         # index at k = 0 selects nothing: s = 0, and g / s must not be formed;
-        # a matrix with no periods has no rate to read
+        # a matrix with no periods plays no cell, since n = 0 is no feasible pair
         index = make_policy("index", masspoint5, 50, 0)
         empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             assert _forward_value(index, 50, 0) == (0.0, 0.0, 0.0)
-            assert _forward_value(empty, 0, 0) == (0.0, 0.0, 0.0)
+            with pytest.raises(InfeasiblePair):
+                exact_regret(empty, 0, 0)
 
     def test_checks_come_before_any_value(self, uniform5, monkeypatch):
         calls = capped_mean_calls(monkeypatch)
         index = make_policy("index", uniform5, 40, 12)
         with pytest.raises(TableMismatch):
-            _forward_value(index, 40, 13)
+            exact_regret(index, 40, 13)
         take_top = make_policy("take-top", uniform5, 40, 12)
         with pytest.raises(DimensionMismatch):
-            _forward_value(take_top, 41, 12)
+            exact_regret(take_top, 41, 12)
         assert calls == []
 
     @pytest.mark.parametrize("last", ["random", "last column"])
@@ -360,7 +361,7 @@ class TestRatioMeanCurve:
         policy = make_policy("dp", uniform5, 40, 12)
         monkeypatch.setattr(policy, "rates", lambda *a: pytest.fail("a rate was asked for"))
         for n, k, error in [(40, 41, InfeasiblePair), (41, 12, TableMismatch)]:
-            for call in (ratio_mean_curve, _forward_value):
+            for call in (ratio_mean_curve, exact_regret):
                 with pytest.raises(error):
                     call(policy, n, k)
         with pytest.raises(NonMarkovPolicy):
@@ -663,6 +664,50 @@ class TestOneTablePerN:
                 "--policies", "dp,br", "--out", str(tmp_path / "out.csv")]
         assert cli.main(args + (["--mc", "--reps", "300"] if mode == "mc" else [])) == 0
         assert solved == [(40, 40)]
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_each_cell_passes_its_check_once(self, uniform5, monkeypatch, mode):
+        # an exact sweep once checked every cell twice, 26 calls for these 12 cells
+        calls = []
+        for cls in (BreakpointPolicy, AdaptiveIndexPolicy, NonAdaptivePolicy):
+            def spied(self, n, k, _check=cls.check):
+                try:
+                    _check(self, n, k)
+                except ModelError:
+                    calls.append((self.name, n, k, False))
+                    raise
+                calls.append((self.name, n, k, True))
+            monkeypatch.setattr(cls, "check", spied)
+        grid = [(100, 30), (100, 50), (200, 60)]
+        records, failures = sweep(uniform5, ["br", "dp", "ai", "index"], grid, mode,
+                                  reps=64, seed=1)
+        assert failures == [] and len(records) == 12
+        passed = [call[:3] for call in calls if call[3]]
+        assert sorted(passed) == [(r.policy, r.n, r.k) for r in records]
+        assert len(calls) == 14  # index's held policy fails its two smaller cells
+
+    def test_a_held_policy_failing_its_check_runs_no_forward_pass(self, uniform5, monkeypatch):
+        # index's policy held from n=200 fails its check at n=100 and is rebuilt;
+        # the benchmark's traced runs require one forward pass per exact cell
+        calls, inner = [], evaluate._forward_value
+        monkeypatch.setattr(evaluate, "_forward_value",
+                            lambda policy, n, k: calls.append((n, k)) or inner(policy, n, k))
+        records, failures = sweep(uniform5, ["index"], [(100, 30), (200, 60)])
+        assert failures == [] and len(records) == 2
+        assert calls == [(200, 60), (100, 30)]
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_a_failing_cell_gets_its_lone_message(self, uniform5, tmp_path, mode):
+        # (9, 10) is no feasible pair, but built alone its policy fails first,
+        # on the width-10 matrix; a cell that rebuilt only on TableMismatch or
+        # DimensionMismatch would report the pair, as the held policy does
+        mat = tmp_path / "mat.csv"
+        np.savetxt(mat, np.full((uniform5.m, 10), 0.5), delimiter=",")
+        name = f"matrix:{mat}"
+        records, failures = sweep(uniform5, [name], [(10, 3), (9, 10)], mode, reps=64, seed=1)
+        assert [(r.n, r.k) for r in records] == [(10, 3)]
+        assert [(cell, str(exc)) for cell, exc in failures] == [
+            ((name, 9, 10), "matrix file is 5x10, need 5x9")]
 
 
 class TestCsv:

@@ -21,7 +21,7 @@ from multisecretary import (
     thresholds,
 )
 from multisecretary.distribution import RATIO_TIE_TOL, partial_means
-from multisecretary.evaluate import _forward_value
+from multisecretary.evaluate import exact_regret
 from multisecretary import policies
 from multisecretary.policies import _ratio_breakpoints
 from oracles import ai_ratio_increment_mean, threshold_bucket
@@ -157,7 +157,7 @@ class TestRatioBreakpoints:
     def test_other_horizon_raises(self, uniform5):
         br = make_policy("br", uniform5, 100, 30)
         with pytest.raises(TableMismatch):
-            _forward_value(br, 101, 30)
+            exact_regret(br, 101, 30)
 
 
 class TestDpDecide:
@@ -181,7 +181,7 @@ class TestDpDecide:
             with pytest.raises(TableMismatch):
                 run_episode(dp, n, k, 1)
             with pytest.raises(TableMismatch):
-                _forward_value(dp, n, k)
+                exact_regret(dp, n, k)
 
     def test_disagrees_with_br_near_horizon_end(self):
         # two to go, one budget unit: the optimal rule keeps only values at or
@@ -288,7 +288,7 @@ class TestNonAdaptive:
         with pytest.raises(DimensionMismatch):
             run_episode(policy, 12, 4, 1)
         with pytest.raises(DimensionMismatch):
-            _forward_value(policy, 12, 4)
+            exact_regret(policy, 12, 4)
         # a rank beyond the matrix rows cannot reach decide_batch: the
         # matrix must have one row per ability of the distribution
         with pytest.raises(DimensionMismatch):
@@ -343,7 +343,7 @@ class TestNonAdaptive:
             with pytest.raises(TableMismatch, match="built for k=12"):
                 index.check(n, other)
         with pytest.raises(TableMismatch):
-            _forward_value(index, n, k + 1)
+            exact_regret(index, n, k + 1)
         with pytest.raises(TableMismatch):
             run_episode(index, n, k - 1, 0)
         take_top = make_policy("take-top", uniform5, n, k)

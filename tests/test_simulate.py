@@ -25,7 +25,7 @@ from multisecretary import (
 )
 from multisecretary import simulate
 from multisecretary.dp import TIE_TOL_SCALE
-from multisecretary.evaluate import _forward_value
+from multisecretary.evaluate import exact_regret
 from multisecretary.simulate import (
     MAX_REPS,
     SCRATCH_REPS,
@@ -120,7 +120,8 @@ class TestBlockKeys:
             orbit_stats(policy, 10, 3, 0.05, MAX_REPS + 1, seed=1)
         # a rep past one spawn word would wrap in block_keys' uint32 cast
         rec = run_episode(policy, 10, 3, 1, rep=MAX_REPS - 1)
-        assert rec.seed_ref == (1, MAX_REPS - 1)
+        want = sample_searchsorted(uniform5, episode_stream(1, MAX_REPS - 1).random(20)[0::2])
+        np.testing.assert_array_equal(rec.abilities, want)
         for rep in (-1, MAX_REPS):
             with pytest.raises(InfeasiblePair):
                 run_episode(policy, 10, 3, 1, rep=rep)
@@ -152,7 +153,6 @@ class TestEpisodes:
     def test_budget_identities(self, masspoint5):
         policy = make_policy("ai", masspoint5, 80, 30)
         rec = run_episode(policy, 80, 30, 5, 3)
-        assert rec.seed_ref == (5, 3)
         want = sample_searchsorted(masspoint5, episode_stream(5, 3).random(160)[0::2])
         np.testing.assert_array_equal(rec.abilities, want)
         np.testing.assert_array_equal(
@@ -240,7 +240,7 @@ class TestBatchConsistency:
             lambda: orbit_stats(policy, n, k, 0.05, reps, seed=1),
             lambda: run_episode(policy, n, k, 1, rep=reps - 1),
         ]
-        if not 0 <= k <= n:  # the exact curve reads no reps and allows n = 0
+        if reps:  # the exact curve reads no reps
             calls.append(lambda: ratio_mean_curve(policy, n, k))
         for call in calls:
             with pytest.raises(InfeasiblePair):
@@ -270,7 +270,7 @@ class TestBatchConsistency:
             lambda: ratio_mean_curve(policy, n, k),
             lambda: orbit_stats(policy, n, k, 0.05, 8, seed=1),
             lambda: run_episode(policy, n, k, 1),
-            lambda: _forward_value(policy, n, k),
+            lambda: exact_regret(policy, n, k),
         ]
         for call in calls:
             with pytest.raises(error):
