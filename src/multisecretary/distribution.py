@@ -84,10 +84,6 @@ class AbilityDistribution:
         digest = hashlib.sha256(self.support.tobytes() + self.pmf.tobytes())
         return digest.hexdigest()
 
-    def __repr__(self) -> str:  # compact, for logs and error messages
-        sup = ", ".join(f"{a:g}" for a in self.support)
-        return f"AbilityDistribution([{sup}], m={self.m})"
-
 
 def _is_real(x) -> bool:
     """A Python or numpy int or float; booleans are not numbers here."""

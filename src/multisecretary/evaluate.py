@@ -26,7 +26,8 @@ exact cell's run is ``exact_regret``, which checks the cell before its
 forward pass, so a failed check costs no pass.  A Monte Carlo cell's run is
 ``check_cell``, and the route then pairs each sampled path's policy payoff
 with the posterior sort on the same realization; a sweep's Monte Carlo
-cells at one n share every block of draws.
+cells at one n share every block of draws, and the cells of one policy step
+through it as one ``(policy, ks)`` stack.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (DimensionMismatch, InfeasiblePair, ModelError, NonMarkovPol
                      ProbabilityDrift, TableMismatch, check_pair)
 from .offline import capped_mean, offline_expectation, offline_sort_batch
 from .policies import make_policy
-from .simulate import _blocks, _Cell, check_cell
+from .simulate import _blocks, check_cell
 
 DRIFT_LIMIT = 1e-9
 TAIL_TOL = 1e-12  # the forward window's total trimmed-mass budget
@@ -292,37 +293,37 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
 
     Each n then runs one payoff pass of ``_blocks``, whose blocks every
     cell of that n shares: the cells built on one policy object step as one
-    ``_Cell`` stack, one budget row per k, and the posterior sort runs once
-    per distinct k on each block's rank counts.  An exception inside a pass
-    fails every cell it ran; a record whose mean is not finite fails alone.
+    ``(policy, ks)`` stack, one budget row per k, each block's payoffs are
+    copied into that stack's (len(ks), reps) matrix, and the posterior sort
+    runs once per distinct k on each block's rank counts.  An exception
+    inside a pass fails every cell it ran; a record whose mean is not finite
+    fails alone.
     """
-    out, passes = {}, {}  # n -> {id(policy): (its stack, the cells of its rows)}
+    out, passes = {}, {}  # n -> {id(policy): (policy, the cells of its rows)}
     checked = _run_cells(d, cells, lambda p, n, k: check_cell(p, n, k, reps) or p)
     for cell, policy in checked.items():
         if isinstance(policy, Exception):
             out[cell] = policy
             continue
-        by_policy = passes.setdefault(cell[1], {})
-        stack, built = by_policy.setdefault(id(policy), (_Cell(policy, []), []))
-        stack.ks.append(cell[2])
+        _, built = passes.setdefault(cell[1], {}).setdefault(id(policy), (policy, []))
         built.append(cell)
     for n, by_policy in passes.items():
-        stacks = list(by_policy.values())
+        stacks = [(policy, [cell[2] for cell in built]) for policy, built in by_policy.values()]
         try:
-            online = [np.empty((len(stack.ks), reps)) for stack, _ in stacks]
-            offline = {k: np.empty(reps) for stack, _ in stacks for k in stack.ks}
-            for rows, _, counts in _blocks(n, [stack for stack, _ in stacks], range(reps), seed):
+            online = [np.empty((len(ks), reps)) for _, ks in stacks]
+            offline = {k: np.empty(reps) for _, ks in stacks for k in ks}
+            for rows, _, counts, payoffs in _blocks(n, stacks, range(reps), seed):
                 for k, sort in offline.items():
                     sort[rows] = offline_sort_batch(d, counts, k)
-                for (stack, _), payoff in zip(stacks, online):
-                    payoff[:, rows] = stack.payoff
+                for dest, payoff in zip(online, payoffs):
+                    dest[:, rows] = payoff
         except Exception as exc:  # the pass itself failed: every cell it ran fails
-            out.update((cell, exc) for _, built in stacks for cell in built)
+            out.update((cell, exc) for _, built in by_policy.values() for cell in built)
             continue
-        for (stack, built), payoff in zip(stacks, online):
+        for (policy, built), payoff in zip(by_policy.values(), online):
             for cell, row in zip(built, payoff):
                 try:
-                    out[cell] = _mc_record(stack.policy.name, n, cell[2], row, offline[cell[2]])
+                    out[cell] = _mc_record(policy.name, n, cell[2], row, offline[cell[2]])
                 except ModelError as exc:  # a non-finite mean fails its own cell
                     out[cell] = exc
     return out

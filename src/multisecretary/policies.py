@@ -180,6 +180,8 @@ class NonAdaptivePolicy:
         p = np.array(p, dtype=float)  # a copy: the caller's array stays writeable
         if p.ndim != 2:
             raise DimensionMismatch("probability matrix must be 2-D (abilities x periods)")
+        if p.shape[1] == 0:
+            raise DimensionMismatch("probability matrix has no periods")
         if p.shape[0] != d.m:
             raise DimensionMismatch(f"matrix has {p.shape[0]} ability rows, distribution has {d.m}")
         if np.any(p < 0.0) or np.any(p > 1.0) or not np.all(np.isfinite(p)):
@@ -193,7 +195,7 @@ class NonAdaptivePolicy:
         # above 1 would push the forward pass's budget cell below zero
         self._sel_by_t = sel = np.minimum(d.pmf @ p, 1.0)
         self._gain_by_t = gain = (d.pmf * d.support) @ p
-        same = p.shape[1] and sel.min() == sel.max() and gain.min() == gain.max()
+        same = sel.min() == sel.max() and gain.min() == gain.max()
         self.constant_rates = (float(sel[0]), float(gain[0])) if same else None
 
     def check(self, n, k):

@@ -13,27 +13,29 @@ buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
 decision uniforms and, in a payoff pass, the per-rank counts of each
 replication.  Every (policy, k) cell at that n then steps over the
 same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
-sorts the posterior does so once per k on the shared counts.  Cells that
-share one policy object step as one stack, a (len(ks), reps) budget matrix,
-so each period makes one ``decide_batch`` call per policy, whose shared
-rank and uniform rows broadcast over the stack.  Budget paths, kept only by the one-cell
+sorts the posterior does so once per k on the shared counts.  A pass takes
+its cells as ``(policy, ks)`` stacks, the cells that share one policy
+object: a stack's budgets are one (len(ks), reps) matrix, so each period
+makes one ``decide_batch`` call per policy, whose shared rank and uniform
+rows broadcast over the stack.  Budget paths, kept only by the one-cell
 passes, are time-major too, (n+1, 1, reps) int32, one row written per
 period.
 
 A pass works in one fixed set of buffers, at most ``CHUNK`` replications
-wide, allocated before its first block and refilled for every block: the
-scratch, the ranks, the uniforms and counts it reads, and each cell's
-budgets and its payoffs or paths (reallocated once, for a last, partial
-block).  A pass in which no policy is ``randomized`` (only br and dp) stores
-no decision uniforms: it still draws them, two per period, so every stream
+wide, allocated before its first block: the scratch, the ranks, the
+uniforms and counts it reads, and each stack's budgets and its payoffs or
+paths.  Every block, a last partial one too, resets and refills their
+leading columns, and the pass yields read-only views of what it filled.  A
+pass in which no policy is ``randomized`` (only br and dp) stores no
+decision uniforms: it still draws them, two per period, so every stream
 and the common random numbers are those of a pass that reads them, and its
 policies decide with ``u=None``.  A pass either records budget paths, or
 sums payoffs and counts ranks.  The Monte Carlo sweep,
 ``evaluate._mc_cells``, sums payoffs and pairs them with the posterior sort
 on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths, and
 ``run_episode`` reads its payoff off its own path, summed left to right as a
-payoff pass sums it.  Every pass draws from its cells' ``policy.dist``, and
-its caller checks each cell with ``check_cell`` before it draws; an
+payoff pass sums it.  Every pass draws from its stacks' ``policy.dist``,
+and its caller checks each cell with ``check_cell`` before it draws; an
 exception inside the pass stops every cell of it.  Every pass runs the one
 block loop ``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a
 stack of one, ``run_episode`` over one replication.
@@ -137,10 +139,9 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
-    cell = _Cell(policy, [k])
-    for _, ranks, _ in _blocks(n, [cell], range(rep, rep + 1), seed, paths=True):
+    for _, ranks, _, records in _blocks(n, [(policy, [k])], range(rep, rep + 1), seed, paths=True):
         abilities = ranks[:, 0].copy()
-    budget_path = cell.paths[:, 0, 0].astype(np.int64)
+        budget_path = records[0][:, 0, 0].astype(np.int64)
     decisions = budget_path[1:] < budget_path[:-1]
     payoff = np.cumsum(policy.dist.support[abilities - 1] * decisions)[-1]
     return EpisodeRecord(
@@ -164,34 +165,6 @@ def check_reps(reps: int) -> None:
     """Raise unless 1 <= reps <= ``MAX_REPS``."""
     if not 1 <= reps <= MAX_REPS:
         raise InfeasiblePair(f"reps must be in [1, 2**32], got {reps}")
-
-
-class _Cell:
-    """The cells of a pass at a fixed n that share one policy object, one row
-    per budget in ``ks``: the state of their episodes in the current block,
-    (len(ks), reps) budgets and either (len(ks), reps) payoffs or
-    (n+1, len(ks), reps) budget paths."""
-
-    def __init__(self, policy, ks: list):
-        self.policy = policy
-        self.ks = ks
-        self.budgets = self.payoff = self.paths = None
-
-    def start(self, reps: int, n: int, paths: bool) -> None:
-        """Reset the budgets, and the paths if ``paths`` or else the payoffs, for a
-        block of ``reps`` replications, in place unless the block width changed."""
-        if self.budgets is None or self.budgets.shape[1] != reps:
-            self.budgets = self.payoff = self.paths = None  # free the old ones before allocating
-            self.budgets = np.empty((len(self.ks), reps), dtype=np.int64)
-            if paths:
-                self.paths = np.empty((n + 1, *self.budgets.shape), dtype=np.int32)
-            else:
-                self.payoff = np.empty(self.budgets.shape)
-        self.budgets[:] = np.reshape(self.ks, (-1, 1))
-        if self.payoff is not None:
-            self.payoff.fill(0.0)
-        if self.paths is not None:
-            self.paths[0] = self.budgets
 
 
 def _uniform_block(gen: np.random.Generator, restart: dict, keys: np.ndarray,
@@ -254,59 +227,80 @@ def _draw_block(d, seed: int, reps: range, scratch: np.ndarray, ranks: np.ndarra
     return views
 
 
-def _step_block(d, n: int, cells, ranks: np.ndarray, u: np.ndarray | None) -> None:
-    """Play every cell over one time-major block, period by period: all cells
-    read the same rows ``ranks[t-1]`` and ``u[t-1]`` (None when the pass
-    stores no uniforms), and one ``decide_batch`` call at the ``n - t + 1``
-    periods left decides every budget row of a cell's stack against them.
-    Payoffs are summed only in a payoff pass, whose cells all keep them."""
-    paying = cells[0].payoff is not None
+def _step_block(d, n: int, stacks, ranks: np.ndarray, u: np.ndarray | None, paths: bool) -> None:
+    """Play every ``(policy, budgets, record)`` stack over one time-major
+    block, period by period: all stacks read the same rows ``ranks[t-1]`` and
+    ``u[t-1]`` (None when the pass stores no uniforms), and one
+    ``decide_batch`` call at the ``n - t + 1`` periods left decides every
+    budget row of a stack against them.  A path pass (``paths``) writes each
+    period's budgets into row t of the record; a payoff pass sums the
+    selected values into it."""
     value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
     for t_next in range(1, n + 1):
         j = ranks[t_next - 1]
         du = None if u is None else u[t_next - 1]
-        if paying:
+        if not paths:
             value = value_of_rank.take(j)
-        for cell in cells:
-            sel = cell.policy.decide_batch(n - t_next + 1, cell.budgets, j, du)
-            if paying:
-                cell.payoff += value * sel
-            cell.budgets -= sel
-            if cell.paths is not None:
-                cell.paths[t_next] = cell.budgets
+        for policy, budgets, record in stacks:
+            sel = policy.decide_batch(n - t_next + 1, budgets, j, du)
+            if not paths:
+                record += value * sel
+            budgets -= sel
+            if paths:
+                record[t_next] = budgets
 
 
-def _blocks(n: int, cells, reps: range, seed: int, paths=False):
-    """Play ``cells``, all at horizon ``n`` on ``cells[0].policy.dist`` and
-    checked by ``check_cell``, over the replications ``reps`` in shared blocks
-    of ``CHUNK``.  A path pass (``paths``) records each cell's budget paths;
-    a payoff pass sums each cell's payoffs and counts the block's ranks.
+def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
+    """Play the ``(policy, ks)`` stacks, every policy at horizon ``n`` on
+    ``stacks[0][0].dist`` and checked by ``check_cell`` at each of its ``ks``,
+    over the replications ``reps`` in shared blocks of ``CHUNK``.  A path pass
+    (``paths``) records each stack's budget paths; a payoff pass sums each
+    stack's payoffs and counts the block's ranks.
 
-    Yields ``(rows, ranks, counts)`` once every cell has stepped through a
-    block: ``rows`` is the block's slice of positions in ``reps``, ``ranks``
-    its read-only (n, rows) ranks and ``counts`` its (rows, m) rank counts,
-    None in a path pass; each cell holds the block's final budgets and its
-    payoffs or time-major paths.
+    Yields ``(rows, ranks, counts, records)`` once every stack has stepped
+    through a block: ``rows`` is the block's slice of positions in ``reps``,
+    ``ranks`` its read-only (n, rows) ranks, ``counts`` its (rows, m) rank
+    counts, None in a path pass, and ``records[i]`` a read-only view of stack
+    i's record for the block: (len(ks), rows) payoffs, or (n+1, len(ks),
+    rows) time-major budget paths in a path pass.
 
-    The pass allocates one set of draw buffers, at most ``CHUNK`` columns
-    wide, and refills it for every block, as the cells refill their state:
-    a caller reads what a block yields before asking for the next one.  The
-    decision uniforms are stored only if some cell's policy is
+    The pass allocates its buffers once, at most ``CHUNK`` columns wide: the
+    draw buffers, and for each stack a (len(ks), width) budget matrix and its
+    record.  Every block resets and refills their leading columns, so a
+    caller reads what a block yields before asking for the next one.  The
+    decision uniforms are stored only if some stack's policy is
     ``randomized``.
     """
-    d = cells[0].policy.dist
+    d = stacks[0][0].dist
     width = min(CHUNK, len(reps))
     scratch = np.empty((min(SCRATCH_REPS, width), 2 * n))
     ranks = np.empty((n, width), dtype=np.int16)
-    u = np.empty((n, width)) if any(cell.policy.randomized for cell in cells) else None
+    u = np.empty((n, width)) if any(policy.randomized for policy, _ in stacks) else None
     counts = None if paths else np.empty((width, d.m), dtype=np.int64)
+    state = []  # (policy, its ks as a column, budgets, record) per stack
+    for policy, ks in stacks:
+        budgets = np.empty((len(ks), width), dtype=np.int64)
+        record = (np.empty((n + 1, *budgets.shape), dtype=np.int32) if paths
+                  else np.empty(budgets.shape))
+        state.append((policy, np.reshape(ks, (-1, 1)), budgets, record))
     for start in range(0, len(reps), CHUNK):
         block = reps[start : start + CHUNK]
-        for cell in cells:
-            cell.start(len(block), n, paths)
+        cols = slice(0, len(block))
+        stepped = []
+        for policy, ks, budgets, record in state:
+            budgets, record = budgets[:, cols], record[..., cols]
+            budgets[:] = ks
+            if paths:
+                record[0] = budgets
+            else:
+                record.fill(0.0)
+            stepped.append((policy, budgets, record))
         block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
-        _step_block(d, n, cells, block_ranks, block_u)
-        yield slice(start, start + len(block)), block_ranks, block_counts
+        _step_block(d, n, stepped, block_ranks, block_u, paths)
+        records = [record for _, _, record in stepped]
+        for record in records:
+            record.flags.writeable = False
+        yield slice(start, start + len(block)), block_ranks, block_counts, records
 
 
 def cutoff_time(n: int, delta: float) -> int:
@@ -387,10 +381,9 @@ def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> O
     raises ``BadDelta`` before any draw."""
     thr = orbit_thresholds(policy.dist, delta)
     check_cell(policy, n, k, reps)
-    cell = _Cell(policy, [k])
     tau0 = np.empty(reps, dtype=np.int64)
     j_tau0 = np.empty(reps, dtype=np.int16)
     tau = np.empty(reps, dtype=np.int64)
-    for rows, _, _ in _blocks(n, [cell], range(reps), seed, paths=True):
-        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(cell.paths[:, 0], thr, delta, n)
+    for rows, _, _, records in _blocks(n, [(policy, [k])], range(reps), seed, paths=True):
+        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(records[0][:, 0], thr, delta, n)
     return OrbitSample(tau0=tau0, j_tau0=j_tau0, tau=tau)

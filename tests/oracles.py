@@ -395,18 +395,17 @@ def episode_stream(seed: int, rep: int = 0) -> np.random.Generator:
 
 def simulate_paths(policy, n: int, k: int, reps: int, seed: int):
     """Batch episodes on ``policy.dist`` by ``simulate``'s block loop, one
-    payoff pass and one path pass over the same draws; returns (payoffs,
-    per-ability counts, budget paths), one row per rep."""
+    payoff pass and one path pass over the same draws, each on the one stack
+    ``(policy, [k])``; returns (payoffs, per-ability counts, budget paths),
+    one row per rep."""
     simulate.check_cell(policy, n, k, reps)
     payoffs = np.empty(reps)
     counts = np.empty((reps, policy.dist.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    cell = simulate._Cell(policy, [k])
-    for rows, _, cnt in simulate._blocks(n, [cell], range(reps), seed):
-        payoffs[rows], counts[rows] = cell.payoff[0], cnt
-    cell = simulate._Cell(policy, [k])
-    for rows, _, _ in simulate._blocks(n, [cell], range(reps), seed, paths=True):
-        paths[rows] = cell.paths[:, 0].T
+    for rows, _, cnt, records in simulate._blocks(n, [(policy, [k])], range(reps), seed):
+        payoffs[rows], counts[rows] = records[0][0], cnt
+    for rows, _, _, records in simulate._blocks(n, [(policy, [k])], range(reps), seed, paths=True):
+        paths[rows] = records[0][:, 0].T
     return payoffs, counts, paths
 
 

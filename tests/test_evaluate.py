@@ -247,15 +247,11 @@ class TestConstantRateClosedForm:
                 assert got == pytest.approx(want, rel=1e-13, abs=1e-15), (n, k)
 
     def test_zero_rate_returns_zero_without_warning(self, masspoint5):
-        # index at k = 0 selects nothing: s = 0, and g / s must not be formed;
-        # a matrix with no periods plays no cell, since n = 0 is no feasible pair
+        # index at k = 0 selects nothing: s = 0, and g / s must not be formed
         index = make_policy("index", masspoint5, 50, 0)
-        empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
             assert _forward_value(index, 50, 0) == (0.0, 0.0, 0.0)
-            with pytest.raises(InfeasiblePair):
-                exact_regret(empty, 0, 0)
 
     def test_checks_come_before_any_value(self, uniform5, monkeypatch):
         calls = capped_mean_calls(monkeypatch)

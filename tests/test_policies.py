@@ -300,6 +300,10 @@ class TestNonAdaptive:
                 NonAdaptivePolicy(uniform3, p, "matrix")
         with pytest.raises(DimensionMismatch, match="2-D"):
             NonAdaptivePolicy(uniform3, [0.5, 0.5, 0.5], "matrix")
+        # no entry plays n = 0, so a matrix with no periods fails when built,
+        # as a ModelError and not the bare ValueError of an empty min()
+        with pytest.raises(DimensionMismatch, match="no periods"):
+            NonAdaptivePolicy(uniform3, np.zeros((3, 0)), "matrix")
 
     @pytest.mark.parametrize("dist", ["uniform5", "masspoint5"])
     @pytest.mark.parametrize("name", ["index", "take-top"])
@@ -326,12 +330,10 @@ class TestNonAdaptive:
         want = (masspoint5.pmf @ col, (masspoint5.pmf * masspoint5.support) @ col)
         assert policy.constant_rates == pytest.approx(want, rel=1e-15)
 
-    def test_time_varying_or_empty_matrix_states_none(self, masspoint5):
+    def test_time_varying_matrix_states_none(self, masspoint5):
         p = np.tile(np.linspace(0.9, 0.1, masspoint5.m)[:, None], (1, 30))
         p[0, -1] = 0.5  # constant but for the last period
         assert NonAdaptivePolicy(masspoint5, p, "matrix").constant_rates is None
-        empty = NonAdaptivePolicy(masspoint5, np.zeros((masspoint5.m, 0)), "matrix")
-        assert empty.constant_rates is None
 
     def test_index_decides_only_its_own_budget(self, uniform5):
         # index's matrix comes from k/n, so at another k it would return the

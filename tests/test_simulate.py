@@ -530,42 +530,47 @@ class TestWorkingSet:
         assert set(seen) == {("br", False), ("dp", False), ("ai", False)}
 
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
+        # every block, the partial last one too, refills the same buffers and
+        # yields read-only views of them, records included
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps = 40, 12, 300  # two full blocks and a partial one
         policy = make_policy("ai", uniform5, n, k)
         uniforms, step_block = [], simulate._step_block
 
-        def spy(d, n, cells, ranks, u):
+        def spy(d, n, stacks, ranks, u, paths):
             uniforms.append(u)
-            step_block(d, n, cells, ranks, u)
+            step_block(d, n, stacks, ranks, u, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
         ranks, counts, payoffs, paths = [], [], [], []
-        cell = simulate._Cell(policy, [k])
-        for _, block_ranks, block_counts in simulate._blocks(n, [cell], range(reps), 1):
+        for _, block_ranks, block_counts, (payoff,) in simulate._blocks(
+                n, [(policy, [k])], range(reps), 1):
             ranks.append(block_ranks)
             counts.append(block_counts)
-            payoffs.append(cell.payoff)
-            assert cell.paths is None
-        cell = simulate._Cell(policy, [k])
-        for _, _, block_counts in simulate._blocks(n, [cell], range(reps), 1, paths=True):
-            paths.append(cell.paths)
-            assert block_counts is None and cell.payoff is None
-        assert [r.shape[1] for r in ranks] == [128, 128, 44]
-        for block in (ranks, uniforms[:3], uniforms[3:], counts):
+            payoffs.append(payoff)
+        for _, _, block_counts, (path,) in simulate._blocks(
+                n, [(policy, [k])], range(reps), 1, paths=True):
+            assert block_counts is None
+            paths.append(path)
+        widths = [128, 128, 44]
+        assert [r.shape[1] for r in ranks] == widths
+        assert [(p.shape, p.dtype) for p in payoffs] == [((1, w), np.float64) for w in widths]
+        assert [(p.shape, p.dtype) for p in paths] == [((n + 1, 1, w), np.int32) for w in widths]
+        for block in (ranks, uniforms[:3], uniforms[3:], counts, payoffs, paths):
             assert not any(a.flags.writeable for a in block)
             assert np.shares_memory(block[0], block[1]) and np.shares_memory(block[1], block[2])
-        assert payoffs[0] is payoffs[1] and payoffs[2].shape == (1, 44)
-        assert paths[0] is paths[1] and paths[2].shape == (n + 1, 1, 44)
+        for record in (payoffs[2], paths[2]):
+            with pytest.raises(ValueError, match="read-only"):
+                record[0] = 0
 
     def test_blocks_draw_from_their_cells_distribution(self, masspoint5, monkeypatch):
-        # a pass takes no distribution: given only a masspoint5 cell, it
+        # a pass takes no distribution: given only a masspoint5 stack, it
         # draws masspoint5's ranks
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps, seed = 30, 10, 200, 7
-        cell = simulate._Cell(make_policy("br", masspoint5, n, k), [k])
+        stack = (make_policy("br", masspoint5, n, k), [k])
         ranks = np.empty((n, reps), dtype=np.int16)
-        for rows, block_ranks, _ in simulate._blocks(n, [cell], range(reps), seed):
+        for rows, block_ranks, _, _ in simulate._blocks(n, [stack], range(reps), seed):
             ranks[:, rows] = block_ranks
         for rep in range(reps):
             u = episode_stream(seed, rep).random(2 * n)
@@ -605,16 +610,17 @@ class TestPayoffFreePasses:
         n, k, delta, reps = 400, 136, 0.05, 300
         policy = make_policy(name, uniform5, n, k)
         _, _, paths = simulate_paths(policy, n, k, reps, seed)
-        payoffs_seen = []
+        seen = []
         step_block = simulate._step_block
 
-        def spy(d, n, cells, ranks, u):
-            payoffs_seen.extend(cell.payoff for cell in cells)
-            step_block(d, n, cells, ranks, u)
+        def spy(d, n, stacks, ranks, u, paths):
+            seen.append((paths, [record.shape for _, _, record in stacks]))
+            step_block(d, n, stacks, ranks, u, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
         sample = orbit_stats(policy, n, k, delta, reps, seed)
-        assert len(payoffs_seen) == 3 and all(p is None for p in payoffs_seen)
+        # a path pass over three blocks, whose one stack holds paths and no payoffs
+        assert seen == [(True, [(n + 1, 1, w)]) for w in (128, 128, 44)]
         want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
         for a, b in zip((sample.tau0, sample.j_tau0, sample.tau), want):
             np.testing.assert_array_equal(a, b)
