@@ -7,12 +7,17 @@ do not depend on execution order.
 
 The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``CHUNK``.
 The Philox keys of a block's replications are derived once, as arrays, and
-one Philox restarts under each key in turn (``block_keys``).  Each block is
+a Philox restarts under each key in turn (``block_keys``).  Each block is
 drawn once, a few dozen replications at a time through a rep-major scratch
 buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
 decision uniforms and, in a payoff pass, the per-rank counts of each
-replication.  Every (policy, k) cell at that n then steps over the
-same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
+replication.  Up to ``DRAW_THREADS`` threads (the CPUs the process may run
+on, at most 4; no option sets it) draw a block, each its own contiguous run
+of columns with its own Philox and scratch, so no result depends on the
+thread count; the threads split ``SCRATCH_REPS`` rows of scratch between
+them, so a pass's scratch is the same size at any count.  Only the draw
+leaves the calling thread.  Every (policy, k) cell at that n then steps
+over the same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
 sorts the posterior does so once per k on the shared counts.  A pass takes
 its cells as ``(policy, ks)`` stacks, the cells that share one policy
 object: a stack's budgets are one (len(ks), reps) matrix, so each period
@@ -50,6 +55,8 @@ matched threshold alone.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,9 +67,12 @@ from .errors import BadDelta, InfeasiblePair, check_pair
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 CHUNK = 1024  # replications per block
-SCRATCH_REPS = 64  # replications drawn rep-major at a time before the transpose
+SCRATCH_REPS = 64  # replications drawn rep-major at a time, over all draw threads
 _ENTRY_ROWS = 64  # periods of the orbit scan per step
 MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
+# threads that draw a block: the CPUs this process may run on, at most 4
+DRAW_THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1, 4)
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -190,7 +200,17 @@ def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
 
 
-def _draw_block(d, seed: int, reps: range, scratch: np.ndarray, ranks: np.ndarray,
+def _scratch(n: int, width: int) -> list:
+    """The rep-major scratch buffers of a pass at most ``width`` replications
+    wide: one per draw thread, up to ``DRAW_THREADS``, of ``SCRATCH_REPS //
+    DRAW_THREADS`` rows each (``width`` rows if that is fewer), and no more
+    of them than such groups of rows span ``width``.  A pass's scratch stays
+    at most ``SCRATCH_REPS`` × 2n doubles whatever the thread count."""
+    rows = min(SCRATCH_REPS // DRAW_THREADS, width)
+    return [np.empty((rows, 2 * n)) for _ in range(min(DRAW_THREADS, -(-width // rows)))]
+
+
+def _draw_block(d, seed: int, reps: range, scratch: list, ranks: np.ndarray,
                 u: np.ndarray | None, counts: np.ndarray | None):
     """Replications ``reps`` stored time-major into the leading ``len(reps)``
     columns of a pass's buffers: ``ranks``, (n, width) int16, ``u``, (n,
@@ -201,24 +221,55 @@ def _draw_block(d, seed: int, reps: range, scratch: np.ndarray, ranks: np.ndarra
     missing one), so no cell can change what the others read; the buffers
     themselves stay writeable for the next block.
 
-    The block's keys are derived at once and one Philox draws every row.
-    Each replication's 2n uniforms pass through the rep-major ``scratch``,
-    ``len(scratch)`` replications at a time, so no (reps, 2n) block is built.
-    The decision half is drawn whether or not ``u`` stores it.
+    The block's keys are derived at once.  Each replication's 2n uniforms
+    pass through a rep-major buffer of ``scratch`` (see ``_scratch``), a
+    group of ``len(scratch[0])`` replications at a time, so no (reps, 2n)
+    block is built.  The groups are split into up to ``len(scratch)``
+    contiguous runs of columns, one per scratch buffer: the calling thread
+    draws the first run and one new thread each other run, each with its own
+    Philox restarted per row, so every column holds the same bytes whatever
+    the split.  A block of one group starts no thread.  An exception in any
+    run is raised here once every run has ended.  The decision half is drawn
+    whether or not ``u`` stores it.
     """
     size = len(reps)
     keys = block_keys(seed, reps)
-    philox = np.random.Philox(key=0)
-    restart, gen = philox.state, np.random.Generator(philox)
-    for lo in range(0, size, len(scratch)):
-        buf = _uniform_block(gen, restart, keys[lo : lo + len(scratch)], scratch)
-        cols = slice(lo, lo + len(buf))
-        block_ranks = d.sample_many(buf[:, 0::2])
-        ranks[:, cols] = block_ranks.T
-        if u is not None:
-            u[:, cols] = buf[:, 1::2].T
-        if counts is not None:
-            counts[cols] = _rank_counts(block_ranks, d.m)
+    group = len(scratch[0])
+    groups = -(-size // group)
+    parts = min(len(scratch), groups)
+    bounds = [min(i * groups // parts * group, size) for i in range(parts + 1)]
+    errors = [None] * parts
+
+    def draw(i: int) -> None:
+        philox = np.random.Philox(key=0)
+        restart, gen = philox.state, np.random.Generator(philox)
+        for lo in range(bounds[i], bounds[i + 1], group):
+            buf = _uniform_block(gen, restart, keys[lo : lo + group], scratch[i])
+            cols = slice(lo, lo + len(buf))
+            block_ranks = d.sample_many(buf[:, 0::2])
+            ranks[:, cols] = block_ranks.T
+            if u is not None:
+                u[:, cols] = buf[:, 1::2].T
+            if counts is not None:
+                counts[cols] = _rank_counts(block_ranks, d.m)
+
+    def run(i: int) -> None:
+        try:
+            draw(i)
+        except BaseException as exc:  # re-raised by the calling thread
+            errors[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    try:
+        draw(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
     views = (ranks[:, :size], None if u is None else u[:, :size],
              None if counts is None else counts[:size])
     for view in views:
@@ -265,15 +316,15 @@ def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
     rows) time-major budget paths in a path pass.
 
     The pass allocates its buffers once, at most ``CHUNK`` columns wide: the
-    draw buffers, and for each stack a (len(ks), width) budget matrix and its
-    record.  Every block resets and refills their leading columns, so a
-    caller reads what a block yields before asking for the next one.  The
-    decision uniforms are stored only if some stack's policy is
-    ``randomized``.
+    draw buffers, a scratch per draw thread among them (``_scratch``), and
+    for each stack a (len(ks), width) budget matrix and its record.  Every
+    block resets and refills their leading columns, so a caller reads what a
+    block yields before asking for the next one.  The decision uniforms are
+    stored only if some stack's policy is ``randomized``.
     """
     d = stacks[0][0].dist
     width = min(CHUNK, len(reps))
-    scratch = np.empty((min(SCRATCH_REPS, width), 2 * n))
+    scratch = _scratch(n, width)
     ranks = np.empty((n, width), dtype=np.int16)
     u = np.empty((n, width)) if any(policy.randomized for policy, _ in stacks) else None
     counts = None if paths else np.empty((width, d.m), dtype=np.int64)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -85,14 +87,21 @@ class TestBlockKeys:
         for reps in (range(0, 100_001, 10), range(2**31 - 2, 2**31 + 2), range(MAX_REPS - 3, MAX_REPS)):
             np.testing.assert_array_equal(block_keys(seed, reps), seedsequence_keys(seed, reps))
 
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("seed", [1, 2**200])
-    def test_block_rows_replay_episode_stream(self, masspoint5, seed):
-        # 70 reps take two scratch fills of one Philox, restarted per row, into
-        # the leading columns of buffers wider than the block
+    def test_block_rows_replay_episode_stream(self, masspoint5, monkeypatch, seed, threads):
+        # 70 reps take two scratch fills of one Philox at one thread (64 + 6
+        # rows), three groups split 1 + 2 at two (32 + 32 + 6) and four split
+        # 1 + 1 + 2 at three (21 + 21 + 21 + 7), each thread's Philox
+        # restarted per row, into the leading columns of buffers wider than
+        # the block
+        monkeypatch.setattr(simulate, "DRAW_THREADS", threads)
         d, n, reps = masspoint5, 40, range(5, 75)
         width = len(reps) + 3
+        scratch = simulate._scratch(n, width)
+        assert [a.shape for a in scratch] == [(SCRATCH_REPS // threads, 2 * n)] * threads
         ranks, u, counts = simulate._draw_block(
-            d, seed, reps, np.empty((SCRATCH_REPS, 2 * n)), np.empty((n, width), dtype=np.int16),
+            d, seed, reps, scratch, np.empty((n, width), dtype=np.int16),
             np.empty((n, width)), np.empty((width, d.m), dtype=np.int64))
         assert ranks.shape == u.shape == (n, len(reps)) and counts.shape == (len(reps), d.m)
         for col, rep in enumerate(reps):
@@ -125,6 +134,85 @@ class TestBlockKeys:
         for rep in (-1, MAX_REPS):
             with pytest.raises(InfeasiblePair):
                 run_episode(policy, 10, 3, 1, rep=rep)
+
+
+class TestDrawThreads:
+    # a block's groups are drawn by up to DRAW_THREADS threads into disjoint
+    # columns, each with its own Philox, restart state and scratch: no result
+    # depends on the thread count
+
+    def outputs(self, d, n, k, reps, seed):
+        ai = make_policy("ai", d, n, k)
+        records, failures = sweep(d, ["br", "dp", "ai"], [(n, k), (n, k // 2)], "mc", reps, seed)
+        assert failures == []
+        sample = orbit_stats(ai, n, k, 0.05, reps, seed)
+        return (records, *simulate_paths(ai, n, k, reps, seed),
+                sample.tau0, sample.j_tau0, sample.tau,
+                run_episode(ai, n, k, seed, rep=reps - 1).budget_path)
+
+    def test_results_equal_at_one_and_three_threads(self, uniform5, monkeypatch):
+        # 300 reps in blocks of 128: groups of 64 at one thread, of 21 at
+        # three, the last group of each block partial either way; switching
+        # threads every microsecond interleaves the runs of one block
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps, seed = 200, 60, 300, 3
+        assert reps % SCRATCH_REPS and reps % (SCRATCH_REPS // 3)
+        monkeypatch.setattr(simulate, "DRAW_THREADS", 1)
+        want = self.outputs(uniform5, n, k, reps, seed)
+        monkeypatch.setattr(simulate, "DRAW_THREADS", 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.outputs(uniform5, n, k, reps, seed)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_error_in_a_thread_stops_the_pass(self, uniform5, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        monkeypatch.setattr(simulate, "DRAW_THREADS", 2)
+        caller, draws = threading.get_ident(), []
+        uniform_block, draw_block = simulate._uniform_block, simulate._draw_block
+
+        def failing(*args):
+            if threading.get_ident() != caller:
+                raise RuntimeError("draw thread failed")
+            return uniform_block(*args)
+
+        monkeypatch.setattr(simulate, "_uniform_block", failing)
+        monkeypatch.setattr(simulate, "_draw_block", lambda *a: draws.append(1) or draw_block(*a))
+        policy = make_policy("br", uniform5, 50, 15)
+        with pytest.raises(RuntimeError, match="draw thread failed"):
+            orbit_stats(policy, 50, 15, 0.05, 300, seed=1)
+        assert draws == [1]
+
+    def test_single_group_blocks_start_no_thread(self, uniform5, monkeypatch):
+        # at three threads a group is 21 replications
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        monkeypatch.setattr(simulate, "DRAW_THREADS", 3)
+        thread_class, started = threading.Thread, []
+
+        def failing(*args, **kwargs):
+            raise AssertionError("a draw thread was started")
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return thread_class(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", failing)
+        n, k = 60, 18
+        policy = make_policy("ai", uniform5, n, k)
+        run_episode(policy, n, k, 1, rep=5)
+        orbit_stats(policy, n, k, 0.05, 21, seed=1)
+        simulate_paths(policy, n, k, 21, seed=1)
+        with pytest.raises(AssertionError, match="draw thread"):
+            orbit_stats(policy, n, k, 0.05, 22, seed=1)
+        # a full block of seven groups starts two threads, a last block of one none
+        monkeypatch.setattr(threading, "Thread", counting)
+        orbit_stats(policy, n, k, 0.05, 128 + 5, seed=1)
+        assert started == [1, 1]
 
 
 class TestEpisodes:
