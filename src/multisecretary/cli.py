@@ -18,10 +18,9 @@ import numpy as np
 
 from . import __version__
 from .distribution import (
-    AbilityDistribution,
     half_min_mass,
+    kleinberg_distribution,
     load_distribution,
-    new_distribution,
     thresholds,
 )
 from .errors import BadEpsilon, ModelError
@@ -34,17 +33,6 @@ from .simulate import (
     orbit_thresholds,
     run_episode,
 )
-
-
-def kleinberg_distribution(epsilon: float) -> AbilityDistribution:
-    """Three-point instance on {3, 2, 1} whose middle mass shrinks with epsilon."""
-    if not 0.0 < epsilon < 0.125:
-        raise BadEpsilon(
-            f"epsilon must lie in (0, 0.125) to keep the top mass positive, got {epsilon}"
-        )
-    return new_distribution(
-        [3.0, 2.0, 1.0], [0.5 - 4.0 * epsilon, 2.0 * epsilon, 0.5 + 2.0 * epsilon]
-    )
 
 
 def round_half_up(x: float) -> int:

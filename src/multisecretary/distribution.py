@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    BadEpsilon,
     BadPmf,
     ModelError,
     NonDecreasingSupport,
@@ -158,6 +159,17 @@ def new_distribution(support: Sequence[float], pmf: Sequence[float]) -> AbilityD
     guide, guide_steps = _guide_table(sv)
     return AbilityDistribution(support=a, pmf=f, survival_values=sv,
                                guide=guide, guide_steps=guide_steps)
+
+
+def kleinberg_distribution(epsilon: float) -> AbilityDistribution:
+    """Three-point instance on {3, 2, 1} whose middle mass shrinks with epsilon."""
+    if not 0.0 < epsilon < 0.125:
+        raise BadEpsilon(
+            f"epsilon must lie in (0, 0.125) to keep the top mass positive, got {epsilon}"
+        )
+    return new_distribution(
+        [3.0, 2.0, 1.0], [0.5 - 4.0 * epsilon, 2.0 * epsilon, 0.5 + 2.0 * epsilon]
+    )
 
 
 def thresholds(d: AbilityDistribution) -> np.ndarray:

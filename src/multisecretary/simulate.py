@@ -37,13 +37,12 @@ and the common random numbers are those of a pass that reads them, and its
 policies decide with ``u=None``.  A pass either records budget paths, or
 sums payoffs and counts ranks.  The Monte Carlo sweep,
 ``evaluate._mc_cells``, sums payoffs and pairs them with the posterior sort
-on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths, and
-``run_episode`` reads its payoff off its own path, summed left to right as a
-payoff pass sums it.  Every pass draws from its stacks' ``policy.dist``,
-and its caller checks each cell with ``check_cell`` before it draws; an
-exception inside the pass stops every cell of it.  Every pass runs the one
-block loop ``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a
-stack of one, ``run_episode`` over one replication.
+on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths.
+Every pass draws from its stacks' ``policy.dist``, and its caller checks
+each cell with ``check_cell`` before it draws; an exception inside the
+pass stops every cell of it.  Every pass runs the one block loop
+``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a stack of one,
+``run_episode`` over one replication.
 
 ``orbit_stats`` is the one orbit entry.  It scans each block's paths as
 soon as it is stepped (``_orbit_scan``), a few dozen periods at a time into
@@ -122,11 +121,10 @@ def block_keys(seed: int, reps: range) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EpisodeRecord:
-    """One full trajectory: draws, decisions, payoff, budget and ratio paths."""
+    """One full trajectory: draws, decisions, budget and ratio paths."""
 
     abilities: np.ndarray   # 1-based ranks, length n
     decisions: np.ndarray   # bool, length n
-    payoff: float
     budget_path: np.ndarray  # K_0..K_n
     ratio_path: np.ndarray   # K_t / (n - t) for t = 0..n-1
 
@@ -144,20 +142,16 @@ class OrbitSample:
 
 def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecord:
     """Play replication ``rep`` of ``seed`` on ``policy.dist``: row ``rep`` of
-    every many-replication pass, by a path pass over that one replication.  Its
-    payoff is summed off the path left to right, as a payoff pass sums it."""
+    every many-replication pass, by a path pass over that one replication."""
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
     for _, ranks, _, records in _blocks(n, [(policy, [k])], range(rep, rep + 1), seed, paths=True):
         abilities = ranks[:, 0].copy()
         budget_path = records[0][:, 0, 0].astype(np.int64)
-    decisions = budget_path[1:] < budget_path[:-1]
-    payoff = np.cumsum(policy.dist.support[abilities - 1] * decisions)[-1]
     return EpisodeRecord(
         abilities=abilities,
-        decisions=decisions,
-        payoff=float(payoff),
+        decisions=budget_path[1:] < budget_path[:-1],
         budget_path=budget_path,
         ratio_path=budget_path[:n] / (n - np.arange(n)),
     )

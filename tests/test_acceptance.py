@@ -17,7 +17,7 @@ from multisecretary import (
     solve,
     thresholds,
 )
-from multisecretary.cli import kleinberg_distribution
+from multisecretary.distribution import kleinberg_distribution
 from multisecretary.evaluate import _forward_value
 from multisecretary.offline import offline_sort_batch
 from oracles import (

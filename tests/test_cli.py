@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from multisecretary import cli, dp, evaluate, make_policy, new_distribution
-from multisecretary.cli import kleinberg_distribution, main, round_half_up
-from multisecretary.distribution import MAX_SUPPORT
+from multisecretary.cli import main, round_half_up
+from multisecretary.distribution import MAX_SUPPORT, kleinberg_distribution
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER, TAIL_TOL
 from multisecretary.simulate import run_episode

@@ -14,7 +14,7 @@ from multisecretary import (
     new_distribution,
     thresholds,
 )
-from multisecretary.cli import kleinberg_distribution
+from multisecretary.distribution import kleinberg_distribution
 from oracles import action_index_j0, sample_searchsorted, threshold_bucket
 
 
