@@ -8,6 +8,7 @@ reproduces the CSV byte for byte.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -89,7 +90,6 @@ def _regret(out, names, runs, mode="exact", reps=10_000, seed=0) -> int:
     """The body of sweep-k, sweep-n and kleinberg once each has built its
     cells: sweep every (distribution, cells) pair of ``runs``, write all the
     records to ``out`` and list each failing cell; the exit status."""
-    check_reps(reps)
     records, failures = [], []
     with np.errstate(over="ignore", invalid="ignore"):  # RegretRecord fails a non-finite cell
         for d, cells in runs:
@@ -103,33 +103,28 @@ def _regret(out, names, runs, mode="exact", reps=10_000, seed=0) -> int:
 
 
 def cmd_sweep_k(args):
-    d = load_distribution(args.dist)
-    ks = _parse_range(args.k_range)
-    names = _parse_policies(args.policies)
+    cells = [(args.n, k) for k in _parse_range(args.k_range)]
     mode = "mc" if args.mc else "exact"
-    status = _regret(args.out, names, [(d, [(args.n, k) for k in ks])], mode, args.reps, args.seed)
+    status = _regret(args.out, args.policies, [(args.dist, cells)], mode, args.reps, args.seed)
     seed = args.seed if mode == "mc" else None  # an exact sweep reads no seed
-    return status, d, seed, {"n": args.n, "k_range": args.k_range, "policies": names,
-                             "mode": mode}
+    return status, seed, {"n": args.n, "k_range": args.k_range, "policies": args.policies,
+                          "mode": mode}
 
 
 def cmd_sweep_n(args):
-    d = load_distribution(args.dist)
     ns = _parse_list(args.n_list, int)
-    names = _parse_policies(args.policies)
     if not all(math.isfinite(args.ratio * n) for n in ns):
         raise ModelError(f"ratio * n must be finite, got ratio {args.ratio}")
     cells = [(n, round_half_up(args.ratio * n)) for n in ns]
     mode = "mc" if args.mc else "exact"
-    status = _regret(args.out, names, [(d, cells)], mode, args.reps, args.seed)
+    status = _regret(args.out, args.policies, [(args.dist, cells)], mode, args.reps, args.seed)
     seed = args.seed if mode == "mc" else None
-    return status, d, seed, {"n_list": ns, "ratio": args.ratio,
-                             "k_list": [k for _, k in cells], "policies": names, "mode": mode}
+    return status, seed, {"n_list": ns, "ratio": args.ratio, "k_list": [k for _, k in cells],
+                          "policies": args.policies, "mode": mode}
 
 
 def cmd_kleinberg(args):
     epsilons = _parse_list(args.epsilons, float)
-    names = _parse_policies(args.policies)
     runs, grid, eps_at = [], [], {}
     for eps in epsilons:  # every epsilon is checked before the first sweep
         d = kleinberg_distribution(eps)
@@ -143,17 +138,15 @@ def cmd_kleinberg(args):
         k = math.ceil(n / 2)
         runs.append((d, [(n, k)]))
         grid.append({"epsilon": eps, "n": n, "k": k})
-    return _regret(args.out, names, runs), None, None, grid
+    return _regret(args.out, args.policies, runs), None, grid
 
 
 def cmd_paths(args):
-    d = load_distribution(args.dist)
-    names = _parse_policies(args.policies)
     seeds = _check_seeds(_parse_list(args.seeds, int))
     stem, suffix = os.path.splitext(str(args.out))
     suffix = suffix or ".csv"
     # every policy is built before the first is played; run_episode checks each cell
-    for policy in [make_policy(name, d, args.n, args.k) for name in names]:
+    for policy in [make_policy(name, args.dist, args.n, args.k) for name in args.policies]:
         for seed in seeds:
             record = run_episode(policy, args.n, args.k, seed)
             ratio = [f"{r:.12g}" for r in record.ratio_path[1:]] + [""]  # no R_n
@@ -161,36 +154,32 @@ def cmd_paths(args):
                     f"{record.budget_path[t + 1]},{ratio[t]}" for t in range(args.n))
             write_csv(f"{stem}_{policy.name}_seed{seed}{suffix}",
                       "t,ability_index,decision,K_t,R_t", rows)
-    return 0, d, seeds, {"n": args.n, "k": args.k, "policies": names}
+    return 0, seeds, {"n": args.n, "k": args.k, "policies": args.policies}
 
 
 def cmd_ratio_mean(args):
-    d = load_distribution(args.dist)
-    names = _parse_policies(args.policies)
     # a spec sorts where its policy's name does, matrix:<file> as matrix
-    policies = [make_policy(name, d, args.n, args.k) for name in sorted(names)]
+    policies = [make_policy(name, args.dist, args.n, args.k) for name in sorted(args.policies)]
     curves = {policy.name: ratio_mean_curve(policy, args.n, args.k) for policy in policies}
     write_csv(args.out, "policy,t,mean_ratio,mean_budget",
               (f"{name},{t},{mean_ratio[t]:.12g},{mean_budget[t]:.12g}"
                for name, (mean_ratio, mean_budget) in curves.items() for t in range(args.n)))
-    return 0, d, None, {"n": args.n, "k": args.k, "policies": names}
+    return 0, None, {"n": args.n, "k": args.k, "policies": args.policies}
 
 
 def cmd_diagnostics(args):
-    d = load_distribution(args.dist)
-    check_reps(args.reps)
-    orbit_thresholds(d, args.delta)  # a bad delta exits before any policy is built
-    policy = make_policy(args.policy, d, args.n, args.k)
+    orbit_thresholds(args.dist, args.delta)  # a bad delta exits before any policy is built
+    policy = make_policy(args.policy, args.dist, args.n, args.k)
     sample = orbit_stats(policy, args.n, args.k, args.delta, args.reps, args.seed)
     rows = zip(sample.tau0.tolist(), sample.j_tau0.tolist(), sample.tau.tolist())
     write_csv(args.out, "rep,tau0,j_tau0,tau,n_minus_tau",
               (f"{rep},{tau0},{j},{tau},{args.n - tau}" for rep, (tau0, j, tau) in enumerate(rows)))
-    return 0, d, args.seed, {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
-                             "policy": args.policy}
+    return 0, args.seed, {"n": args.n, "k": args.k, "delta": args.delta, "reps": args.reps,
+                          "policy": args.policy}
 
 
 def cmd_validate(args) -> None:
-    d = load_distribution(args.dist)
+    d = args.dist
     thr = thresholds(d)
     m = d.m
     payload = {
@@ -287,20 +276,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command.  Each file-writing ``cmd_*`` returns its exit status,
-    distribution (or None), seed and grid, which go to ``<out>.manifest.json``."""
+    """Run one command.  The shared flags are checked first, cheapest first, so bad input
+    exits 2 before any work: ``--seed``, ``--reps``, ``--out`` (its directory exists and it
+    is no directory), then ``--dist`` is loaded and ``--policies`` parsed in place.  Each
+    file-writing ``cmd_*`` returns its exit status, seed and grid for ``<out>.manifest.json``."""
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
         if "seed" in args:
             _check_seeds([args.seed])
+        if "reps" in args:
+            check_reps(args.reps)
+        if "out" in args and os.path.isdir(args.out):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), args.out)
+        if "out" in args and not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), args.out)
+        if "dist" in args:
+            args.dist = load_distribution(args.dist)
+        if "policies" in args:
+            args.policies = _parse_policies(args.policies)
         written = args.func(args)
         if written is None:  # validate prints and writes no file
             return 0
-        status, dist, seed, grid = written
+        status, seed, grid = written
         manifest = {
             "command": args.command,
-            "dist_sha": dist.content_hash() if dist is not None else None,
+            "dist_sha": args.dist.content_hash() if "dist" in args else None,
             "seed": seed,
             "grid": grid,
             "version": __version__,

@@ -40,7 +40,7 @@ import numpy as np
 
 from .distribution import AbilityDistribution
 from .errors import (DimensionMismatch, InfeasiblePair, ModelError, NonMarkovPolicy,
-                     ProbabilityDrift, TableMismatch, check_pair)
+                     ProbabilityDrift, TableMismatch)
 from .offline import capped_mean, offline_expectation, offline_sort_batch
 from .policies import make_policy
 from .simulate import _blocks, check_cell
@@ -124,13 +124,11 @@ def ratio_mean_curve(policy, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _check_forward(policy, n: int, k: int) -> None:
-    """Require a ``rates`` hook, then the cell rule ``check_pair(n, k, min_n=1)``
-    and ``policy.check(n, k)``."""
+    """Require a ``rates`` hook, then the cell rule ``check_cell(policy, n, k, 1)``."""
     if not hasattr(policy, "rates"):
         name = getattr(policy, "name", policy)
         raise NonMarkovPolicy(f"policy {name!r} exposes no selection-rate hook")
-    check_pair(n, k, min_n=1)
-    policy.check(n, k)
+    check_cell(policy, n, k, 1)
 
 
 def _window_pass(policy, n: int, k: int,

@@ -671,6 +671,61 @@ class TestEmptyLists:
         assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
 
 
+class TestSharedFlags:
+    WRITERS = [
+        ["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "2:4:2", "--policies", "br"],
+        ["sweep-n", "--dist", "{dist}", "--n-list", "10", "--ratio", "0.3", "--policies", "br",
+         "--mc", "--reps", "5"],
+        ["kleinberg", "--epsilons", "0.1", "--policies", "br"],
+        ["paths", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br", "--seeds", "1"],
+        ["ratio-mean", "--dist", "{dist}", "--n", "10", "--k", "3", "--policies", "br"],
+        ["diagnostics", "--dist", "{dist}", "--n", "100", "--k", "30", "--delta", "0.05",
+         "--reps", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", WRITERS, ids=[argv[0] for argv in WRITERS])
+    @pytest.mark.parametrize("out,error", [
+        ("nodir/x.csv", "[Errno 2] No such file or directory"),
+        ("adir", "[Errno 21] Is a directory"),
+    ], ids=["missing-dir", "dir"])
+    def test_unwritable_out_exits_2_before_any_work(self, dist_file, tmp_path, monkeypatch,
+                                                    capsys, argv, out, error):
+        # each once did all its work, then failed to open --out
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "adir").mkdir()
+        built = []
+
+        def spy(name, *args):
+            built.append(name)
+            return make_policy(name, *args)
+
+        for module in (evaluate, cli):
+            monkeypatch.setattr(module, "make_policy", spy)
+        argv = [dist_file if a == "{dist}" else a for a in argv]
+        assert main(argv + ["--out", out]) == 2
+        assert assert_one_error_line(capsys) == f"error: {error}: {out!r}\n"
+        assert built == []
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["adir", "u5.json"]
+        assert not any((tmp_path / "adir").iterdir())
+
+    @pytest.mark.parametrize("argv,error", [
+        (["sweep-k", "--dist", "{dist}", "--n", "10", "--k-range", "5:1:1", "--policies", "br",
+          "--reps", "0"], "reps must be in [1, 2**32], got 0"),
+        (["sweep-n", "--dist", "{dist}", "--n-list", "x", "--ratio", "0.3", "--policies",
+          "greedy"], "unknown policy 'greedy'"),
+        (["diagnostics", "--dist", "missing.json", "--n", "100", "--k", "30", "--delta", "0.05",
+          "--reps", "0"], "reps must be in [1, 2**32], got 0"),
+    ], ids=["sweep-k-reps", "sweep-n-policies", "diagnostics-reps"])
+    def test_a_shared_flag_is_checked_before_a_command_flag(self, dist_file, tmp_path,
+                                                            monkeypatch, capsys, argv, error):
+        # each once named its command flag, since only the command checked the shared one
+        monkeypatch.chdir(tmp_path)
+        argv = [dist_file if a == "{dist}" else a for a in argv]
+        assert main(argv + ["--out", "x.csv"]) == 2
+        assert error in assert_one_error_line(capsys)
+        assert [f.name for f in tmp_path.iterdir()] == ["u5.json"]
+
+
 class TestRepeatedEntries:
     @pytest.mark.parametrize("repeated,single", [
         (["sweep-k", "--dist", "{dist}", "--n", "30", "--k-range", "5:25:10", "--policies",
