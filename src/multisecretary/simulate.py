@@ -22,33 +22,39 @@ sorts the posterior does so once per k on the shared counts.  A pass takes
 its cells as ``(policy, ks)`` stacks, the cells that share one policy
 object: a stack's budgets are one (len(ks), reps) matrix, so each period
 makes one ``decide_batch`` call per policy, whose shared rank and uniform
-rows broadcast over the stack.  Budget paths, kept only by the one-cell
-passes, are time-major too, (n+1, 1, reps) int32, one row written per
-period.
+rows broadcast over the stack.  A path pass, run only on one cell, steps
+each block ``_ENTRY_ROWS`` (64) periods at a time into one rolling window
+of budgets, time-major too, (65, 1, reps) int32: row 0 holds the budgets
+at the chunk's first period, carried over from the chunk before, and no
+buffer holds a block's whole (n+1)-row path.
 
 A pass works in one fixed set of buffers, at most ``CHUNK`` replications
 wide, allocated before its first block: the scratch, the ranks, the
 uniforms and counts it reads, and each stack's budgets and its payoffs or
-paths.  Every block, a last partial one too, resets and refills their
-leading columns, and the pass yields read-only views of what it filled.  A
-pass in which no policy is ``randomized`` (only br and dp) stores no
-decision uniforms: it still draws them, two per period, so every stream
-and the common random numbers are those of a pass that reads them, and its
-policies decide with ``u=None``.  A pass either records budget paths, or
-sums payoffs and counts ranks.  The Monte Carlo sweep,
-``evaluate._mc_cells``, sums payoffs and pairs them with the posterior sort
-on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths.
-Every pass draws from its stacks' ``policy.dist``, and its caller checks
+window.  Every block, a last partial one too, resets and refills their
+leading columns, and the pass yields read-only views of what it filled.  So
+a path pass holds the (n, ``CHUNK``) int16 ranks, the uniforms a
+randomized policy reads and the scratch, which the draw needs anyway, plus
+a 65-row window, and nothing else that grows with n.  A pass in which no
+policy is ``randomized`` (only br and dp) stores no decision uniforms: it
+still draws them, two per period, so every stream and the common random
+numbers are those of a pass that reads them, and its policies decide with
+``u=None``.  A pass either records budget paths, or sums payoffs and
+counts ranks.  The Monte Carlo sweep, ``evaluate._mc_cells``, sums payoffs
+and pairs them with the posterior sort on the rank counts.
+``orbit_stats`` and ``run_episode`` record paths, one window per chunk;
+``run_episode`` copies each into the one replication's full path.  Every
+pass draws from its stacks' ``policy.dist``, and its caller checks
 each cell with ``check_cell`` before it draws; an exception inside the
 pass stops every cell of it.  Every pass runs the one block loop
 ``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a stack of one,
 ``run_episode`` over one replication.
 
-``orbit_stats`` is the one orbit entry.  It scans each block's paths as
-soon as it is stepped (``_orbit_scan``), a few dozen periods at a time into
-one reused buffer: the orbit-entry search tests only the replications that
-have not entered yet, and the exit test compares each replication with its
-matched threshold alone.
+``orbit_stats`` is the one orbit entry.  It scans each chunk's window as
+soon as it is stepped (``_orbit_scan``), carrying each block's entry and
+exit times from chunk to chunk: the orbit-entry search tests only the
+replications that have not entered yet, and the exit test compares each
+replication with its matched threshold alone.
 """
 
 from __future__ import annotations
@@ -146,9 +152,10 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
-    for _, ranks, _, records in _blocks(n, [(policy, [k])], range(rep, rep + 1), seed, paths=True):
-        abilities = ranks[:, 0].copy()
-        budget_path = records[0][:, 0, 0].astype(np.int64)
+    budget_path = np.empty(n + 1, dtype=np.int64)
+    for _, ranks, lo, (window,) in _blocks(n, [(policy, [k])], range(rep, rep + 1), seed, paths=True):
+        budget_path[lo : lo + len(window)] = window[:, 0, 0]
+    abilities = ranks[:, 0].copy()
     return EpisodeRecord(
         abilities=abilities,
         decisions=budget_path[1:] < budget_path[:-1],
@@ -272,16 +279,18 @@ def _draw_block(d, seed: int, reps: range, scratch: list, ranks: np.ndarray,
     return views
 
 
-def _step_block(d, n: int, stacks, ranks: np.ndarray, u: np.ndarray | None, paths: bool) -> None:
-    """Play every ``(policy, budgets, record)`` stack over one time-major
-    block, period by period: all stacks read the same rows ``ranks[t-1]`` and
-    ``u[t-1]`` (None when the pass stores no uniforms), and one
+def _step_block(d, n: int, stacks, ranks: np.ndarray, u: np.ndarray | None,
+                lo: int, hi: int, paths: bool) -> None:
+    """Play every ``(policy, budgets, record)`` stack over periods lo+1..hi
+    of one time-major block: all stacks read the same rows ``ranks[t-1]``
+    and ``u[t-1]`` (None when the pass stores no uniforms), and one
     ``decide_batch`` call at the ``n - t + 1`` periods left decides every
-    budget row of a stack against them.  A path pass (``paths``) writes each
-    period's budgets into row t of the record; a payoff pass sums the
-    selected values into it."""
-    value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
-    for t_next in range(1, n + 1):
+    budget row of a stack against them.  A path pass (``paths``) writes the
+    budgets after period t into row t - lo of the record, its window; a
+    payoff pass sums the selected values into it."""
+    if not paths:
+        value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
+    for t_next in range(lo + 1, hi + 1):
         j = ranks[t_next - 1]
         du = None if u is None else u[t_next - 1]
         if not paths:
@@ -292,29 +301,36 @@ def _step_block(d, n: int, stacks, ranks: np.ndarray, u: np.ndarray | None, path
                 record += value * sel
             budgets -= sel
             if paths:
-                record[t_next] = budgets
+                record[t_next - lo] = budgets
 
 
 def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
     """Play the ``(policy, ks)`` stacks, every policy at horizon ``n`` on
     ``stacks[0][0].dist`` and checked by ``check_cell`` at each of its ``ks``,
     over the replications ``reps`` in shared blocks of ``CHUNK``.  A path pass
-    (``paths``) records each stack's budget paths; a payoff pass sums each
-    stack's payoffs and counts the block's ranks.
+    (``paths``) steps each block ``_ENTRY_ROWS`` periods at a time and
+    records each stack's budgets over the chunk; a payoff pass steps a block
+    at once, sums each stack's payoffs and counts the block's ranks.
 
-    Yields ``(rows, ranks, counts, records)`` once every stack has stepped
-    through a block: ``rows`` is the block's slice of positions in ``reps``,
-    ``ranks`` its read-only (n, rows) ranks, ``counts`` its (rows, m) rank
-    counts, None in a path pass, and ``records[i]`` a read-only view of stack
-    i's record for the block: (len(ks), rows) payoffs, or (n+1, len(ks),
-    rows) time-major budget paths in a path pass.
+    A payoff pass yields ``(rows, ranks, counts, records)`` once every stack
+    has stepped through a block: ``rows`` is the block's slice of positions
+    in ``reps``, ``ranks`` its read-only (n, rows) ranks, ``counts`` its
+    (rows, m) rank counts, and ``records[i]`` a read-only view of stack i's
+    (len(ks), rows) payoffs.  A path pass yields ``(rows, ranks, lo,
+    records)`` once per chunk of a block, ``lo`` = 0, ``_ENTRY_ROWS``, ...:
+    ``records[i]`` is a read-only view of stack i's window, (r + 1,
+    len(ks), rows) int32 budgets K_lo..K_{lo+r}, time-major, with r =
+    min(``_ENTRY_ROWS``, n - lo).  Its row 0 holds the budgets at the
+    chunk's first period, the last row of the chunk before.
 
     The pass allocates its buffers once, at most ``CHUNK`` columns wide: the
     draw buffers, a scratch per draw thread among them (``_scratch``), and
-    for each stack a (len(ks), width) budget matrix and its record.  Every
-    block resets and refills their leading columns, so a caller reads what a
-    block yields before asking for the next one.  The decision uniforms are
-    stored only if some stack's policy is ``randomized``.
+    for each stack a (len(ks), width) budget matrix and its record, the
+    payoffs or an (``_ENTRY_ROWS`` + 1, len(ks), width) window.  Nothing in
+    a path pass but the draw buffers grows with n.  Every block resets and
+    refills their leading columns, and every chunk its window, so a caller
+    reads what the pass yields before asking for more.  The decision
+    uniforms are stored only if some stack's policy is ``randomized``.
     """
     d = stacks[0][0].dist
     width = min(CHUNK, len(reps))
@@ -322,30 +338,35 @@ def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
     ranks = np.empty((n, width), dtype=np.int16)
     u = np.empty((n, width)) if any(policy.randomized for policy, _ in stacks) else None
     counts = None if paths else np.empty((width, d.m), dtype=np.int64)
+    step = _ENTRY_ROWS if paths else n
     state = []  # (policy, its ks as a column, budgets, record) per stack
     for policy, ks in stacks:
         budgets = np.empty((len(ks), width), dtype=np.int64)
-        record = (np.empty((n + 1, *budgets.shape), dtype=np.int32) if paths
+        record = (np.empty((step + 1, *budgets.shape), dtype=np.int32) if paths
                   else np.empty(budgets.shape))
         state.append((policy, np.reshape(ks, (-1, 1)), budgets, record))
     for start in range(0, len(reps), CHUNK):
         block = reps[start : start + CHUNK]
         cols = slice(0, len(block))
+        rows = slice(start, start + len(block))
         stepped = []
         for policy, ks, budgets, record in state:
             budgets, record = budgets[:, cols], record[..., cols]
             budgets[:] = ks
-            if paths:
-                record[0] = budgets
-            else:
+            if not paths:
                 record.fill(0.0)
             stepped.append((policy, budgets, record))
         block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
-        _step_block(d, n, stepped, block_ranks, block_u, paths)
-        records = [record for _, _, record in stepped]
-        for record in records:
-            record.flags.writeable = False
-        yield slice(start, start + len(block)), block_ranks, block_counts, records
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            if paths:
+                for _, budgets, window in stepped:
+                    window[0] = budgets
+            _step_block(d, n, stepped, block_ranks, block_u, lo, hi, paths)
+            records = [record[: hi - lo + 1] if paths else record for _, _, record in stepped]
+            for record in records:
+                record.flags.writeable = False
+            yield rows, block_ranks, lo if paths else block_counts, records
 
 
 def cutoff_time(n: int, delta: float) -> int:
@@ -361,9 +382,15 @@ def _first_true(mask: np.ndarray, none: int) -> np.ndarray:
     return np.where(mask[first, np.arange(mask.shape[1])], first, none)
 
 
-def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
-    """tau0/j/tau of each column of an (n+1, reps) matrix of budget paths,
-    against the thresholds ``thr`` = T_1..T_{m+1}.
+def _orbit_scan(window: np.ndarray, lo: int, thr: np.ndarray, delta: float, n: int, scan) -> None:
+    """Carry the orbit scan of a block's columns over one chunk of periods.
+    ``window`` is a path pass's (r + 1, reps) budgets K_lo..K_{lo+r}, and
+    ``scan`` = (tau0, j_tau0, tau) the block's results so far against the
+    thresholds ``thr`` = T_1..T_{m+1}, updated in place.  A block's scan
+    starts with every tau0 and tau at the cutoff and every j_tau0 at m+1
+    (not entered), and reads its chunks in order, ``lo`` = 0,
+    ``_ENTRY_ROWS``, ...; each reads periods lo..min(lo + r, t_cut) - 1, as
+    the window's last row is the next chunk's first.
 
     The ratio R_t enters the orbit of T_j at the first t below the cutoff
     with |R_t - T_j| <= delta/2, and leaves it at the first later t with
@@ -371,42 +398,36 @@ def _orbit_scan(paths: np.ndarray, thr: np.ndarray, delta: float, n: int):
     into the midpoints between thresholds) is tested: since delta is below
     the smallest gap between thresholds, no other can be within delta/2.
 
-    The ratios are computed ``_ENTRY_ROWS`` periods at a time into one
-    reused (rows, reps) buffer, so no (t_cut, reps) matrix is built.  On each
-    chunk the entry search tests only the columns that have not entered yet,
+    The entry search tests only the columns that have not entered yet,
     until none is left; the exit test then compares every column with its
-    matched threshold alone, counting only periods after its entry, and
+    matched threshold alone.  It counts only periods after a column's entry,
+    a mask needed only while some column enters at or after ``lo``, and
     keeps each column's first exit.
     """
+    tau0, j_tau0, tau = scan
     m = thr.size - 1
-    reps = paths.shape[1]
-    t_cut = min(cutoff_time(n, delta), n - 1)
-    tau0 = np.full(reps, t_cut, dtype=np.int64)
-    j_tau0 = np.full(reps, m + 1, dtype=np.int16)
-    tau = np.full(reps, t_cut, dtype=np.int64)  # cutoff branch: tau = tau0 = t_cut
-    mids = 0.5 * (thr[: m - 1] + thr[1:m])
-    left = n - np.arange(t_cut)
-    buf = np.empty((min(_ENTRY_ROWS, t_cut), reps))
-    pending = np.arange(reps)
-    for lo in range(0, t_cut, _ENTRY_ROWS):
-        hi = min(lo + _ENTRY_ROWS, t_cut)
-        ratio = np.divide(paths[lo:hi], left[lo:hi, None], out=buf[: hi - lo])
-        if pending.size:
-            rows = ratio[:, pending]
-            nearest = np.searchsorted(mids, rows)  # 0-based j of the nearest T_j
-            rows -= thr[nearest]
-            np.abs(rows, out=rows)
-            first = _first_true(rows <= delta / 2.0, len(rows))
-            hit = np.flatnonzero(first < len(rows))
-            tau0[pending[hit]] = lo + first[hit]
-            j_tau0[pending[hit]] = nearest[first[hit], hit] + 1
-            pending = np.delete(pending, hit)
-        ratio -= thr[j_tau0 - 1]  # T_{m+1} = inf where no entry yet
-        np.abs(ratio, out=ratio)
-        out = ratio > delta
+    hi = min(lo + len(window) - 1, cutoff_time(n, delta), n - 1)
+    if hi <= lo:
+        return
+    ratio = window[: hi - lo] / (n - np.arange(lo, hi))[:, None]
+    pending = np.flatnonzero(j_tau0 > m)
+    if pending.size:
+        mids = 0.5 * (thr[: m - 1] + thr[1:m])
+        rows = ratio[:, pending]
+        nearest = np.searchsorted(mids, rows)  # 0-based j of the nearest T_j
+        rows -= thr[nearest]
+        np.abs(rows, out=rows)
+        first = _first_true(rows <= delta / 2.0, len(rows))
+        hit = np.flatnonzero(first < len(rows))
+        tau0[pending[hit]] = lo + first[hit]
+        j_tau0[pending[hit]] = nearest[first[hit], hit] + 1
+    ratio -= thr[j_tau0 - 1]  # T_{m+1} = inf where no entry yet
+    np.abs(ratio, out=ratio)
+    out = ratio > delta
+    if tau0.max() >= lo:
         out &= np.arange(lo, hi)[:, None] > tau0
-        np.minimum(tau, lo + _first_true(out, t_cut - lo), out=tau)
-    return tau0, j_tau0, tau
+    if out.any():
+        np.minimum(tau, lo + _first_true(out, n), out=tau)
 
 
 def orbit_thresholds(d, delta: float) -> np.ndarray:
@@ -421,14 +442,15 @@ def orbit_thresholds(d, delta: float) -> np.ndarray:
 
 def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
     """tau0, j and tau of replications 0..reps-1 of ``seed`` on
-    ``policy.dist``: row ``rep`` is ``_orbit_scan`` of ``run_episode``'s budget
-    path for that replication.  A ``delta`` outside (0, half the minimal mass)
-    raises ``BadDelta`` before any draw."""
+    ``policy.dist``: row ``rep`` is the ``_orbit_scan`` of ``run_episode``'s
+    budget path for that replication, chunk by chunk.  A ``delta`` outside
+    (0, half the minimal mass) raises ``BadDelta`` before any draw."""
     thr = orbit_thresholds(policy.dist, delta)
     check_cell(policy, n, k, reps)
-    tau0 = np.empty(reps, dtype=np.int64)
-    j_tau0 = np.empty(reps, dtype=np.int16)
-    tau = np.empty(reps, dtype=np.int64)
-    for rows, _, _, records in _blocks(n, [(policy, [k])], range(reps), seed, paths=True):
-        tau0[rows], j_tau0[rows], tau[rows] = _orbit_scan(records[0][:, 0], thr, delta, n)
+    t_cut = min(cutoff_time(n, delta), n - 1)
+    tau0 = np.full(reps, t_cut, dtype=np.int64)
+    j_tau0 = np.full(reps, thr.size, dtype=np.int16)
+    tau = np.full(reps, t_cut, dtype=np.int64)  # cutoff branch: tau = tau0 = t_cut
+    for rows, _, lo, (window,) in _blocks(n, [(policy, [k])], range(reps), seed, paths=True):
+        _orbit_scan(window[:, 0], lo, thr, delta, n, (tau0[rows], j_tau0[rows], tau[rows]))
     return OrbitSample(tau0=tau0, j_tau0=j_tau0, tau=tau)

@@ -5,11 +5,12 @@ explicit enumeration of ability sequences, the optimum by recursion over
 full histories (no budget-state reduction) or by the g recursion on the
 whole value table, in floats or exact rationals (the library recurses on
 the marginal value instead), and policy selection probabilities are
-recomputed from their defining formulas.  Four exceptions read the library:
+recomputed from their defining formulas.  Five exceptions read the library:
 ``capped_budget_means`` reads the offline module's ``capped_mean``, which
 ``test_offline`` checks against ``exact_capped_mean``; ``simulate_paths``
 runs the sample-path engine's own block loop, to give tests every
-replication's payoff, rank counts and budget path at once;
+replication's payoff, rank counts and budget path at once, and
+``orbit_scan_chunks`` runs its orbit scan chunk by chunk over given paths;
 ``orbit_scan_passes`` reads the horizon guard ``cutoff_time``, which
 ``TestCutoff`` pins to n - ceil(2/delta) - 1; and ``action_index_j0`` reads
 ``thresholds``, which ``TestThresholds`` checks against hand-computed
@@ -404,9 +405,24 @@ def simulate_paths(policy, n: int, k: int, reps: int, seed: int):
     paths = np.empty((reps, n + 1), dtype=np.int32)
     for rows, _, cnt, records in simulate._blocks(n, [(policy, [k])], range(reps), seed):
         payoffs[rows], counts[rows] = records[0][0], cnt
-    for rows, _, _, records in simulate._blocks(n, [(policy, [k])], range(reps), seed, paths=True):
-        paths[rows] = records[0][:, 0].T
+    for rows, _, lo, (window,) in simulate._blocks(n, [(policy, [k])], range(reps), seed, paths=True):
+        paths[rows, lo : lo + len(window)] = window[:, 0].T
     return payoffs, counts, paths
+
+
+def orbit_scan_chunks(paths: np.ndarray, thr, delta: float, n: int):
+    """tau0/j/tau of each column of an (n+1, reps) matrix of budget paths,
+    by ``simulate._orbit_scan`` over the windows a path pass yields: rows
+    lo..lo + ``_ENTRY_ROWS`` for lo = 0, ``_ENTRY_ROWS``, ..., from the state
+    ``orbit_stats`` starts a block with."""
+    reps = paths.shape[1]
+    t_cut = min(cutoff_time(n, delta), n - 1)
+    scan = (np.full(reps, t_cut, dtype=np.int64), np.full(reps, thr.size, dtype=np.int16),
+            np.full(reps, t_cut, dtype=np.int64))
+    rows = simulate._ENTRY_ROWS
+    for lo in range(0, n, rows):
+        simulate._orbit_scan(paths[lo : lo + rows + 1], lo, thr, delta, n, scan)
+    return scan
 
 
 def sample_searchsorted(d, u: np.ndarray) -> np.ndarray:

@@ -31,7 +31,6 @@ from multisecretary.evaluate import exact_regret
 from multisecretary.simulate import (
     MAX_REPS,
     SCRATCH_REPS,
-    _orbit_scan,
     _rank_counts,
     block_keys,
     check_cell,
@@ -43,6 +42,7 @@ from oracles import (
     episode_stream,
     exact_value_table,
     index_prob_table,
+    orbit_scan_chunks,
     orbit_scan_passes,
     rank_counts_loop,
     sample_searchsorted,
@@ -64,13 +64,13 @@ def seedsequence_keys(seed: int, reps) -> np.ndarray:
 
 
 def assert_stats_rows_scan_episodes(policy, n, k, reps, seed, delta=0.05):
-    """Each row of ``orbit_stats`` is ``_orbit_scan`` of that replication's
-    ``run_episode`` path against the policy's thresholds."""
+    """Each row of ``orbit_stats`` is the chunk-by-chunk ``_orbit_scan`` of
+    that replication's ``run_episode`` path against the policy's thresholds."""
     sample = orbit_stats(policy, n, k, delta, reps, seed)
     thr = thresholds(policy.dist)
     for rep in range(reps):
         path = run_episode(policy, n, k, seed, rep).budget_path[:, None]
-        got = [int(a[0]) for a in _orbit_scan(path, thr, delta, n)]
+        got = [int(a[0]) for a in orbit_scan_chunks(path, thr, delta, n)]
         assert got == [sample.tau0[rep], sample.j_tau0[rep], sample.tau[rep]]
 
 
@@ -445,7 +445,7 @@ class TestOrbitScanOracle:
         delta = 0.9 * half_min_mass(d)
         n, k, reps = 1200, 360, 48
         _, _, paths = simulate_paths(make_policy(name, d, n, k), n, k, reps, seed=m)
-        got = _orbit_scan(np.ascontiguousarray(paths.T), thr, delta, n)
+        got = orbit_scan_chunks(np.ascontiguousarray(paths.T), thr, delta, n)
         want = orbit_scan_passes(paths, thr, delta, n)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -488,7 +488,7 @@ class TestOrbitScanOracle:
         anchor = thr[1]
         columns += [path([]), path([(t_cut, anchor)]), path([(slice(t_cut - 1, None), anchor)])]
         paths = np.stack(columns, axis=1)
-        got = _orbit_scan(paths, thr, delta, n)
+        got = orbit_scan_chunks(paths, thr, delta, n)
         want = orbit_scan_passes(paths.T, thr, delta, n)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -527,9 +527,8 @@ class TestOrbitEntryChunks:
                 columns.append(ratio * left)
         columns.append(far * left)  # no entry: the cutoff branch
         paths = np.stack(columns, axis=1)
-        got = _orbit_scan(paths, thr, delta, n)
+        got = orbit_scan_chunks(paths, thr, delta, n)
         want = orbit_scan_passes(paths.T, thr, delta, n)
-        assert [a.dtype for a in got] == [np.int64, np.int16, np.int64]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
         tau0, j_tau0, _ = got
@@ -574,7 +573,7 @@ class TestOrbitExitChunks:
             columns.append(ratio * left)  # no entry before the cutoff
             want_tau.append(t_cut)
         paths = np.stack(columns, axis=1)
-        got = _orbit_scan(paths, thr, delta, n)
+        got = orbit_scan_chunks(paths, thr, delta, n)
         want = orbit_scan_passes(paths.T, thr, delta, n)
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
@@ -600,6 +599,20 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
 
+    def test_orbit_stats_holds_no_whole_path(self, uniform5):
+        # a path pass holds the (n, CHUNK) int16 ranks plus one window of
+        # _ENTRY_ROWS + 1 budget rows, not a block's (n + 1)-row int32 path:
+        # about 33 MiB here, where a whole path adds 31 MiB
+        n, k = 8000, 2400
+        policy = make_policy("br", uniform5, n, k)
+        tracemalloc.start()
+        try:
+            orbit_stats(policy, n, k, 0.05, simulate.CHUNK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
     def test_deterministic_pass_gets_no_uniforms(self, uniform5, monkeypatch):
         n, k, reps = 50, 15, 40
         seen = []
@@ -617,35 +630,42 @@ class TestWorkingSet:
 
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
         # every block, the partial last one too, refills the same buffers and
-        # yields read-only views of them, records included
+        # yields read-only views of them, records included; a path pass
+        # yields one window per chunk of _ENTRY_ROWS periods
         monkeypatch.setattr(simulate, "CHUNK", 128)
+        monkeypatch.setattr(simulate, "_ENTRY_ROWS", 16)
         n, k, reps = 40, 12, 300  # two full blocks and a partial one
         policy = make_policy("ai", uniform5, n, k)
         uniforms, step_block = [], simulate._step_block
 
-        def spy(d, n, stacks, ranks, u, paths):
+        def spy(d, n, stacks, ranks, u, lo, hi, paths):
             uniforms.append(u)
-            step_block(d, n, stacks, ranks, u, paths)
+            step_block(d, n, stacks, ranks, u, lo, hi, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
-        ranks, counts, payoffs, paths = [], [], [], []
+        ranks, counts, payoffs, windows = [], [], [], []
         for _, block_ranks, block_counts, (payoff,) in simulate._blocks(
                 n, [(policy, [k])], range(reps), 1):
             ranks.append(block_ranks)
             counts.append(block_counts)
             payoffs.append(payoff)
-        for _, _, block_counts, (path,) in simulate._blocks(
+        starts = []
+        for _, _, lo, (window,) in simulate._blocks(
                 n, [(policy, [k])], range(reps), 1, paths=True):
-            assert block_counts is None
-            paths.append(path)
+            starts.append(lo)
+            windows.append(window)
         widths = [128, 128, 44]
         assert [r.shape[1] for r in ranks] == widths
         assert [(p.shape, p.dtype) for p in payoffs] == [((1, w), np.float64) for w in widths]
-        assert [(p.shape, p.dtype) for p in paths] == [((n + 1, 1, w), np.int32) for w in widths]
-        for block in (ranks, uniforms[:3], uniforms[3:], counts, payoffs, paths):
+        assert starts == [0, 16, 32] * 3
+        assert [(p.shape, p.dtype) for p in windows] == [
+            ((rows, 1, w), np.int32) for w in widths for rows in (17, 17, 9)]
+        assert len(uniforms) == 3 + 9
+        for block in (ranks, uniforms[:3], uniforms[3::3], counts, payoffs, windows[::3]):
             assert not any(a.flags.writeable for a in block)
             assert np.shares_memory(block[0], block[1]) and np.shares_memory(block[1], block[2])
-        for record in (payoffs[2], paths[2]):
+        assert all(np.shares_memory(windows[0], w) for w in windows)
+        for record in (payoffs[2], windows[-1]):
             with pytest.raises(ValueError, match="read-only"):
                 record[0] = 0
 
@@ -661,6 +681,39 @@ class TestWorkingSet:
         for rep in range(reps):
             u = episode_stream(seed, rep).random(2 * n)
             np.testing.assert_array_equal(ranks[:, rep], sample_searchsorted(masspoint5, u[0::2]))
+
+
+class TestPathWindows:
+    # a path pass yields each block's budgets one window of _ENTRY_ROWS + 1
+    # rows at a time; each window starts where the last one ended, and the
+    # windows of a block chain into the paths whose decisions earn the
+    # payoff pass's payoffs
+
+    @pytest.mark.parametrize("name", ["br", "ai"])
+    def test_windows_chain_into_the_payoff_paths(self, uniform5, monkeypatch, name):
+        monkeypatch.setattr(simulate, "CHUNK", 128)
+        n, k, reps, seed = 200, 60, 300, 3  # windows of 65, 65, 65 and 9 rows
+        policy = make_policy(name, uniform5, n, k)
+        rows_per = simulate._ENTRY_ROWS
+        payoffs = np.empty(reps)
+        ranks = np.empty((n, reps), dtype=np.int16)
+        for rows, block_ranks, _, (payoff,) in simulate._blocks(n, [(policy, [k])], range(reps), seed):
+            payoffs[rows], ranks[:, rows] = payoff[0], block_ranks
+        paths = np.empty((n + 1, reps), dtype=np.int64)
+        starts, last = [], None
+        for rows, _, lo, (window,) in simulate._blocks(
+                n, [(policy, [k])], range(reps), seed, paths=True):
+            starts.append(lo)
+            assert window.shape == (min(rows_per, n - lo) + 1, 1, rows.stop - rows.start)
+            first = np.full(window.shape[2], k) if lo == 0 else last
+            np.testing.assert_array_equal(window[0, 0], first)
+            last = window[-1, 0].copy()
+            paths[lo : lo + len(window), rows] = window[:, 0]
+        assert starts == [0, 64, 128, 192] * 3
+        taken = paths[:-1] - paths[1:]
+        assert set(np.unique(taken)) <= {0, 1}
+        gains = uniform5.support[ranks - 1] * taken
+        np.testing.assert_array_equal(np.cumsum(gains, axis=0)[-1], payoffs)
 
 
 class TestStoredUniformsChangeNoDraw:
@@ -699,16 +752,21 @@ class TestPayoffFreePasses:
         seen = []
         step_block = simulate._step_block
 
-        def spy(d, n, stacks, ranks, u, paths):
-            seen.append((paths, [record.shape for _, _, record in stacks]))
-            step_block(d, n, stacks, ranks, u, paths)
+        def spy(d, n, stacks, ranks, u, lo, hi, paths):
+            seen.append((lo, hi, paths, [record.shape for _, _, record in stacks]))
+            step_block(d, n, stacks, ranks, u, lo, hi, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
         sample = orbit_stats(policy, n, k, delta, reps, seed)
-        # a path pass over three blocks, whose one stack holds paths and no payoffs
-        assert seen == [(True, [(n + 1, 1, w)]) for w in (128, 128, 44)]
+        # a path pass over three blocks of seven chunks each, whose one stack
+        # holds a window of budgets and no payoffs
+        rows = simulate._ENTRY_ROWS
+        assert seen == [(lo, min(lo + rows, n), True, [(rows + 1, 1, w)])
+                        for w in (128, 128, 44) for lo in range(0, n, rows)]
         want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
-        for a, b in zip((sample.tau0, sample.j_tau0, sample.tau), want):
+        got = (sample.tau0, sample.j_tau0, sample.tau)
+        assert [a.dtype for a in got] == [np.int64, np.int16, np.int64]
+        for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
 
