@@ -310,7 +310,7 @@ def _mc_cells(d: AbilityDistribution, cells, reps: int, seed: int) -> dict:
         try:
             online = [np.empty((len(ks), reps)) for _, ks in stacks]
             offline = {k: np.empty(reps) for _, ks in stacks for k in ks}
-            for rows, _, counts, payoffs in _blocks(n, stacks, range(reps), seed):
+            for rows, counts, payoffs in _blocks(n, stacks, range(reps), seed):
                 for k, sort in offline.items():
                     sort[rows] = offline_sort_batch(d, counts, k)
                 for dest, payoff in zip(online, payoffs):

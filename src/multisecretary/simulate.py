@@ -6,48 +6,49 @@ so ability sequences are identical across policies and replication results
 do not depend on execution order.
 
 The engine runs block-outer.  Episodes 0..reps-1 go in blocks of ``CHUNK``.
-The Philox keys of a block's replications are derived once, as arrays, and
-a Philox restarts under each key in turn (``block_keys``).  Each block is
-drawn once, a few dozen replications at a time through a rep-major scratch
-buffer, and stored time-major: (n, reps) int16 ranks, (n, reps) float64
-decision uniforms and, in a payoff pass, the per-rank counts of each
-replication.  Up to ``DRAW_THREADS`` threads (the CPUs the process may run
-on, at most 4; no option sets it) draw a block, each its own contiguous run
-of columns with its own Philox and scratch, so no result depends on the
-thread count; the threads split ``SCRATCH_REPS`` rows of scratch between
-them, so a pass's scratch is the same size at any count.  Only the draw
-leaves the calling thread.  Every (policy, k) cell at that n then steps
-over the same rows ``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that
-sorts the posterior does so once per k on the shared counts.  A pass takes
-its cells as ``(policy, ks)`` stacks, the cells that share one policy
-object: a stack's budgets are one (len(ks), reps) matrix, so each period
-makes one ``decide_batch`` call per policy, whose shared rank and uniform
-rows broadcast over the stack.  A path pass, run only on one cell, steps
-each block ``_ENTRY_ROWS`` (64) periods at a time into one rolling window
-of budgets, time-major too, (65, 1, reps) int32: row 0 holds the budgets
-at the chunk's first period, carried over from the chunk before, and no
-buffer holds a block's whole (n+1)-row path.
+A pass builds one Philox generator per column once.  The Philox keys of a
+block's replications are derived once, as arrays (``block_keys``), and each
+column's generator restarts under its replication's key.  The block is then
+drawn and stepped ``WINDOW`` (256) periods at a time, on the calling
+thread: each column's generator goes on with its stream from window to
+window, so every replication holds the bytes of its own substream whatever
+the window size.  A window is drawn a few dozen replications at a time
+through a rep-major scratch buffer, and stored time-major: (``WINDOW``,
+reps) int16 ranks, (``WINDOW``, reps) float64 decision uniforms and, in a
+payoff pass, the per-rank counts of each replication, summed window by
+window.  Every (policy, k) cell at that n then steps over the same rows
+``ranks[t-1]`` and ``u[t-1]``, period by period; a caller that sorts the
+posterior does so once per k on the shared counts.  A pass takes its cells
+as ``(policy, ks)`` stacks, the cells that share one policy object: a
+stack's budgets are one (len(ks), reps) matrix, so each period makes one
+``decide_batch`` call per policy, whose shared rank and uniform rows
+broadcast over the stack.  A path pass, run only on one cell, steps each
+window ``_ENTRY_ROWS`` (64) periods at a time into one rolling window of
+budgets, time-major too, (65, 1, reps) int32: row 0 holds the budgets at
+the chunk's first period, carried over from the chunk before, and no buffer
+holds a block's whole (n+1)-row path.
 
 A pass works in one fixed set of buffers, at most ``CHUNK`` replications
-wide, allocated before its first block: the scratch, the ranks, the
+wide and ``WINDOW`` periods long, allocated before its first block: the
+generators, the (``SCRATCH_REPS``, 2·``WINDOW``) scratch, the ranks, the
 uniforms and counts it reads, and each stack's budgets and its payoffs or
-window.  Every block, a last partial one too, resets and refills their
-leading columns, and the pass yields read-only views of what it filled.  So
-a path pass holds the (n, ``CHUNK``) int16 ranks, the uniforms a
-randomized policy reads and the scratch, which the draw needs anyway, plus
-a 65-row window, and nothing else that grows with n.  A pass in which no
-policy is ``randomized`` (only br and dp) stores no decision uniforms: it
-still draws them, two per period, so every stream and the common random
-numbers are those of a pass that reads them, and its policies decide with
-``u=None``.  A pass either records budget paths, or sums payoffs and
-counts ranks.  The Monte Carlo sweep, ``evaluate._mc_cells``, sums payoffs
-and pairs them with the posterior sort on the rank counts.
-``orbit_stats`` and ``run_episode`` record paths, one window per chunk;
-``run_episode`` copies each into the one replication's full path.  Every
-pass draws from its stacks' ``policy.dist``, and its caller checks
-each cell with ``check_cell`` before it draws; an exception inside the
-pass stops every cell of it.  Every pass runs the one block loop
-``_blocks``; ``run_episode`` and ``orbit_stats`` run it on a stack of one,
+budget window.  Every block, a last partial one too, resets and refills
+their leading columns, and the pass yields read-only views of what it
+filled.  So nothing a pass holds grows with n.  A pass stops at the last
+period its consumer reads: ``orbit_stats`` draws and steps no period past
+its cutoff.  A pass in which no policy is ``randomized`` (only br and dp)
+stores no decision uniforms: it still draws them, two per period, so every
+stream and the common random numbers are those of a pass that reads them,
+and its policies decide with ``u=None``.  A pass either records budget
+paths, or sums payoffs and counts ranks.  The Monte Carlo sweep,
+``evaluate._mc_cells``, sums payoffs and pairs them with the posterior sort
+on the rank counts.  ``orbit_stats`` and ``run_episode`` record paths, one
+window per chunk; ``run_episode`` copies each chunk's ranks and budgets
+into the one replication's abilities and full path.  Every pass draws from
+its stacks' ``policy.dist``, and its caller checks each cell with
+``check_cell`` before it draws; an exception inside the pass stops every
+cell of it.  Every pass runs the one block loop ``_blocks``;
+``run_episode`` and ``orbit_stats`` run it on a stack of one,
 ``run_episode`` over one replication.
 
 ``orbit_stats`` is the one orbit entry.  It scans each chunk's window as
@@ -60,8 +61,6 @@ replication with its matched threshold alone.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,12 +71,10 @@ from .errors import BadDelta, InfeasiblePair, check_pair
 RNG_FAMILY = "philox"  # pinned; recorded in run manifests
 
 CHUNK = 1024  # replications per block
-SCRATCH_REPS = 64  # replications drawn rep-major at a time, over all draw threads
+WINDOW = 256  # periods of a block drawn at a time
+SCRATCH_REPS = 64  # replications drawn rep-major at a time
 _ENTRY_ROWS = 64  # periods of the orbit scan per step
 MAX_REPS = 2**32  # every rep fits one 32-bit spawn word
-# threads that draw a block: the CPUs this process may run on, at most 4
-DRAW_THREADS = min(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1, 4)
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -152,10 +149,11 @@ def run_episode(policy, n: int, k: int, seed: int, rep: int = 0) -> EpisodeRecor
     check_cell(policy, n, k, 1)
     if not 0 <= rep < MAX_REPS:
         raise InfeasiblePair(f"rep must be in [0, 2**32), got {rep}")
+    abilities = np.empty(n, dtype=np.int16)
     budget_path = np.empty(n + 1, dtype=np.int64)
     for _, ranks, lo, (window,) in _blocks(n, [(policy, [k])], range(rep, rep + 1), seed, paths=True):
+        abilities[lo : lo + len(ranks)] = ranks[:, 0]
         budget_path[lo : lo + len(window)] = window[:, 0, 0]
-    abilities = ranks[:, 0].copy()
     return EpisodeRecord(
         abilities=abilities,
         decisions=budget_path[1:] < budget_path[:-1],
@@ -178,17 +176,12 @@ def check_reps(reps: int) -> None:
         raise InfeasiblePair(f"reps must be in [1, 2**32], got {reps}")
 
 
-def _uniform_block(gen: np.random.Generator, restart: dict, keys: np.ndarray,
-                   out: np.ndarray) -> np.ndarray:
-    """The uniforms of the replications keyed by ``keys``, one row each,
-    drawn into the leading rows of ``out``.  ``gen``'s Philox restarts from
-    ``restart``, its state when new, under each row's key: the stream of
-    ``Philox(SeedSequence(seed, spawn_key=(rep,)))`` for that replication."""
-    block = out[: len(keys)]
-    bitgen = gen.bit_generator
-    for row, key in zip(block, keys):
-        restart["state"]["key"] = key
-        bitgen.state = restart
+def _uniform_block(gens: list, out: np.ndarray) -> np.ndarray:
+    """The next ``out.shape[1]`` uniforms of each generator of ``gens``, one
+    row each, drawn into the leading rows of ``out``.  Each generator goes on
+    from where its last call left its replication's stream."""
+    block = out[: len(gens)]
+    for row, gen in zip(block, gens):
         gen.random(out=row)
     return block
 
@@ -201,144 +194,112 @@ def _rank_counts(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(offset.ravel(), minlength=reps * m).reshape(reps, m)
 
 
-def _scratch(n: int, width: int) -> list:
-    """The rep-major scratch buffers of a pass at most ``width`` replications
-    wide: one per draw thread, up to ``DRAW_THREADS``, of ``SCRATCH_REPS //
-    DRAW_THREADS`` rows each (``width`` rows if that is fewer), and no more
-    of them than such groups of rows span ``width``.  A pass's scratch stays
-    at most ``SCRATCH_REPS`` × 2n doubles whatever the thread count."""
-    rows = min(SCRATCH_REPS // DRAW_THREADS, width)
-    return [np.empty((rows, 2 * n)) for _ in range(min(DRAW_THREADS, -(-width // rows)))]
+def _draw_window(d, gens: list, scratch: np.ndarray, ranks: np.ndarray,
+                 u: np.ndarray | None, counts: np.ndarray | None, periods: int) -> None:
+    """The next ``periods`` periods of the replications whose generators are
+    ``gens``, stored time-major into the leading rows and ``len(gens)``
+    columns of a pass's buffers: ``ranks``, (``WINDOW``, width) int16, and
+    ``u``, (``WINDOW``, width) decision uniforms; each column's rank counts
+    are added to its row of ``counts``, (width, m) int64.  ``u`` and
+    ``counts`` are None in a pass that does not read them.
+
+    Each replication's 2·``periods`` uniforms pass through the rep-major
+    ``scratch``, (``SCRATCH_REPS``, 2·``WINDOW``), a group of
+    ``len(scratch)`` replications at a time, so no (reps, 2n) block is built.
+    The decision half is drawn whether or not ``u`` stores it."""
+    group = len(scratch)
+    for lo in range(0, len(gens), group):
+        buf = _uniform_block(gens[lo : lo + group], scratch[:, : 2 * periods])
+        cols = slice(lo, lo + len(buf))
+        window_ranks = d.sample_many(buf[:, 0::2])
+        ranks[:periods, cols] = window_ranks.T
+        if u is not None:
+            u[:periods, cols] = buf[:, 1::2].T
+        if counts is not None:
+            counts[cols] += _rank_counts(window_ranks, d.m)
 
 
-def _draw_block(d, seed: int, reps: range, scratch: list, ranks: np.ndarray,
-                u: np.ndarray | None, counts: np.ndarray | None):
-    """Replications ``reps`` stored time-major into the leading ``len(reps)``
-    columns of a pass's buffers: ``ranks``, (n, width) int16, ``u``, (n,
-    width) decision uniforms, and ``counts``, (width, m) int64 rank counts;
-    ``u`` and ``counts`` are None in a pass that does not read them.
-
-    Returns read-only views of the filled part of each buffer (None for a
-    missing one), so no cell can change what the others read; the buffers
-    themselves stay writeable for the next block.
-
-    The block's keys are derived at once.  Each replication's 2n uniforms
-    pass through a rep-major buffer of ``scratch`` (see ``_scratch``), a
-    group of ``len(scratch[0])`` replications at a time, so no (reps, 2n)
-    block is built.  The groups are split into up to ``len(scratch)``
-    contiguous runs of columns, one per scratch buffer: the calling thread
-    draws the first run and one new thread each other run, each with its own
-    Philox restarted per row, so every column holds the same bytes whatever
-    the split.  A block of one group starts no thread.  An exception in any
-    run is raised here once every run has ended.  The decision half is drawn
-    whether or not ``u`` stores it.
-    """
-    size = len(reps)
-    keys = block_keys(seed, reps)
-    group = len(scratch[0])
-    groups = -(-size // group)
-    parts = min(len(scratch), groups)
-    bounds = [min(i * groups // parts * group, size) for i in range(parts + 1)]
-    errors = [None] * parts
-
-    def draw(i: int) -> None:
-        philox = np.random.Philox(key=0)
-        restart, gen = philox.state, np.random.Generator(philox)
-        for lo in range(bounds[i], bounds[i + 1], group):
-            buf = _uniform_block(gen, restart, keys[lo : lo + group], scratch[i])
-            cols = slice(lo, lo + len(buf))
-            block_ranks = d.sample_many(buf[:, 0::2])
-            ranks[:, cols] = block_ranks.T
-            if u is not None:
-                u[:, cols] = buf[:, 1::2].T
-            if counts is not None:
-                counts[cols] = _rank_counts(block_ranks, d.m)
-
-    def run(i: int) -> None:
-        try:
-            draw(i)
-        except BaseException as exc:  # re-raised by the calling thread
-            errors[i] = exc
-
-    threads = [threading.Thread(target=run, args=(i,)) for i in range(1, parts)]
-    for thread in threads:
-        thread.start()
-    try:
-        draw(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    views = (ranks[:, :size], None if u is None else u[:, :size],
-             None if counts is None else counts[:size])
-    for view in views:
-        if view is not None:
-            view.flags.writeable = False
-    return views
+def _read_only(view: np.ndarray) -> np.ndarray:
+    """``view``, a fresh view of a pass's buffer, made read-only, so no cell
+    can change what the others read; the buffer stays writeable."""
+    view.flags.writeable = False
+    return view
 
 
 def _step_block(d, n: int, stacks, ranks: np.ndarray, u: np.ndarray | None,
-                lo: int, hi: int, paths: bool) -> None:
+                lo: int, paths: bool) -> None:
     """Play every ``(policy, budgets, record)`` stack over periods lo+1..hi
-    of one time-major block: all stacks read the same rows ``ranks[t-1]``
-    and ``u[t-1]`` (None when the pass stores no uniforms), and one
-    ``decide_batch`` call at the ``n - t + 1`` periods left decides every
-    budget row of a stack against them.  A path pass (``paths``) writes the
-    budgets after period t into row t - lo of the record, its window; a
-    payoff pass sums the selected values into it."""
+    of one block, hi = lo + len(ranks): all stacks read the same time-major
+    rows ``ranks[t-1-lo]`` and ``u[t-1-lo]`` (None when the pass stores no
+    uniforms), and one ``decide_batch`` call at the ``n - t + 1`` periods
+    left decides every budget row of a stack against them.  A path pass
+    (``paths``) writes the budgets after period t into row t - lo of the
+    record, its window; a payoff pass sums the selected values into it."""
     if not paths:
         value_of_rank = np.concatenate(([0.0], d.support))  # ranks are 1-based
-    for t_next in range(lo + 1, hi + 1):
-        j = ranks[t_next - 1]
-        du = None if u is None else u[t_next - 1]
+    for i, j in enumerate(ranks):
+        du = None if u is None else u[i]
         if not paths:
             value = value_of_rank.take(j)
         for policy, budgets, record in stacks:
-            sel = policy.decide_batch(n - t_next + 1, budgets, j, du)
+            sel = policy.decide_batch(n - lo - i, budgets, j, du)
             if not paths:
                 record += value * sel
             budgets -= sel
             if paths:
-                record[t_next - lo] = budgets
+                record[i + 1] = budgets
 
 
-def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
+def _blocks(n: int, stacks, reps: range, seed: int, paths=False, last=None):
     """Play the ``(policy, ks)`` stacks, every policy at horizon ``n`` on
     ``stacks[0][0].dist`` and checked by ``check_cell`` at each of its ``ks``,
-    over the replications ``reps`` in shared blocks of ``CHUNK``.  A path pass
-    (``paths``) steps each block ``_ENTRY_ROWS`` periods at a time and
-    records each stack's budgets over the chunk; a payoff pass steps a block
-    at once, sums each stack's payoffs and counts the block's ranks.
+    over the replications ``reps`` in shared blocks of ``CHUNK``, through
+    periods 1..``last`` (``n`` when None) of each block: ``last`` is the
+    last period its consumer reads, and no period past it is drawn or
+    stepped.  Each block is drawn and stepped ``WINDOW`` periods at a time.
+    A path pass (``paths``) steps each window ``_ENTRY_ROWS`` periods at a
+    time and records each stack's budgets over the chunk; a payoff pass
+    steps a window at once, sums each stack's payoffs and counts the
+    block's ranks.
 
-    A payoff pass yields ``(rows, ranks, counts, records)`` once every stack
-    has stepped through a block: ``rows`` is the block's slice of positions
-    in ``reps``, ``ranks`` its read-only (n, rows) ranks, ``counts`` its
-    (rows, m) rank counts, and ``records[i]`` a read-only view of stack i's
-    (len(ks), rows) payoffs.  A path pass yields ``(rows, ranks, lo,
-    records)`` once per chunk of a block, ``lo`` = 0, ``_ENTRY_ROWS``, ...:
-    ``records[i]`` is a read-only view of stack i's window, (r + 1,
-    len(ks), rows) int32 budgets K_lo..K_{lo+r}, time-major, with r =
-    min(``_ENTRY_ROWS``, n - lo).  Its row 0 holds the budgets at the
-    chunk's first period, the last row of the chunk before.
+    A payoff pass yields ``(rows, counts, records)`` once every stack has
+    stepped through a block: ``rows`` is the block's slice of positions in
+    ``reps``, ``counts`` its read-only (rows, m) rank counts, and
+    ``records[i]`` a read-only view of stack i's (len(ks), rows) payoffs.  A
+    path pass yields ``(rows, ranks, lo, records)`` once per chunk of a
+    block, ``lo`` = 0, ``_ENTRY_ROWS``, ... within each window (``WINDOW``
+    is a multiple of ``_ENTRY_ROWS``, so these run on across windows):
+    ``ranks`` is the chunk's read-only (r, rows) ranks of periods
+    lo+1..lo+r, and ``records[i]`` a read-only view of stack i's window,
+    (r + 1, len(ks), rows) int32 budgets K_lo..K_{lo+r}, time-major, with r
+    = min(``_ENTRY_ROWS``, the window's end - lo).  Its row 0 holds the
+    budgets at the chunk's first period, the last row of the chunk before.
 
-    The pass allocates its buffers once, at most ``CHUNK`` columns wide: the
-    draw buffers, a scratch per draw thread among them (``_scratch``), and
+    The pass allocates its buffers once, at most ``CHUNK`` columns wide and
+    ``WINDOW`` periods long: one ``np.random.Generator`` (Philox) per
+    column, the scratch, the ranks, the uniforms and counts it reads, and
     for each stack a (len(ks), width) budget matrix and its record, the
-    payoffs or an (``_ENTRY_ROWS`` + 1, len(ks), width) window.  Nothing in
-    a path pass but the draw buffers grows with n.  Every block resets and
-    refills their leading columns, and every chunk its window, so a caller
-    reads what the pass yields before asking for more.  The decision
-    uniforms are stored only if some stack's policy is ``randomized``.
+    payoffs or an (``_ENTRY_ROWS`` + 1, len(ks), width) window.  None of
+    them grows with n.  Each block restarts its columns' generators under
+    their replications' keys (``block_keys``), and each later window goes
+    on with the same streams, so a column holds the bytes of
+    ``Philox(SeedSequence(seed, spawn_key=(rep,)))`` whatever ``WINDOW``
+    is.  Every block resets and refills the buffers' leading columns, and
+    every window and chunk their leading rows, so a caller reads what the
+    pass yields before asking for more.  The decision uniforms are stored
+    only if some stack's policy is ``randomized``.
     """
     d = stacks[0][0].dist
+    last = n if last is None else last
     width = min(CHUNK, len(reps))
-    scratch = _scratch(n, width)
-    ranks = np.empty((n, width), dtype=np.int16)
-    u = np.empty((n, width)) if any(policy.randomized for policy, _ in stacks) else None
+    span = min(WINDOW, last)  # periods each draw buffer holds
+    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(width)]
+    restart = gens[0].bit_generator.state  # a new Philox's state: counter 0
+    scratch = np.empty((min(SCRATCH_REPS, width), 2 * span))
+    ranks = np.empty((span, width), dtype=np.int16)
+    u = np.empty((span, width)) if any(policy.randomized for policy, _ in stacks) else None
     counts = None if paths else np.empty((width, d.m), dtype=np.int64)
-    step = _ENTRY_ROWS if paths else n
+    step = _ENTRY_ROWS if paths else WINDOW
     state = []  # (policy, its ks as a column, budgets, record) per stack
     for policy, ks in stacks:
         budgets = np.empty((len(ks), width), dtype=np.int64)
@@ -356,17 +317,31 @@ def _blocks(n: int, stacks, reps: range, seed: int, paths=False):
             if not paths:
                 record.fill(0.0)
             stepped.append((policy, budgets, record))
-        block_ranks, block_u, block_counts = _draw_block(d, seed, block, scratch, ranks, u, counts)
-        for lo in range(0, n, step):
-            hi = min(lo + step, n)
-            if paths:
-                for _, budgets, window in stepped:
-                    window[0] = budgets
-            _step_block(d, n, stepped, block_ranks, block_u, lo, hi, paths)
-            records = [record[: hi - lo + 1] if paths else record for _, _, record in stepped]
-            for record in records:
-                record.flags.writeable = False
-            yield rows, block_ranks, lo if paths else block_counts, records
+        block_gens = gens[cols]
+        for gen, key in zip(block_gens, block_keys(seed, block)):
+            restart["state"]["key"] = key
+            gen.bit_generator.state = restart
+        if counts is not None:
+            counts[cols] = 0
+        for w_lo in range(0, last, WINDOW):
+            w_hi = min(w_lo + WINDOW, last)
+            _draw_window(d, block_gens, scratch, ranks, u, counts, w_hi - w_lo)
+            w_ranks = _read_only(ranks[: w_hi - w_lo, cols])
+            w_u = None if u is None else _read_only(u[: w_hi - w_lo, cols])
+            for lo in range(w_lo, w_hi, step):
+                hi = min(lo + step, w_hi)
+                chunk = slice(lo - w_lo, hi - w_lo)
+                if paths:
+                    for _, budgets, window in stepped:
+                        window[0] = budgets
+                _step_block(d, n, stepped, w_ranks[chunk], None if w_u is None else w_u[chunk],
+                            lo, paths)
+                if paths:
+                    yield rows, w_ranks[chunk], lo, [
+                        _read_only(record[: hi - lo + 1]) for _, _, record in stepped]
+        if not paths:
+            yield rows, _read_only(counts[cols]), [
+                _read_only(record[:]) for _, _, record in stepped]
 
 
 def cutoff_time(n: int, delta: float) -> int:
@@ -443,14 +418,17 @@ def orbit_thresholds(d, delta: float) -> np.ndarray:
 def orbit_stats(policy, n: int, k: int, delta: float, reps: int, seed: int) -> OrbitSample:
     """tau0, j and tau of replications 0..reps-1 of ``seed`` on
     ``policy.dist``: row ``rep`` is the ``_orbit_scan`` of ``run_episode``'s
-    budget path for that replication, chunk by chunk.  A ``delta`` outside
-    (0, half the minimal mass) raises ``BadDelta`` before any draw."""
+    budget path for that replication, chunk by chunk.  The scan reads no
+    budget past K_{t_cut}, t_cut the cutoff, so the pass draws and steps
+    periods 1..t_cut only.  A ``delta`` outside (0, half the minimal mass)
+    raises ``BadDelta`` before any draw."""
     thr = orbit_thresholds(policy.dist, delta)
     check_cell(policy, n, k, reps)
     t_cut = min(cutoff_time(n, delta), n - 1)
     tau0 = np.full(reps, t_cut, dtype=np.int64)
     j_tau0 = np.full(reps, thr.size, dtype=np.int16)
     tau = np.full(reps, t_cut, dtype=np.int64)  # cutoff branch: tau = tau0 = t_cut
-    for rows, _, lo, (window,) in _blocks(n, [(policy, [k])], range(reps), seed, paths=True):
+    blocks = _blocks(n, [(policy, [k])], range(reps), seed, paths=True, last=t_cut)
+    for rows, _, lo, (window,) in blocks:
         _orbit_scan(window[:, 0], lo, thr, delta, n, (tau0[rows], j_tau0[rows], tau[rows]))
     return OrbitSample(tau0=tau0, j_tau0=j_tau0, tau=tau)

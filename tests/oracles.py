@@ -403,7 +403,7 @@ def simulate_paths(policy, n: int, k: int, reps: int, seed: int):
     payoffs = np.empty(reps)
     counts = np.empty((reps, policy.dist.m), dtype=np.int64)
     paths = np.empty((reps, n + 1), dtype=np.int32)
-    for rows, _, cnt, records in simulate._blocks(n, [(policy, [k])], range(reps), seed):
+    for rows, cnt, records in simulate._blocks(n, [(policy, [k])], range(reps), seed):
         payoffs[rows], counts[rows] = records[0][0], cnt
     for rows, _, lo, (window,) in simulate._blocks(n, [(policy, [k])], range(reps), seed, paths=True):
         paths[rows, lo : lo + len(window)] = window[:, 0].T

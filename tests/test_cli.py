@@ -11,7 +11,8 @@ from multisecretary.cli import main, round_half_up
 from multisecretary.distribution import MAX_SUPPORT, kleinberg_distribution
 from multisecretary.errors import BadEpsilon
 from multisecretary.evaluate import CSV_HEADER, TAIL_TOL
-from multisecretary.simulate import run_episode
+from multisecretary.policies import BreakpointPolicy
+from multisecretary.simulate import cutoff_time, run_episode
 from oracles import capped_budget_means
 
 
@@ -636,6 +637,24 @@ class TestPinnedCsvs:
         got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in self.DIGESTS}
         assert got == self.DIGESTS
+
+    def test_diagnostics_steps_no_period_past_the_cutoff(self, dist_file, tmp_path, monkeypatch):
+        # the orbit scan reads no budget past the cutoff t_cut = 300 - 41, so
+        # each of the three blocks takes t_cut decide_batch calls, not n, and
+        # the CSV keeps its bytes
+        left, decide = [], BreakpointPolicy.decide_batch
+
+        def spy(self, periods_left, budgets, abilities, u):
+            left.append(periods_left)
+            return decide(self, periods_left, budgets, abilities, u)
+
+        monkeypatch.setattr(BreakpointPolicy, "decide_batch", spy)
+        out = tmp_path / "diag.csv"
+        assert main(["diagnostics", "--dist", dist_file, "--n", "300", "--k", "90", "--delta", "0.05",
+                     "--reps", "3000", "--seed", "4", "--out", str(out)]) == 0
+        t_cut = cutoff_time(300, 0.05)
+        assert left == list(range(300, 300 - t_cut, -1)) * 3
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGESTS["diag.csv"]
 
 
 class TestSeeds:

@@ -1,6 +1,4 @@
 import math
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -63,6 +61,28 @@ def seedsequence_keys(seed: int, reps) -> np.ndarray:
                      for rep in reps])
 
 
+def pass_rows(policy, n, k, reps, seed, monkeypatch):
+    """The (n, len(reps)) ranks and decision uniforms a path pass over the
+    stack ``(policy, [k])`` steps over, window by window, and the rank
+    counts of a payoff pass over the same replications."""
+    stepped, step_block = [], simulate._step_block
+
+    def spy(d, n, stacks, ranks, u, lo, paths):
+        stepped.append(u)
+        step_block(d, n, stacks, ranks, u, lo, paths)
+
+    monkeypatch.setattr(simulate, "_step_block", spy)
+    ranks = np.empty((n, len(reps)), dtype=np.int16)
+    u = np.empty((n, len(reps)))
+    for rows, chunk, lo, _ in simulate._blocks(n, [(policy, [k])], reps, seed, paths=True):
+        ranks[lo : lo + len(chunk), rows] = chunk
+        u[lo : lo + len(chunk), rows] = stepped[-1]
+    counts = np.empty((len(reps), policy.dist.m), dtype=np.int64)
+    for rows, block_counts, _ in simulate._blocks(n, [(policy, [k])], reps, seed):
+        counts[rows] = block_counts
+    return ranks, u, counts
+
+
 def assert_stats_rows_scan_episodes(policy, n, k, reps, seed, delta=0.05):
     """Each row of ``orbit_stats`` is the chunk-by-chunk ``_orbit_scan`` of
     that replication's ``run_episode`` path against the policy's thresholds."""
@@ -87,23 +107,19 @@ class TestBlockKeys:
         for reps in (range(0, 100_001, 10), range(2**31 - 2, 2**31 + 2), range(MAX_REPS - 3, MAX_REPS)):
             np.testing.assert_array_equal(block_keys(seed, reps), seedsequence_keys(seed, reps))
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize("window", [1, 2, 3])
     @pytest.mark.parametrize("seed", [1, 2**200])
-    def test_block_rows_replay_episode_stream(self, masspoint5, monkeypatch, seed, threads):
-        # 70 reps take two scratch fills of one Philox at one thread (64 + 6
-        # rows), three groups split 1 + 2 at two (32 + 32 + 6) and four split
-        # 1 + 1 + 2 at three (21 + 21 + 21 + 7), each thread's Philox
-        # restarted per row, into the leading columns of buffers wider than
-        # the block
-        monkeypatch.setattr(simulate, "DRAW_THREADS", threads)
-        d, n, reps = masspoint5, 40, range(5, 75)
-        width = len(reps) + 3
-        scratch = simulate._scratch(n, width)
-        assert [a.shape for a in scratch] == [(SCRATCH_REPS // threads, 2 * n)] * threads
-        ranks, u, counts = simulate._draw_block(
-            d, seed, reps, scratch, np.empty((n, width), dtype=np.int16),
-            np.empty((n, width)), np.empty((width, d.m), dtype=np.int64))
-        assert ranks.shape == u.shape == (n, len(reps)) and counts.shape == (len(reps), d.m)
+    def test_block_rows_replay_episode_stream(self, masspoint5, monkeypatch, seed, window):
+        # a Philox emits its doubles four at a time: windows of one to three
+        # periods (two to six doubles) leave each stream at every offset into
+        # a counter's four, and the last of 40 periods is a partial window at
+        # three.  70 reps take blocks of 48 + 22, in groups of 16 + 16 + 16
+        # and 16 + 6; the second block reuses the first's leading generators
+        monkeypatch.setattr(simulate, "WINDOW", window)
+        monkeypatch.setattr(simulate, "CHUNK", 48)
+        monkeypatch.setattr(simulate, "SCRATCH_REPS", 16)
+        d, n, k, reps = masspoint5, 40, 15, range(5, 75)
+        ranks, u, counts = pass_rows(make_policy("ai", d, n, k), n, k, reps, seed, monkeypatch)
         for col, rep in enumerate(reps):
             want = episode_stream(seed, rep).random(2 * n)
             np.testing.assert_array_equal(u[:, col], want[1::2])
@@ -136,10 +152,26 @@ class TestBlockKeys:
                 run_episode(policy, 10, 3, 1, rep=rep)
 
 
-class TestDrawThreads:
-    # a block's groups are drawn by up to DRAW_THREADS threads into disjoint
-    # columns, each with its own Philox, restart state and scratch: no result
-    # depends on the thread count
+class TestWindows:
+    # a pass draws each block WINDOW periods at a time, each column's
+    # generator going on with its replication's stream: no byte depends on
+    # the window size
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 6, 37, 64, 65])
+    @pytest.mark.parametrize("window", [5, 16, 64])
+    def test_window_rows_replay_episode_stream(self, uniform5, monkeypatch, window, n):
+        # horizons one short of, at and one past a window or two; 73 reps
+        # from rep 7 take blocks of 32 + 32 + 9
+        monkeypatch.setattr(simulate, "WINDOW", window)
+        monkeypatch.setattr(simulate, "CHUNK", 32)
+        k, reps, seed = n // 3, range(7, 80), 11
+        ranks, u, counts = pass_rows(make_policy("ai", uniform5, n, k), n, k, reps, seed, monkeypatch)
+        for col, rep in enumerate(reps):
+            want = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=(rep,)))).random(2 * n)
+            np.testing.assert_array_equal(u[:, col], want[1::2])
+            np.testing.assert_array_equal(ranks[:, col], sample_searchsorted(uniform5, want[0::2]))
+        np.testing.assert_array_equal(counts, rank_counts_loop(ranks.T, uniform5.m))
 
     def outputs(self, d, n, k, reps, seed):
         ai = make_policy("ai", d, n, k)
@@ -150,69 +182,18 @@ class TestDrawThreads:
                 sample.tau0, sample.j_tau0, sample.tau,
                 run_episode(ai, n, k, seed, rep=reps - 1).budget_path)
 
-    def test_results_equal_at_one_and_three_threads(self, uniform5, monkeypatch):
-        # 300 reps in blocks of 128: groups of 64 at one thread, of 21 at
-        # three, the last group of each block partial either way; switching
-        # threads every microsecond interleaves the runs of one block
+    @pytest.mark.parametrize("window", [5, 64, 100])
+    def test_results_equal_at_every_window(self, uniform5, monkeypatch, window):
+        # at 5 and 100 periods a path pass's chunks no longer start at
+        # multiples of 64, and n = 200 ends in a partial window at all three
         monkeypatch.setattr(simulate, "CHUNK", 128)
         n, k, reps, seed = 200, 60, 300, 3
-        assert reps % SCRATCH_REPS and reps % (SCRATCH_REPS // 3)
-        monkeypatch.setattr(simulate, "DRAW_THREADS", 1)
         want = self.outputs(uniform5, n, k, reps, seed)
-        monkeypatch.setattr(simulate, "DRAW_THREADS", 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = self.outputs(uniform5, n, k, reps, seed)
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(simulate, "WINDOW", window)
+        got = self.outputs(uniform5, n, k, reps, seed)
         assert got[0] == want[0]
         for a, b in zip(got[1:], want[1:]):
             np.testing.assert_array_equal(a, b)
-
-    def test_error_in_a_thread_stops_the_pass(self, uniform5, monkeypatch):
-        monkeypatch.setattr(simulate, "CHUNK", 128)
-        monkeypatch.setattr(simulate, "DRAW_THREADS", 2)
-        caller, draws = threading.get_ident(), []
-        uniform_block, draw_block = simulate._uniform_block, simulate._draw_block
-
-        def failing(*args):
-            if threading.get_ident() != caller:
-                raise RuntimeError("draw thread failed")
-            return uniform_block(*args)
-
-        monkeypatch.setattr(simulate, "_uniform_block", failing)
-        monkeypatch.setattr(simulate, "_draw_block", lambda *a: draws.append(1) or draw_block(*a))
-        policy = make_policy("br", uniform5, 50, 15)
-        with pytest.raises(RuntimeError, match="draw thread failed"):
-            orbit_stats(policy, 50, 15, 0.05, 300, seed=1)
-        assert draws == [1]
-
-    def test_single_group_blocks_start_no_thread(self, uniform5, monkeypatch):
-        # at three threads a group is 21 replications
-        monkeypatch.setattr(simulate, "CHUNK", 128)
-        monkeypatch.setattr(simulate, "DRAW_THREADS", 3)
-        thread_class, started = threading.Thread, []
-
-        def failing(*args, **kwargs):
-            raise AssertionError("a draw thread was started")
-
-        def counting(*args, **kwargs):
-            started.append(1)
-            return thread_class(*args, **kwargs)
-
-        monkeypatch.setattr(threading, "Thread", failing)
-        n, k = 60, 18
-        policy = make_policy("ai", uniform5, n, k)
-        run_episode(policy, n, k, 1, rep=5)
-        orbit_stats(policy, n, k, 0.05, 21, seed=1)
-        simulate_paths(policy, n, k, 21, seed=1)
-        with pytest.raises(AssertionError, match="draw thread"):
-            orbit_stats(policy, n, k, 0.05, 22, seed=1)
-        # a full block of seven groups starts two threads, a last block of one none
-        monkeypatch.setattr(threading, "Thread", counting)
-        orbit_stats(policy, n, k, 0.05, 128 + 5, seed=1)
-        assert started == [1, 1]
 
 
 class TestEpisodes:
@@ -318,7 +299,7 @@ class TestBatchConsistency:
         def work(*args):
             raise AssertionError("a block was drawn or a rate asked for")
 
-        monkeypatch.setattr(simulate, "_draw_block", work)
+        monkeypatch.setattr(simulate, "_draw_window", work)
         policy = make_policy("ai", uniform5, 10, 5)
         monkeypatch.setattr(policy, "rates", work)
         calls = [
@@ -348,8 +329,8 @@ class TestBatchConsistency:
         else:
             policy = NonAdaptivePolicy(uniform5, np.full((5, 10), 0.5), name)
         work = []
-        draw, rates = simulate._draw_block, policy.rates
-        monkeypatch.setattr(simulate, "_draw_block", lambda *a: work.append("draw") or draw(*a))
+        draw, rates = simulate._draw_window, policy.rates
+        monkeypatch.setattr(simulate, "_draw_window", lambda *a: work.append("draw") or draw(*a))
         monkeypatch.setattr(policy, "rates", lambda *a: work.append("rates") or rates(*a))
         calls = [
             lambda: simulate_paths(policy, n, k, 8, seed=1),
@@ -373,7 +354,8 @@ class TestRankCounts:
         np.testing.assert_array_equal(got, rank_counts_loop(ranks, d.m))
 
     def test_engine_counts_match_loop_at_m200(self, monkeypatch):
-        # 150 reps in blocks of 128 take three scratch fills, the last partial
+        # 150 reps in blocks of 128 take three scratch fills per window, the
+        # last partial, and 300 periods two windows, whose counts add up
         d = new_distribution(np.linspace(2.0, 0.2, 200), [1 / 200] * 200)
         n, k, reps, seed = 300, 90, 150, 8
         assert SCRATCH_REPS < reps < 3 * SCRATCH_REPS
@@ -599,10 +581,26 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
 
+    def test_orbit_stats_peak_does_not_grow_with_n(self, uniform5):
+        # a pass holds WINDOW periods of a block at any n: ten times the
+        # horizon may not raise the peak by half (a pass that draws each
+        # block whole peaks at about 10 and 93 MiB here)
+        def peak(n):
+            policy = make_policy("br", uniform5, n, n * 3 // 10)
+            tracemalloc.start()
+            try:
+                orbit_stats(policy, n, n * 3 // 10, 0.05, 128, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # a process's first draw imports numpy.random
+        assert peak(40_000) <= 1.5 * peak(4000)
+
     def test_orbit_stats_holds_no_whole_path(self, uniform5):
-        # a path pass holds the (n, CHUNK) int16 ranks plus one window of
-        # _ENTRY_ROWS + 1 budget rows, not a block's (n + 1)-row int32 path:
-        # about 33 MiB here, where a whole path adds 31 MiB
+        # a path pass holds WINDOW periods of draws plus one window of
+        # _ENTRY_ROWS + 1 budget rows, not a block's (n + 1)-row int32 path,
+        # which alone would add 31 MiB
         n, k = 8000, 2400
         policy = make_policy("br", uniform5, n, k)
         tracemalloc.start()
@@ -629,43 +627,51 @@ class TestWorkingSet:
         assert set(seen) == {("br", False), ("dp", False), ("ai", False)}
 
     def test_blocks_refill_one_read_only_set(self, uniform5, monkeypatch):
-        # every block, the partial last one too, refills the same buffers and
-        # yields read-only views of them, records included; a path pass
-        # yields one window per chunk of _ENTRY_ROWS periods
+        # every block, the partial last one too, and every window of it
+        # refills the same buffers and yields read-only views of them,
+        # records included; a path pass yields one window of budgets per
+        # chunk of _ENTRY_ROWS periods, a payoff pass one record per block
         monkeypatch.setattr(simulate, "CHUNK", 128)
+        monkeypatch.setattr(simulate, "WINDOW", 32)
         monkeypatch.setattr(simulate, "_ENTRY_ROWS", 16)
-        n, k, reps = 40, 12, 300  # two full blocks and a partial one
+        n, k, reps = 40, 12, 300  # two full blocks and a partial one, of 32 + 8 periods
         policy = make_policy("ai", uniform5, n, k)
-        uniforms, step_block = [], simulate._step_block
+        stepped, step_block = [], simulate._step_block
 
-        def spy(d, n, stacks, ranks, u, lo, hi, paths):
-            uniforms.append(u)
-            step_block(d, n, stacks, ranks, u, lo, hi, paths)
+        def spy(d, n, stacks, ranks, u, lo, paths):
+            stepped.append((lo, ranks, u))
+            step_block(d, n, stacks, ranks, u, lo, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
-        ranks, counts, payoffs, windows = [], [], [], []
-        for _, block_ranks, block_counts, (payoff,) in simulate._blocks(
-                n, [(policy, [k])], range(reps), 1):
-            ranks.append(block_ranks)
+        counts, payoffs = [], []
+        for _, block_counts, (payoff,) in simulate._blocks(n, [(policy, [k])], range(reps), 1):
             counts.append(block_counts)
             payoffs.append(payoff)
-        starts = []
-        for _, _, lo, (window,) in simulate._blocks(
+        payoff_steps = stepped[:]
+        stepped.clear()
+        starts, ranks, windows = [], [], []
+        for _, chunk, lo, (window,) in simulate._blocks(
                 n, [(policy, [k])], range(reps), 1, paths=True):
             starts.append(lo)
+            ranks.append(chunk)
             windows.append(window)
         widths = [128, 128, 44]
-        assert [r.shape[1] for r in ranks] == widths
+        assert [(c.shape, c.dtype) for c in counts] == [((w, uniform5.m), np.int64) for w in widths]
         assert [(p.shape, p.dtype) for p in payoffs] == [((1, w), np.float64) for w in widths]
-        assert starts == [0, 16, 32] * 3
+        # a payoff pass steps a window at once, a path pass a chunk at a time
+        assert [(lo, r.shape, u.shape) for lo, r, u in payoff_steps] == [
+            (lo, (rows, w), (rows, w)) for w in widths for lo, rows in ((0, 32), (32, 8))]
+        assert [lo for lo, _, _ in stepped] == starts == [0, 16, 32] * 3
+        assert [r.shape for r in ranks] == [(rows, w) for w in widths for rows in (16, 16, 8)]
         assert [(p.shape, p.dtype) for p in windows] == [
             ((rows, 1, w), np.int32) for w in widths for rows in (17, 17, 9)]
-        assert len(uniforms) == 3 + 9
-        for block in (ranks, uniforms[:3], uniforms[3::3], counts, payoffs, windows[::3]):
-            assert not any(a.flags.writeable for a in block)
-            assert np.shares_memory(block[0], block[1]) and np.shares_memory(block[1], block[2])
-        assert all(np.shares_memory(windows[0], w) for w in windows)
-        for record in (payoffs[2], windows[-1]):
+        # the first chunk of every window reuses the same rows
+        first_rows = [[u for _, _, u in payoff_steps], [u for lo, _, u in stepped if lo != 16],
+                      [r for r, lo in zip(ranks, starts) if lo != 16]]
+        for views in (counts, payoffs, windows, *first_rows):
+            assert not any(a.flags.writeable for a in views)
+            assert all(np.shares_memory(views[0], a) for a in views)
+        for record in (payoffs[2], windows[-1], counts[1], ranks[-1]):
             with pytest.raises(ValueError, match="read-only"):
                 record[0] = 0
 
@@ -676,8 +682,8 @@ class TestWorkingSet:
         n, k, reps, seed = 30, 10, 200, 7
         stack = (make_policy("br", masspoint5, n, k), [k])
         ranks = np.empty((n, reps), dtype=np.int16)
-        for rows, block_ranks, _, _ in simulate._blocks(n, [stack], range(reps), seed):
-            ranks[:, rows] = block_ranks
+        for rows, chunk, lo, _ in simulate._blocks(n, [stack], range(reps), seed, paths=True):
+            ranks[lo : lo + len(chunk), rows] = chunk
         for rep in range(reps):
             u = episode_stream(seed, rep).random(2 * n)
             np.testing.assert_array_equal(ranks[:, rep], sample_searchsorted(masspoint5, u[0::2]))
@@ -696,14 +702,15 @@ class TestPathWindows:
         policy = make_policy(name, uniform5, n, k)
         rows_per = simulate._ENTRY_ROWS
         payoffs = np.empty(reps)
+        for rows, _, (payoff,) in simulate._blocks(n, [(policy, [k])], range(reps), seed):
+            payoffs[rows] = payoff[0]
         ranks = np.empty((n, reps), dtype=np.int16)
-        for rows, block_ranks, _, (payoff,) in simulate._blocks(n, [(policy, [k])], range(reps), seed):
-            payoffs[rows], ranks[:, rows] = payoff[0], block_ranks
         paths = np.empty((n + 1, reps), dtype=np.int64)
         starts, last = [], None
-        for rows, _, lo, (window,) in simulate._blocks(
+        for rows, chunk, lo, (window,) in simulate._blocks(
                 n, [(policy, [k])], range(reps), seed, paths=True):
             starts.append(lo)
+            ranks[lo : lo + len(chunk), rows] = chunk
             assert window.shape == (min(rows_per, n - lo) + 1, 1, rows.stop - rows.start)
             first = np.full(window.shape[2], k) if lo == 0 else last
             np.testing.assert_array_equal(window[0, 0], first)
@@ -752,17 +759,18 @@ class TestPayoffFreePasses:
         seen = []
         step_block = simulate._step_block
 
-        def spy(d, n, stacks, ranks, u, lo, hi, paths):
-            seen.append((lo, hi, paths, [record.shape for _, _, record in stacks]))
-            step_block(d, n, stacks, ranks, u, lo, hi, paths)
+        def spy(d, n, stacks, ranks, u, lo, paths):
+            seen.append((lo, lo + len(ranks), paths, [record.shape for _, _, record in stacks]))
+            step_block(d, n, stacks, ranks, u, lo, paths)
 
         monkeypatch.setattr(simulate, "_step_block", spy)
         sample = orbit_stats(policy, n, k, delta, reps, seed)
-        # a path pass over three blocks of seven chunks each, whose one stack
-        # holds a window of budgets and no payoffs
-        rows = simulate._ENTRY_ROWS
-        assert seen == [(lo, min(lo + rows, n), True, [(rows + 1, 1, w)])
-                        for w in (128, 128, 44) for lo in range(0, n, rows)]
+        # a path pass over three blocks of six chunks each, up to the cutoff
+        # (359 of 400 periods), whose one stack holds a window of budgets and
+        # no payoffs
+        rows, t_cut = simulate._ENTRY_ROWS, cutoff_time(n, delta)
+        assert seen == [(lo, min(lo + rows, t_cut), True, [(rows + 1, 1, w)])
+                        for w in (128, 128, 44) for lo in range(0, t_cut, rows)]
         want = orbit_scan_passes(paths, thresholds(uniform5), delta, n)
         got = (sample.tau0, sample.j_tau0, sample.tau)
         assert [a.dtype for a in got] == [np.int64, np.int16, np.int64]
